@@ -516,16 +516,12 @@ class DmFragment:
         for size in range(1, width + 1):
             for combo in combinations(mus, size):
                 ok = all(
-                    not mleq_either(self.base, a, b)
+                    not (self.base.leq(a, b) or self.base.leq(b, a))
                     for a, b in combinations(combo, 2)
                 )
                 if ok:
                     out.append(normalize(self.base, list(combo)))
         return sorted(out, key=self.sort_key)
-
-
-def mleq_either(base, a, b):
-    return base.leq(a, b) or base.leq(b, a)
 
 
 def free_aqm(m, k=4, antichain_bound=3):

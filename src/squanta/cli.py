@@ -32,10 +32,6 @@ from .modact import (
 from .nucleus import (
     congruence,
     consequence,
-    convert,
-    enumerate_congruences,
-    enumerate_consequences,
-    enumerate_nuclei,
     nucleus,
     quotient,
     structural_check,
@@ -51,7 +47,7 @@ from .projective import (
 )
 from .equivlogic import TranslationPair, equivalence_check
 from .reporting import Report
-from .search import SUITES, quantale_descriptions
+from .search import SUITES, correspondence, quantale_descriptions
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INPUT = 0, 1, 2
 
@@ -313,10 +309,7 @@ def cmd_validate(ws, args):
 
 
 def cmd_correspond(ws, args):
-    q = ws.quantale(args.name)
-    nucs = enumerate_nuclei(q)
-    cons = enumerate_consequences(q)
-    congs = enumerate_congruences(q)
+    nucs, cons, congs, trip_ok = correspondence(ws.quantale(args.name))
     rep = Report(f"correspond {args.name}")
     rep.note(f"nuclei: {len(nucs)}, consequences: {len(cons)}, "
              f"congruences: {len(congs)}")
@@ -324,19 +317,9 @@ def cmd_correspond(ws, args):
         rep.passed("counts agree")
     else:
         rep.failed("counts agree", witness=(len(nucs), len(cons), len(congs)))
-    trip_ok = True
-    for p in nucs:
-        trip_ok &= convert(convert(p, "consequence"), "nucleus") == p
-        trip_ok &= convert(convert(p, "congruence"), "nucleus") == p
-    for p in cons:
-        trip_ok &= convert(convert(p, "nucleus"), "consequence") == p
-        trip_ok &= convert(convert(p, "congruence"), "consequence") == p
-    for p in congs:
-        trip_ok &= convert(convert(p, "nucleus"), "congruence") == p
-        trip_ok &= convert(convert(p, "consequence"), "congruence") == p
     rep.passed("round-trips", "OK") if trip_ok else rep.failed("round-trips")
     rep.data.update(nuclei=len(nucs), consequences=len(cons),
-                    congruences=len(congs), round_trips=bool(trip_ok))
+                    congruences=len(congs), round_trips=trip_ok)
     return rep
 
 
@@ -531,6 +514,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("size", "workers"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise ParseError(f"--{flag} must be at least 1, got {value}",
+                                 witness=value)
         ws = load(args.config, config={
             "fragment": args.fragment,
             "antichain": args.antichain,

@@ -97,10 +97,6 @@ class NotStructural(SquantaError):
     pass
 
 
-class SearchExhausted(SquantaError):
-    pass
-
-
 class IllDefined(SquantaError):
     pass
 

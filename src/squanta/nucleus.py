@@ -307,22 +307,77 @@ def enumerate_nuclei(q):
 
 
 def enumerate_consequences(q):
-    """All additive consequence relations: every relation must contain the
-    >=-pairs, so only the remaining pairs are free."""
+    """All additive consequence relations, in the order of a scan over the
+    relations on the pairs not forced by >=, the first free pair (in element
+    order, which is sorted) most significant.
+
+    They are the closed sets of the Horn rules: every >=-pair, transitivity,
+    closure of each successor set under binary joins, and + on either side.
+    NextClosure (Ganter 2010) walks the closed sets in exactly that order
+    (the lectic order), with the relation held as one bitmask row of
+    successors per element."""
     els = q.elements
-    forced = {(x, y) for x, y in product(els, repeat=2) if q.leq(y, x)}
-    free = sorted(set(product(els, repeat=2)) - forced)
+    n = len(els)
+    idx = {x: i for i, x in enumerate(els)}
+    plus = [[idx[q.plus(x, y)] for y in els] for x in els]
+    members = [[y for y in range(n) if s >> y & 1] for s in range(1 << n)]
+    # for every nonempty set of elements: its join, and its images under + z
+    # on either side
+    join_of = [None] + [idx[q.join([els[y] for y in ys])] for ys in members[1:]]
+    right = [[sum({1 << plus[y][z] for y in ys}) for ys in members]
+             for z in range(n)]
+    left = [[sum({1 << plus[z][y] for y in ys}) for ys in members]
+            for z in range(n)]
+    ge = [sum(1 << y for y in range(n) if q.leq(els[y], x)) for x in els]
+    free = [(x, y) for x in range(n) for y in range(n) if not ge[x] >> y & 1]
+    m = len(free)
+
+    def close(a):
+        """The least consequence relation containing the free pairs whose
+        bits are set in a (free[i] at bit m-1-i), as successor rows."""
+        rows = list(ge)
+        for i, (x, y) in enumerate(free):
+            if a >> (m - 1 - i) & 1:
+                rows[x] |= 1 << y
+        while True:
+            before = list(rows)
+            for x in range(n):
+                s = rows[x] | rows[join_of[rows[x]]]
+                for y in members[s]:
+                    s |= rows[y]
+                rows[x] = s
+            for x in range(n):
+                s = rows[x]
+                for z in range(n):
+                    rows[plus[x][z]] |= right[z][s]
+                    rows[plus[z][x]] |= left[z][s]
+            if rows == before:
+                return rows
+
+    def bits(rows):
+        return sum(1 << (m - 1 - i) for i, (x, y) in enumerate(free)
+                   if rows[x] >> y & 1)
+
     out = []
-    for bits in product([False, True], repeat=len(free)):
-        rel = set(forced)
-        rel.update(p for p, b in zip(free, bits) if b)
-        c = AddConsequence(q, frozenset(rel))
-        try:
-            validate_presentation(c)
-        except LawViolated:
-            continue
+    rows = close(0)
+    a = bits(rows)
+    while True:
+        c = AddConsequence(q, frozenset((els[x], els[y]) for x in range(n)
+                                        for y in members[rows[x]]))
+        validate_presentation(c)
         out.append(c)
-    return out
+        # NextClosure: the next closed set in lectic order adds the lowest
+        # bit p it can without adding a bit above p
+        for p in range(m):
+            if a >> p & 1:
+                continue
+            rows = close((a >> p + 1 << p + 1) | 1 << p)
+            b = bits(rows)
+            if (b & ~a) >> p + 1 == 0:
+                a = b
+                break
+        else:
+            return out
 
 
 def _partitions(items):

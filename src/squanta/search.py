@@ -20,6 +20,7 @@ from .projective import cyclic_check, cyclic_projective_check, self_module
 __all__ = [
     "quantale_descriptions",
     "build_quantale",
+    "correspondence",
     "suite_correspond",
     "suite_leftdist",
     "suite_projective",
@@ -28,90 +29,141 @@ __all__ = [
 
 
 def _labeled_posets(n):
-    """All partial orders on n labeled elements, as strict-pair sets."""
-    els = list(range(n))
-    nonrefl = [(i, j) for i in els for j in els if i != j]
-    for bits in product([False, True], repeat=len(nonrefl)):
-        rel = {p for p, b in zip(nonrefl, bits) if b}
-        if any((j, i) in rel for (i, j) in rel):
-            continue
-        if any(
-            (i, k) not in rel
-            for (i, j) in rel
-            for (jj, k) in rel
-            if j == jj and i != k
-        ):
-            continue
-        yield rel
+    """All partial orders on 0..n-1 as tuples of up-set bitmasks (bit j of
+    up[i] is set when i <= j), in ascending order of their strict-pair bit
+    vectors over (0, 1), (0, 2), ..., (n-1, n-2), the first pair most
+    significant.
+
+    Each order on 0..k is one on 0..k-1 plus the point k, placed above an
+    order ideal D and below an order filter U with D and U disjoint and
+    every element of D below every element of U; every labeled order arises
+    exactly once this way."""
+    posets = [()]
+    for k in range(n):
+        subsets = [[i for i in range(k) if s >> i & 1] for s in range(1 << k)]
+        grown = []
+        for up in posets:
+            down = [sum(1 << i for i in range(k) if up[i] >> j & 1)
+                    for j in range(k)]
+            ideals = [s for s, els in enumerate(subsets)
+                      if all(down[i] | s == s for i in els)]
+            filters = [s for s, els in enumerate(subsets)
+                       if all(up[i] | s == s for i in els)]
+            for d in ideals:
+                for u in filters:
+                    if d & u or any(up[i] & u != u for i in subsets[d]):
+                        continue
+                    grown.append(tuple(m | (1 << k) if d >> i & 1 else m
+                                       for i, m in enumerate(up))
+                                 + (u | (1 << k),))
+        posets = grown
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return sorted(posets,
+                  key=lambda up: [up[i] >> j & 1 for i, j in pairs])
 
 
-def _join_table(n, rel):
-    """Binary join table for the labeled poset, or None when one is missing."""
-    leq = lambda a, b: a == b or (a, b) in rel
-    join = {}
-    for a, b in product(range(n), repeat=2):
-        uppers = [c for c in range(n) if leq(a, c) and leq(b, c)]
-        lubs = [c for c in uppers if all(leq(c, d) for d in uppers)]
-        if len(lubs) != 1:
-            return None
-        join[(a, b)] = lubs[0]
-    return join
+def _commutative_tables(n, leq, unit):
+    """Every commutative, associative table t on 0..n-1 (x*y = t[x*n + y])
+    with `unit` neutral and both translations monotone for the 0/1 matrix
+    `leq`.
+
+    The cells off the unit's row are filled one at a time in
+    `combinations_with_replacement` order, trying values in ascending order,
+    so the tables come out in the order of `product(range(n), repeat=...)`
+    over those cells. A value is rejected as soon as it breaks monotonicity
+    against an assigned cell, or associativity on a triple whose four cells
+    are all assigned."""
+    t = [-1] * (n * n)
+    for x in range(n):
+        t[unit * n + x] = t[x * n + unit] = x
+    cells = list(combinations_with_replacement(
+        [x for x in range(n) if x != unit], 2))
+
+    def assoc(a, b, c):
+        ab, bc = t[a * n + b], t[b * n + c]
+        if ab < 0 or bc < 0:
+            return True
+        lhs, rhs = t[ab * n + c], t[a * n + bc]
+        return lhs < 0 or rhs < 0 or lhs == rhs
+
+    def fits(x, y, z):
+        for a in range(n):  # monotone against the cells (a, y) and (a, x)
+            for other, w in ((x, t[a * n + y]), (y, t[a * n + x])):
+                if w >= 0 and (leq[a][other] and not leq[w][z]
+                               or leq[other][a] and not leq[z][w]):
+                    return False
+        # with t commutative, (a*b)*c = a*(b*c) is the same equation as
+        # (c*b)*a = c*(b*a), so (x, y) need only be tried as a*b and as the
+        # outer cell of (a*b)*c
+        for a in range(n):
+            if not (assoc(x, y, a) and assoc(y, x, a)):
+                return False
+        for p in range(n):
+            for q in range(n):
+                v = t[p * n + q]
+                if (v == x and not assoc(p, q, y)
+                        or v == y and not assoc(p, q, x)):
+                    return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(t)
+            return
+        x, y = cells[k]
+        for z in range(n):
+            t[x * n + y] = t[y * n + x] = z
+            if fits(x, y, z):
+                yield from fill(k + 1)
+        t[x * n + y] = t[y * n + x] = -1
+
+    return fill(0)
 
 
 def quantale_descriptions(size):
     """Raw structure descriptions of every c.d.i. generalized quantale on at
-    most `size` labeled elements (no isomorphism pruning)."""
+    most `size` labeled elements (no isomorphism pruning), in the order of
+    their poset's strict-pair bit vector and then of their + table."""
     out = []
     for n in range(1, size + 1):
-        for rel in _labeled_posets(n):
-            join = _join_table(n, rel)
-            if join is None:
+        full = (1 << n) - 1
+        names = [str(i) for i in range(n)]
+        triples = list(product(range(n), repeat=3))
+        # flat-table cells of (a+b)+c = a+(b+c)
+        assoc = [(a * n + b, c, a * n, b * n + c) for a, b, c in triples]
+        for up in _labeled_posets(n):
+            by_up = {m: i for i, m in enumerate(up)}
+            join = [by_up.get(up[a] & up[b]) for a in range(n) for b in range(n)]
+            if full not in by_up or None in join:
                 continue
-            leq = lambda a, b: a == b or (a, b) in rel
-            bottoms = [b for b in range(n) if all(leq(b, x) for x in range(n))]
-            if not bottoms:
-                continue
-            zero = bottoms[0]
-            nonzero = [x for x in range(n) if x != zero]
-            free_pairs = list(combinations_with_replacement(nonzero, 2))
-            choice_sets = [
-                [z for z in range(n) if leq(join[(x, y)], z)] for x, y in free_pairs
-            ]
-            for values in product(*choice_sets):
-                op = {}
-                for x in range(n):
-                    op[(zero, x)] = x
-                    op[(x, zero)] = x
-                for (x, y), z in zip(free_pairs, values):
-                    op[(x, y)] = z
-                    op[(y, x)] = z
-                if any(
-                    op[(op[(a, b)], c)] != op[(a, op[(b, c)])]
-                    for a, b, c in product(range(n), repeat=3)
-                ):
+            zero = by_up[full]
+            leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
+            # flat-table cells of a <= b => a+c <= b+c, and of
+            # a+(b v c) = (a+b) v (a+c)
+            monotone = [(a * n + c, b * n + c) for a, b, c in triples
+                        if leq[a][b]]
+            dist = [(a * n + join[b * n + c], a * n + b, a * n + c)
+                    for a, b, c in triples]
+            leq_pairs = [[names[i], names[j]] for i in range(n)
+                         for j in range(n) if i != j and leq[i][j]]
+            for t in _commutative_tables(n, leq, zero):
+                if any(t[t[ab] * n + c] != t[a + t[bc]]
+                       for ab, c, a, bc in assoc):
                     continue
-                if any(
-                    leq(a, b) and not leq(op[(a, c)], op[(b, c)])
-                    for a, b, c in product(range(n), repeat=3)
-                ):
+                if any(not leq[t[i]][t[j]] for i, j in monotone):
                     continue
-                if any(
-                    op[(a, join[(b, c)])] != join[(op[(a, b)], op[(a, c)])]
-                    for a, b, c in product(range(n), repeat=3)
-                ):
+                if any(t[i] != join[t[j] * n + t[k]] for i, j, k in dist):
                     continue
                 out.append(
                     {
                         "poset": {
-                            "elements": [str(i) for i in range(n)],
-                            "leq": [[str(i), str(j)] for (i, j) in sorted(rel)],
+                            "elements": list(names),
+                            "leq": [list(p) for p in leq_pairs],
                         },
                         "monoid": {
-                            "op": [
-                                [str(x), str(y), str(z)]
-                                for (x, y), z in sorted(op.items())
-                            ],
-                            "unit": str(zero),
+                            "op": [[names[x], names[y], names[t[x * n + y]]]
+                                   for x in range(n) for y in range(n)],
+                            "unit": names[zero],
                         },
                     }
                 )
@@ -126,11 +178,9 @@ def _congruence_refines(c1, c2):
     return all(any(set(a) <= set(b) for b in c2.classes) for a in c1.classes)
 
 
-def suite_correspond(desc):
-    """Counts of the three presentations, round-trip identity, and
-    order-preservation of the conversions (pointwise order on nuclei,
-    inclusion on relations, refinement on partitions)."""
-    q = build_quantale(desc)
+def correspondence(q):
+    """The nuclei, consequence relations and congruences of q, and whether
+    every round trip through the other two presentations is the identity."""
     nucs = enumerate_nuclei(q)
     cons = enumerate_consequences(q)
     congs = enumerate_congruences(q)
@@ -144,6 +194,15 @@ def suite_correspond(desc):
     for p in congs:
         round_ok &= convert(convert(p, "nucleus"), "congruence") == p
         round_ok &= convert(convert(p, "consequence"), "congruence") == p
+    return nucs, cons, congs, bool(round_ok)
+
+
+def suite_correspond(desc):
+    """Counts of the three presentations, round-trip identity, and
+    order-preservation of the conversions (pointwise order on nuclei,
+    inclusion on relations, refinement on partitions)."""
+    q = build_quantale(desc)
+    nucs, cons, congs, round_ok = correspondence(q)
     monotone_ok = True
     for g1 in nucs:
         for g2 in nucs:
@@ -158,10 +217,9 @@ def suite_correspond(desc):
         "size": len(q.elements),
         "counts": counts,
         "counts_agree": len(set(counts)) == 1,
-        "round_trips": bool(round_ok),
+        "round_trips": round_ok,
         "order_preserving": bool(monotone_ok),
-        "ok": (len(set(counts)) == 1 and bool(round_ok)
-               and bool(monotone_ok)),
+        "ok": len(set(counts)) == 1 and round_ok and bool(monotone_ok),
     }
 
 
@@ -187,27 +245,18 @@ def suite_leftdist(desc):
 
 
 def _commutative_mults(q):
-    """Commutative, monotone, unital, fully bidistributive multiplications."""
+    """Commutative, monotone, unital, fully bidistributive multiplications,
+    for each unit in element order."""
     els = q.elements
+    n = len(els)
+    leq = [[q.leq(x, y) for y in els] for x in els]
     out = []
-    for one in els:
-        others = [x for x in els if x != one]
-        free_pairs = list(combinations_with_replacement(others, 2))
-        for values in product(els, repeat=len(free_pairs)):
-            mult = {}
-            for x in els:
-                mult[(one, x)] = x
-                mult[(x, one)] = x
-            for (x, y), z in zip(free_pairs, values):
-                mult[(x, y)] = z
-                mult[(y, x)] = z
-            if any(
-                mult[(mult[(a, b)], c)] != mult[(a, mult[(b, c)])]
-                for a, b, c in product(els, repeat=3)
-            ):
-                continue
+    for one in range(n):
+        for t in _commutative_tables(n, leq, one):
+            mult = {(x, y): els[t[i * n + j]]
+                    for i, x in enumerate(els) for j, y in enumerate(els)}
             try:
-                aqm = table_aqm(q, mult, one)
+                aqm = table_aqm(q, mult, els[one])
                 check_aqm(aqm)
             except LawViolated:
                 continue
@@ -222,10 +271,11 @@ def suite_projective(desc):
     nonprojective = []
     n_aqms = 0
     n_quotients = 0
+    nucs = enumerate_nuclei(q)
     for aqm in _commutative_mults(q):
         n_aqms += 1
         selfm = self_module(aqm)
-        for nuc in enumerate_nuclei(q):
+        for nuc in nucs:
             if not structural_check(nuc, selfm, scope="all").data["structural"]:
                 continue
             qm = quotient(selfm, nuc)

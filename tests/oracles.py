@@ -2,7 +2,7 @@
 tables (dicts/tuples) rather than the package's own abstractions, so that
 expected values are computed by a second route."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 
 # -- presentations on a finite quantale table ----------------------------------
@@ -26,32 +26,48 @@ def brute_nuclei(els, leq, plus):
     return out
 
 
+def _is_consequence(els, leq, plus, join, rel):
+    """Whether a relation holds every >=-pair, is transitive, holds the join
+    of each successor set, and is compatible with + on either side."""
+    if any((x, y) not in rel for x in els for y in els if leq(y, x)):
+        return False
+    if any((x, z) not in rel
+           for (x, y) in rel for (y2, z) in rel if y == y2):
+        return False
+    for x in els:
+        succ = [y for y in els if (x, y) in rel]
+        acc = succ[0]
+        for s in succ[1:]:
+            acc = join(acc, s)
+        if (x, acc) not in rel:
+            return False
+    return not any(((plus(x, z), plus(y, z)) not in rel
+                    or (plus(z, x), plus(z, y)) not in rel)
+                   for (x, y) in rel for z in els)
+
+
 def brute_consequences(els, leq, plus, join):
     """All additive consequence relations, scanning every binary relation."""
     pairs = [(x, y) for x in els for y in els]
     out = []
     for bits in product([False, True], repeat=len(pairs)):
         rel = {p for p, b in zip(pairs, bits) if b}
-        if any((x, y) not in rel for x in els for y in els if leq(y, x)):
-            continue
-        if any((x, z) not in rel
-               for (x, y) in rel for (y2, z) in rel if y == y2):
-            continue
-        ok = True
-        for x in els:
-            succ = [y for y in els if (x, y) in rel]
-            acc = succ[0]
-            for s in succ[1:]:
-                acc = join(acc, s)
-            if (x, acc) not in rel:
-                ok = False
-        if not ok:
-            continue
-        if any(((plus(x, z), plus(y, z)) not in rel
-                or (plus(z, x), plus(z, y)) not in rel)
-               for (x, y) in rel for z in els):
-            continue
-        out.append(frozenset(rel))
+        if _is_consequence(els, leq, plus, join, rel):
+            out.append(frozenset(rel))
+    return out
+
+
+def scan_consequences(els, leq, plus, join):
+    """All additive consequence relations, scanning only the relations that
+    hold every >=-pair: the free pairs are the others, in sorted order, the
+    first one most significant."""
+    forced = {(x, y) for x in els for y in els if leq(y, x)}
+    free = sorted({(x, y) for x in els for y in els} - forced)
+    out = []
+    for bits in product([False, True], repeat=len(free)):
+        rel = forced | {p for p, b in zip(free, bits) if b}
+        if _is_consequence(els, leq, plus, join, rel):
+            out.append(frozenset(rel))
     return out
 
 
@@ -82,6 +98,121 @@ def brute_congruences(els, leq, plus, join):
     return out
 
 
+# -- the search enumerators, by scanning every candidate table ----------------
+
+
+def brute_labeled_posets(n):
+    """All partial orders on 0..n-1 as strict-pair sets, by scanning every
+    relation on the off-diagonal pairs (i, j) in row order, the first pair
+    most significant."""
+    nonrefl = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for bits in product([False, True], repeat=len(nonrefl)):
+        rel = {p for p, b in zip(nonrefl, bits) if b}
+        if any((j, i) in rel for (i, j) in rel):
+            continue
+        if any((i, k) not in rel
+               for (i, j) in rel for (jj, k) in rel if j == jj and i != k):
+            continue
+        out.append(rel)
+    return out
+
+
+def _join_table(n, leq):
+    join = {}
+    for a, b in product(range(n), repeat=2):
+        uppers = [c for c in range(n) if leq(a, c) and leq(b, c)]
+        lubs = [c for c in uppers if all(leq(c, d) for d in uppers)]
+        if len(lubs) != 1:
+            return None
+        join[(a, b)] = lubs[0]
+    return join
+
+
+def brute_quantale_descriptions(size):
+    """Descriptions of every c.d.i. generalized quantale on at most `size`
+    labeled elements: for each order from brute_labeled_posets with a bottom
+    and all binary joins, every commutative + table with the bottom as unit
+    and x + y above x v y, scanned in product order and kept when it is
+    associative, monotone and distributes over binary joins."""
+    out = []
+    for n in range(1, size + 1):
+        for rel in brute_labeled_posets(n):
+            leq = lambda a, b, rel=rel: a == b or (a, b) in rel
+            join = _join_table(n, leq)
+            if join is None:
+                continue
+            bottoms = [b for b in range(n) if all(leq(b, x) for x in range(n))]
+            if not bottoms:
+                continue
+            zero = bottoms[0]
+            nonzero = [x for x in range(n) if x != zero]
+            free_pairs = list(combinations_with_replacement(nonzero, 2))
+            choice_sets = [[z for z in range(n) if leq(join[(x, y)], z)]
+                           for x, y in free_pairs]
+            for values in product(*choice_sets):
+                op = {}
+                for x in range(n):
+                    op[(zero, x)] = op[(x, zero)] = x
+                for (x, y), z in zip(free_pairs, values):
+                    op[(x, y)] = op[(y, x)] = z
+                triples = list(product(range(n), repeat=3))
+                if any(op[(op[(a, b)], c)] != op[(a, op[(b, c)])]
+                       for a, b, c in triples):
+                    continue
+                if any(leq(a, b) and not leq(op[(a, c)], op[(b, c)])
+                       for a, b, c in triples):
+                    continue
+                if any(op[(a, join[(b, c)])] != join[(op[(a, b)], op[(a, c)])]
+                       for a, b, c in triples):
+                    continue
+                out.append({
+                    "poset": {
+                        "elements": [str(i) for i in range(n)],
+                        "leq": [[str(i), str(j)] for (i, j) in sorted(rel)],
+                    },
+                    "monoid": {
+                        "op": [[str(x), str(y), str(z)]
+                               for (x, y), z in sorted(op.items())],
+                        "unit": str(zero),
+                    },
+                })
+    return out
+
+
+def brute_commutative_mults(els, leq, plus, join, zero):
+    """(unit, table) for every commutative multiplication on a finite
+    quantale that makes a monotone monoid, distributes over + and binary
+    joins, and is absorbed by the additive zero: for each unit in element
+    order, every commutative table with the unit's row fixed, scanned in
+    product order over the other cells."""
+    out = []
+    for one in els:
+        others = [x for x in els if x != one]
+        free_pairs = list(combinations_with_replacement(others, 2))
+        for values in product(els, repeat=len(free_pairs)):
+            m = {}
+            for x in els:
+                m[(one, x)] = m[(x, one)] = x
+            for (x, y), z in zip(free_pairs, values):
+                m[(x, y)] = m[(y, x)] = z
+            triples = list(product(els, repeat=3))
+            if any(m[(m[(x, y)], z)] != m[(x, m[(y, z)])]
+                   for x, y, z in triples):
+                continue
+            if any(leq(x, y) and not leq(m[(x, z)], m[(y, z)])
+                   for x, y, z in triples):
+                continue
+            if any(m[(join(x, y), z)] != join(m[(x, z)], m[(y, z)])
+                   or m[(plus(x, y), z)] != plus(m[(x, z)], m[(y, z)])
+                   for x, y, z in triples):
+                continue
+            if any(m[(zero, x)] != zero for x in els):
+                continue
+            out.append((one, m))
+    return out
+
+
 # -- multiupsets as raw count tables -------------------------------------------
 
 
@@ -92,8 +223,6 @@ def eval_gens(elements, leq, gens):
 
 
 def all_gen_multisets(elements, max_size):
-    from itertools import combinations_with_replacement
-
     for size in range(max_size + 1):
         yield from combinations_with_replacement(elements, size)
 

@@ -126,6 +126,18 @@ def test_search_command(capsys):
     assert "counts agree and round trips are identity" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--size", "0"],
+    ["search", "--size", "-1"],
+    ["search", "--workers", "0"],
+])
+def test_search_rejects_nonpositive_bounds(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "input error: --" in captured.err
+    assert captured.out == ""
+
+
 def test_json_output(capsys):
     assert main(["correspond", "N2", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

@@ -1,0 +1,62 @@
+"""The pruned search enumerators against the scans in oracles.py: the same
+lists, in the same order."""
+
+import pytest
+
+from oracles import (
+    brute_commutative_mults,
+    brute_consequences,
+    brute_labeled_posets,
+    brute_quantale_descriptions,
+    scan_consequences,
+)
+from squanta.nucleus import enumerate_consequences
+from squanta.search import (
+    _commutative_mults,
+    _labeled_posets,
+    build_quantale,
+    quantale_descriptions,
+)
+
+
+@pytest.fixture(scope="module")
+def small_quantales():
+    """Every c.d.i. generalized quantale on at most 3 labeled elements."""
+    return [build_quantale(d) for d in quantale_descriptions(3)]
+
+
+def _tables(q):
+    return q.elements, q.leq, q.plus, lambda x, y: q.join([x, y])
+
+
+def test_labeled_posets_match_scan():
+    for n in range(1, 5):
+        got = [{(i, j) for i in range(n) for j in range(n)
+                if i != j and up[i] >> j & 1} for up in _labeled_posets(n)]
+        assert got == brute_labeled_posets(n)
+
+
+def test_descriptions_match_scan():
+    assert quantale_descriptions(4) == brute_quantale_descriptions(4)
+
+
+def test_size_five_counts():
+    assert len(_labeled_posets(5)) == 4231  # OEIS A001035
+    assert len(quantale_descriptions(5)) == 6247
+
+
+def test_commutative_mults_match_scan(small_quantales):
+    assert len(small_quantales) == 15
+    for q in small_quantales:
+        got = [(a.one, {(x, y): a.mult(x, y)
+                        for x in q.elements for y in q.elements})
+               for a in _commutative_mults(q)]
+        els, leq, plus, join = _tables(q)
+        assert got == brute_commutative_mults(els, leq, plus, join, q.zero)
+
+
+def test_consequences_match_scans(small_quantales):
+    for q in small_quantales:
+        got = [c.pairs for c in enumerate_consequences(q)]
+        assert got == scan_consequences(*_tables(q))
+        assert got == brute_consequences(*_tables(q))
