@@ -23,7 +23,7 @@ from .errors import (
     UnboundVariable,
 )
 from .multiupset import Multiupset, enumerate_fragment
-from .order import Pomonoid, validate_structure
+from .order import Pomonoid, row_mismatches, table_rows, validate_structure
 from .reporting import Report
 
 __all__ = [
@@ -73,30 +73,44 @@ def eval_term(t, env, q):
 
 class FinGenQuantale:
     """Finite-carrier generalized quantale: an additive pomonoid in which all
-    non-empty joins exist and distribute over the sum on both sides."""
+    non-empty joins exist and distribute over the sum on both sides.
+
+    `plus_table` and `join_table` are the flat tables over element positions
+    (see Pomonoid.flat)."""
 
     def __init__(self, pomonoid: Pomonoid, name=""):
         self.pomonoid = pomonoid
         self.name = name
-        self._join2 = {}
-        els = pomonoid.elements
-        for x, y in product(els, repeat=2):
-            uppers = [z for z in els if pomonoid.leq(x, z) and pomonoid.leq(y, z)]
-            lubs = [z for z in uppers if all(pomonoid.leq(z, w) for w in uppers)]
-            if len(lubs) != 1:
-                raise LawViolated("join-exists", witness=(x, y))
-            self._join2[(x, y)] = lubs[0]
-        for x, y, z in product(els, repeat=3):
-            if self.plus(x, self.join([y, z])) != self.join(
-                [self.plus(x, y), self.plus(x, z)]
-            ):
-                raise LawViolated("join-dist-left", witness=(x, y, z))
-            if self.plus(self.join([y, z]), x) != self.join(
-                [self.plus(y, x), self.plus(z, x)]
-            ):
-                raise LawViolated("join-dist-right", witness=(x, y, z))
-        bottoms = [b for b in els if all(pomonoid.leq(b, x) for x in els)]
-        self.bottom = bottoms[0] if bottoms else None
+        poset = pomonoid.poset
+        els, up = poset.elements, poset.up_rows
+        n = len(els)
+        # the join of x and y is the element whose up-set is up[x] & up[y]
+        by_up = {row: i for i, row in enumerate(up)}
+        join = []
+        for x, y in product(range(n), repeat=2):
+            z = by_up.get(up[x] & up[y])
+            if z is None:
+                raise LawViolated("join-exists", witness=(els[x], els[y]))
+            join.append(z)
+        plus = pomonoid.flat
+        pr, jr = table_rows(plus, n), table_rows(join, n)
+        pc = [list(plus[j::n]) for j in range(n)]
+        for x, y in product(range(n), repeat=2):
+            px, cx, jy = pr[x], pc[x], jr[y]
+            jxy, jyx = jr[px[y]], jr[cx[y]]
+            bad = row_mismatches([
+                ("join-dist-left", [px[v] for v in jy], [jxy[v] for v in px]),
+                ("join-dist-right", [cx[v] for v in jy], [jyx[v] for v in cx]),
+            ])
+            if bad:
+                z, law = bad[0]
+                raise LawViolated(law, witness=(els[x], els[y], els[z]))
+        self.plus_table = plus
+        self.join_table = tuple(join)
+        self._join2 = {(x, y): els[join[i * n + j]]
+                       for i, x in enumerate(els) for j, y in enumerate(els)}
+        bottom = by_up.get((1 << n) - 1)
+        self.bottom = None if bottom is None else els[bottom]
         self.complete = self.bottom is not None
 
     @property
@@ -187,6 +201,12 @@ class AQM:
             return self._iota(d)
         return self._iota[d]
 
+    def mult_table(self):
+        """The product as a flat table over element positions (see
+        Pomonoid.flat); finite quantale sort only."""
+        els, poset = self.quant.elements, self.quant.pomonoid.poset
+        return [poset.index_of(self.mult(x, y)) for x in els for y in els]
+
     @property
     def is_finite(self):
         return isinstance(self.quant, FinGenQuantale)
@@ -273,34 +293,47 @@ def check_aqm(a, strict=True, bounds=None):
     if a.is_finite:
         q = a.quant
         els = list(q.elements)
-        pairs = list(product(els, repeat=2))
-        for x in els:
-            if a.mult(a.one, x) != x or a.mult(x, a.one) != x:
-                fail("unit", (a.one, x))
-        for x, y, z in product(els, repeat=3):
-            if a.mult(a.mult(x, y), z) != a.mult(x, a.mult(y, z)):
-                fail("assoc", (x, y, z))
-        for x, y, z in product(els, repeat=3):
-            if a.mult(q.join([x, y]), z) != q.join([a.mult(x, z), a.mult(y, z)]):
-                fail("right-join-dist", (x, y, z))
-            if a.mult(q.plus(x, y), z) != q.plus(a.mult(x, z), a.mult(y, z)):
-                fail("right-plus-dist", (x, y, z))
-        for x in els:
-            if a.mult(q.zero, x) != q.zero:
-                fail("zero-annihilates", x)
-        for d in a.dist.elements:
-            i = a.iota(d)
-            for x, y in pairs:
-                if a.mult(i, q.join([x, y])) != q.join([a.mult(i, x), a.mult(i, y)]):
-                    fail("left-join-dist-iota", (d, x, y))
-                if a.mult(i, q.plus(x, y)) != q.plus(a.mult(i, x), a.mult(i, y)):
-                    fail("left-plus-dist-iota", (d, x, y))
-            if a.mult(i, q.zero) != q.zero:
+        n = len(els)
+        poset = q.pomonoid.poset
+        mr, pr, jr = (table_rows(t, n)
+                      for t in (a.mult_table(), q.plus_table, q.join_table))
+        one, zero = poset.index_of(a.one), poset.index_of(q.zero)
+        iota = {d: poset.index_of(a.iota(d)) for d in a.dist.elements}
+        for x in range(n):
+            if mr[one][x] != x or mr[x][one] != x:
+                fail("unit", (a.one, els[x]))
+        for x, y in product(range(n), repeat=2):
+            mx = mr[x]
+            for z, law in row_mismatches(
+                    [("assoc", mr[mx[y]], [mx[v] for v in mr[y]])]):
+                fail(law, (els[x], els[y], els[z]))
+        for x, y in product(range(n), repeat=2):
+            both = list(zip(mr[x], mr[y]))
+            for z, law in row_mismatches([
+                ("right-join-dist", mr[jr[x][y]], [jr[u][v] for u, v in both]),
+                ("right-plus-dist", mr[pr[x][y]], [pr[u][v] for u, v in both]),
+            ]):
+                fail(law, (els[x], els[y], els[z]))
+        for x in range(n):
+            if mr[zero][x] != zero:
+                fail("zero-annihilates", els[x])
+        for d, i in iota.items():
+            mi = mr[i]
+            for x in range(n):
+                jx, px = jr[mi[x]], pr[mi[x]]
+                for y, law in row_mismatches([
+                    ("left-join-dist-iota",
+                     [mi[v] for v in jr[x]], [jx[v] for v in mi]),
+                    ("left-plus-dist-iota",
+                     [mi[v] for v in pr[x]], [px[v] for v in mi]),
+                ]):
+                    fail(law, (d, els[x], els[y]))
+            if mi[zero] != zero:
                 fail("left-zero-iota", d)
         for d, e in product(a.dist.elements, repeat=2):
-            if a.iota(a.dist.apply(d, e)) != a.mult(a.iota(d), a.iota(e)):
+            if iota[a.dist.apply(d, e)] != mr[iota[d]][iota[e]]:
                 fail("iota-hom", (d, e))
-            if a.dist.leq(d, e) and not q.leq(a.iota(d), a.iota(e)):
+            if a.dist.leq(d, e) and not poset.up_rows[iota[d]] >> iota[e] & 1:
                 fail("iota-monotone", (d, e))
         if a.iota(a.dist.unit) != a.one:
             fail("iota-unit", a.dist.unit)
@@ -369,85 +402,81 @@ def check_aqm(a, strict=True, bounds=None):
 # -- the endomorphism construction --------------------------------------------
 
 
-def _map_name(q, tab):
-    return "(" + ",".join(tab[x] for x in q.elements) + ")"
-
-
 def exp_end(q, limit=5):
     """The two-sorted endomorphism object of a finite generalized quantale:
     endomorphisms as the distributive sort, their closure under pointwise
-    sums and joins as the quantale sort, composition as the product."""
+    sums and joins as the quantale sort, composition as the product.
+
+    Maps are tuples over element positions until the structures are built;
+    a map's name lists its values in element order, as in "(0,1,2)"."""
     els = q.elements
-    if len(els) > limit:
-        raise TooLarge(f"quantale has {len(els)} > {limit} elements", witness=len(els))
-    endos = []
-    for values in product(els, repeat=len(els)):
-        tab = dict(zip(els, values))
-        if any(q.leq(x, y) and not q.leq(tab[x], tab[y])
-               for x, y in product(els, repeat=2)):
-            continue
-        if any(tab[q.join([x, y])] != q.join([tab[x], tab[y]])
-               for x, y in product(els, repeat=2)):
-            continue
-        if any(tab[q.plus(x, y)] != q.plus(tab[x], tab[y])
-               for x, y in product(els, repeat=2)):
-            continue
-        if tab[q.zero] != q.zero:
-            continue
-        if q.complete and tab[q.bottom] != q.bottom:
-            continue
-        endos.append(tuple(sorted(tab.items())))
+    n = len(els)
+    if n > limit:
+        raise TooLarge(f"quantale has {n} > {limit} elements", witness=n)
+    poset, plus, join = q.pomonoid.poset, q.plus_table, q.join_table
+    up, zero = poset.up_rows, poset.index[q.zero]
+    pts = range(n)
+    pairs = list(product(pts, repeat=2))
+    order = [(x, y) for x, y in pairs if up[x] >> y & 1]
+    # an endomorphism fixes the zero and the bottom
+    fixed = {zero} | ({poset.index[q.bottom]} if q.complete else set())
+    endos = [
+        f for f in product(*([x] if x in fixed else pts for x in pts))
+        if all(up[f[x]] >> f[y] & 1 for x, y in order)
+        and all(f[join[x * n + y]] == join[f[x] * n + f[y]] for x, y in pairs)
+        and all(f[plus[x * n + y]] == plus[f[x] * n + f[y]] for x, y in pairs)
+    ]
 
-    # close under pointwise + and binary join inside the monotone maps
-    gen = {t: dict(t) for t in endos}
-    frontier = True
-    while frontier:
-        frontier = False
-        current = list(gen.values())
-        for f, g in product(current, repeat=2):
-            for h in (
-                {x: q.plus(f[x], g[x]) for x in els},
-                {x: q.join([f[x], g[x]]) for x in els},
-            ):
-                key = tuple(sorted(h.items()))
-                if key not in gen:
-                    gen[key] = h
-                    frontier = True
+    # close under pointwise + and binary join, combining only the maps found
+    # in the last round with all maps found so far
+    known, seen, fresh = list(endos), set(endos), endos
+    while fresh:
+        found = []
+        for f in fresh:
+            for g in known:
+                for h in (tuple(plus[f[x] * n + g[x]] for x in pts),
+                          tuple(plus[g[x] * n + f[x]] for x in pts),
+                          tuple(join[f[x] * n + g[x]] for x in pts)):
+                    if h not in seen:
+                        seen.add(h)
+                        found.append(h)
+        known.extend(found)
+        fresh = found
 
-    gen_tabs = sorted(gen.values(), key=lambda t: tuple(t[x] for x in els))
-    names = {_map_name(q, t): t for t in gen_tabs}
+    gen = sorted(seen)
+    name_of = {f: "(" + ",".join(els[v] for v in f) + ")" for f in gen}
+    names = {name_of[f]: f for f in gen}
     leq_pairs = [
         [n1, n2]
-        for n1, t1 in names.items()
-        for n2, t2 in names.items()
-        if all(q.leq(t1[x], t2[x]) for x in els)
+        for n1, f in names.items()
+        for n2, g in names.items()
+        if all(up[f[x]] >> g[x] & 1 for x in pts)
     ]
     plus_triples = [
-        [n1, n2, _map_name(q, {x: q.plus(t1[x], t2[x]) for x in els})]
-        for n1, t1 in names.items()
-        for n2, t2 in names.items()
+        [n1, n2, name_of[tuple(plus[f[x] * n + g[x]] for x in pts)]]
+        for n1, f in names.items()
+        for n2, g in names.items()
     ]
-    zero_name = _map_name(q, {x: q.zero for x in els})
     quant = make_quantale(
         {
             "poset": {"elements": sorted(names), "leq": leq_pairs},
-            "monoid": {"op": plus_triples, "unit": zero_name},
+            "monoid": {"op": plus_triples,
+                       "unit": name_of[(zero,) * n]},
         },
         name=f"Gen({q.name})" if q.name else "Gen",
     )
     mult_table = {
-        (n1, n2): _map_name(q, {x: t1[t2[x]] for x in els})
-        for n1, t1 in names.items()
-        for n2, t2 in names.items()
+        (n1, n2): name_of[tuple(f[g[x]] for x in pts)]
+        for n1, f in names.items()
+        for n2, g in names.items()
     }
-    id_name = _map_name(q, {x: x for x in els})
-    endo_names = sorted(_map_name(q, dict(t)) for t in endos)
+    id_name = name_of[tuple(pts)]
+    endo_names = sorted(name_of[f] for f in endos)
     dist = validate_structure(
         {
             "poset": {
                 "elements": endo_names,
-                "leq": [[x, y] for x, y in
-                        ((p[0], p[1]) for p in leq_pairs)
+                "leq": [[x, y] for x, y in leq_pairs
                         if x in endo_names and y in endo_names],
             },
             "monoid": {
@@ -458,12 +487,13 @@ def exp_end(q, limit=5):
             },
         }
     )
-    iota = {n: n for n in endo_names}
+    iota = {e: e for e in endo_names}
     a = _finite_table_aqm(dist, quant, mult_table, id_name, iota,
                           name=f"ExpEnd({q.name})" if q.name else "ExpEnd")
     check_aqm(a)
-    a.endo_tables = {n: dict(names[n]) for n in endo_names}
-    a.gen_tables = {n: dict(t) for n, t in names.items()}
+    a.gen_tables = {name: {x: els[v] for x, v in zip(els, f)}
+                    for name, f in names.items()}
+    a.endo_tables = {name: dict(a.gen_tables[name]) for name in endo_names}
     return a
 
 

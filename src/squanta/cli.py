@@ -514,7 +514,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("size", "workers"):
+        for flag in ("size", "workers", "fragment", "antichain"):
             value = getattr(args, flag, 1)
             if value < 1:
                 raise ParseError(f"--{flag} must be at least 1, got {value}",

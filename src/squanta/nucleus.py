@@ -39,8 +39,11 @@ class Nucleus:
     space: FinGenQuantale
     table: tuple  # sorted ((x, gamma(x)), ...)
 
+    def __post_init__(self):
+        self._map = dict(self.table)
+
     def apply(self, x):
-        return dict(self.table)[x]
+        return self._map[x]
 
     def as_dict(self):
         return dict(self.table)

@@ -29,17 +29,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FinPoset:
-    """Finite partial order: elements plus the full <= relation as a pair set."""
+    """Finite partial order: elements plus the full <= relation as a pair set.
+
+    `index` maps each element to its position in `elements`, and bit j of
+    `up_rows[i]` is set when elements[i] <= elements[j]. Both are built once,
+    with the pairs, and the law scans run on them."""
 
     elements: tuple
     pairs: frozenset
+    index: dict = field(compare=False, repr=False)
+    up_rows: tuple = field(compare=False, repr=False)
 
     def leq(self, x, y):
         return (x, y) in self.pairs
 
+    def index_of(self, x):
+        try:
+            return self.index[x]
+        except (KeyError, TypeError):
+            raise UnknownElement(f"element {x!r} not in poset", witness=x) from None
+
     def check_element(self, x):
-        if x not in self.elements:
-            raise UnknownElement(f"element {x!r} not in poset", witness=x)
+        self.index_of(x)
 
     def up(self, subset):
         return {y for y in self.elements for x in subset if self.leq(x, y)}
@@ -60,25 +71,65 @@ class FinPoset:
         return len(self.pairs) == len(self.elements)
 
 
+def _bits(mask):
+    """The positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def table_rows(flat, n):
+    """The rows of a flat n x n table as lists: rows[i][j] = flat[i * n + j]."""
+    return [list(flat[i * n:i * n + n]) for i in range(n)]
+
+
+def row_mismatches(checks):
+    """(j, label) for every position j and every (label, lhs, rhs) in
+    `checks` with lhs[j] != rhs[j], ordered by j and then by `checks`.
+
+    A law scan over triples (x, y, z) runs one check per (x, y), with the
+    two sides of the law as lists indexed by z, so it finds the instances
+    that fail, and their order, as a scan over every z would."""
+    for _, lhs, rhs in checks:
+        if lhs != rhs:
+            break
+    else:
+        return []
+    return [(j, label) for j in range(len(checks[0][1]))
+            for label, lhs, rhs in checks if lhs[j] != rhs[j]]
+
+
 def _build_poset(elements, leq_pairs):
     elements = tuple(sorted(elements))
     if len(set(elements)) != len(elements):
         raise NotAPartialOrder("duplicate elements", witness=elements)
-    pairs = set()
+    index = {x: i for i, x in enumerate(elements)}
+    up = [1 << i for i in range(len(elements))]
     for x, y in leq_pairs:
-        if x not in elements or y not in elements:
-            raise UnknownElement(f"leq mentions unknown element", witness=(x, y))
-        pairs.add((x, y))
-    for x in elements:
-        pairs.add((x, x))
-    # antisymmetry and transitivity, exhaustively
-    for x, y in list(pairs):
-        if x != y and (y, x) in pairs:
-            raise NotAPartialOrder("antisymmetry fails", witness=(x, y))
-    for (x, y), (u, z) in product(list(pairs), repeat=2):
-        if y == u and (x, z) not in pairs:
-            raise NotAPartialOrder("transitivity fails", witness=(x, y, z))
-    return FinPoset(elements, frozenset(pairs))
+        try:
+            up[index[x]] |= 1 << index[y]
+        except (KeyError, TypeError):
+            raise UnknownElement(f"leq mentions unknown element",
+                                 witness=(x, y)) from None
+    # antisymmetry, then transitivity as "the up-set of every y >= x lies
+    # inside the up-set of x"; both scan x, then y, in element order
+    for i, row in enumerate(up):
+        for j in _bits(row & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise NotAPartialOrder("antisymmetry fails",
+                                       witness=(elements[i], elements[j]))
+    for i, row in enumerate(up):
+        for j in _bits(row):
+            outside = up[j] & ~row
+            if outside:
+                k = next(_bits(outside))
+                raise NotAPartialOrder(
+                    "transitivity fails",
+                    witness=(elements[i], elements[j], elements[k]))
+    pairs = frozenset((x, elements[j]) for x, row in zip(elements, up)
+                      for j in _bits(row))
+    return FinPoset(elements, pairs, index, tuple(up))
 
 
 @dataclass(frozen=True, eq=True)
@@ -87,7 +138,9 @@ class Pomonoid:
 
     `notation` records whether the structure is being read additively (+ / 0)
     or multiplicatively (* / 1); it is presentation-only. The three flags are
-    always derived from the table, never taken from input.
+    always derived from the table, never taken from input. `flat` is the
+    table over element positions: x.y = z when flat[i * n + j] = k for the
+    positions i, j, k of x, y, z in the poset's elements.
     """
 
     poset: FinPoset
@@ -97,6 +150,7 @@ class Pomonoid:
     commutative: bool = field(default=False, compare=False)
     dually_integral: bool = field(default=False, compare=False)
     idempotent: bool = field(default=False, compare=False)
+    flat: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_table", dict(self.op))
@@ -123,41 +177,51 @@ class Pomonoid:
 
 
 def _build_pomonoid(poset, op_triples, unit, notation):
-    table = {}
+    els, up = poset.elements, poset.up_rows
+    n = len(els)
+    t = [-1] * (n * n)
     for x, y, z in op_triples:
-        for e in (x, y, z):
-            poset.check_element(e)
-        table[(x, y)] = z
-    for x, y in product(poset.elements, repeat=2):
-        if (x, y) not in table:
-            raise NotAssociative("operation table incomplete", witness=(x, y))
-    poset.check_element(unit)
-    for x in poset.elements:
-        if table[(unit, x)] != x or table[(x, unit)] != x:
-            raise UnitNotNeutral("unit is not two-sided neutral", witness=(unit, x))
-    for x, y, z in product(poset.elements, repeat=3):
-        if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
-            raise NotAssociative("associativity fails", witness=(x, y, z))
-    for x, y, z in product(poset.elements, repeat=3):
-        if poset.leq(x, y):
-            if not poset.leq(table[(x, z)], table[(y, z)]):
-                raise NotMonotone("right translation not monotone", witness=(x, y, z))
-            if not poset.leq(table[(z, x)], table[(z, y)]):
-                raise NotMonotone("left translation not monotone", witness=(x, y, z))
-    commutative = all(
-        table[(x, y)] == table[(y, x)] for x, y in product(poset.elements, repeat=2)
-    )
-    dually_integral = all(poset.leq(unit, x) for x in poset.elements)
-    idempotent = all(table[(x, x)] == x for x in poset.elements)
-    canonical = tuple(sorted(table.items()))
+        i, j, k = (poset.index_of(e) for e in (x, y, z))
+        t[i * n + j] = k
+    for i, j in product(range(n), repeat=2):
+        if t[i * n + j] < 0:
+            raise NotAssociative("operation table incomplete",
+                                 witness=(els[i], els[j]))
+    u = poset.index_of(unit)
+    for x in range(n):
+        if t[u * n + x] != x or t[x * n + u] != x:
+            raise UnitNotNeutral("unit is not two-sided neutral",
+                                 witness=(unit, els[x]))
+    rows, cols = table_rows(t, n), [t[j::n] for j in range(n)]
+    for x, y in product(range(n), repeat=2):
+        rx = rows[x]
+        bad = row_mismatches([(None, rows[rx[y]], [rx[v] for v in rows[y]])])
+        if bad:
+            raise NotAssociative("associativity fails",
+                                 witness=(els[x], els[y], els[bad[0][0]]))
+    ones = [1] * n
+    for x in range(n):
+        for y in _bits(up[x]):
+            bad = row_mismatches([
+                ("right translation not monotone",
+                 [up[u] >> v & 1 for u, v in zip(rows[x], rows[y])], ones),
+                ("left translation not monotone",
+                 [up[u] >> v & 1 for u, v in zip(cols[x], cols[y])], ones),
+            ])
+            if bad:
+                z, message = bad[0]
+                raise NotMonotone(message, witness=(els[x], els[y], els[z]))
     return Pomonoid(
         poset,
-        canonical,
+        tuple(((x, y), els[t[i * n + j]])
+              for i, x in enumerate(els) for j, y in enumerate(els)),
         unit,
         notation,
-        commutative=commutative,
-        dually_integral=dually_integral,
-        idempotent=idempotent,
+        commutative=all(t[i * n + j] == t[j * n + i]
+                        for i, j in product(range(n), repeat=2)),
+        dually_integral=up[u] == (1 << n) - 1,
+        idempotent=all(t[i * n + i] == i for i in range(n)),
+        flat=tuple(t),
     )
 
 

@@ -213,6 +213,42 @@ def brute_commutative_mults(els, leq, plus, join, zero):
     return out
 
 
+# -- the endomorphism construction, over label tables ---------------------------
+
+
+def brute_exp_end(els, leq, plus, join, zero, bottom):
+    """The endomorphisms of a finite quantale and their closure under
+    pointwise + and binary joins, as tuples of values in element order.
+
+    Every self-map table is scanned and kept when it is monotone, preserves
+    binary joins and +, and fixes the zero and the bottom (None when there
+    is none). The closure combines every pair of maps found so far until a
+    round adds nothing."""
+    endos = []
+    for values in product(els, repeat=len(els)):
+        f = dict(zip(els, values))
+        if any(leq(x, y) and not leq(f[x], f[y]) for x in els for y in els):
+            continue
+        if any(f[join(x, y)] != join(f[x], f[y]) for x in els for y in els):
+            continue
+        if any(f[plus(x, y)] != plus(f[x], f[y]) for x in els for y in els):
+            continue
+        if f[zero] != zero or bottom is not None and f[bottom] != bottom:
+            continue
+        endos.append(values)
+    gen = set(endos)
+    grew = True
+    while grew:
+        grew = False
+        for f, g in product(list(gen), repeat=2):
+            for h in (tuple(plus(a, b) for a, b in zip(f, g)),
+                      tuple(join(a, b) for a, b in zip(f, g))):
+                if h not in gen:
+                    gen.add(h)
+                    grew = True
+    return endos, gen
+
+
 # -- multiupsets as raw count tables -------------------------------------------
 
 

@@ -130,6 +130,9 @@ def test_search_command(capsys):
     ["search", "--size", "0"],
     ["search", "--size", "-1"],
     ["search", "--workers", "0"],
+    ["extend", "M2D2", "--fragment", "0"],
+    ["extend", "M2D2", "--antichain", "0"],
+    ["extend", "M2D2", "--fragment", "-2"],
 ])
 def test_search_rejects_nonpositive_bounds(argv, capsys):
     assert main(argv) == EXIT_INPUT

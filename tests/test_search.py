@@ -16,6 +16,7 @@ from squanta.search import (
     _labeled_posets,
     build_quantale,
     quantale_descriptions,
+    suite_leftdist,
 )
 
 
@@ -60,3 +61,28 @@ def test_consequences_match_scans(small_quantales):
         got = [c.pairs for c in enumerate_consequences(q)]
         assert got == scan_consequences(*_tables(q))
         assert got == brute_consequences(*_tables(q))
+
+
+def test_leftdist_witness_at_size_five():
+    # quantale_descriptions(5)[338], the first description of size 5 whose
+    # endomorphism closure has a left-distributivity counterexample: the
+    # order 4 < 2, 3 < 1 < 0 with 4 as the unit of +
+    sums = {"11": "0", "12": "0", "13": "0", "22": "0", "23": "1", "33": "0"}
+
+    def plus(x, y):
+        if "4" in (x, y):
+            return y if x == "4" else x
+        return "0" if "0" in (x, y) else sums[min(x, y) + max(x, y)]
+
+    els = ["0", "1", "2", "3", "4"]
+    desc = {
+        "poset": {"elements": els,
+                  "leq": [["1", "0"], ["2", "0"], ["2", "1"], ["3", "0"],
+                          ["3", "1"], ["4", "0"], ["4", "1"], ["4", "2"],
+                          ["4", "3"]]},
+        "monoid": {"op": [[x, y, plus(x, y)] for x in els for y in els],
+                   "unit": "4"},
+    }
+    got = suite_leftdist(desc)
+    assert (got["gen_size"], got["found"]) == (12, True)
+    assert got["witnesses"][0] == ("(0,0,1,1,4)", "(0,0,0,2,4)", "(0,0,0,3,4)")
