@@ -4,7 +4,7 @@ finite quantale, and the free construction over the downset fragment of a
 multiplicative pomonoid.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .downset import (
@@ -190,16 +190,9 @@ class AQM:
         self.name = name
         self.distributively_generated = None
         self.dg_witness = None
-
-    def mult(self, x, y):
-        if callable(self._mult):
-            return self._mult(x, y)
-        return self._mult[(x, y)]
-
-    def iota(self, d):
-        if callable(self._iota):
-            return self._iota(d)
-        return self._iota[d]
+        # a product or linking map given as a table is read through it
+        self.mult = mult if callable(mult) else lambda x, y: mult[(x, y)]
+        self.iota = iota if callable(iota) else iota.__getitem__
 
     def mult_table(self):
         """The product as a flat table over element positions (see
@@ -505,11 +498,18 @@ class DmFragment:
     """Bounded window into the downsets of the multiupset pomonoid over a
     poset: total generator multiplicity <= k, antichains of size <= 3 by
     default. Operations compute exact results and raise FragmentExceeded
-    instead of truncating when a result leaves the multiplicity bound."""
+    instead of truncating when a result leaves the multiplicity bound.
+
+    Sums, joins and comparisons are computed once per argument tuple and
+    kept in tables that live as long as the fragment. A sum is kept as
+    computed, and its bound is checked on every call."""
 
     base: MultiBase
     k: int = 4
     antichain_bound: int = 3
+    _sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _joins: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _leqs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def check_bound(self, p):
         for g in p.maxgens:
@@ -525,13 +525,23 @@ class DmFragment:
         return dzero(self.base)
 
     def leq(self, p, q):
-        return dleq(p, q)
+        known = self._leqs.get((p, q))
+        if known is None:
+            known = self._leqs[p, q] = dleq(p, q)
+        return known
 
     def plus(self, p, q):
-        return self.check_bound(dsum(p, q))
+        s = self._sums.get((p, q))
+        if s is None:
+            s = self._sums[p, q] = dsum(p, q)
+        return self.check_bound(s)
 
     def join(self, ps):
-        return djoin(ps)
+        ps = tuple(ps)
+        j = self._joins.get(ps)
+        if j is None:
+            j = self._joins[ps] = djoin(ps)
+        return j
 
     def sort_key(self, p):
         return p.sort_key()
@@ -563,27 +573,38 @@ def free_aqm(m, k=4, antichain_bound=3):
     downset of a one-element multiset. The product of P and Q reduces to
     per-generator scalar actions: a multiset of scalars acts as the sum of
     its members' elementwise actions, and P acts as the join over its
-    maximal generator multisets.
+    maximal generator multisets. Each action and each product is computed
+    once per AQM; a product's bound is checked on every call.
     """
     frag = DmFragment(MultiBase(m.poset), k, antichain_bound)
     base = frag.base
     poset = m.poset
+    scalar_acts, multiset_acts, products = {}, {}, {}
 
     def scalar_act(a, q):
-        gens = [
-            Multiupset(poset, tuple(m.apply(a, x) for x in g.gens))
-            for g in q.maxgens
-        ]
-        return normalize(base, gens)
+        r = scalar_acts.get((a, q))
+        if r is None:
+            r = scalar_acts[a, q] = normalize(base, [
+                Multiupset(poset, tuple(m.apply(a, x) for x in g.gens))
+                for g in q.maxgens
+            ])
+        return r
 
     def multiset_act(sigma, q):
-        acc = frag.zero
-        for a in sigma.gens:
-            acc = dsum(acc, scalar_act(a, q))
-        return acc
+        r = multiset_acts.get((sigma, q))
+        if r is None:
+            r = frag.zero
+            for a in sigma.gens:
+                r = dsum(r, scalar_act(a, q))
+            multiset_acts[sigma, q] = r
+        return r
 
     def mult(p, q):
-        return frag.check_bound(djoin([multiset_act(sigma, q) for sigma in p.maxgens]))
+        r = products.get((p, q))
+        if r is None:
+            r = products[p, q] = djoin([multiset_act(sigma, q)
+                                        for sigma in p.maxgens])
+        return frag.check_bound(r)
 
     def iota(a):
         m.poset.check_element(a)

@@ -13,7 +13,7 @@ import sys
 from multiprocessing import get_context
 
 from . import fixtures as fx
-from .aqm import check_aqm, free_aqm, make_quantale, table_aqm
+from .aqm import AQM, FinGenQuantale, check_aqm, free_aqm, make_quantale, table_aqm
 from .errors import (
     DanglingReference,
     DuplicateName,
@@ -21,6 +21,7 @@ from .errors import (
     SquantaError,
 )
 from .modact import (
+    ACT,
     MODULE,
     POSET,
     ActionMap,
@@ -30,6 +31,7 @@ from .modact import (
     restrict_module_to_act,
 )
 from .nucleus import (
+    Nucleus,
     congruence,
     consequence,
     nucleus,
@@ -37,7 +39,7 @@ from .nucleus import (
     structural_check,
     validate_presentation,
 )
-from .order import Pomonoid, validate_structure
+from .order import FinPoset, Pomonoid, validate_structure
 from .projective import (
     cyclic_projective_check,
     exhaustive_family,
@@ -112,6 +114,78 @@ def _builtin_prelude():
     }
 
 
+# -- config shapes ---------------------------------------------------------------
+
+
+class _OneOf:
+    """A config shape met by a value that meets any of `shapes`."""
+
+    def __init__(self, *shapes):
+        self.shapes = shapes
+
+
+def _fits(value, shape):
+    """Whether a JSON value has a config shape: a type (bool is not an int),
+    a set of allowed strings, [s] for a list of s, a tuple for a list of
+    exactly those shapes, {type: s} for any keys of that type mapping to s,
+    a dict of required keys ("key?" when optional), or a _OneOf."""
+    if isinstance(shape, _OneOf):
+        return any(_fits(value, s) for s in shape.shapes)
+    if isinstance(shape, type):
+        return isinstance(value, shape) and not isinstance(value, bool)
+    if isinstance(shape, set):
+        return isinstance(value, str) and value in shape
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return (isinstance(value, list) and len(value) == len(shape)
+                and all(map(_fits, value, shape)))
+    if not isinstance(value, dict):
+        return False
+    keys = list(shape)
+    if len(keys) == 1 and isinstance(keys[0], type):
+        inner = shape[keys[0]]
+        return all(_fits(k, keys[0]) and _fits(v, inner) for k, v in value.items())
+    for key, s in shape.items():
+        name = key.rstrip("?")
+        if name in value:
+            if not _fits(value[name], s):
+                return False
+        elif name == key:
+            return False
+    return True
+
+
+_POSET = {"elements": [str], "leq?": [(str, str)]}
+_MONOID = {"op": [(str, str, str)], "unit": str,
+           "notation?": {"additive", "multiplicative"}}
+_REF = _OneOf(str, dict)  # a name, or a nested structure description
+_PAIRS = _OneOf({str: str}, [(str, str)])
+_MODULES = {"p": _REF, "q": _REF, "gamma": _REF, "delta": _REF}
+
+# description kind -> shape, tried in this order
+SHAPES = {
+    "map": {"map": {"domain": _POSET, "codomain": _POSET,
+                    "table": [(str, str)]}},
+    "poset": {"poset": _POSET, "monoid?": _MONOID},
+    "quantale": {"quantale": _OneOf(str, {"poset": _POSET, "monoid": _MONOID})},
+    "aqm": {"aqm": _OneOf(
+        {"product": {"free"}, "pomonoid": _REF},
+        {"quantale": _REF, "one": str,
+         "product": _OneOf({"truncated-mult"}, [(str, str, str)])})},
+    "action": {"action": {"scalars": _REF, "space": _REF,
+                          "table": [(str, str, str)],
+                          "level?": {POSET, ACT, MODULE}, "name?": str}},
+    "module": {"module": {"aqm": _REF, "space?": str, "orbit?": str}},
+    "nucleus": {"nucleus": {"space": _REF, "table": _PAIRS}},
+    "consequence": {"consequence": {"space": _REF, "pairs": [(str, str)]}},
+    "congruence": {"congruence": {"space": _REF, "classes": [[str]]}},
+    "translations": {"translations": _OneOf(
+        dict(_MODULES, tau=_PAIRS, rho=_PAIRS),
+        dict(_MODULES, f=_PAIRS, g=_PAIRS))},
+}
+
+
 class Workspace:
     """Named structures with lazy materialization and eager validation of
     everything defined in config files."""
@@ -164,95 +238,117 @@ class Workspace:
         if not isinstance(desc, dict):
             raise ParseError("structure description must be an object",
                              witness=desc)
-        if "poset" in desc or "map" in desc:
+        kind = next((k for k in SHAPES if k in desc), None)
+        if kind is None:
+            raise ParseError(f"unrecognized structure description: "
+                             f"{sorted(desc)}", witness=sorted(desc))
+        if not _fits(desc, SHAPES[kind]):
+            raise ParseError(f"malformed {kind} description", witness=desc)
+        if kind in ("poset", "map"):
             return validate_structure(desc)
-        if "quantale" in desc:
+        if kind == "quantale":
             inner = desc["quantale"]
             pom = self._ref(inner, Pomonoid) if isinstance(inner, str) else \
                 validate_structure(inner)
             return make_quantale(pom)
-        if "aqm" in desc:
+        if kind == "aqm":
             spec = desc["aqm"]
-            if spec.get("product") == "free":
+            if spec["product"] == "free":
                 pom = self._ref(spec["pomonoid"], Pomonoid)
                 return free_aqm(pom, self.config["fragment"],
                                 self.config["antichain"])
-            q = self._ref(spec["quantale"])
-            if not hasattr(q, "join"):
+            q = self._ref(spec["quantale"], (FinGenQuantale, Pomonoid))
+            if isinstance(q, Pomonoid):
                 q = make_quantale(q)
-            if spec.get("product") == "truncated-mult":
+            if spec["product"] == "truncated-mult":
+                if not all(x.isdecimal() for x in q.elements):
+                    raise ParseError("truncated-mult needs numeral elements",
+                                     witness=list(q.elements))
                 cap = max(int(x) for x in q.elements)
                 mult = {(x, y): str(min(int(x) * int(y), cap))
                         for x in q.elements for y in q.elements}
             else:
-                mult = {(x, y): z for x, y, z in
-                        (tuple(t) for t in spec["product"])}
+                mult = {(x, y): z for x, y, z in spec["product"]}
             a = table_aqm(q, mult, spec["one"])
             check_aqm(a)
             return a
-        if "action" in desc:
+        if kind == "action":
             spec = desc["action"]
-            scalars = self._ref(spec["scalars"])
-            space = self._ref(spec["space"])
-            table = {(a, x): y for a, x, y in (tuple(t) for t in spec["table"])}
-            am = ActionMap(spec.get("level", POSET), scalars, space,
-                           lambda a, x: table[(a, x)],
-                           name=spec.get("name", ""))
+            level = spec.get("level", POSET)
+            scalars = self._ref(spec["scalars"],
+                                AQM if level == MODULE else Pomonoid)
+            space = self._ref(spec["space"],
+                              FinPoset if level == POSET else FinGenQuantale)
+            table = {(a, x): y for a, x, y in spec["table"]}
+
+            def star(a, x):
+                try:
+                    return table[(a, x)]
+                except KeyError:
+                    raise ParseError("action table has no entry",
+                                     witness=(a, x)) from None
+
+            am = ActionMap(level, scalars, space, star, name=spec.get("name", ""))
             check_action(am)
             return am
-        if "module" in desc:
+        if kind == "module":
             spec = desc["module"]
-            aqm = self._ref(spec["aqm"])
+            aqm = self._ref(spec["aqm"], AQM)
+            if not aqm.is_finite:
+                raise ParseError("module needs an AQM with a finite quantale "
+                                 "sort", witness=spec["aqm"])
             if spec.get("space", "self") == "self":
                 return self_module(aqm)
             if "orbit" in spec:
+                aqm.quant.pomonoid.poset.check_element(spec["orbit"])
                 return submodule_on_orbit(self_module(aqm), spec["orbit"])
             raise ParseError("module needs space: self or orbit", witness=spec)
-        if "nucleus" in desc:
+        if kind == "nucleus":
             spec = desc["nucleus"]
             g = nucleus(self._quantale_ref(spec["space"]), dict(spec["table"]))
             validate_presentation(g)
             return g
-        if "consequence" in desc:
+        if kind == "consequence":
             spec = desc["consequence"]
             c = consequence(self._quantale_ref(spec["space"]),
                             [tuple(p) for p in spec["pairs"]])
             validate_presentation(c)
             return c
-        if "congruence" in desc:
+        if kind == "congruence":
             spec = desc["congruence"]
             c = congruence(self._quantale_ref(spec["space"]),
                            [list(cl) for cl in spec["classes"]])
             validate_presentation(c)
             return c
-        if "translations" in desc:
-            spec = desc["translations"]
-            p_mod, q_mod = self._ref(spec["p"]), self._ref(spec["q"])
-            gamma, delta = self._ref(spec["gamma"]), self._ref(spec["delta"])
-            if "tau" in spec:
-                tp = TranslationPair(p_mod, q_mod, gamma, delta,
-                                     dict(spec["tau"]), dict(spec["rho"]))
-                return tp.validate()
-            # f, g given instead: recover the pair through projectivity
-            from .equivlogic import recover_translations
-            from .errors import NotProjective
+        spec = desc["translations"]
+        p_mod, q_mod = (self._ref(spec[k], ActionMap) for k in ("p", "q"))
+        for mod in (p_mod, q_mod):
+            if mod.level != MODULE or not isinstance(mod.space, FinGenQuantale):
+                raise ParseError("translations need modules on finite "
+                                 "quantales", witness=mod.name)
+        gamma, delta = (self._ref(spec[k], Nucleus) for k in ("gamma", "delta"))
+        if "tau" in spec:
+            tp = TranslationPair(p_mod, q_mod, gamma, delta,
+                                 dict(spec["tau"]), dict(spec["rho"]))
+            return tp.validate()
+        # f, g given instead: recover the pair through projectivity
+        from .equivlogic import recover_translations
+        from .errors import NotProjective
 
-            for mod in (p_mod, q_mod):
-                cert = cyclic_projective_check(mod)
-                if not cert.data["conditions"]["ii"]:
-                    raise NotProjective(
-                        f"module {mod.name!r} is not cyclic projective",
-                        witness=mod.name,
-                    )
-            return recover_translations(
-                dict(spec["f"]), dict(spec["g"]), p_mod, q_mod, gamma, delta,
-                certified=(p_mod, q_mod),
-            )
-        raise ParseError(f"unrecognized structure description: "
-                         f"{sorted(desc)}", witness=sorted(desc))
+        for mod in (p_mod, q_mod):
+            cert = cyclic_projective_check(mod)
+            if not cert.data["conditions"]["ii"]:
+                raise NotProjective(
+                    f"module {mod.name!r} is not cyclic projective",
+                    witness=mod.name,
+                )
+        return recover_translations(
+            dict(spec["f"]), dict(spec["g"]), p_mod, q_mod, gamma, delta,
+            certified=(p_mod, q_mod),
+        )
 
     def _quantale_ref(self, value):
-        obj = self._ref(value)
+        obj = self._ref(value, (Pomonoid, FinGenQuantale))
         if isinstance(obj, Pomonoid):
             obj = make_quantale(obj, name=value if isinstance(value, str) else "")
         return obj
@@ -275,10 +371,16 @@ def load(paths, config=None):
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"{path}: {exc}", witness=path) from exc
-        if not isinstance(raw, dict) or "structures" not in raw:
+        if not (isinstance(raw, dict) and isinstance(raw.get("structures"), dict)):
             raise ParseError(f"{path}: expected an object with 'structures'",
                              witness=path)
-        ws.config.update(raw.get("config", {}))
+        config = raw.get("config", {})
+        if not (isinstance(config, dict) and all(
+                k in ws.config and _fits(v, int) and v >= 1
+                for k, v in config.items())):
+            raise ParseError(f"{path}: 'config' takes positive integers "
+                             f"{sorted(ws.config)}", witness=config)
+        ws.config.update(config)
         for name, desc in raw["structures"].items():
             ws.define(name, desc)
     for name in sorted(ws.defs):  # eager validation, deterministic order

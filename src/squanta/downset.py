@@ -73,36 +73,44 @@ class MultiBase:
         return x.sort_key()
 
     def contains(self, x):
-        return isinstance(x, Multiupset) and x.base == self.poset
+        return isinstance(x, Multiupset) and (
+            x.base is self.poset or x.base == self.poset)
 
     def enumerate(self, bound=4):
         return enumerate_fragment(self.poset, bound)
 
 
 class FGDownset:
-    """Non-empty downset denoted by its antichain of maximal generators."""
+    """Non-empty downset denoted by its antichain of maximal generators.
 
-    __slots__ = ("base", "maxgens")
+    `key` holds the base's sort keys of the generators (their count vectors
+    over a MultiBase), which determine them over one base. Equality compares
+    keys and then bases, the base by identity first; the hash, computed
+    once, is the key's, so hashing never visits the base."""
+
+    __slots__ = ("base", "maxgens", "key", "_hash")
 
     def __init__(self, base, maxgens):
         self.base = base
         self.maxgens = tuple(maxgens)
+        self.key = tuple(map(base.sort_key, self.maxgens))
+        self._hash = hash(self.key)
 
     def __eq__(self, other):
         return (
             isinstance(other, FGDownset)
-            and self.base == other.base
-            and self.maxgens == other.maxgens
+            and self.key == other.key
+            and (self.base is other.base or self.base == other.base)
         )
 
     def __hash__(self):
-        return hash((self.base, self.maxgens))
+        return self._hash
 
     def __repr__(self):
         return "v[" + ",".join(repr(g) for g in self.maxgens) + "]"
 
     def sort_key(self):
-        return (len(self.maxgens), tuple(self.base.sort_key(g) for g in self.maxgens))
+        return (len(self.key), self.key)
 
     def members(self, universe):
         """The denoted downset restricted to an explicit universe of elements."""
@@ -119,18 +127,17 @@ def normalize(base, gens):
     for g in gens:
         if not base.contains(g):
             raise UnknownElement("generator outside the base", witness=g)
-    maximal = []
-    for g in gens:
-        if any(base.leq(g, h) and g != h for h in gens):
-            continue
-        if g not in maximal:
-            maximal.append(g)
-    maximal.sort(key=base.sort_key)
-    return FGDownset(base, maximal)
+    distinct = list({base.sort_key(g): g for g in reversed(gens)}.items())
+    maximal = [
+        (k, g) for k, g in distinct
+        if not any(base.leq(g, h) for k2, h in distinct if k2 != k)
+    ]
+    maximal.sort(key=lambda kg: kg[0])
+    return FGDownset(base, [g for _, g in maximal])
 
 
 def _check_same_base(p, q):
-    if p.base != q.base:
+    if p.base is not q.base and p.base != q.base:
         raise BaseMismatch("downsets over different bases", witness=(p, q))
 
 
@@ -214,7 +221,7 @@ def free_extend_quantale(base, h, target, validate_on=None):
             raise NotAHomomorphism("zero not preserved", witness=base.zero)
 
     def evaluator(p):
-        if p.base != base:
+        if p.base is not base and p.base != base:
             raise BaseMismatch("downset over a different base", witness=p)
         return target.join([h(g) for g in p.maxgens])
 

@@ -29,11 +29,27 @@ class TranslationPair:
     rho: dict          # module homomorphism Q -> P
 
     def validate(self):
+        if self.p_mod.scalars is not self.q_mod.scalars:
+            raise IllDefined("modules over different AQMs",
+                             witness=(self.p_mod.name, self.q_mod.name))
+        _check_on(self.gamma, self.p_mod, "gamma")
+        _check_on(self.delta, self.q_mod, "delta")
+        for label, h, dst in (("tau", self.tau, self.q_mod),
+                              ("rho", self.rho, self.p_mod)):
+            if not set(h.values()) <= set(dst.space.elements):
+                raise IllDefined(f"{label} leaves the target module",
+                                 witness=label)
         if not is_module_hom(self.tau, self.p_mod, self.q_mod):
             raise IllDefined("tau is not a module homomorphism", witness="tau")
         if not is_module_hom(self.rho, self.q_mod, self.p_mod):
             raise IllDefined("rho is not a module homomorphism", witness="rho")
         return self
+
+
+def _check_on(nuc, mod, label):
+    if nuc.space != mod.space:
+        raise IllDefined(f"{label} is not a nucleus on its module's space",
+                         witness=label)
 
 
 def hom_from_generator_image(p_mod, u, q_mod, w):
@@ -142,7 +158,13 @@ def recover_translations(f, g, p_mod, q_mod, gamma, delta, certified=()):
             "both modules must carry a cyclic-projective certificate",
             witness=[m.name for m in certified],
         )
+    _check_on(gamma, p_mod, "gamma")
+    _check_on(delta, q_mod, "delta")
     gd, dd = gamma.as_dict(), delta.as_dict()
+    for label, h, image in (("f", f, gd), ("g", g, dd)):
+        if not set(image.values()) <= set(h):
+            raise IllDefined(f"{label} is not defined on the whole image",
+                             witness=label)
     tau = None
     for cand in enumerate_module_homs(p_mod, q_mod):
         if all(dd[cand[x]] == f[gd[x]] for x in p_mod.space.elements):

@@ -191,18 +191,22 @@ def check_action(am, strict=True):
 def extend_poset_action_to_dm(pa, k=4, antichain_bound=3):
     """Lift a poset-level action to the downset fragment over the space:
     scalars act elementwise on generator multisets, then on maximal
-    generators of a downset, followed by normalization."""
+    generators of a downset, followed by normalization. Each lifted value is
+    computed once per fragment."""
     check_action(pa)
     poset = pa.space
     frag = DmFragment(MultiBase(poset), k, antichain_bound)
     base = frag.base
+    lifted = {}
 
     def star(a, p):
-        gens = [
-            Multiupset(poset, tuple(pa.star(a, x) for x in g.gens))
-            for g in p.maxgens
-        ]
-        return normalize(base, gens)
+        r = lifted.get((a, p))
+        if r is None:
+            r = lifted[a, p] = normalize(base, [
+                Multiupset(poset, tuple(pa.star(a, x) for x in g.gens))
+                for g in p.maxgens
+            ])
+        return r
 
     return ActionMap(ACT, pa.scalars, frag, star, name=f"DM({pa.name})" if pa.name else "DM-act")
 
@@ -214,7 +218,9 @@ def extend_act_to_module(aa, k=4, antichain_bound=3):
     Requires the unit map of the scalars into the free quantale sort to be an
     order-embedding. A multiset of scalars acts as the sum of its members'
     actions; a downset of multisets acts as the join over its maximal
-    generators.
+    generators. Both are computed once per pair of arguments. A sum that
+    leaves a fragment space is kept too, and raises FragmentExceeded again,
+    through the space's bound check, on every later call.
     """
     mon = aa.scalars
     for a, b in product(mon.elements, repeat=2):
@@ -225,15 +231,26 @@ def extend_act_to_module(aa, k=4, antichain_bound=3):
             )
     aqm = free_aqm(mon, k, antichain_bound)
     sp = aa.space
+    sums, stars = {}, {}
 
     def multiset_star(sigma, x):
-        acc = sp.zero
-        for a in sigma.gens:
-            acc = sp.plus(acc, aa.star(a, x))
-        return acc
+        if (sigma, x) not in sums:
+            acc, left = sp.zero, False
+            try:
+                for a in sigma.gens:
+                    acc = sp.plus(acc, aa.star(a, x))
+            except FragmentExceeded as exc:
+                acc, left = exc.witness, True  # the sum that left the fragment
+            sums[sigma, x] = acc, left
+        acc, left = sums[sigma, x]
+        return sp.check_bound(acc) if left else acc
 
     def star(scalar, x):
-        return sp.join([multiset_star(sigma, x) for sigma in scalar.maxgens])
+        r = stars.get((scalar, x))
+        if r is None:
+            r = stars[scalar, x] = sp.join([multiset_star(sigma, x)
+                                      for sigma in scalar.maxgens])
+        return r
 
     ma = ActionMap(MODULE, aqm, sp, star,
                    name=f"Free({aa.name})" if aa.name else "free-module")

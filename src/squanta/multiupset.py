@@ -1,15 +1,17 @@
 """Finitely generated multiupsets over a finite poset.
 
-A multiupset is represented canonically by its full evaluation table
-element -> N (cheap for the desk-scale posets used here); the generator
-multiset is kept only as a presentation. Values are immutable and all
-operations are pure.
+A multiupset is represented canonically by its count vector: the number of
+generators below each element, in element order. The vector is built from
+the base's up-set bitmask rows, and sums and comparisons run on it; the
+generator multiset is kept only as a presentation. Values are immutable and
+all operations are pure.
 """
 
 from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import BaseMismatch, NotCDI, UnknownElement
-from .order import FinPoset
+from .order import FinPoset, _bits
 
 __all__ = [
     "Multiupset",
@@ -27,27 +29,39 @@ MAX_COUNT = 10**6  # multiplicities stay tiny at desk scale; anything near this 
 
 
 class Multiupset:
-    """Order-preserving map base -> N presented by a generator multiset."""
+    """Order-preserving map base -> N presented by a generator multiset.
 
-    __slots__ = ("base", "counts", "gens", "_key")
+    `_key` is the count vector: `_key[j]` is the number of generators below
+    `base.elements[j]`. It determines the multiupset over its base."""
+
+    __slots__ = ("base", "gens", "_key", "_counts")
 
     def __init__(self, base: FinPoset, gens):
+        gens = tuple(sorted(gens))
+        up = base.up_rows
+        key = [0] * len(up)
+        for a in gens:
+            for j in _bits(up[base.index_of(a)]):
+                key[j] += 1
+        self._fill(base, gens, tuple(key))
+
+    def _fill(self, base, gens, key):
+        if max(key, default=0) > MAX_COUNT:
+            raise OverflowError("multiupset multiplicity overflow")
         self.base = base
-        self.gens = tuple(sorted(gens))
-        counts = {x: 0 for x in base.elements}
-        for a in self.gens:
-            base.check_element(a)
-            for x in base.elements:
-                if base.leq(a, x):
-                    counts[x] += 1
-                    if counts[x] > MAX_COUNT:
-                        raise OverflowError("multiupset multiplicity overflow")
-        self.counts = counts
-        self._key = tuple(counts[x] for x in base.elements)
+        self.gens = gens
+        self._key = key
+        self._counts = None
+
+    @property
+    def counts(self):
+        """The evaluation table element -> N."""
+        if self._counts is None:
+            self._counts = dict(zip(self.base.elements, self._key))
+        return self._counts
 
     def value(self, x):
-        self.base.check_element(x)
-        return self.counts[x]
+        return self._key[self.base.index_of(x)]
 
     @property
     def total_multiplicity(self):
@@ -55,7 +69,7 @@ class Multiupset:
 
     @property
     def is_empty(self):
-        return all(v == 0 for v in self._key)
+        return not self.gens
 
     def sort_key(self):
         return self._key
@@ -63,19 +77,19 @@ class Multiupset:
     def __eq__(self, other):
         return (
             isinstance(other, Multiupset)
-            and self.base == other.base
             and self._key == other._key
+            and (self.base is other.base or self.base == other.base)
         )
 
     def __hash__(self):
-        return hash((self.base, self._key))
+        return hash(self._key)
 
     def __repr__(self):
         return "[" + ",".join(self.gens) + "]"
 
 
 def _check_same_base(f, g):
-    if f.base != g.base:
+    if f.base is not g.base and f.base != g.base:
         raise BaseMismatch("multiupsets over different posets", witness=(f, g))
 
 
@@ -91,58 +105,55 @@ def mliteral(base, gens):
 
 
 def msum(f, g):
+    """Pointwise sum: the count vectors add."""
     _check_same_base(f, g)
-    return Multiupset(f.base, f.gens + g.gens)
+    m = Multiupset.__new__(Multiupset)
+    m._fill(f.base, tuple(sorted(f.gens + g.gens)),
+            tuple(map(add, f._key, g._key)))
+    return m
 
 
 def mleq(f, g):
-    """Componentwise order on evaluation tables."""
+    """Componentwise order on count vectors."""
     _check_same_base(f, g)
-    return all(f.counts[x] <= g.counts[x] for x in f.base.elements)
+    return all(map(int.__le__, f._key, g._key))
 
 
-def _level_generators(f):
-    gens = []
-    i = 1
-    while True:
-        level = {x for x in f.base.elements if f.counts[x] >= i}
-        if not level:
-            break
-        gens.extend(f.base.minimal(level))
-        i += 1
-    return tuple(sorted(gens))
+def _multiplicities(base, key):
+    """Generator multiplicities of a count vector, by Moebius inversion over
+    the poset (Rota 1964): key(x) is the sum of m(a) over a <= x, so
+    m(x) = key(x) - sum of m(a) over a < x, taken in an order that lists
+    every element after the elements below it."""
+    up = base.up_rows
+    below = [[a for a in range(len(up)) if a != x and up[a] >> x & 1]
+             for x in range(len(up))]
+    m = [0] * len(up)
+    for x in sorted(range(len(up)), key=lambda x: len(below[x])):
+        m[x] = key[x] - sum(m[a] for a in below[x])
+    return m
+
+
+def _generators(base, m):
+    return tuple(sorted(x for x, c in zip(base.elements, m) for _ in range(c)))
 
 
 def decompose(f):
-    """Canonical generator multiset: for each threshold i, the minimal
-    elements of the i-th level upset, with multiplicity one per level.
-
-    The formula double-counts on posets where incomparable elements share an
-    upper bound; re-summing is verified and a violation raised rather than
-    returning a wrong decomposition (all shipped fixture bases are safe).
-    """
-    gens = _level_generators(f)
-    if Multiupset(f.base, gens) != f:
-        raise ArithmeticError(
-            f"level decomposition does not re-sum to the multiupset on this "
-            f"base (non-forest order): {f!r}"
-        )
-    return gens
+    """Canonical generator multiset of a multiupset, read off its count
+    vector by Moebius inversion; exact on every finite poset."""
+    return _generators(f.base, _multiplicities(f.base, f._key))
 
 
 def from_table(base, table):
     """Rebuild a multiupset from an evaluation table, if one denotes it.
 
     Returns None when the table is not the evaluation of any generator
-    multiset over this base (possible on posets with diamond-shaped upsets).
+    multiset over this base, that is, when some inverted multiplicity is
+    negative.
     """
-    probe = Multiupset(base, ())
-    probe.counts = {x: int(table[x]) for x in base.elements}
-    probe._key = tuple(probe.counts[x] for x in base.elements)
-    candidate = Multiupset(base, _level_generators(probe))
-    if candidate._key == probe._key:
-        return candidate
-    return None
+    m = _multiplicities(base, [int(table[x]) for x in base.elements])
+    if min(m, default=0) < 0:
+        return None
+    return Multiupset(base, _generators(base, m))
 
 
 def free_extend_pomonoid(h, target):
@@ -150,8 +161,8 @@ def free_extend_pomonoid(h, target):
 
     `h` is a MonotoneMap from the base poset into the poset of `target`,
     a commutative dually integral pomonoid. Returns a callable evaluator
-    computed by level decomposition; it agrees with h on generators and is
-    additive with unit 0.
+    that folds h over the decomposition; it agrees with h on generators and
+    is additive with unit 0.
     """
     if not target.is_cdi:
         raise NotCDI(
@@ -161,7 +172,7 @@ def free_extend_pomonoid(h, target):
     base = h.domain
 
     def evaluator(f):
-        if f.base != base:
+        if f.base is not base and f.base != base:
             raise BaseMismatch("multiupset over a different poset", witness=f)
         return target.fold(h.apply(a) for a in decompose(f))
 

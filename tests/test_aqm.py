@@ -185,6 +185,65 @@ def test_fragment_exceeded_is_an_error_not_truncation(m2):
         fa.quant.plus(big, big)
 
 
+CHAIN2 = {
+    "poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+    "monoid": {"op": [["0", "0", "0"], ["0", "1", "0"], ["1", "0", "0"],
+                      ["1", "1", "1"]],
+               "unit": "1", "notation": "multiplicative"},
+}
+
+
+@pytest.mark.parametrize("base, k, counts", [
+    ("M2", 4, (4394, 1408)),
+    ("M2", 3, (2082, 3720)),
+    ("chain2", 4, (1060, 192)),
+])
+def test_free_aqm_fragment_scan_counts(m2, base, k, counts):
+    from squanta.order import validate_structure
+
+    m = m2 if base == "M2" else validate_structure(CHAIN2)
+    rep = check_aqm(free_aqm(m, k=k))
+    assert rep.ok
+    assert (rep.data["checked"], rep.data["skipped"]) == counts
+
+
+def test_fragment_exceeded_on_every_call(m2):
+    # results are kept per fragment; a result outside the bound raises
+    # again on each later call, not only on the one that computed it
+    fa, mus, dn = _helpers(m2)
+    big, two = dn(mus("c", "c", "c")), dn(mus("c", "c"))
+    for _ in range(3):
+        with pytest.raises(FragmentExceeded) as plus_exc:
+            fa.quant.plus(big, big)
+        with pytest.raises(FragmentExceeded) as mult_exc:
+            fa.mult(big, two)
+    assert plus_exc.value.witness == dn(mus(*"cccccc"))
+    assert mult_exc.value.witness == dn(mus(*"cccccc"))
+    # within the bound the kept results are returned unchanged
+    assert fa.quant.plus(two, two) == dn(mus(*"cccc"))
+    assert fa.mult(two, two) == dn(mus(*"cccc"))
+
+
+def test_check_aqm_repeatable_on_one_free_aqm(m2):
+    fa = free_aqm(m2, k=3)
+    first, second = check_aqm(fa), check_aqm(fa)
+    assert first.to_dict() == second.to_dict()
+    assert first.data == {"checked": 2082, "skipped": 3720}
+
+
+def test_dropped_fragment_frees_its_tables(m2):
+    import gc
+    import weakref
+
+    fa = free_aqm(m2, k=3)
+    check_aqm(fa)
+    frag = weakref.ref(fa.quant)
+    assert frag()._sums and frag()._joins
+    del fa
+    gc.collect()
+    assert frag() is None
+
+
 def test_iota_is_monoid_hom(m2):
     fa, mus, dn = _helpers(m2)
     for a in m2.elements:

@@ -110,6 +110,18 @@ def test_extend_command(capsys):
     assert "restriction recovers the act: PASS" in capsys.readouterr().out
 
 
+def test_extend_report_lines(capsys):
+    assert main(["extend", "M2D2", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["lines"] == [
+        "action DM(M2/D2): scanned 684 instances (2 scalars x 12 points; "
+        "fragment scope: multiplicity<=2, antichain<=2): all laws hold",
+        "action Free(DM(M2/D2)): scanned 4378 instances (12 scalars x 12 "
+        "points; fragment scope: multiplicity<=2, antichain<=2, 1408 "
+        "instances left the fragment): all laws hold",
+        "restriction recovers the act: PASS",
+    ]
+
+
 def test_quotient_command(capsys):
     assert main(["quotient", "A3.self", "g022"]) == EXIT_OK
     out = capsys.readouterr().out

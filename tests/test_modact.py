@@ -152,6 +152,25 @@ def test_scalar_monotonicity_justifies_maxgens_joins(m2_on_d2, m2):
             assert via_all == ma.star(s, p)
 
 
+def test_module_action_leaves_fragment_on_every_call(m2_on_d2, m2, d2):
+    # a multiset of three scalars sums three copies: multiplicity 3 > k = 2,
+    # on the first call and again when the kept sum is looked up
+    aa = extend_poset_action_to_dm(m2_on_d2, k=2)
+    ma = extend_act_to_module(aa, k=2)
+    base = aa.space.base
+    x = normalize(base, [mu(d2, "p")])
+    sigma = mu(m2.poset, "e", "e", "e")
+    scalar = normalize(ma.scalars.quant.base, [sigma])
+    for _ in range(3):
+        with pytest.raises(FragmentExceeded) as exc:
+            ma.multiset_star(sigma, x)
+        assert exc.value.witness == normalize(base, [mu(d2, "p", "p", "p")])
+        with pytest.raises(FragmentExceeded):
+            ma.star(scalar, x)
+    assert ma.multiset_star(mu(m2.poset, "e", "c"), x) == normalize(
+        base, [mu(d2, "p", "p")])
+
+
 def test_naturality_of_free_extension(m2_on_d2, m2, d2, n2, n2q):
     # extending h after acting equals extending the transported map
     aa = extend_poset_action_to_dm(m2_on_d2)

@@ -185,15 +185,44 @@ def test_msum_laws_hypothesis(data):
     assert mleq(f, msum(f, g))
 
 
-def test_decompose_guard_on_non_forest_base():
-    # the level formula double-counts above incomparable generators sharing
-    # an upper bound; it must refuse rather than return a wrong multiset
-    from squanta.order import validate_structure
+NON_FORESTS = {
+    # p, q < t: incomparable generators share an upper bound
+    "V": (["p", "q", "t"], [["p", "t"], ["q", "t"]]),
+    # b < p, q: the dual shape
+    "Lambda": (["b", "p", "q"], [["b", "p"], ["b", "q"]]),
+    "diamond": (["b", "p", "q", "t"],
+                [["b", "p"], ["b", "q"], ["b", "t"], ["p", "t"], ["q", "t"]]),
+    "N": (["a", "b", "c", "d"], [["a", "c"], ["b", "c"], ["b", "d"]]),
+}
 
-    v = validate_structure(
-        {"poset": {"elements": ["p", "q", "t"],
-                   "leq": [["p", "t"], ["q", "t"]]}}
-    )
-    f = mliteral(v, ["p", "q"])
-    with pytest.raises(ArithmeticError):
-        decompose(f)
+
+@pytest.mark.parametrize("shape", sorted(NON_FORESTS))
+def test_decompose_exact_on_non_forest_bases(shape, n2):
+    from squanta.multiupset import from_table
+    from squanta.order import validate_structure
+    from oracles import all_gen_multisets
+
+    els, leq = NON_FORESTS[shape]
+    v = validate_structure({"poset": {"elements": els, "leq": leq}})
+    tables = set()
+    for gens in all_gen_multisets(v.elements, 3):
+        f = mliteral(v, gens)
+        want = eval_gens(v.elements, v.leq, gens)
+        assert tuple(table(f)[x] for x in v.elements) == want
+        assert decompose(f) == tuple(sorted(gens))
+        assert from_table(v, dict(zip(v.elements, want))) == f
+        tables.add(want)
+    if shape == "V":
+        assert decompose(mliteral(v, ["p", "q"])) == ("p", "q")
+        # one generator below each point: t would count both p and q
+        assert from_table(v, {"p": 1, "q": 1, "t": 1}) is None
+    # the free extension is defined on every base: minimal points to 1,
+    # the others to 2, folded over the generators
+    h = monotone_map(v, n2.poset, {
+        x: "2" if any(v.leq(a, x) and a != x for a in v.elements) else "1"
+        for x in v.elements})
+    ev = free_extend_pomonoid(h, n2)
+    for gens in all_gen_multisets(v.elements, 3):
+        assert ev(mliteral(v, gens)) == n2.fold(h.apply(a) for a in gens)
+    # distinct generator multisets have distinct tables
+    assert len(tables) == len(list(all_gen_multisets(v.elements, 3)))
