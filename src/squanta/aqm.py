@@ -193,12 +193,16 @@ class AQM:
         # a product or linking map given as a table is read through it
         self.mult = mult if callable(mult) else lambda x, y: mult[(x, y)]
         self.iota = iota if callable(iota) else iota.__getitem__
+        self._mult_table = None
 
     def mult_table(self):
         """The product as a flat table over element positions (see
-        Pomonoid.flat); finite quantale sort only."""
-        els, poset = self.quant.elements, self.quant.pomonoid.poset
-        return [poset.index_of(self.mult(x, y)) for x in els for y in els]
+        Pomonoid.flat); finite quantale sort only. Built on the first call."""
+        if self._mult_table is None:
+            els, poset = self.quant.elements, self.quant.pomonoid.poset
+            self._mult_table = tuple(poset.index_of(self.mult(x, y))
+                                     for x in els for y in els)
+        return self._mult_table
 
     @property
     def is_finite(self):

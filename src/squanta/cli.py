@@ -19,6 +19,7 @@ from .errors import (
     DuplicateName,
     ParseError,
     SquantaError,
+    UnknownElement,
 )
 from .modact import (
     ACT,
@@ -244,6 +245,13 @@ class Workspace:
                              f"{sorted(desc)}", witness=sorted(desc))
         if not _fits(desc, SHAPES[kind]):
             raise ParseError(f"malformed {kind} description", witness=desc)
+        try:
+            return self._build(kind, desc)
+        except UnknownElement as exc:
+            # a description naming an element it does not have is malformed
+            raise ParseError(exc.args[0], witness=exc.witness) from exc
+
+    def _build(self, kind, desc):
         if kind in ("poset", "map"):
             return validate_structure(desc)
         if kind == "quantale":

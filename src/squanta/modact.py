@@ -4,14 +4,14 @@ quantales (modules), together with the extension and restriction functors
 between them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
-from .aqm import DmFragment, free_aqm
+from .aqm import DmFragment, FinGenQuantale, free_aqm
 from .downset import MultiBase, normalize
 from .errors import FragmentExceeded, LawViolated, UnitNotEmbedding
 from .multiupset import Multiupset, generator_embed, mleq
-from .order import FinPoset
+from .order import FinPoset, row_mismatches, table_rows
 from .reporting import Report
 
 __all__ = [
@@ -41,6 +41,26 @@ class ActionMap:
     star: object
     name: str = ""
     scan_bounds: tuple = None
+    _table: tuple = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def on_tables(self):
+        """Whether this is a module action with finite scalars on a finite
+        quantale, the kind of action `star_table` compiles."""
+        return (self.level == MODULE and self.scalars.is_finite
+                and isinstance(self.space, FinGenQuantale))
+
+    def star_table(self):
+        """The action as a flat table over element positions: a * x = z when
+        table[i * n + j] = k for the positions i of a among the scalars and
+        j, k of x, z among the n points. Built on the first call; module
+        actions with finite scalars on a finite quantale only."""
+        if self._table is None:
+            index_of = self.space.pomonoid.poset.index_of
+            self._table = tuple(index_of(self.star(a, x))
+                                for a in self.scalars.quant.elements
+                                for x in self.space.elements)
+        return self._table
 
     def scalar_universe(self):
         if self.level == MODULE:
@@ -105,7 +125,9 @@ def check_action(am, strict=True):
     points = am.space_universe()
     star = am.star
 
-    if am.level == POSET:
+    if am.on_tables:
+        checked = _scan_module_table(am, fail)
+    elif am.level == POSET:
         mon = am.scalars
         for x in points:
             eq("unit", x, lambda x=x: (star(mon.unit, x), x))
@@ -147,7 +169,7 @@ def check_action(am, strict=True):
                 for x in points:
                     le("scalar-monotone", (a, b, x),
                        lambda a=a, b=b, x=x: (star(a, x), star(b, x)))
-    elif am.level == MODULE:
+    elif am.level == MODULE:  # fragment scalars or space
         a_ = am.scalars
         sp = am.space
         q = a_.quant
@@ -186,6 +208,53 @@ def check_action(am, strict=True):
              + ("all laws hold" if rep.ok else "violations found"))
     rep.data.update(checked=checked, skipped=skipped)
     return rep
+
+
+def _scan_module_table(am, fail):
+    """The module laws of an action on tables (see ActionMap.star_table),
+    each instance in the order, and with the witness, of a scan over the
+    labels; returns the number of instances checked.
+
+    Each law is checked at once over all its instances, as two flat lists
+    in scan order (row_mismatches), so only a failing law is walked."""
+    a_, sp = am.scalars, am.space
+    q = a_.quant
+    sels, pels = q.elements, sp.elements
+    m, n = len(sels), len(pels)
+    st = table_rows(am.star_table(), n)
+    pplus, pjoin = sp.plus_table, sp.join_table
+    s_index, p_index = q.pomonoid.poset.index_of, sp.pomonoid.poset.index_of
+    zero = p_index(sp.zero)
+    for x, law in row_mismatches([
+        ("unit", st[s_index(a_.one)], list(range(n))),
+        ("zero-scalar", st[s_index(q.zero)], [zero] * n),
+    ]):
+        fail(law, pels[x])
+    # instance (s, t, x) at position (s * m + t) * n + x
+    pairs = [list(zip(ss, tt)) for ss in st for tt in st]
+    for j, law in row_mismatches([
+        ("compose", [z for k in a_.mult_table() for z in st[k]],
+         [ss[v] for ss in st for tt in st for v in tt]),
+        ("scalar-plus", [z for k in q.plus_table for z in st[k]],
+         [pplus[u * n + v] for row in pairs for u, v in row]),
+        ("scalar-join", [z for k in q.join_table for z in st[k]],
+         [pjoin[u * n + v] for row in pairs for u, v in row]),
+    ]):
+        fail(law, (sels[j // (m * n)], sels[j // n % m], pels[j % n]))
+    iotas = am.iota_scalars()
+    for i in iotas:
+        # instance (i, x, y) at position x * n + y
+        si = st[s_index(i)]
+        for j, law in row_mismatches([
+            ("iota-join-dist", [si[v] for v in pjoin],
+             [pjoin[u * n + v] for u in si for v in si]),
+            ("iota-plus-dist", [si[v] for v in pplus],
+             [pplus[u * n + v] for u in si for v in si]),
+        ]):
+            fail(law, (i, pels[j // n], pels[j % n]))
+        if si[zero] != zero:
+            fail("iota-zero", i)
+    return 2 * n + 3 * m * m * n + len(iotas) * (2 * n * n + 1)
 
 
 def extend_poset_action_to_dm(pa, k=4, antichain_bound=3):

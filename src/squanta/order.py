@@ -80,8 +80,9 @@ def _bits(mask):
 
 
 def table_rows(flat, n):
-    """The rows of a flat n x n table as lists: rows[i][j] = flat[i * n + j]."""
-    return [list(flat[i * n:i * n + n]) for i in range(n)]
+    """The rows of a flat table with n columns as lists:
+    rows[i][j] = flat[i * n + j]."""
+    return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
 
 
 def row_mismatches(checks):

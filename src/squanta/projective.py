@@ -4,7 +4,7 @@ idempotent characterization of cyclic projective modules, including direct
 lifting checks."""
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 from .aqm import make_quantale
 from .errors import (
@@ -13,9 +13,11 @@ from .errors import (
     NoResidual,
     NotDividing,
     TooLarge,
+    UnknownElement,
 )
 from .modact import ACT, MODULE, POSET, ActionMap, check_action
 from .nucleus import nucleus, structural_check, validate_presentation
+from .order import table_rows
 from .reporting import Report
 
 __all__ = [
@@ -44,6 +46,11 @@ class ResidualResult:
 def residual(y, x, ma):
     """Largest scalar sending x below y; exact on finite scalar carriers,
     best-within-fragment otherwise."""
+    if ma.on_tables:
+        index_of = ma.space.pomonoid.poset.index_of
+        value, certificate = _residual_index(ma, index_of(y), index_of(x))
+        els = ma.scalars.quant.elements
+        return ResidualResult(els[value], tuple(els[b] for b in certificate))
     aqm = ma.scalars
     q = aqm.quant
     limited = not aqm.is_finite
@@ -66,6 +73,44 @@ def residual(y, x, ma):
             if q.leq(a, value) != ma.space.leq(ma.star(a, x), y):
                 raise NoResidual("adjunction fails", witness=(a, value, x, y))
     return ResidualResult(value, tuple(certificate), limited)
+
+
+def _residual_index(ma, y, x):
+    """y/x over element positions on a module on tables (see
+    ActionMap.star_table): the position of the residual among the scalars
+    and the positions of the scalars b with b * x <= y. Raises NoResidual
+    as `residual` does."""
+    q, pels = ma.scalars.quant, ma.space.elements
+    up = ma.space.pomonoid.poset.up_rows
+    below = [up[z] >> y & 1 for z in ma.star_table()[x::len(pels)]]
+    certificate = [b for b, ok in enumerate(below) if ok]
+    if not certificate:
+        raise NoResidual("no scalar sends x below y", witness=(pels[y], pels[x]))
+    join, m = q.join_table, len(below)
+    value = certificate[0]
+    for b in certificate[1:]:
+        value = join[value * m + b]
+    qels, qup = q.elements, q.pomonoid.poset.up_rows
+    # the defining adjunction, scanned for every scalar
+    if not below[value]:
+        raise NoResidual("join of the certificate set escapes the bound",
+                         witness=(qels[value], pels[x], pels[y]))
+    for a, ok in enumerate(below):
+        if qup[a] >> value & 1 != ok:
+            raise NoResidual("adjunction fails",
+                             witness=(qels[a], qels[value], pels[x], pels[y]))
+    return value, certificate
+
+
+def _gamma_index(ma, u):
+    """a -> (a * u)/u over element positions, for the point at position u
+    of a module on tables; None when u is not dividing."""
+    n = len(ma.space.elements)
+    try:
+        divided = [_residual_index(ma, y, u)[0] for y in range(n)]
+    except NoResidual:
+        return None
+    return [divided[z] for z in ma.star_table()[u::n]]
 
 
 def self_module(aqm, name=None):
@@ -188,40 +233,56 @@ def cyclic_check(am, u):
         missing = [x for x in am.space_universe() if x not in closed]
         return (not missing, missing[0] if missing else None)
     if am.level == MODULE:
-        orbit = set()
-        for a in am.scalar_universe():
+        if am.on_tables:
+            n = len(am.space.elements)
+            ui = am.space.pomonoid.poset.index_of(u)
+            times_u = am.star_table()[ui::n]  # a * u for every scalar a
+            missing = [x for i, x in enumerate(am.space.elements)
+                       if i not in times_u]
             try:
-                orbit.add(am.star(a, u))
-            except FragmentExceeded:
-                pass
-        missing = [x for x in am.space_universe() if x not in orbit]
-        is_cyclic = not missing
-        if am.scalars.is_finite:
-            # cross-check against the residual characterization (x/u)*u = x
-            try:
-                ok = all(
-                    am.star(residual(x, u, am).value, u) == x
-                    for x in am.space_universe()
-                )
+                ok = all(times_u[_residual_index(am, x, ui)[0]] == x
+                         for x in range(n))
             except NoResidual:
                 ok = False
-            if ok != is_cyclic:
-                raise ArithmeticError(
-                    f"orbit and residual characterizations of cyclicity "
-                    f"disagree at u={u!r}"
-                )
-        return (is_cyclic, missing[0] if missing else None)
+        else:
+            orbit = set()
+            for a in am.scalar_universe():
+                try:
+                    orbit.add(am.star(a, u))
+                except FragmentExceeded:
+                    pass
+            missing = [x for x in am.space_universe() if x not in orbit]
+            ok = not missing
+            if am.scalars.is_finite:
+                try:
+                    ok = all(
+                        am.star(residual(x, u, am).value, u) == x
+                        for x in am.space_universe()
+                    )
+                except NoResidual:
+                    ok = False
+        # the orbit against the residual characterization (x/u)*u = x
+        if ok != (not missing):
+            raise ArithmeticError(
+                f"orbit and residual characterizations of cyclicity "
+                f"disagree at u={u!r}"
+            )
+        return (not missing, missing[0] if missing else None)
     raise ValueError(am.level)
 
 
 def _iso_between(m1, m2):
-    """Some module isomorphism m1 -> m2, or None."""
-    for h in enumerate_module_homs(m1, m2):
-        vals = sorted(h.values())
-        if vals == sorted(m2.space.elements):
-            inv = {v: k for k, v in h.items()}
-            if is_module_hom(inv, m2, m1):
-                return h
+    """Some module isomorphism m1 -> m2, or None: the first bijection, in
+    the order of a scan over all maps, that is a homomorphism both ways."""
+    els = m1.space.elements
+    targets = sorted(m2.space.elements)
+    if len(els) != len(targets):
+        return None
+    for values in permutations(targets):
+        h = dict(zip(els, values))
+        if is_module_hom(h, m1, m2) and \
+                is_module_hom(dict(zip(values, els)), m2, m1):
+            return h
     return None
 
 
@@ -236,50 +297,42 @@ def cyclic_projective_check(ma, lifting_family=None):
     q = aqm.quant
     rep = Report(f"cyclic-projective {ma.name or 'module'}")
     selfm = self_module(aqm)
+    els, index_of = q.elements, ma.space.pomonoid.poset.index_of
+    m, n = len(els), len(ma.space.elements)
+    mult = table_rows(aqm.mult_table(), m)
+    star = ma.star_table()
+    one = q.pomonoid.poset.index_of(aqm.one)
 
-    def dividing(u, module):
-        try:
-            return {x: residual(x, u, module).value for x in module.space_universe()}
-        except NoResidual:
-            return None
-
-    idempotents = [u for u in q.elements if aqm.mult(u, u) == u]
+    idempotents = [u for u in range(m) if mult[u][u] == u]
     cyclic_gens = [v for v in ma.space.elements if cyclic_check(ma, v)[0]]
-    rep.note(f"idempotent scalars: {idempotents}")
+    rep.note(f"idempotent scalars: {[els[u] for u in idempotents]}")
     rep.note(f"cyclic generators: {cyclic_gens}")
-
-    def gamma_of(u, module):
-        res = dividing(u, module)
-        if res is None:
-            return None
-        return {a: residual(module.star(a, u), u, module).value for a in q.elements}
+    gammas = []  # (v, its position, gamma_v) for every dividing cyclic v
+    for v in cyclic_gens:
+        gv = _gamma_index(ma, index_of(v))
+        if gv is not None:
+            gammas.append((v, index_of(v), gv))
 
     w2, w3, w4, w5 = [], [], [], []
-    for u in q.elements:  # ascending carrier order: minimal witnesses first
-        u_div_self = dividing(u, selfm) is not None
-        if u in idempotents and u_div_self:
-            orbit_mod = submodule_on_orbit(selfm, u)
+    for u in range(m):  # ascending carrier order: minimal witnesses first
+        gu = _gamma_index(selfm, u)
+        if gu is None:  # every condition needs u dividing in the self-module
+            continue
+        if u in idempotents:
+            orbit_mod = submodule_on_orbit(selfm, els[u])
             if _iso_between(ma, orbit_mod) is not None:
-                w2.append(u)
-        for v in cyclic_gens:
-            gv = gamma_of(v, ma)
-            if gv is None:
-                continue
-            if u in idempotents and u_div_self:
-                gu = gamma_of(u, selfm)
-                if gu == gv:
-                    w3.append((u, v))
-            if u_div_self:
-                if gv[u] == gv[aqm.one] and all(
-                    aqm.mult(gv[a], u) == aqm.mult(a, u) for a in q.elements
-                ):
-                    w4.append((u, v))
-                if ma.star(u, v) == v and all(
-                    aqm.mult(residual(ma.star(a, v), v, ma).value, u)
-                    == aqm.mult(a, u)
-                    for a in q.elements
-                ):
-                    w5.append((u, v))
+                w2.append(els[u])
+        times_u = [row[u] for row in mult]  # a * u for every scalar a
+        for v, vi, gv in gammas:
+            if u in idempotents and gu == gv:
+                w3.append((els[u], v))
+            # (iv) and (v) share (a/v) * u = a * u for every scalar a:
+            # gamma_v(a) is (a * v)/v
+            if [mult[g][u] for g in gv] == times_u:
+                if gv[u] == gv[one]:
+                    w4.append((els[u], v))
+                if star[u * n + vi] == vi:
+                    w5.append((els[u], v))
 
     conds = {"ii": sorted(set(w2)), "iii": sorted(set(w3)),
              "iv": sorted(set(w4)), "v": sorted(set(w5))}
@@ -323,23 +376,32 @@ def cyclic_projective_check(ma, lifting_family=None):
 
 
 def is_module_hom(h, src, dst):
-    """h: dict mapping src carrier into dst carrier over the same scalars."""
+    """h: dict mapping src carrier into dst carrier over the same scalars.
+    A map with a value outside the dst carrier is not a homomorphism."""
     p, r = src.space, dst.space
     els = p.elements
     if sorted(h) != sorted(els):
         return False
-    for x, y in product(els, repeat=2):
-        if h[p.join([x, y])] != r.join([h[x], h[y]]):
-            return False
-        if h[p.plus(x, y)] != r.plus(h[x], h[y]):
-            return False
-    if h[p.zero] != r.zero:
+    index_of = r.pomonoid.poset.index_of
+    try:
+        hv = [index_of(h[x]) for x in els]
+    except UnknownElement:
         return False
-    for a in src.scalar_universe():
-        for x in els:
-            if h[src.star(a, x)] != dst.star(a, h[x]):
-                return False
-    return True
+    k = len(r.elements)
+    for p_op, r_op in ((p.join_table, r.join_table),
+                       (p.plus_table, r.plus_table)):
+        # h(x op y) against h(x) op h(y), for every x, y
+        if [hv[z] for z in p_op] != [r_op[a * k + b] for a in hv for b in hv]:
+            return False
+    if hv[p.pomonoid.poset.index_of(p.zero)] != index_of(r.zero):
+        return False
+    if src.on_tables and dst.on_tables and \
+            src.scalars.quant.elements == dst.scalars.quant.elements:
+        rows = range(len(src.scalars.quant.elements))
+        return [hv[z] for z in src.star_table()] == \
+            [dst.star_table()[a * k + b] for a in rows for b in hv]
+    return all(h[src.star(a, x)] == dst.star(a, h[x])
+               for a in src.scalar_universe() for x in els)
 
 
 def enumerate_module_homs(src, dst):

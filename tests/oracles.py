@@ -83,19 +83,24 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def brute_congruences(els, leq, plus, join):
+def congruence_failures(els, plus, join, part):
+    """(law, witness) for every instance of the congruence laws that the
+    partition `part` of `els` fails, scanning (a, b, c, d) in product order."""
+    cls = {x: i for i, c in enumerate(part) for x in c}
     out = []
-    for part in set_partitions(list(els)):
-        cls = {x: i for i, c in enumerate(part) for x in c}
-        ok = all(
-            cls[plus(a, c)] == cls[plus(b, d)]
-            and cls[join(a, c)] == cls[join(b, d)]
-            for a in els for b in els for c in els for d in els
-            if cls[a] == cls[b] and cls[c] == cls[d]
-        )
-        if ok:
-            out.append(tuple(sorted(tuple(sorted(c)) for c in part)))
+    for a, b, c, d in product(els, repeat=4):
+        if cls[a] == cls[b] and cls[c] == cls[d]:
+            if cls[plus(a, c)] != cls[plus(b, d)]:
+                out.append(("congruence-sum", (a, b, c, d)))
+            if cls[join(a, c)] != cls[join(b, d)]:
+                out.append(("congruence-join", (a, b, c, d)))
     return out
+
+
+def brute_congruences(els, leq, plus, join):
+    return [tuple(sorted(tuple(sorted(c)) for c in part))
+            for part in set_partitions(list(els))
+            if not congruence_failures(els, plus, join, part)]
 
 
 # -- the search enumerators, by scanning every candidate table ----------------
@@ -247,6 +252,61 @@ def brute_exp_end(els, leq, plus, join, zero, bottom):
                     gen.add(h)
                     grew = True
     return endos, gen
+
+
+# -- module actions, over labels -----------------------------------------------
+
+
+def brute_check_action(ma):
+    """The module laws of an action with finite scalars on a finite
+    quantale, scanned over labels: every failing (law, witness) in scan
+    order, and the number of instances checked."""
+    aqm, sp, star = ma.scalars, ma.space, ma.star
+    q = aqm.quant
+    scalars, points = list(q.elements), list(sp.elements)
+    failures = []
+    checked = 0
+
+    def eq(law, witness, lhs, rhs):
+        nonlocal checked
+        checked += 1
+        if lhs != rhs:
+            failures.append((law, witness))
+
+    for x in points:
+        eq("unit", x, star(aqm.one, x), x)
+        eq("zero-scalar", x, star(q.zero, x), sp.zero)
+    for s, t in product(scalars, repeat=2):
+        for x in points:
+            eq("compose", (s, t, x), star(aqm.mult(s, t), x), star(s, star(t, x)))
+            eq("scalar-plus", (s, t, x), star(q.plus(s, t), x),
+               sp.plus(star(s, x), star(t, x)))
+            eq("scalar-join", (s, t, x), star(q.join([s, t]), x),
+               sp.join([star(s, x), star(t, x)]))
+    for i in [aqm.iota(d) for d in aqm.dist.elements]:
+        for x, y in product(points, repeat=2):
+            eq("iota-join-dist", (i, x, y), star(i, sp.join([x, y])),
+               sp.join([star(i, x), star(i, y)]))
+            eq("iota-plus-dist", (i, x, y), star(i, sp.plus(x, y)),
+               sp.plus(star(i, x), star(i, y)))
+        eq("iota-zero", i, star(i, sp.zero), sp.zero)
+    return failures, checked
+
+
+def brute_residual(y, x, ma):
+    """y/x over labels for an action with finite scalars: (value,
+    certificate), or (message, witness) of the first check that fails."""
+    q, sp, star = ma.scalars.quant, ma.space, ma.star
+    certificate = tuple(b for b in q.elements if sp.leq(star(b, x), y))
+    if not certificate:
+        return "no scalar sends x below y", (y, x)
+    value = q.join(certificate)
+    if not sp.leq(star(value, x), y):
+        return "join of the certificate set escapes the bound", (value, x, y)
+    for a in q.elements:
+        if q.leq(a, value) != sp.leq(star(a, x), y):
+            return "adjunction fails", (a, value, x, y)
+    return value, certificate
 
 
 # -- multiupsets as raw count tables -------------------------------------------

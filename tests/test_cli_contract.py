@@ -142,6 +142,9 @@ def test_valid_config_passes(cfg, capsys):
     {"structures": {}, "config": []},
     {"structures": {}, "config": {"fragment": "4"}},
     {"structures": {"x": {"aqm": {"product": "free", "pomonoid": "D2"}}}},
+    {"structures": {"x": {"poset": {"elements": ["a"], "leq": [["a", "b"]]}}}},
+    {"structures": {"x": {"poset": {"elements": ["a"], "leq": []},
+                          "monoid": {"op": [["a", "a", "b"]], "unit": "a"}}}},
 ])
 def test_malformed_config_is_an_input_error(cfg, capsys):
     code, captured = _run(cfg, capsys)

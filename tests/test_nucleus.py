@@ -2,7 +2,13 @@ from itertools import product
 
 import pytest
 
-from oracles import brute_congruences, brute_consequences, brute_nuclei
+from oracles import (
+    brute_congruences,
+    brute_consequences,
+    brute_nuclei,
+    congruence_failures,
+    set_partitions,
+)
 from squanta.aqm import exp_end
 from squanta.errors import LawViolated, NotStructural
 from squanta.modact import MODULE, ActionMap, check_action
@@ -19,6 +25,7 @@ from squanta.nucleus import (
     validate_presentation,
 )
 from squanta.projective import self_module
+from squanta.search import build_quantale, quantale_descriptions
 
 
 def test_validate_nucleus_examples(n2q):
@@ -55,6 +62,27 @@ def test_counts_match_brute_force_oracles(n2q):
     assert sorted(c.classes for c in enumerate_congruences(n2q)) == sorted(
         oracle_congs
     )
+
+
+def test_congruence_scan_witnesses():
+    # every partition of every quantale of size <= 4, against the scan over
+    # labels: each failing instance, in order, and the first one raised
+    failing = 0
+    for desc in quantale_descriptions(4):
+        q = build_quantale(desc)
+        join = lambda x, y: q.join([x, y])
+        for part in set_partitions(q.elements):
+            expected = congruence_failures(q.elements, q.plus, join, part)
+            c = congruence(q, part)
+            rep = validate_presentation(c, strict=False)
+            assert rep.lines[:-1] == [f"{law}: FAIL [witness: {w!r}]"
+                                      for law, w in expected]
+            if expected:
+                failing += 1
+                with pytest.raises(LawViolated) as err:
+                    validate_presentation(c)
+                assert (err.value.law, err.value.witness) == expected[0]
+    assert failing == 1794  # of 2,945 partitions; the other 1,151 are congruences
 
 
 def test_all_six_round_trips(n2q):

@@ -191,6 +191,12 @@ def test_every_cyclic_module_is_a_nucleus_quotient(a3_self, a3_sub2):
             assert rep.ok
 
 
+def test_map_leaving_the_target_is_not_a_module_hom(a3_self, a3_sub2):
+    identity = {x: x for x in a3_self.space.elements}
+    assert "1" not in a3_sub2.space.elements
+    assert not is_module_hom(identity, a3_self, a3_sub2)
+
+
 def test_module_hom_enumeration(a3_self, a3_sub2):
     homs = enumerate_module_homs(a3_self, a3_self)
     # homs of the self-module are right multiplications

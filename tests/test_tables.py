@@ -1,23 +1,43 @@
-"""The law scans that run on integer-indexed tables: exp_end against the
-label-table scan in oracles.py, and the first witness of every rejection
-path, pinned."""
+"""The law scans that run on integer-indexed tables: exp_end and the
+module action laws against the label scans in oracles.py, and the first
+witness of every rejection path, pinned."""
 
-from itertools import product
+import hashlib
+import json
+from itertools import permutations, product
 
 import pytest
 
-from oracles import brute_exp_end
+from oracles import brute_check_action, brute_exp_end, brute_residual
 from squanta import fixtures as fx
 from squanta.aqm import AQM, check_aqm, exp_end, make_quantale
 from squanta.errors import (
     LawViolated,
+    NoResidual,
     NotAPartialOrder,
     NotAssociative,
     NotMonotone,
+    NotStructural,
     UnitNotNeutral,
 )
+from squanta.modact import MODULE, ActionMap, check_action
+from squanta.nucleus import enumerate_nuclei, quotient
 from squanta.order import validate_structure
-from squanta.search import build_quantale, quantale_descriptions
+from squanta.projective import (
+    _iso_between,
+    cyclic_projective_check,
+    enumerate_module_homs,
+    is_module_hom,
+    residual,
+    self_module,
+    submodule_on_orbit,
+)
+from squanta.search import (
+    _commutative_mults,
+    build_quantale,
+    quantale_descriptions,
+    suite_projective,
+)
 
 CHAIN3 = ["0", "1", "2"]
 CHAIN3_LEQ = [["0", "1"], ["0", "2"], ["1", "2"]]
@@ -178,3 +198,160 @@ def test_check_aqm_witnesses(callables):
     with pytest.raises(LawViolated) as err:
         check_aqm(a)
     assert (err.value.law, err.value.witness) == ("unit", ("1", "0"))
+
+
+# -- module actions on tables ---------------------------------------------------
+
+
+def _small_modules():
+    """For every commutative AQM on each quantale of size <= 3: its
+    self-module, the orbit submodule of every element and the quotient by
+    every structural nucleus."""
+    for desc in quantale_descriptions(3):
+        q = build_quantale(desc)
+        nucs = enumerate_nuclei(q)
+        for aqm in _commutative_mults(q):
+            selfm = self_module(aqm)
+            mods = [selfm] + [submodule_on_orbit(selfm, u) for u in q.elements]
+            for nuc in nucs:
+                try:
+                    mods.append(quotient(selfm, nuc).module)
+                except NotStructural:
+                    pass
+            yield mods
+
+
+def _assert_matches_scan(ma):
+    failures, checked = brute_check_action(ma)
+    rep = check_action(ma, strict=False)
+    assert rep.lines[:-1] == [f"{law}: FAIL [witness: {w!r}]"
+                              for law, w in failures]
+    assert rep.data == {"checked": checked, "skipped": 0}
+    if failures:
+        with pytest.raises(LawViolated) as err:
+            check_action(ma)
+        assert (err.value.law, err.value.witness) == failures[0]
+    return failures
+
+
+def test_check_action_matches_scan():
+    count = 0
+    for mods in _small_modules():
+        for ma in mods:
+            assert _assert_matches_scan(ma) == []
+            count += 1
+    assert count == 187  # 27 self-modules, 77 orbits, 83 quotients
+
+
+def _broken_modules():
+    """Every single-cell change of the A3 and N3 self-module tables and of
+    a self-module on the four-element lattice 3 < 1, 2 < 0."""
+    square = build_quantale(quantale_descriptions(4)[15])
+    for ma in (fx.a3_self_module(), fx.n3_self_module(),
+               self_module(_commutative_mults(square)[0])):
+        cells = {(a, x): ma.star(a, x) for a in ma.scalars.quant.elements
+                 for x in ma.space.elements}
+        for (a, x), z in product(cells, ma.space.elements):
+            if cells[a, x] != z:
+                table = dict(cells)
+                table[a, x] = z
+                yield ActionMap(MODULE, ma.scalars, ma.space,
+                                lambda a, x, t=table: t[a, x])
+
+
+def test_check_action_witnesses_on_broken_tables():
+    laws = set()
+    for broken in _broken_modules():
+        laws.update(law for law, _ in _assert_matches_scan(broken))
+    assert laws == {"unit", "zero-scalar", "compose", "scalar-plus",
+                    "scalar-join", "iota-join-dist", "iota-plus-dist",
+                    "iota-zero"}
+
+
+def test_residual_matches_scan():
+    mods = [m for mods in _small_modules() for m in mods]
+    outcomes = set()
+    for ma in mods + list(_broken_modules()):
+        for y, x in product(ma.space.elements, repeat=2):
+            try:
+                r = residual(y, x, ma)
+            except NoResidual as exc:
+                got = (exc.args[0], exc.witness)
+                outcomes.add(exc.args[0])
+            else:
+                assert not r.fragment_limited
+                got = (r.value, r.certificate)
+                outcomes.add("value")
+            assert got == brute_residual(y, x, ma)
+    assert outcomes == {"value", "no scalar sends x below y",
+                        "join of the certificate set escapes the bound",
+                        "adjunction fails"}
+
+
+def _scan_iso(m1, m2):
+    """The first module isomorphism m1 -> m2 among all homomorphisms, in
+    enumeration order."""
+    for h in enumerate_module_homs(m1, m2):
+        if sorted(h.values()) == sorted(m2.space.elements):
+            if is_module_hom({v: k for k, v in h.items()}, m2, m1):
+                return h
+    return None
+
+
+def test_iso_between_matches_scan():
+    found = 0
+    for mods in _small_modules():
+        for m1, m2 in product(mods, repeat=2):
+            iso = _iso_between(m1, m2)
+            assert iso == _scan_iso(m1, m2)
+            found += iso is not None
+    assert found == 449
+    # the self-modules of size 4, some of which have more than one
+    # automorphism, so that the first one found is the one pinned
+    several = 0
+    for desc in quantale_descriptions(4)[15:]:
+        for aqm in _commutative_mults(build_quantale(desc)):
+            m = self_module(aqm)
+            els = m.space.elements
+            if sum(is_module_hom(dict(zip(els, p)), m, m)
+                   for p in permutations(els)) > 1:
+                assert _iso_between(m, m) == _scan_iso(m, m)
+                several += 1
+    assert several == 48
+
+
+def _digest(obj):
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, default=repr).encode()).hexdigest()
+
+
+# per quantale of size <= 3: (aqms, cyclic quotients, (one, nucleus values,
+# carrier) of each reported nonprojective quotient)
+SUITE_PROJECTIVE_3 = [
+    (1, 1, []), (1, 2, []), (1, 2, []), (1, 3, []),
+    (3, 10, [("0", "011", "01"), ("0", "011", "01")]), (1, 3, []),
+    (3, 10, [("0", "022", "02"), ("0", "022", "02")]),
+    (3, 10, [("2", "002", "02"), ("2", "002", "02")]), (1, 3, []),
+    (3, 10, [("1", "010", "01"), ("1", "010", "01")]), (1, 3, []), (1, 3, []),
+    (3, 10, [("1", "212", "12"), ("1", "212", "12")]),
+    (3, 10, [("2", "112", "12"), ("2", "112", "12")]), (1, 3, []),
+]
+
+
+def test_suite_projective_pinned():
+    # recorded before the module layer ran on tables: the suite output and
+    # every cyclic_projective_check report (lines and data) of the 83
+    # cyclic quotients, as SHA-256 of their sorted-key JSON
+    out = [suite_projective(d) for d in quantale_descriptions(3)]
+    assert [(r["aqms"], r["cyclic_quotients"],
+             [(e["one"], "".join(e["nucleus"].values()), "".join(e["carrier"]))
+              for e in r["nonprojective"]]) for r in out] == SUITE_PROJECTIVE_3
+    assert _digest(out) == \
+        "d4286433c6777ba4e134c02f71efdd192d1ce5894c2ac9331ca8e17db8f70011"
+    reports = []
+    for mods in _small_modules():
+        reports += [cyclic_projective_check(m).to_dict()
+                    for m in mods[1 + len(mods[0].space.elements):]]
+    assert len(reports) == 83
+    assert _digest(reports) == \
+        "a9bc431a70f956a04317b631959c543069dddce08ee1dcdf7ceda70a0e1acf0d"
