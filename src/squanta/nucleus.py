@@ -73,12 +73,11 @@ class QuantCongruence:
     classes: tuple  # sorted tuple of sorted tuples
 
     def __post_init__(self):
-        # x -> position of its class: the first class holding x, or the
-        # first class equal to that one
+        # x -> position of the first class holding x
         self._class_id = {}
-        for c in self.classes:
+        for i, c in enumerate(self.classes):
             for x in c:
-                self._class_id.setdefault(x, self.classes.index(c))
+                self._class_id.setdefault(x, i)
 
     def class_id(self, x):
         try:

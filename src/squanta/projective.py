@@ -51,28 +51,17 @@ def residual(y, x, ma):
         value, certificate = _residual_index(ma, index_of(y), index_of(x))
         els = ma.scalars.quant.elements
         return ResidualResult(els[value], tuple(els[b] for b in certificate))
-    aqm = ma.scalars
-    q = aqm.quant
-    limited = not aqm.is_finite
-    certificate = []
+    certificate = []  # fragment scalars: the best value within the scan
     for b in ma.scalar_universe():
         try:
             if ma.space.leq(ma.star(b, x), y):
                 certificate.append(b)
         except FragmentExceeded:
-            limited = True
+            pass
     if not certificate:
         raise NoResidual("no scalar sends x below y", witness=(y, x))
-    value = q.join(certificate)
-    if not limited:
-        # the defining adjunction, scanned for every scalar
-        if not ma.space.leq(ma.star(value, x), y):
-            raise NoResidual("join of the certificate set escapes the bound",
-                             witness=(value, x, y))
-        for a in ma.scalar_universe():
-            if q.leq(a, value) != ma.space.leq(ma.star(a, x), y):
-                raise NoResidual("adjunction fails", witness=(a, value, x, y))
-    return ResidualResult(value, tuple(certificate), limited)
+    return ResidualResult(ma.scalars.quant.join(certificate),
+                          tuple(certificate), True)
 
 
 def _residual_index(ma, y, x):
@@ -233,18 +222,7 @@ def cyclic_check(am, u):
         missing = [x for x in am.space_universe() if x not in closed]
         return (not missing, missing[0] if missing else None)
     if am.level == MODULE:
-        if am.on_tables:
-            n = len(am.space.elements)
-            ui = am.space.pomonoid.poset.index_of(u)
-            times_u = am.star_table()[ui::n]  # a * u for every scalar a
-            missing = [x for i, x in enumerate(am.space.elements)
-                       if i not in times_u]
-            try:
-                ok = all(times_u[_residual_index(am, x, ui)[0]] == x
-                         for x in range(n))
-            except NoResidual:
-                ok = False
-        else:
+        if not am.on_tables:  # fragment scalars: the orbit scan alone
             orbit = set()
             for a in am.scalar_universe():
                 try:
@@ -252,15 +230,17 @@ def cyclic_check(am, u):
                 except FragmentExceeded:
                     pass
             missing = [x for x in am.space_universe() if x not in orbit]
-            ok = not missing
-            if am.scalars.is_finite:
-                try:
-                    ok = all(
-                        am.star(residual(x, u, am).value, u) == x
-                        for x in am.space_universe()
-                    )
-                except NoResidual:
-                    ok = False
+            return (not missing, missing[0] if missing else None)
+        n = len(am.space.elements)
+        ui = am.space.pomonoid.poset.index_of(u)
+        times_u = am.star_table()[ui::n]  # a * u for every scalar a
+        missing = [x for i, x in enumerate(am.space.elements)
+                   if i not in times_u]
+        try:
+            ok = all(times_u[_residual_index(am, x, ui)[0]] == x
+                     for x in range(n))
+        except NoResidual:
+            ok = False
         # the orbit against the residual characterization (x/u)*u = x
         if ok != (not missing):
             raise ArithmeticError(
@@ -376,8 +356,16 @@ def cyclic_projective_check(ma, lifting_family=None):
 
 
 def is_module_hom(h, src, dst):
-    """h: dict mapping src carrier into dst carrier over the same scalars.
-    A map with a value outside the dst carrier is not a homomorphism."""
+    """h: dict mapping the src carrier into the dst carrier, for modules with
+    finite scalars on finite quantales (ActionMap.on_tables); raises
+    TooLarge for any other action. Modules over different scalar carriers,
+    a map with a value outside the dst carrier and an action that leaves its
+    own carrier give False: there is no homomorphism."""
+    if not (src.on_tables and dst.on_tables):
+        raise TooLarge("module homomorphisms need finite scalars on finite "
+                       "quantales", witness=(src.name, dst.name))
+    if src.scalars.quant.elements != dst.scalars.quant.elements:
+        return False
     p, r = src.space, dst.space
     els = p.elements
     if sorted(h) != sorted(els):
@@ -385,6 +373,7 @@ def is_module_hom(h, src, dst):
     index_of = r.pomonoid.poset.index_of
     try:
         hv = [index_of(h[x]) for x in els]
+        src_star, dst_star = src.star_table(), dst.star_table()
     except UnknownElement:
         return False
     k = len(r.elements)
@@ -395,13 +384,9 @@ def is_module_hom(h, src, dst):
             return False
     if hv[p.pomonoid.poset.index_of(p.zero)] != index_of(r.zero):
         return False
-    if src.on_tables and dst.on_tables and \
-            src.scalars.quant.elements == dst.scalars.quant.elements:
-        rows = range(len(src.scalars.quant.elements))
-        return [hv[z] for z in src.star_table()] == \
-            [dst.star_table()[a * k + b] for a in rows for b in hv]
-    return all(h[src.star(a, x)] == dst.star(a, h[x])
-               for a in src.scalar_universe() for x in els)
+    rows = range(len(src.scalars.quant.elements))
+    return [hv[z] for z in src_star] == \
+        [dst_star[a * k + b] for a in rows for b in hv]
 
 
 def enumerate_module_homs(src, dst):

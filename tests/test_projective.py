@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from squanta.errors import NoResidual, NotDividing
+from squanta.errors import NoResidual, NotDividing, TooLarge
 from squanta.modact import check_action
 from squanta.nucleus import enumerate_nuclei, nucleus, quotient, structural_check
 from squanta.projective import (
@@ -195,6 +195,28 @@ def test_map_leaving_the_target_is_not_a_module_hom(a3_self, a3_sub2):
     identity = {x: x for x in a3_self.space.elements}
     assert "1" not in a3_sub2.space.elements
     assert not is_module_hom(identity, a3_self, a3_sub2)
+
+
+def test_module_hom_preconditions(n2q, a3_self, m2_on_d2):
+    from squanta.aqm import exp_end
+    from squanta.modact import (ActionMap, MODULE, extend_act_to_module,
+                                extend_poset_action_to_dm)
+
+    identity = {x: x for x in n2q.elements}
+    assert is_module_hom(identity, a3_self, a3_self)
+    # the same quantale under scalars with another carrier
+    ev = exp_end(n2q)
+    evaluation = ActionMap(MODULE, ev, n2q, lambda g, x: ev.gen_tables[g][x])
+    assert evaluation.on_tables and is_module_hom(identity, evaluation, evaluation)
+    assert not is_module_hom(identity, a3_self, evaluation)
+    # an action naming a point outside its own carrier is no module
+    leaving = ActionMap(MODULE, a3_self.scalars, n2q, lambda a, x: "9")
+    assert not is_module_hom(identity, a3_self, leaving)
+    assert not is_module_hom(identity, leaving, a3_self)
+    # fragment scalars and spaces have no star table
+    free = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
+    with pytest.raises(TooLarge):
+        is_module_hom({}, free, free)
 
 
 def test_module_hom_enumeration(a3_self, a3_sub2):
