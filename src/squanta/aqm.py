@@ -19,11 +19,23 @@ from .downset import (
 from .errors import (
     FragmentExceeded,
     LawViolated,
+    NotAssociative,
+    NotMonotone,
     TooLarge,
     UnboundVariable,
+    UnitNotNeutral,
 )
 from .multiupset import Multiupset, enumerate_fragment
-from .order import Pomonoid, row_mismatches, table_rows, validate_structure
+from .order import (
+    Pomonoid,
+    flat_from_triples,
+    pomonoid_from_flat,
+    poset_from_rows,
+    restrict_pomonoid,
+    row_mismatches,
+    table_rows,
+    validate_structure,
+)
 from .reporting import Report
 
 __all__ = [
@@ -141,6 +153,16 @@ class FinGenQuantale:
             acc = self._join2[(acc, x)]
         return acc
 
+    def restrict(self, positions, plus_of, zero, name=""):
+        """The quantale on the elements at the ascending `positions`, ordered
+        as here, whose sum of the elements at positions i and j is the
+        element at position plus_of(i, j) and whose zero is at position
+        `zero` (positions here). A sum or zero outside the positions raises
+        UnknownElement (see order.restrict_pomonoid)."""
+        return FinGenQuantale(
+            restrict_pomonoid(self.pomonoid.poset, positions, plus_of, zero),
+            name)
+
     def enumerate(self, bound=None):
         return list(self.elements)
 
@@ -178,7 +200,12 @@ class AQM:
     `dist` is the multiplicative pomonoid of distributive elements, `quant`
     the additive quantale sort (a FinGenQuantale or a DmFragment), `mult`
     and `one` the monoid structure on the quantale sort, and `iota` the
-    linking map.
+    linking map. The product is a function, a dict {(x, y): x * y}, or,
+    on a finite quantale sort, a flat tuple over element positions (see
+    Pomonoid.flat); the linking map is a function or a dict.
+
+    Structures derived from the AQM alone (its self-module and what is
+    computed from that) are kept in `derived` (see `derive`).
     """
 
     def __init__(self, dist, quant, mult, one, iota, name=""):
@@ -190,10 +217,23 @@ class AQM:
         self.name = name
         self.distributively_generated = None
         self.dg_witness = None
-        # a product or linking map given as a table is read through it
-        self.mult = mult if callable(mult) else lambda x, y: mult[(x, y)]
-        self.iota = iota if callable(iota) else iota.__getitem__
         self._mult_table = None
+        if isinstance(mult, tuple):
+            self._mult_table = mult
+            els, index = quant.elements, quant.pomonoid.poset.index
+            n = len(els)
+            self.mult = lambda x, y: els[mult[index[x] * n + index[y]]]
+        else:
+            self.mult = mult if callable(mult) else lambda x, y: mult[(x, y)]
+        self.iota = iota if callable(iota) else iota.__getitem__
+        self.derived = {}
+
+    def derive(self, key, build):
+        """The structure `key` derived from this AQM alone: build() on the
+        first call, and the same object on every later one."""
+        if key not in self.derived:
+            self.derived[key] = build()
+        return self.derived[key]
 
     def mult_table(self):
         """The product as a flat table over element positions (see
@@ -218,37 +258,30 @@ class AQM:
         return f"AQM({self.name})"
 
 
-def _finite_table_aqm(dist, quant, mult_table, one, iota_table, name=""):
-    return AQM(dist, quant, dict(mult_table), one, dict(iota_table), name)
-
-
-def table_aqm(quant, mult_table, one, name=""):
+def table_aqm(quant, mult, one, name=""):
     """AQM whose distributive sort is the whole multiplicative monoid
-    (iota the identity), as in the self-acting fixtures."""
-    from . import errors
+    (iota the identity), as in the self-acting fixtures. `mult` is the
+    product as a flat tuple over element positions (see Pomonoid.flat), or
+    as a dict {(x, y): x * y} over labels, which is compiled to one.
 
-    mult = dict(mult_table)
-    triples = [(x, y, z) for (x, y), z in mult.items()]
+    The monoid laws are scanned by order.pomonoid_from_flat and fail as the
+    AQM laws "unit", "assoc" (also for a dict without every pair) and
+    "mult-monotone"."""
+    poset = quant.pomonoid.poset
     try:
-        dist = validate_structure(
-            {
-                "poset": {
-                    "elements": list(quant.elements),
-                    "leq": [[x, y] for x in quant.elements for y in quant.elements
-                            if quant.leq(x, y)],
-                },
-                "monoid": {"op": [list(t) for t in triples], "unit": one,
-                           "notation": "multiplicative"},
-            }
-        )
-    except errors.UnitNotNeutral as exc:
+        if isinstance(mult, dict):
+            mult = flat_from_triples(
+                poset, [(x, y, z) for (x, y), z in mult.items()])
+        dist = pomonoid_from_flat(poset, mult, poset.index_of(one),
+                                  "multiplicative")
+    except UnitNotNeutral as exc:
         raise LawViolated("unit", witness=exc.witness) from exc
-    except errors.NotAssociative as exc:
+    except NotAssociative as exc:
         raise LawViolated("assoc", witness=exc.witness) from exc
-    except errors.NotMonotone as exc:
+    except NotMonotone as exc:
         raise LawViolated("mult-monotone", witness=exc.witness) from exc
-    iota = {d: d for d in quant.elements}
-    return _finite_table_aqm(dist, quant, mult, one, iota, name)
+    return AQM(dist, quant, dist.flat, one, {d: d for d in quant.elements},
+               name)
 
 
 def dg_closure(a):
@@ -440,57 +473,31 @@ def exp_end(q, limit=5):
         known.extend(found)
         fresh = found
 
-    gen = sorted(seen)
-    name_of = {f: "(" + ",".join(els[v] for v in f) + ")" for f in gen}
-    names = {name_of[f]: f for f in gen}
-    leq_pairs = [
-        [n1, n2]
-        for n1, f in names.items()
-        for n2, g in names.items()
-        if all(up[f[x]] >> g[x] & 1 for x in pts)
-    ]
-    plus_triples = [
-        [n1, n2, name_of[tuple(plus[f[x] * n + g[x]] for x in pts)]]
-        for n1, f in names.items()
-        for n2, g in names.items()
-    ]
-    quant = make_quantale(
-        {
-            "poset": {"elements": sorted(names), "leq": leq_pairs},
-            "monoid": {"op": plus_triples,
-                       "unit": name_of[(zero,) * n]},
-        },
+    # Gen's elements in label order, each map at its position
+    name_of = {f: "(" + ",".join(els[v] for v in f) + ")" for f in seen}
+    gen = sorted(seen, key=name_of.__getitem__)
+    names = tuple(name_of[f] for f in gen)
+    pos = {f: i for i, f in enumerate(gen)}
+    rows = [sum(1 << j for j, g in enumerate(gen)
+                if all(up[f[x]] >> g[x] & 1 for x in pts)) for f in gen]
+    plus_flat = [pos[tuple(plus[f[x] * n + g[x]] for x in pts)]
+                 for f in gen for g in gen]
+    quant = FinGenQuantale(
+        pomonoid_from_flat(poset_from_rows(names, rows), plus_flat,
+                           pos[(zero,) * n]),
         name=f"Gen({q.name})" if q.name else "Gen",
     )
-    mult_table = {
-        (n1, n2): name_of[tuple(f[g[x]] for x in pts)]
-        for n1, f in names.items()
-        for n2, g in names.items()
-    }
-    id_name = name_of[tuple(pts)]
-    endo_names = sorted(name_of[f] for f in endos)
-    dist = validate_structure(
-        {
-            "poset": {
-                "elements": endo_names,
-                "leq": [[x, y] for x, y in leq_pairs
-                        if x in endo_names and y in endo_names],
-            },
-            "monoid": {
-                "op": [[x, y, mult_table[(x, y)]] for x in endo_names
-                       for y in endo_names],
-                "unit": id_name,
-                "notation": "multiplicative",
-            },
-        }
-    )
-    iota = {e: e for e in endo_names}
-    a = _finite_table_aqm(dist, quant, mult_table, id_name, iota,
-                          name=f"ExpEnd({q.name})" if q.name else "ExpEnd")
+    size = len(gen)
+    mult = tuple(pos[tuple(f[g[x]] for x in pts)] for f in gen for g in gen)
+    dist = restrict_pomonoid(quant.pomonoid.poset, sorted(pos[f] for f in endos),
+                             lambda i, j: mult[i * size + j], pos[tuple(pts)],
+                             "multiplicative")
+    a = AQM(dist, quant, mult, dist.unit, {e: e for e in dist.elements},
+            name=f"ExpEnd({q.name})" if q.name else "ExpEnd")
     check_aqm(a)
-    a.gen_tables = {name: {x: els[v] for x, v in zip(els, f)}
-                    for name, f in names.items()}
-    a.endo_tables = {name: dict(a.gen_tables[name]) for name in endo_names}
+    a.gen_tables = {name_of[f]: dict(zip(els, (els[v] for v in f)))
+                    for f in sorted(seen)}
+    a.endo_tables = {e: dict(a.gen_tables[e]) for e in dist.elements}
     return a
 
 

@@ -455,9 +455,23 @@ def cmd_extend(ws, args):
     return rep
 
 
+def _module(ws, name):
+    ma = ws.get(name)
+    if not isinstance(ma, ActionMap) or ma.level != MODULE:
+        raise ParseError(f"{name!r} is not a module-level action", witness=name)
+    return ma
+
+
 def cmd_quotient(ws, args):
-    ma = ws.get(args.module)
+    ma = _module(ws, args.module)
     nuc = ws.get(args.nucleus)
+    if not isinstance(nuc, Nucleus):
+        raise ParseError(f"{args.nucleus!r} is not a nucleus",
+                         witness=args.nucleus)
+    if nuc.space != ma.space:
+        raise ParseError(f"nucleus {args.nucleus!r} is not on the space of "
+                         f"module {args.module!r}",
+                         witness=(args.nucleus, args.module))
     qm = quotient(ma, nuc, strict=False)
     return qm.report
 
@@ -466,7 +480,7 @@ def cmd_projective(ws, args):
     name = args.module_flag or args.module
     if not name:
         raise ParseError("projective needs a module name", witness=None)
-    ma = ws.get(name)
+    ma = _module(ws, name)
     family = None
     if args.exhaustive_lifting:
         pool = []

@@ -32,7 +32,8 @@ class ActionMap:
     scalars: Pomonoid (poset/act level) or AQM (module level).
     space:   FinPoset (poset level) or FinGenQuantale / DmFragment.
     Universes for law scans default to full carriers; fragment spaces use
-    their bounded enumerations.
+    their bounded enumerations. `table`, when given, is the star table (see
+    `star_table`) of `star`, as a structure derived from tables passes it.
     """
 
     level: str
@@ -41,7 +42,7 @@ class ActionMap:
     star: object
     name: str = ""
     scan_bounds: tuple = None
-    _table: tuple = field(default=None, init=False, compare=False, repr=False)
+    table: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def on_tables(self):
@@ -53,14 +54,15 @@ class ActionMap:
     def star_table(self):
         """The action as a flat table over element positions: a * x = z when
         table[i * n + j] = k for the positions i of a among the scalars and
-        j, k of x, z among the n points. Built on the first call; module
-        actions with finite scalars on a finite quantale only."""
-        if self._table is None:
+        j, k of x, z among the n points. Built on the first call, unless
+        given; module actions with finite scalars on a finite quantale
+        only."""
+        if self.table is None:
             index_of = self.space.pomonoid.poset.index_of
-            self._table = tuple(index_of(self.star(a, x))
-                                for a in self.scalars.quant.elements
-                                for x in self.space.elements)
-        return self._table
+            self.table = tuple(index_of(self.star(a, x))
+                               for a in self.scalars.quant.elements
+                               for x in self.space.elements)
+        return self.table
 
     def scalar_universe(self):
         if self.level == MODULE:
@@ -81,10 +83,6 @@ class ActionMap:
     def iota_scalars(self):
         """The distributive scalars, as quantale-sort elements."""
         return [self.scalars.iota(d) for d in self.scalars.dist.elements]
-
-
-def _space_leq(space, x, y):
-    return space.leq(x, y)
 
 
 def check_action(am, strict=True):
@@ -118,7 +116,7 @@ def check_action(am, strict=True):
             skipped += 1
             return
         checked += 1
-        if not _space_leq(am.space, lhs, rhs):
+        if not am.space.leq(lhs, rhs):
             fail(law, wit)
 
     scalars = am.scalar_universe()
@@ -141,7 +139,7 @@ def check_action(am, strict=True):
                     le("scalar-monotone", (a, b, x),
                        lambda a=a, b=b, x=x: (star(a, x), star(b, x)))
         for x, y in product(points, repeat=2):
-            if _space_leq(am.space, x, y):
+            if am.space.leq(x, y):
                 for a in mon.elements:
                     le("point-monotone", (a, x, y),
                        lambda a=a, x=x, y=y: (star(a, x), star(a, y)))

@@ -5,7 +5,7 @@ structurality checks over a module action, and quotient modules."""
 from dataclasses import dataclass
 from itertools import product
 
-from .aqm import FinGenQuantale, make_quantale
+from .aqm import FinGenQuantale
 from .errors import (
     FragmentExceeded,
     LawViolated,
@@ -223,7 +223,11 @@ def _kind(p):
 
 def _structural_over(p, am, scalar_set, skip_counter):
     """Whether p is structural w.r.t. every scalar in the set; returns a
-    witness on failure."""
+    witness on failure. Instances are scanned scalar by scalar, then by x
+    (and y) in element order; on a fragment, a scalar instance that leaves
+    the fragment is skipped and recorded in skip_counter."""
+    if am.on_tables:
+        return _structural_on_tables(p, am, scalar_set)
     q = p.space
     els = q.elements
     for a in scalar_set:
@@ -244,6 +248,43 @@ def _structural_over(p, am, scalar_set, skip_counter):
                             return False, (a, x, y)
             except FragmentExceeded:
                 skip_counter.append(a)
+    return True, None
+
+
+def _structural_on_tables(p, am, scalar_set):
+    """_structural_over for a module on tables (see ActionMap.star_table):
+    a nucleus as its values' positions, a consequence relation as bit rows
+    of successors and a congruence as class ids, scanned in the same order
+    with the same witness."""
+    els = am.space.elements
+    n = len(els)
+    poset = am.space.pomonoid.poset
+    star, s_index = am.star_table(), am.scalars.quant.pomonoid.poset.index_of
+    rows = [(a, star[s_index(a) * n:(s_index(a) + 1) * n]) for a in scalar_set]
+    if isinstance(p, Nucleus):
+        g = [poset.index[p.apply(x)] for x in els]
+        up = poset.up_rows
+        for a, ax in rows:
+            for x in range(n):
+                if not up[ax[g[x]]] >> g[ax[x]] & 1:
+                    return False, (a, els[x])
+    elif isinstance(p, AddConsequence):
+        succ = [0] * n
+        for x, y in p.pairs:
+            if x in poset.index and y in poset.index:
+                succ[poset.index[x]] |= 1 << poset.index[y]
+        for a, ax in rows:
+            for x in range(n):
+                for y in range(n):
+                    if succ[x] >> y & 1 and not succ[ax[x]] >> ax[y] & 1:
+                        return False, (a, els[x], els[y])
+    else:
+        cid = [p.class_id(x) for x in els]
+        for a, ax in rows:
+            for x in range(n):
+                for y in range(n):
+                    if cid[x] == cid[y] and cid[ax[x]] != cid[ax[y]]:
+                        return False, (a, els[x], els[y])
     return True, None
 
 
@@ -444,26 +485,25 @@ def quotient(ma, nuc, strict=True):
                             witness=sc.data.get("witness"))
     q = ma.space
     g = nuc.as_dict()
-    carrier = sorted({g[x] for x in q.elements})
-    zero_g = g[q.zero]
-    quant = make_quantale(
-        {
-            "poset": {
-                "elements": carrier,
-                "leq": [[x, y] for x in carrier for y in carrier if q.leq(x, y)],
-            },
-            "monoid": {
-                "op": [[x, y, g[q.plus(x, y)]] for x in carrier for y in carrier],
-                "unit": zero_g,
-            },
-        },
-        name=f"{q.name}/nucleus" if q.name else "quotient",
-    )
+    index_of = q.pomonoid.poset.index_of
+    gi = [index_of(g[x]) for x in q.elements]  # gamma over element positions
+    image = sorted(set(gi))
+    plus, n = q.plus_table, len(gi)
+    quant = q.restrict(image, lambda i, j: gi[plus[i * n + j]],
+                       gi[index_of(q.zero)],
+                       name=f"{q.name}/nucleus" if q.name else "quotient")
+    carrier = list(quant.elements)
 
     def star(a, x):
         return g[ma.star(a, x)]
 
-    module = ActionMap(MODULE, ma.scalars, quant, star,
+    table = None
+    if ma.on_tables:
+        local = {p: k for k, p in enumerate(image)}
+        st = ma.star_table()
+        table = tuple(local[gi[st[row + x]]]
+                      for row in range(0, len(st), n) for x in image)
+    module = ActionMap(MODULE, ma.scalars, quant, star, table=table,
                        name=f"{ma.name}/nucleus" if ma.name else "quotient-module")
     rep = Report(f"quotient of {ma.name or 'module'}")
     rep.merge(check_action(module, strict=strict))

@@ -22,6 +22,10 @@ __all__ = [
     "Pomonoid",
     "MonotoneMap",
     "validate_structure",
+    "poset_from_rows",
+    "pomonoid_from_flat",
+    "restrict_pomonoid",
+    "flat_from_triples",
     "antichain_ops",
     "enumerate_monotone_selfmaps",
 ]
@@ -101,20 +105,14 @@ def row_mismatches(checks):
             for label, lhs, rhs in checks if lhs[j] != rhs[j]]
 
 
-def _build_poset(elements, leq_pairs):
-    elements = tuple(sorted(elements))
-    if len(set(elements)) != len(elements):
-        raise NotAPartialOrder("duplicate elements", witness=elements)
-    index = {x: i for i, x in enumerate(elements)}
-    up = [1 << i for i in range(len(elements))]
-    for x, y in leq_pairs:
-        try:
-            up[index[x]] |= 1 << index[y]
-        except (KeyError, TypeError):
-            raise UnknownElement(f"leq mentions unknown element",
-                                 witness=(x, y)) from None
-    # antisymmetry, then transitivity as "the up-set of every y >= x lies
-    # inside the up-set of x"; both scan x, then y, in element order
+def poset_from_rows(elements, up_rows):
+    """The FinPoset on the sorted tuple `elements` in which elements[i] <=
+    elements[j] when bit j of up_rows[i] is set (reflexivity is added).
+
+    Antisymmetry is scanned first, then transitivity as "the up-set of every
+    y >= x lies inside the up-set of x"; both scan x, then y, in element
+    order, and raise NotAPartialOrder with the first failing instance."""
+    up = [row | 1 << i for i, row in enumerate(up_rows)]
     for i, row in enumerate(up):
         for j in _bits(row & ~(1 << i)):
             if up[j] >> i & 1:
@@ -130,7 +128,23 @@ def _build_poset(elements, leq_pairs):
                     witness=(elements[i], elements[j], elements[k]))
     pairs = frozenset((x, elements[j]) for x, row in zip(elements, up)
                       for j in _bits(row))
-    return FinPoset(elements, pairs, index, tuple(up))
+    return FinPoset(elements, pairs, {x: i for i, x in enumerate(elements)},
+                    tuple(up))
+
+
+def _parse_poset(elements, leq_pairs):
+    elements = tuple(sorted(elements))
+    if len(set(elements)) != len(elements):
+        raise NotAPartialOrder("duplicate elements", witness=elements)
+    index = {x: i for i, x in enumerate(elements)}
+    up = [0] * len(elements)
+    for x, y in leq_pairs:
+        try:
+            up[index[x]] |= 1 << index[y]
+        except (KeyError, TypeError):
+            raise UnknownElement(f"leq mentions unknown element",
+                                 witness=(x, y)) from None
+    return poset_from_rows(elements, up)
 
 
 @dataclass(frozen=True, eq=True)
@@ -177,22 +191,21 @@ class Pomonoid:
         return self.commutative and self.dually_integral
 
 
-def _build_pomonoid(poset, op_triples, unit, notation):
+def pomonoid_from_flat(poset, flat, unit, notation="additive"):
+    """The Pomonoid on `poset` whose table is the complete flat tuple `flat`
+    over element positions (see Pomonoid.flat), with the element at position
+    `unit` as its unit.
+
+    The laws are scanned in this order, each raising with its first failing
+    instance: the unit is two-sided neutral, associativity, then the right
+    and left translations are monotone."""
     els, up = poset.elements, poset.up_rows
     n = len(els)
-    t = [-1] * (n * n)
-    for x, y, z in op_triples:
-        i, j, k = (poset.index_of(e) for e in (x, y, z))
-        t[i * n + j] = k
-    for i, j in product(range(n), repeat=2):
-        if t[i * n + j] < 0:
-            raise NotAssociative("operation table incomplete",
-                                 witness=(els[i], els[j]))
-    u = poset.index_of(unit)
+    t = flat
     for x in range(n):
-        if t[u * n + x] != x or t[x * n + u] != x:
+        if t[unit * n + x] != x or t[x * n + unit] != x:
             raise UnitNotNeutral("unit is not two-sided neutral",
-                                 witness=(unit, els[x]))
+                                 witness=(els[unit], els[x]))
     rows, cols = table_rows(t, n), [t[j::n] for j in range(n)]
     for x, y in product(range(n), repeat=2):
         rx = rows[x]
@@ -216,14 +229,57 @@ def _build_pomonoid(poset, op_triples, unit, notation):
         poset,
         tuple(((x, y), els[t[i * n + j]])
               for i, x in enumerate(els) for j, y in enumerate(els)),
-        unit,
+        els[unit],
         notation,
         commutative=all(t[i * n + j] == t[j * n + i]
                         for i, j in product(range(n), repeat=2)),
-        dually_integral=up[u] == (1 << n) - 1,
+        dually_integral=up[unit] == (1 << n) - 1,
         idempotent=all(t[i * n + i] == i for i in range(n)),
         flat=tuple(t),
     )
+
+
+def restrict_pomonoid(poset, positions, op_of, unit, notation="additive"):
+    """The pomonoid on the elements of `poset` at the ascending `positions`,
+    ordered as in `poset`, in which the product of the elements at positions
+    i and j is the element at position op_of(i, j), and whose unit is at
+    position `unit` (all positions in `poset`).
+
+    A product, and then the unit, outside the positions raises the
+    UnknownElement that the label parser raises for it."""
+    els, up = poset.elements, poset.up_rows
+    local = {p: k for k, p in enumerate(positions)}
+    rows = [sum(1 << local[j] for j in _bits(up[p]) if j in local)
+            for p in positions]
+    sub = poset_from_rows(tuple(els[p] for p in positions), rows)
+    flat = []
+    for i in positions:
+        for j in positions:
+            k = op_of(i, j)
+            if k not in local:
+                sub.index_of(els[k])  # not in sub: raises UnknownElement
+            flat.append(local[k])
+    if unit not in local:
+        sub.index_of(els[unit])
+    return pomonoid_from_flat(sub, flat, local[unit], notation)
+
+
+def flat_from_triples(poset, op_triples):
+    """The flat table over element positions (see Pomonoid.flat) of the
+    (x, y, x.y) label triples: an unknown element raises UnknownElement in
+    the triples' order, then the first missing pair in element order raises
+    NotAssociative("operation table incomplete")."""
+    els = poset.elements
+    n = len(els)
+    t = [-1] * (n * n)
+    for x, y, z in op_triples:
+        i, j, k = (poset.index_of(e) for e in (x, y, z))
+        t[i * n + j] = k
+    for i, j in product(range(n), repeat=2):
+        if t[i * n + j] < 0:
+            raise NotAssociative("operation table incomplete",
+                                 witness=(els[i], els[j]))
+    return tuple(t)
 
 
 @dataclass(frozen=True)
@@ -260,7 +316,8 @@ def _build_monotone_map(domain, codomain, mapping):
 
 
 def validate_structure(raw):
-    """Validate a raw structure description.
+    """Validate a raw structure description: the label front end of
+    poset_from_rows and pomonoid_from_flat.
 
     Accepted shapes (JSON-compatible dicts):
       {"poset": {"elements": [...], "leq": [[x, y], ...]}}
@@ -274,18 +331,15 @@ def validate_structure(raw):
         dom = validate_structure({"poset": spec["domain"]})
         cod = validate_structure({"poset": spec["codomain"]})
         return _build_monotone_map(dom, cod, [tuple(p) for p in spec["table"]])
-    poset = _build_poset(
+    poset = _parse_poset(
         raw["poset"]["elements"], [tuple(p) for p in raw["poset"].get("leq", [])]
     )
     if "monoid" not in raw:
         return poset
     mon = raw["monoid"]
-    return _build_pomonoid(
-        poset,
-        [tuple(t) for t in mon["op"]],
-        mon["unit"],
-        mon.get("notation", "additive"),
-    )
+    flat = flat_from_triples(poset, [tuple(t) for t in mon["op"]])
+    return pomonoid_from_flat(poset, flat, poset.index_of(mon["unit"]),
+                              mon.get("notation", "additive"))
 
 
 def monotone_map(domain, codomain, mapping):
@@ -337,19 +391,19 @@ def enumerate_monotone_selfmaps(poset, limit=6):
 
 
 def selfmap_pomonoid(poset, limit=6):
-    """The monotone self-maps as a multiplicative pomonoid under composition."""
+    """The monotone self-maps as a multiplicative pomonoid under composition,
+    the i-th map of enumerate_monotone_selfmaps named f<i>."""
     maps, order = enumerate_monotone_selfmaps(poset, limit)
-    names = {m: f"f{i}" for i, m in enumerate(maps)}
-    elems = sorted(names.values())
-    pairs = [(names[maps[i]], names[maps[j]]) for i, j in order]
-    by_name = {v: k for k, v in names.items()}
-    triples = []
-    for a, b in product(elems, repeat=2):
-        comp = by_name[a].compose(by_name[b])
-        triples.append((a, b, names[comp]))
-    ident = next(m for m in maps if all(m.apply(x) == x for x in poset.elements))
-    base = _build_poset(elems, pairs)
-    return (
-        _build_pomonoid(base, triples, names[ident], "multiplicative"),
-        {v: k for k, v in names.items()},
-    )
+    names = [f"f{i}" for i in range(len(maps))]
+    at = sorted(range(len(maps)), key=names.__getitem__)  # map at a position
+    pos = {m: p for p, m in enumerate(at)}
+    index = {m: i for i, m in enumerate(maps)}
+    rows = [0] * len(maps)
+    for i, j in order:
+        rows[pos[i]] |= 1 << pos[j]
+    flat = [pos[index[maps[i].compose(maps[j])]] for i in at for j in at]
+    ident = next(i for i, m in enumerate(maps)
+                 if all(m.apply(x) == x for x in poset.elements))
+    base = poset_from_rows(tuple(names[i] for i in at), rows)
+    return (pomonoid_from_flat(base, flat, pos[ident], "multiplicative"),
+            dict(zip(names, maps)))

@@ -6,7 +6,6 @@ lifting checks."""
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .aqm import make_quantale
 from .errors import (
     FragmentExceeded,
     NoLift,
@@ -28,6 +27,7 @@ __all__ = [
     "cyclic_projective_check",
     "lifting_check",
     "self_module",
+    "kept_self_module",
     "submodule_on_orbit",
     "is_module_hom",
     "enumerate_module_homs",
@@ -108,25 +108,38 @@ def self_module(aqm, name=None):
                      name=name or f"{aqm.name}-self")
 
 
+def kept_self_module(aqm):
+    """The self-module (see self_module) that the AQM keeps: built on the
+    first call and the same on every later one, so that its star table is
+    compiled once per AQM."""
+    return aqm.derive("self-module", lambda: self_module(aqm))
+
+
 def submodule_on_orbit(ma, u, name=None):
-    """The submodule on the scalar orbit of u (finite carriers)."""
+    """The submodule on the scalar orbit of u, for a module with finite
+    scalars on a finite quantale (ActionMap.on_tables). An orbit that is not
+    closed under + or the action, or that misses the zero, raises
+    UnknownElement."""
+    if not ma.on_tables:
+        raise TooLarge("orbit submodules need finite scalars on a finite "
+                       "quantale", witness=ma.name)
     q = ma.space
-    orbit = sorted({ma.star(a, u) for a in ma.scalar_universe()})
-    quant = make_quantale(
-        {
-            "poset": {
-                "elements": orbit,
-                "leq": [[x, y] for x in orbit for y in orbit if q.leq(x, y)],
-            },
-            "monoid": {
-                "op": [[x, y, q.plus(x, y)] for x in orbit for y in orbit],
-                "unit": q.zero,
-            },
-        },
-        name=f"{ma.name}|orbit({u})",
-    )
+    poset = q.pomonoid.poset
+    n, star, plus = len(q.elements), ma.star_table(), q.plus_table
+    orbit = sorted(set(star[poset.index_of(u)::n]))
+    quant = q.restrict(orbit, lambda i, j: plus[i * n + j],
+                       poset.index_of(q.zero), name=f"{ma.name}|orbit({u})")
+    local = {p: k for k, p in enumerate(orbit)}
+    table = []
+    for a in range(len(ma.scalars.quant.elements)):
+        for x in orbit:
+            z = star[a * n + x]
+            if z not in local:
+                # outside the orbit: raises UnknownElement
+                quant.pomonoid.poset.index_of(q.elements[z])
+            table.append(local[z])
     sub = ActionMap(MODULE, ma.scalars, quant, ma.star,
-                    name=name or f"{ma.name}*{u}")
+                    name=name or f"{ma.name}*{u}", table=tuple(table))
     check_action(sub)
     return sub
 
@@ -276,7 +289,7 @@ def cyclic_projective_check(ma, lifting_family=None):
         raise TooLarge("characterization check needs finite scalars")
     q = aqm.quant
     rep = Report(f"cyclic-projective {ma.name or 'module'}")
-    selfm = self_module(aqm)
+    selfm = kept_self_module(aqm)
     els, index_of = q.elements, ma.space.pomonoid.poset.index_of
     m, n = len(els), len(ma.space.elements)
     mult = table_rows(aqm.mult_table(), m)
@@ -293,13 +306,18 @@ def cyclic_projective_check(ma, lifting_family=None):
         if gv is not None:
             gammas.append((v, index_of(v), gv))
 
+    # the gammas and orbit submodules of the self-module depend on the AQM
+    # alone, so the AQM keeps them
+    self_gammas = aqm.derive("self-gammas", lambda: [
+        _gamma_index(selfm, u) for u in range(m)])
     w2, w3, w4, w5 = [], [], [], []
     for u in range(m):  # ascending carrier order: minimal witnesses first
-        gu = _gamma_index(selfm, u)
+        gu = self_gammas[u]
         if gu is None:  # every condition needs u dividing in the self-module
             continue
         if u in idempotents:
-            orbit_mod = submodule_on_orbit(selfm, els[u])
+            orbit_mod = aqm.derive(("self-orbit", u), lambda: submodule_on_orbit(
+                selfm, els[u]))
             if _iso_between(ma, orbit_mod) is not None:
                 w2.append(els[u])
         times_u = [row[u] for row in mult]  # a * u for every scalar a

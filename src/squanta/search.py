@@ -15,7 +15,7 @@ from .nucleus import (
     quotient,
 )
 from .order import row_mismatches, table_rows
-from .projective import cyclic_check, cyclic_projective_check, self_module
+from .projective import cyclic_check, cyclic_projective_check, kept_self_module
 
 __all__ = [
     "quantale_descriptions",
@@ -174,10 +174,6 @@ def build_quantale(desc):
     return make_quantale(desc)
 
 
-def _congruence_refines(c1, c2):
-    return all(any(set(a) <= set(b) for b in c2.classes) for a in c1.classes)
-
-
 def correspondence(q):
     """The nuclei, consequence relations and congruences of q, and whether
     every round trip through the other two presentations is the identity."""
@@ -203,15 +199,17 @@ def suite_correspond(desc):
     inclusion on relations, refinement on partitions)."""
     q = build_quantale(desc)
     nucs, cons, congs, round_ok = correspondence(q)
+    # each nucleus converted once: its values, its consequence pairs, and
+    # its congruence classes as sets
+    values = [[g.apply(x) for x in q.elements] for g in nucs]
+    pairs = [convert(g, "consequence").pairs for g in nucs]
+    classes = [[set(c) for c in convert(g, "congruence").classes] for g in nucs]
     monotone_ok = True
-    for g1 in nucs:
-        for g2 in nucs:
-            pointwise = all(q.leq(g1.apply(x), g2.apply(x)) for x in q.elements)
-            incl = convert(g1, "consequence").pairs <= convert(
-                g2, "consequence").pairs
-            refines = _congruence_refines(convert(g1, "congruence"),
-                                          convert(g2, "congruence"))
-            monotone_ok &= pointwise == incl == refines
+    for i, j in product(range(len(nucs)), repeat=2):
+        pointwise = all(map(q.leq, values[i], values[j]))
+        incl = pairs[i] <= pairs[j]
+        refines = all(any(a <= b for b in classes[j]) for a in classes[i])
+        monotone_ok &= pointwise == incl == refines
     counts = (len(nucs), len(cons), len(congs))
     return {
         "size": len(q.elements),
@@ -255,10 +253,8 @@ def _commutative_mults(q):
     out = []
     for one in range(n):
         for t in _commutative_tables(n, leq, one):
-            mult = {(x, y): els[t[i * n + j]]
-                    for i, x in enumerate(els) for j, y in enumerate(els)}
             try:
-                aqm = table_aqm(q, mult, els[one])
+                aqm = table_aqm(q, t, els[one])
                 check_aqm(aqm)
             except LawViolated:
                 continue
@@ -276,7 +272,7 @@ def suite_projective(desc):
     nucs = enumerate_nuclei(q)
     for aqm in _commutative_mults(q):
         n_aqms += 1
-        selfm = self_module(aqm)
+        selfm = kept_self_module(aqm)
         for nuc in nucs:
             try:
                 qm = quotient(selfm, nuc)

@@ -293,6 +293,31 @@ def brute_check_action(ma):
     return failures, checked
 
 
+def brute_structural_over(p, ma, scalars):
+    """Whether a nucleus, consequence relation or congruence p on the space
+    of an action with finite scalars is structural for every scalar in
+    `scalars`, scanned over labels: (True, None), or (False, witness) for
+    the first failing instance, scalar by scalar, then x (and y) in element
+    order."""
+    els, star = ma.space.elements, ma.star
+    kind = type(p).__name__
+    for a in scalars:
+        for x in els:
+            if kind == "Nucleus":
+                if not ma.space.leq(star(a, p.apply(x)), p.apply(star(a, x))):
+                    return False, (a, x)
+                continue
+            for y in els:
+                if kind == "AddConsequence":
+                    bad = p.holds(x, y) and not p.holds(star(a, x), star(a, y))
+                else:
+                    bad = p.related(x, y) and not p.related(star(a, x),
+                                                            star(a, y))
+                if bad:
+                    return False, (a, x, y)
+    return True, None
+
+
 def brute_residual(y, x, ma):
     """y/x over labels for an action with finite scalars: (value,
     certificate), or (message, witness) of the first check that fails."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from squanta.cli import EXIT_INPUT, main
+from squanta.cli import EXIT_INPUT, _builtin_prelude, main
 
 N2 = {
     "poset": {"elements": ["0", "1", "2"],
@@ -150,3 +150,32 @@ def test_malformed_config_is_an_input_error(cfg, capsys):
     code, captured = _run(cfg, capsys)
     assert code == EXIT_INPUT
     assert captured.err.startswith("input error: ")
+
+
+BUILTINS = sorted(_builtin_prelude())
+
+
+@pytest.mark.parametrize("command", ["validate", "correspond", "extend",
+                                     "projective", "equiv", "quotient"])
+def test_every_command_on_every_builtin_name(command, capsys):
+    """Each command with each built-in name (quotient with each pair) exits
+    0, 1 or 2: a name of the wrong kind is an input error, not a crash."""
+    if command == "quotient":
+        argvs = [[command, m, n] for m in BUILTINS for n in BUILTINS]
+    else:
+        argvs = [[command, n] for n in BUILTINS]
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, captured)
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["projective", "A3"], ["projective", "g022"], ["projective", "M2D2"],
+    ["quotient", "A3.self", "N2"], ["quotient", "A3", "g022"],
+    ["quotient", "A·2", "g022"], ["quotient", "A3.self", "N3.g0133"],
+])
+def test_wrong_kind_of_name_is_an_input_error(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
