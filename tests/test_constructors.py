@@ -10,10 +10,16 @@ from itertools import product
 import pytest
 
 from oracles import brute_structural_over
-from squanta import order, projective
+from squanta import fixtures as fx, order, projective
 from squanta.aqm import check_aqm, exp_end, make_quantale, table_aqm
 from squanta.errors import LawViolated, NotStructural, SquantaError
-from squanta.modact import MODULE, ActionMap, check_action
+from squanta.modact import (
+    ACT,
+    MODULE,
+    ActionMap,
+    check_action,
+    extend_act_to_module,
+)
 from squanta.nucleus import (
     _structural_over,
     enumerate_congruences,
@@ -323,6 +329,20 @@ def test_exp_end_matches_label_description():
 # -- structurality on tables against the label scan ------------------------------
 
 
+def _fragment_scalar_modules():
+    """Modules over the free AQM on M2 (fragment scalars) on finite
+    quantales: the extensions of the acts in which c acts as the idempotent
+    endomorphism 0, 2, 2 of N2 and of B3 (on B3, gamma(1) = 0, gamma(2) = 2
+    is not structural)."""
+    h = {"0": "0", "1": "2", "2": "2"}
+    for q in (fx.n2_quantale(), fx.b3().quant):
+        aa = ActionMap(ACT, fx.m2(), q, lambda a, x: x if a == "e" else h[x])
+        check_action(aa)
+        ma = extend_act_to_module(aa, 2, 2)
+        check_action(ma)
+        yield ma
+
+
 def test_structural_scan_matches_labels():
     verdicts = Counter()
     presentations = {}
@@ -331,6 +351,7 @@ def test_structural_scan_matches_labels():
     # at (x', y') with x < x' and y > y', so the scan order decides the witness
     q4 = build_quantale(quantale_descriptions(4)[186])
     modules += [self_module(a) for a in _commutative_mults(q4)]
+    modules += list(_fragment_scalar_modules())
     for ma in modules + list(_broken_modules()):
         sp = ma.space
         if id(sp) not in presentations:

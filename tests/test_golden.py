@@ -12,6 +12,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "search-3-correspond.json": ["search", "--size", "3", "--suite", "correspond"],
+    "search-4-correspond.json": ["search", "--size", "4"],
     "search-3-leftdist.json": ["search", "--size", "3", "--suite", "leftdist"],
     "search-3-projective.json": ["search", "--size", "3", "--suite", "projective"],
     "projective-A2.json": ["projective", "A·2", "--exhaustive-lifting", "3"],
