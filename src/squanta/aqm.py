@@ -251,9 +251,6 @@ class AQM:
     def elements(self):
         return self.quant.enumerate()
 
-    def iota_image(self):
-        return [self.iota(d) for d in self.dist.elements]
-
     def __repr__(self):
         return f"AQM({self.name})"
 

@@ -37,7 +37,6 @@ from .nucleus import (
     consequence,
     nucleus,
     quotient,
-    structural_check,
     validate_presentation,
 )
 from .order import FinPoset, Pomonoid, validate_structure

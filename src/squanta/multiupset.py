@@ -67,10 +67,6 @@ class Multiupset:
     def total_multiplicity(self):
         return len(self.gens)
 
-    @property
-    def is_empty(self):
-        return not self.gens
-
     def sort_key(self):
         return self._key
 

@@ -1,18 +1,22 @@
 """Additive consequence relations, nuclei, and quantale congruences over a
 finite generalized quantale, with the pairwise conversions between them,
-structurality checks over a module action, and quotient modules."""
+structurality checks over a module action, and quotient modules.
+
+Each presentation is held on the element positions of its space (see the
+classes); the constructors `nucleus`, `consequence` and `congruence` parse
+labels, and every scan here runs on positions."""
 
 from dataclasses import dataclass
 from itertools import product
 
-from .aqm import FinGenQuantale
+from .aqm import FinGenQuantale, check_aqm
 from .errors import (
-    FragmentExceeded,
     LawViolated,
     NotDistributivelyGenerated,
     NotStructural,
 )
 from .modact import MODULE, ActionMap, check_action
+from .order import _bits, table_rows
 from .reporting import Report
 
 __all__ = [
@@ -25,9 +29,9 @@ __all__ = [
     "congruence",
     "validate_presentation",
     "convert",
+    "presentation_leq",
     "structural_check",
     "quotient",
-    "congruence_quotient",
     "enumerate_nuclei",
     "enumerate_consequences",
     "enumerate_congruences",
@@ -36,20 +40,26 @@ __all__ = [
 
 @dataclass(eq=True)
 class Nucleus:
-    space: FinGenQuantale
-    table: tuple  # sorted ((x, gamma(x)), ...)
+    """gamma(elements[i]) = elements[values[i]] on the positions of the
+    space's elements; None where the map given to `nucleus` has no value."""
 
-    def __post_init__(self):
-        self._map = dict(self.table)
+    space: FinGenQuantale
+    values: tuple
+
+    @property
+    def table(self):  # ((x, gamma(x)), ...) in element order
+        els = self.space.elements
+        return tuple((els[i], els[v]) for i, v in enumerate(self.values)
+                     if v is not None)
 
     def apply(self, x):
-        return self._map[x]
+        return self.space.elements[self.values[_index(self.space, x)]]
 
     def as_dict(self):
         return dict(self.table)
 
     def image(self):
-        return sorted({y for _, y in self.table})
+        return [self.space.elements[v] for v in sorted(set(self.values) - {None})]
 
     def __repr__(self):
         return "Nucleus(" + ",".join(f"{x}>{y}" for x, y in self.table) + ")"
@@ -57,11 +67,19 @@ class Nucleus:
 
 @dataclass(eq=True)
 class AddConsequence:
+    """x |- y when bit j of rows[i] is set, for the positions i, j of x, y."""
+
     space: FinGenQuantale
-    pairs: frozenset
+    rows: tuple
+
+    @property
+    def pairs(self):
+        els = self.space.elements
+        return frozenset((els[x], els[y]) for x, row in enumerate(self.rows)
+                         for y in _bits(row))
 
     def holds(self, x, y):
-        return (x, y) in self.pairs
+        return bool(self.rows[_index(self.space, x)] >> _index(self.space, y) & 1)
 
     def __repr__(self):
         return "Consequence(" + ",".join(f"{x}|-{y}" for x, y in sorted(self.pairs)) + ")"
@@ -69,222 +87,237 @@ class AddConsequence:
 
 @dataclass(eq=True)
 class QuantCongruence:
+    """reps[i] is the position of the least element of the class of the
+    element at position i."""
+
     space: FinGenQuantale
-    classes: tuple  # sorted tuple of sorted tuples
+    reps: tuple
 
-    def __post_init__(self):
-        # x -> position of the first class holding x
-        self._class_id = {}
-        for i, c in enumerate(self.classes):
-            for x in c:
-                self._class_id.setdefault(x, i)
-
-    def class_id(self, x):
-        try:
-            return self._class_id[x]
-        except (KeyError, TypeError):
-            raise LawViolated("partition-cover", witness=x) from None
+    @property
+    def classes(self):  # sorted tuple of sorted tuples
+        els, masks = self.space.elements, _class_masks(self)
+        return tuple(tuple(els[y] for y in _bits(masks[r]))
+                     for r in sorted(set(self.reps)))
 
     def class_of(self, x):
-        return self.classes[self.class_id(x)]
+        mask = _class_masks(self)[_index(self.space, x)]
+        return tuple(self.space.elements[y] for y in _bits(mask))
 
     def related(self, x, y):
-        return self.class_id(x) == self.class_id(y)
+        return self.reps[_index(self.space, x)] == self.reps[_index(self.space, y)]
 
     def __repr__(self):
         return "Congruence(" + "|".join(",".join(c) for c in self.classes) + ")"
 
 
+def _index(space, x):
+    return space.pomonoid.poset.index_of(x)
+
+
+def _class_masks(c):
+    """For each position, the bitmask of the positions in its class."""
+    masks = [0] * len(c.reps)
+    for y, r in enumerate(c.reps):
+        masks[r] |= 1 << y
+    return [masks[r] for r in c.reps]
+
+
+def _down_rows(q):
+    """For each position, the bitmask of the positions of the elements
+    below it."""
+    up = q.pomonoid.poset.up_rows
+    return [sum(1 << y for y, row in enumerate(up) if row >> x & 1)
+            for x in range(len(up))]
+
+
+def _join(q, mask):
+    """The position of the join of the elements at the set bits of mask."""
+    if not mask:
+        return _index(q, q.join([]))
+    n, join = len(q.elements), q.join_table
+    ys = _bits(mask)
+    z = next(ys)
+    for y in ys:
+        z = join[z * n + y]
+    return z
+
+
 def nucleus(space, mapping):
-    return Nucleus(space, tuple(sorted(mapping.items())))
+    """The nucleus {x: gamma(x)} of labels; an element outside the space
+    raises UnknownElement, one without a value is left None."""
+    values = [None] * len(space.elements)
+    for x, y in mapping.items():
+        values[_index(space, x)] = _index(space, y)
+    return Nucleus(space, tuple(values))
 
 
 def consequence(space, pairs):
-    return AddConsequence(space, frozenset(tuple(p) for p in pairs))
+    """The consequence relation holding exactly at the (x, y) label pairs."""
+    rows = [0] * len(space.elements)
+    for x, y in pairs:
+        rows[_index(space, x)] |= 1 << _index(space, y)
+    return AddConsequence(space, tuple(rows))
 
 
 def congruence(space, classes):
-    return QuantCongruence(
-        space, tuple(sorted(tuple(sorted(c)) for c in classes))
-    )
+    """The congruence with the given classes of labels; classes that do not
+    partition the space raise LawViolated("partition-cover")."""
+    classes = [sorted(_index(space, x) for x in c) for c in classes]
+    flat = sorted(x for c in classes for x in c)
+    if flat != list(range(len(space.elements))):
+        raise LawViolated("partition-cover",
+                          witness=[space.elements[x] for x in flat])
+    reps = [0] * len(flat)
+    for c in classes:
+        for x in c:
+            reps[x] = c[0]
+    return QuantCongruence(space, tuple(reps))
+
+
+def _failures(p):
+    """(law, witness) for every failing instance of the presentation's
+    defining laws, lazily, law by law in a fixed order."""
+    q = p.space
+    els = q.elements
+    n = len(els)
+    up, plus = q.pomonoid.poset.up_rows, q.plus_table
+    if isinstance(p, Nucleus):
+        g = p.values
+        if None in g:
+            yield "nucleus-total", [els[x] for x in range(n) if g[x] is None]
+            return
+        for x, y in product(range(n), repeat=2):
+            if up[x] >> y & 1 and not up[g[x]] >> g[y] & 1:
+                yield "nucleus-monotone", (els[x], els[y])
+        for x in range(n):
+            if not up[x] >> g[x] & 1:
+                yield "nucleus-expansive", els[x]
+            if g[g[x]] != g[x]:
+                yield "nucleus-idempotent", els[x]
+        for x, y in product(range(n), repeat=2):
+            if not up[plus[g[x] * n + g[y]]] >> g[plus[x * n + y]] & 1:
+                yield "nucleus-sum", (els[x], els[y])
+    elif isinstance(p, AddConsequence):
+        rows = p.rows
+        for x, y in product(range(n), repeat=2):
+            if up[y] >> x & 1 and not rows[x] >> y & 1:
+                yield "consequence-reflexive", (els[x], els[y])
+        for x in range(n):
+            for y in _bits(rows[x]):
+                for z in _bits(rows[y] & ~rows[x]):
+                    yield "consequence-transitive", (els[x], els[y], els[z])
+        for x in range(n):
+            if not rows[x] >> _join(q, rows[x]) & 1:
+                yield "consequence-join-closed", els[x]
+        for x in range(n):
+            for y in _bits(rows[x]):
+                for z in range(n):
+                    if not rows[plus[x * n + z]] >> plus[y * n + z] & 1:
+                        yield "consequence-sum-right", (els[x], els[y], els[z])
+                    if not rows[plus[z * n + x]] >> plus[z * n + y] & 1:
+                        yield "consequence-sum-left", (els[x], els[y], els[z])
+    elif isinstance(p, QuantCongruence):
+        # every (a, b, c, d) with a ~ b and c ~ d, in product order
+        cid, join = p.reps, q.join_table
+        related = [(a, b) for a, b in product(range(n), repeat=2)
+                   if cid[a] == cid[b]]
+        for a, b in related:
+            an, bn = a * n, b * n
+            for c, d in related:
+                if cid[plus[an + c]] != cid[plus[bn + d]]:
+                    yield "congruence-sum", (els[a], els[b], els[c], els[d])
+                if cid[join[an + c]] != cid[join[bn + d]]:
+                    yield "congruence-join", (els[a], els[b], els[c], els[d])
+    else:
+        raise TypeError(f"not a presentation: {p!r}")
 
 
 def validate_presentation(p, strict=True):
     """Scan every defining invariant of the presentation; witness on failure."""
     rep = Report(f"presentation {type(p).__name__}")
-    q = p.space
-    els = q.elements
-
-    def fail(law, witness):
+    for law, witness in _failures(p):
         if strict:
             raise LawViolated(law, witness=witness)
         rep.failed(law, witness)
-
-    if isinstance(p, Nucleus):
-        g = p.as_dict()
-        if sorted(g) != sorted(els):
-            fail("nucleus-total", sorted(set(els) ^ set(g)))
-        for x, y in product(els, repeat=2):
-            if q.leq(x, y) and not q.leq(g[x], g[y]):
-                fail("nucleus-monotone", (x, y))
-        for x in els:
-            if not q.leq(x, g[x]):
-                fail("nucleus-expansive", x)
-            if g[g[x]] != g[x]:
-                fail("nucleus-idempotent", x)
-        for x, y in product(els, repeat=2):
-            if not q.leq(q.plus(g[x], g[y]), g[q.plus(x, y)]):
-                fail("nucleus-sum", (x, y))
-    elif isinstance(p, AddConsequence):
-        for x, y in product(els, repeat=2):
-            if q.leq(y, x) and not p.holds(x, y):
-                fail("consequence-reflexive", (x, y))
-        for x, y, z in product(els, repeat=3):
-            if p.holds(x, y) and p.holds(y, z) and not p.holds(x, z):
-                fail("consequence-transitive", (x, y, z))
-        for x in els:
-            succ = [y for y in els if p.holds(x, y)]
-            if not p.holds(x, q.join(succ)):
-                fail("consequence-join-closed", x)
-        for (x, y), z in product(sorted(p.pairs), els):
-            if not p.holds(q.plus(x, z), q.plus(y, z)):
-                fail("consequence-sum-right", (x, y, z))
-            if not p.holds(q.plus(z, x), q.plus(z, y)):
-                fail("consequence-sum-left", (x, y, z))
-    elif isinstance(p, QuantCongruence):
-        flat = sorted(x for c in p.classes for x in c)
-        if flat != sorted(els):
-            fail("partition-cover", flat)
-        # every (a, b, c, d) with a ~ b and c ~ d, in product order, on
-        # class ids and the flat tables
-        n = len(els)
-        cid = [p.class_id(x) for x in els]
-        related = [(a, b) for a, b in product(range(n), repeat=2)
-                   if cid[a] == cid[b]]
-        plus, join = q.plus_table, q.join_table
-        for a, b in related:
-            for c, d in related:
-                if cid[plus[a * n + c]] != cid[plus[b * n + d]]:
-                    fail("congruence-sum", (els[a], els[b], els[c], els[d]))
-                if cid[join[a * n + c]] != cid[join[b * n + d]]:
-                    fail("congruence-join", (els[a], els[b], els[c], els[d]))
-    else:
-        raise TypeError(f"not a presentation: {p!r}")
     rep.note("all invariants hold" if rep.ok else "violations found")
     return rep
 
 
 KINDS = {"nucleus": Nucleus, "consequence": AddConsequence, "congruence": QuantCongruence}
+KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
 
 def convert(p, target):
     """Convert between the three presentations along the canonical maps."""
     q = p.space
-    els = q.elements
+    n = len(q.elements)
     if isinstance(p, KINDS[target]):
         return p
     if isinstance(p, Nucleus):
-        g = p.as_dict()
-        if target == "consequence":
-            return consequence(
-                q, [(x, y) for x, y in product(els, repeat=2) if q.leq(y, g[x])]
-            )
-        if target == "congruence":
-            kernel = {}
-            for x in els:
-                kernel.setdefault(g[x], []).append(x)
-            return congruence(q, kernel.values())
+        if target == "consequence":  # x |- y when y <= gamma(x)
+            down = _down_rows(q)
+            return AddConsequence(q, tuple(down[v] for v in p.values))
+        first = {}  # the kernel: x ~ y when gamma(x) = gamma(y)
+        return QuantCongruence(q, tuple(first.setdefault(v, x)
+                                        for x, v in enumerate(p.values)))
     if isinstance(p, AddConsequence):
-        if target == "nucleus":
-            return nucleus(
-                q, {x: q.join([y for y in els if p.holds(x, y)]) for x in els}
-            )
-        if target == "congruence":
-            return convert(convert(p, "nucleus"), "congruence")
-    if isinstance(p, QuantCongruence):
-        if target == "nucleus":
-            return nucleus(q, {x: q.join(list(p.class_of(x))) for x in els})
-        if target == "consequence":
-            return consequence(
-                q,
-                [
-                    (x, y)
-                    for x, y in product(els, repeat=2)
-                    if p.related(q.join([x, y]), x)
-                ],
-            )
-    raise ValueError(f"unknown target {target!r}")
+        g = Nucleus(q, tuple(_join(q, row) for row in p.rows))
+        return g if target == "nucleus" else convert(g, target)
+    if target == "nucleus":  # gamma(x) is the join of the class of x
+        return Nucleus(q, tuple(_join(q, m) for m in _class_masks(p)))
+    cid, join = p.reps, q.join_table  # x |- y when x v y ~ x
+    return AddConsequence(q, tuple(
+        sum(1 << y for y in range(n) if cid[join[x * n + y]] == cid[x])
+        for x in range(n)))
 
 
-def _kind(p):
-    return {Nucleus: "nucleus", AddConsequence: "consequence",
-            QuantCongruence: "congruence"}[type(p)]
+def presentation_leq(p, r):
+    """Whether p lies below r, two presentations of one kind on one space:
+    pointwise for nuclei, by inclusion for consequence relations and by
+    refinement for congruences."""
+    if isinstance(p, Nucleus):
+        up = p.space.pomonoid.poset.up_rows
+        return all(up[x] >> y & 1 for x, y in zip(p.values, r.values))
+    if isinstance(p, AddConsequence):
+        return all(a & ~b == 0 for a, b in zip(p.rows, r.rows))
+    return all(r.reps[x] == r.reps[c] for x, c in enumerate(p.reps))
 
 
-def _structural_over(p, am, scalar_set, skip_counter):
-    """Whether p is structural w.r.t. every scalar in the set; returns a
-    witness on failure. Instances are scanned scalar by scalar, then by x
-    (and y) in element order; on a fragment, a scalar instance that leaves
-    the fragment is skipped and recorded in skip_counter."""
-    if am.on_tables:
-        return _structural_on_tables(p, am, scalar_set)
-    q = p.space
-    els = q.elements
-    for a in scalar_set:
-        for x in els:
-            try:
-                if isinstance(p, Nucleus):
-                    lhs = am.star(a, p.apply(x))
-                    rhs = p.apply(am.star(a, x))
-                    if not q.leq(lhs, rhs):
-                        return False, (a, x)
-                elif isinstance(p, AddConsequence):
-                    for y in els:
-                        if p.holds(x, y) and not p.holds(am.star(a, x), am.star(a, y)):
-                            return False, (a, x, y)
-                else:
-                    for y in els:
-                        if p.related(x, y) and not p.related(am.star(a, x), am.star(a, y)):
-                            return False, (a, x, y)
-            except FragmentExceeded:
-                skip_counter.append(a)
-    return True, None
-
-
-def _structural_on_tables(p, am, scalar_set):
-    """_structural_over for a module on tables (see ActionMap.star_table):
-    a nucleus as its values' positions, a consequence relation as bit rows
-    of successors and a congruence as class ids, scanned in the same order
-    with the same witness."""
+def _star_rows(am, scalars):
+    """(a, [position of a * x for the points x in element order]) for each
+    scalar a: a row of the star table, or, for fragment scalars, a * x by
+    the action. The points form a finite quantale, so no value leaves a
+    fragment."""
     els = am.space.elements
     n = len(els)
-    poset = am.space.pomonoid.poset
-    star, s_index = am.star_table(), am.scalars.quant.pomonoid.poset.index_of
-    rows = [(a, star[s_index(a) * n:(s_index(a) + 1) * n]) for a in scalar_set]
-    if isinstance(p, Nucleus):
-        g = [poset.index[p.apply(x)] for x in els]
-        up = poset.up_rows
-        for a, ax in rows:
-            for x in range(n):
-                if not up[ax[g[x]]] >> g[ax[x]] & 1:
-                    return False, (a, els[x])
-    elif isinstance(p, AddConsequence):
-        succ = [0] * n
-        for x, y in p.pairs:
-            if x in poset.index and y in poset.index:
-                succ[poset.index[x]] |= 1 << poset.index[y]
-        for a, ax in rows:
-            for x in range(n):
-                for y in range(n):
-                    if succ[x] >> y & 1 and not succ[ax[x]] >> ax[y] & 1:
-                        return False, (a, els[x], els[y])
+    if am.on_tables:
+        star, s_index = am.star_table(), am.scalars.quant.pomonoid.poset.index_of
+        for a in scalars:
+            yield a, star[s_index(a) * n:(s_index(a) + 1) * n]
     else:
-        cid = [p.class_id(x) for x in els]
-        for a, ax in rows:
-            for x in range(n):
-                for y in range(n):
-                    if cid[x] == cid[y] and cid[ax[x]] != cid[ax[y]]:
-                        return False, (a, els[x], els[y])
+        for a in scalars:
+            yield a, [_index(am.space, am.star(a, x)) for x in els]
+
+
+def _structural_over(p, am, scalars):
+    """Whether p is structural w.r.t. every scalar in `scalars`: (True,
+    None), or (False, witness) for the first failing instance, scalar by
+    scalar, then by x (and y) in element order."""
+    els = am.space.elements
+    if isinstance(p, Nucleus):  # a * gamma(x) <= gamma(a * x)
+        g, up = p.values, am.space.pomonoid.poset.up_rows
+        for a, ax in _star_rows(am, scalars):
+            for x, gx in enumerate(g):
+                if not up[ax[gx]] >> g[ax[x]] & 1:
+                    return False, (a, els[x])
+        return True, None
+    # x R y implies a * x R a * y, R the relation or the congruence
+    rel = p.rows if isinstance(p, AddConsequence) else _class_masks(p)
+    for a, ax in _star_rows(am, scalars):
+        for x, row in enumerate(rel):
+            for y in _bits(row):
+                if not rel[ax[x]] >> ax[y] & 1:
+                    return False, (a, els[x], els[y])
     return True, None
 
 
@@ -298,11 +331,10 @@ def structural_check(p, am, scope="all"):
     structurality transfers across all conversions.
     """
     validate_presentation(p)
-    rep = Report(f"structural {_kind(p)} / {am.name or 'module'}")
+    kind = KIND_OF[type(p)]
+    rep = Report(f"structural {kind} / {am.name or 'module'}")
     aqm = am.scalars
     if scope == "generators" and aqm.is_finite:
-        from .aqm import check_aqm
-
         if aqm.distributively_generated is None:
             check_aqm(aqm)
         if not aqm.distributively_generated:
@@ -310,12 +342,10 @@ def structural_check(p, am, scope="all"):
                 "generator scope requires a distributively generated AQM",
                 witness=aqm.name,
             )
-    gens = am.iota_scalars()
-    skip = []
-    gen_ok, gen_wit = _structural_over(p, am, gens, skip)
+    gen_ok, gen_wit = _structural_over(p, am, am.iota_scalars())
     # both scopes are always computed so the report can cross-validate the
     # generators-suffice lemma
-    all_ok, all_wit = _structural_over(p, am, am.scalar_universe(), skip)
+    all_ok, all_wit = _structural_over(p, am, am.scalar_universe())
     rep.data["generators_pass"] = gen_ok
     rep.data["all_pass"] = all_ok
     rep.data["structural"] = all_ok if scope == "all" else gen_ok
@@ -324,16 +354,11 @@ def structural_check(p, am, scope="all"):
     else:
         rep.failed("generator-scope agrees with all-scope",
                    witness=(gen_wit, all_wit))
-    if skip:
-        rep.note(f"{len(skip)} scalar instances left the fragment")
-    verdict = rep.data["structural"]
-    if verdict:
+    if rep.data["structural"]:
         rep.passed("structural", f"scope={scope}")
-        for target in KINDS:
-            if target == _kind(p):
-                continue
-            image = convert(p, target)
-            t_ok, t_wit = _structural_over(image, am, am.scalar_universe(), skip)
+        for target in [t for t in KINDS if t != kind]:
+            t_ok, t_wit = _structural_over(convert(p, target), am,
+                                           am.scalar_universe())
             if t_ok:
                 rep.passed(f"transfer to {target}")
             else:
@@ -349,21 +374,13 @@ def structural_check(p, am, scope="all"):
 
 
 def enumerate_nuclei(q):
-    """All nuclei by lexicographic scan over expansive monotone tables."""
-    els = q.elements
+    """All nuclei by lexicographic scan over expansive maps."""
+    up = q.pomonoid.poset.up_rows
     out = []
-    choices = [[y for y in els if q.leq(x, y)] for x in els]
-    for values in product(*choices):
-        g = dict(zip(els, values))
-        if any(q.leq(x, y) and not q.leq(g[x], g[y])
-               for x, y in product(els, repeat=2)):
-            continue
-        if any(g[g[x]] != g[x] for x in els):
-            continue
-        if any(not q.leq(q.plus(g[x], g[y]), g[q.plus(x, y)])
-               for x, y in product(els, repeat=2)):
-            continue
-        out.append(nucleus(q, g))
+    for values in product(*[list(_bits(row)) for row in up]):
+        g = Nucleus(q, values)
+        if next(_failures(g), None) is None:
+            out.append(g)
     return out
 
 
@@ -377,19 +394,17 @@ def enumerate_consequences(q):
     NextClosure (Ganter 2010) walks the closed sets in exactly that order
     (the lectic order), with the relation held as one bitmask row of
     successors per element."""
-    els = q.elements
-    n = len(els)
-    idx = {x: i for i, x in enumerate(els)}
-    plus = [[idx[q.plus(x, y)] for y in els] for x in els]
-    members = [[y for y in range(n) if s >> y & 1] for s in range(1 << n)]
+    n = len(q.elements)
+    plus = table_rows(q.plus_table, n)
+    members = [list(_bits(s)) for s in range(1 << n)]
     # for every nonempty set of elements: its join, and its images under + z
     # on either side
-    join_of = [None] + [idx[q.join([els[y] for y in ys])] for ys in members[1:]]
+    join_of = [None] + [_join(q, s) for s in range(1, 1 << n)]
     right = [[sum({1 << plus[y][z] for y in ys}) for ys in members]
              for z in range(n)]
     left = [[sum({1 << plus[z][y] for y in ys}) for ys in members]
             for z in range(n)]
-    ge = [sum(1 << y for y in range(n) if q.leq(els[y], x)) for x in els]
+    ge = _down_rows(q)
     free = [(x, y) for x in range(n) for y in range(n) if not ge[x] >> y & 1]
     m = len(free)
 
@@ -423,8 +438,7 @@ def enumerate_consequences(q):
     rows = close(0)
     a = bits(rows)
     while True:
-        c = AddConsequence(q, frozenset((els[x], els[y]) for x in range(n)
-                                        for y in members[rows[x]]))
+        c = AddConsequence(q, tuple(rows))
         validate_presentation(c)
         out.append(c)
         # NextClosure: the next closed set in lectic order adds the lowest
@@ -455,13 +469,14 @@ def _partitions(items):
 
 def enumerate_congruences(q):
     out = []
-    for part in _partitions(q.elements):
-        c = congruence(q, part)
-        try:
-            validate_presentation(c)
-        except LawViolated:
-            continue
-        out.append(c)
+    for part in _partitions(range(len(q.elements))):
+        reps = [0] * len(q.elements)
+        for block in part:  # ascending: block[0] is its least position
+            for x in block:
+                reps[x] = block[0]
+        c = QuantCongruence(q, tuple(reps))
+        if next(_failures(c), None) is None:
+            out.append(c)
     return out
 
 
@@ -479,31 +494,26 @@ class QuotientModule:
 def quotient(ma, nuc, strict=True):
     """The quotient module on the image of a structural nucleus, with the
     inherited operations; verified against the congruence quotient."""
-    sc = structural_check(nuc, ma, scope="all")
-    if not sc.data["structural"]:
+    validate_presentation(nuc)
+    structural, witness = _structural_over(nuc, ma, ma.scalar_universe())
+    if not structural:
         raise NotStructural("nucleus is not structural for this action",
-                            witness=sc.data.get("witness"))
+                            witness=witness)
     q = ma.space
-    g = nuc.as_dict()
-    index_of = q.pomonoid.poset.index_of
-    gi = [index_of(g[x]) for x in q.elements]  # gamma over element positions
-    image = sorted(set(gi))
-    plus, n = q.plus_table, len(gi)
-    quant = q.restrict(image, lambda i, j: gi[plus[i * n + j]],
-                       gi[index_of(q.zero)],
+    g = nuc.values
+    image = sorted(set(g))
+    plus, n = q.plus_table, len(g)
+    quant = q.restrict(image, lambda i, j: g[plus[i * n + j]],
+                       g[_index(q, q.zero)],
                        name=f"{q.name}/nucleus" if q.name else "quotient")
-    carrier = list(quant.elements)
-
-    def star(a, x):
-        return g[ma.star(a, x)]
-
-    table = None
-    if ma.on_tables:
-        local = {p: k for k, p in enumerate(image)}
-        st = ma.star_table()
-        table = tuple(local[gi[st[row + x]]]
-                      for row in range(0, len(st), n) for x in image)
-    module = ActionMap(MODULE, ma.scalars, quant, star, table=table,
+    local = {x: k for k, x in enumerate(image)}
+    parent_rows = [ax for _, ax in _star_rows(ma, ma.scalar_universe())]
+    # the action on the image, a * x = gamma(a * x), row by row
+    rows = [[local[g[ax[x]]] for x in image] for ax in parent_rows]
+    module = ActionMap(MODULE, ma.scalars, quant,
+                       lambda a, x: nuc.apply(ma.star(a, x)),
+                       table=tuple(z for row in rows for z in row)
+                       if ma.on_tables else None,
                        name=f"{ma.name}/nucleus" if ma.name else "quotient-module")
     rep = Report(f"quotient of {ma.name or 'module'}")
     rep.merge(check_action(module, strict=strict))
@@ -511,28 +521,26 @@ def quotient(ma, nuc, strict=True):
     # gamma is a surjective module homomorphism onto the quotient
     from .projective import is_module_hom
 
-    if is_module_hom(g, ma, module):
+    if is_module_hom(nuc.as_dict(), ma, module):
         rep.passed("nucleus is a surjective module homomorphism")
     else:
         rep.failed("nucleus is a surjective module homomorphism")
 
-    # isomorphic to the congruence quotient
-    cong = convert(nuc, "congruence")
-    cq, cstar = congruence_quotient(ma, cong)
-    iso_ok = True
-    class_of = {x: cong.class_of(x) for x in q.elements}
-    fwd = {x: class_of[x] for x in carrier}
-    if sorted(fwd.values()) != sorted(cq.elements_raw):
-        iso_ok = False
-    for x, y in product(carrier, repeat=2):
-        if quant.leq(x, y) != cq.leq_raw(fwd[x], fwd[y]):
-            iso_ok = False
-        if fwd[quant.plus(x, y)] != cq.plus_raw(fwd[x], fwd[y]):
-            iso_ok = False
-    for a in ma.scalar_universe():
-        for x in carrier:
-            if fwd[star(a, x)] != cstar(a, fwd[x]):
-                iso_ok = False
+    # isomorphic to the quotient by the kernel congruence, on class ids (the
+    # least position in each class): the image meets every class once, and
+    # x -> its class carries order, sum and action on the image to those on
+    # the classes, computed at their least elements
+    cid = convert(nuc, "congruence").reps
+    fwd = [cid[x] for x in image]
+    m, join = len(image), q.join_table
+    q_up, q_plus = quant.pomonoid.poset.up_rows, quant.plus_table
+    iso_ok = sorted(fwd) == sorted(set(cid))
+    for i, j in product(range(m), repeat=2):
+        c, d = fwd[i], fwd[j]
+        iso_ok &= bool(q_up[i] >> j & 1) == (cid[join[c * n + d]] == d)
+        iso_ok &= fwd[q_plus[i * m + j]] == cid[plus[c * n + d]]
+    for row, ax in zip(rows, parent_rows):
+        iso_ok &= all(fwd[z] == cid[ax[c]] for z, c in zip(row, fwd))
     if iso_ok:
         rep.passed("isomorphic to the congruence quotient")
     else:
@@ -540,33 +548,3 @@ def quotient(ma, nuc, strict=True):
     if strict and not rep.ok:
         raise LawViolated("quotient", witness=rep.lines)
     return QuotientModule(ma, nuc, module, rep)
-
-
-class _ClassQuantale:
-    """Quotient-by-congruence carrier, kept raw (classes as tuples)."""
-
-    def __init__(self, q, cong):
-        self.q = q
-        self.cong = cong
-        self.elements_raw = sorted({cong.class_of(x) for x in q.elements})
-
-    def plus_raw(self, c, d):
-        return self.cong.class_of(self.q.plus(c[0], d[0]))
-
-    def join_raw(self, cs):
-        return self.cong.class_of(self.q.join([c[0] for c in cs]))
-
-    def leq_raw(self, c, d):
-        return self.cong.related(self.q.join([c[0], d[0]]), d[0])
-
-
-def congruence_quotient(ma, cong):
-    """Module structure on congruence classes (well-definedness is implied by
-    the compatibility conditions, which were validated)."""
-    validate_presentation(cong)
-    cq = _ClassQuantale(ma.space, cong)
-
-    def star(a, c):
-        return cong.class_of(ma.star(a, c[0]))
-
-    return cq, star

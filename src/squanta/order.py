@@ -70,10 +70,6 @@ class FinPoset:
         s = set(subset)
         return {x for x in s if not any(self.leq(x, y) and y != x for y in s)}
 
-    @property
-    def is_discrete(self):
-        return len(self.pairs) == len(self.elements)
-
 
 def _bits(mask):
     """The positions of the set bits of `mask`, ascending."""

@@ -11,11 +11,12 @@ from .errors import (
     NoLift,
     NoResidual,
     NotDividing,
+    NotStructural,
     TooLarge,
     UnknownElement,
 )
 from .modact import ACT, MODULE, POSET, ActionMap, check_action
-from .nucleus import nucleus, structural_check, validate_presentation
+from .nucleus import nucleus, quotient
 from .order import table_rows
 from .reporting import Report
 
@@ -167,19 +168,15 @@ def gamma_u(u, ma):
     q = aqm.quant
     table = {a: residual(ma.star(a, u), u, ma).value for a in q.elements}
     nuc = nucleus(q, table)
-    validate_presentation(nuc)
-    selfm = self_module(aqm)
-    sc = structural_check(nuc, selfm, scope="all")
-    if not sc.data["structural"]:
+    try:
+        qm = quotient(self_module(aqm), nuc)
+    except NotStructural:
         rep.failed("gamma_u structural on the scalar quantale")
         return nuc, rep
     rep.passed("gamma_u is a structural nucleus on the scalar quantale")
 
     # orbit module A*u is isomorphic to the quotient by gamma_u
     orbit_mod = submodule_on_orbit(ma, u)
-    from .nucleus import quotient
-
-    qm = quotient(selfm, nuc)
     fwd = {x: results[x].value for x in orbit_mod.space.elements}  # x -> x/u
     bwd = {a: ma.star(a, u) for a in qm.module.space.elements}     # a -> a*u
     iso_ok = all(bwd[fwd[x]] == x for x in orbit_mod.space.elements) and all(

@@ -12,6 +12,7 @@ from .nucleus import (
     enumerate_congruences,
     enumerate_consequences,
     enumerate_nuclei,
+    presentation_leq,
     quotient,
 )
 from .order import row_mismatches, table_rows
@@ -128,9 +129,6 @@ def quantale_descriptions(size):
     for n in range(1, size + 1):
         full = (1 << n) - 1
         names = [str(i) for i in range(n)]
-        triples = list(product(range(n), repeat=3))
-        # flat-table cells of (a+b)+c = a+(b+c)
-        assoc = [(a * n + b, c, a * n, b * n + c) for a, b, c in triples]
         for up in _labeled_posets(n):
             by_up = {m: i for i, m in enumerate(up)}
             join = [by_up.get(up[a] & up[b]) for a in range(n) for b in range(n)]
@@ -138,20 +136,12 @@ def quantale_descriptions(size):
                 continue
             zero = by_up[full]
             leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
-            # flat-table cells of a <= b => a+c <= b+c, and of
-            # a+(b v c) = (a+b) v (a+c)
-            monotone = [(a * n + c, b * n + c) for a, b, c in triples
-                        if leq[a][b]]
+            # flat-table cells of a+(b v c) = (a+b) v (a+c)
             dist = [(a * n + join[b * n + c], a * n + b, a * n + c)
-                    for a, b, c in triples]
+                    for a, b, c in product(range(n), repeat=3)]
             leq_pairs = [[names[i], names[j]] for i in range(n)
                          for j in range(n) if i != j and leq[i][j]]
             for t in _commutative_tables(n, leq, zero):
-                if any(t[t[ab] * n + c] != t[a + t[bc]]
-                       for ab, c, a, bc in assoc):
-                    continue
-                if any(not leq[t[i]][t[j]] for i, j in monotone):
-                    continue
                 if any(t[i] != join[t[j] * n + t[k]] for i, j, k in dist):
                     continue
                 out.append(
@@ -199,17 +189,11 @@ def suite_correspond(desc):
     inclusion on relations, refinement on partitions)."""
     q = build_quantale(desc)
     nucs, cons, congs, round_ok = correspondence(q)
-    # each nucleus converted once: its values, its consequence pairs, and
-    # its congruence classes as sets
-    values = [[g.apply(x) for x in q.elements] for g in nucs]
-    pairs = [convert(g, "consequence").pairs for g in nucs]
-    classes = [[set(c) for c in convert(g, "congruence").classes] for g in nucs]
-    monotone_ok = True
-    for i, j in product(range(len(nucs)), repeat=2):
-        pointwise = all(map(q.leq, values[i], values[j]))
-        incl = pairs[i] <= pairs[j]
-        refines = all(any(a <= b for b in classes[j]) for a in classes[i])
-        monotone_ok &= pointwise == incl == refines
+    # each nucleus with its two conversions, each converted once
+    images = [(g, convert(g, "consequence"), convert(g, "congruence"))
+              for g in nucs]
+    monotone_ok = all(len(set(map(presentation_leq, ps, rs))) == 1
+                      for ps, rs in product(images, repeat=2))
     counts = (len(nucs), len(cons), len(congs))
     return {
         "size": len(q.elements),

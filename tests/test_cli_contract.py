@@ -145,6 +145,13 @@ def test_valid_config_passes(cfg, capsys):
     {"structures": {"x": {"poset": {"elements": ["a"], "leq": [["a", "b"]]}}}},
     {"structures": {"x": {"poset": {"elements": ["a"], "leq": []},
                           "monoid": {"op": [["a", "a", "b"]], "unit": "a"}}}},
+    # presentations naming an element outside their space
+    {"structures": {"x": {"nucleus": {
+        "space": "N2", "table": {"0": "9", "1": "2", "2": "2"}}}}},
+    {"structures": {"x": {"consequence": {"space": "N2",
+                                          "pairs": [["0", "9"]]}}}},
+    {"structures": {"x": {"congruence": {"space": "N2",
+                                         "classes": [["0"], ["1", "2", "9"]]}}}},
 ])
 def test_malformed_config_is_an_input_error(cfg, capsys):
     code, captured = _run(cfg, capsys)

@@ -360,7 +360,7 @@ def test_structural_scan_matches_labels():
                                      + enumerate_congruences(sp))
         for p in presentations[id(sp)]:
             for scalars in (ma.iota_scalars(), ma.scalar_universe()):
-                got = _structural_over(p, ma, scalars, [])
+                got = _structural_over(p, ma, scalars)
                 assert got == brute_structural_over(p, ma, scalars)
                 verdicts[type(p).__name__, got[0]] += 1
     assert all(verdicts[kind, ok] for kind in ("Nucleus", "AddConsequence",

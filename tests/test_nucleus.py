@@ -10,7 +10,7 @@ from oracles import (
     set_partitions,
 )
 from squanta.aqm import exp_end
-from squanta.errors import LawViolated, NotStructural
+from squanta.errors import LawViolated, NotStructural, UnknownElement
 from squanta.modact import MODULE, ActionMap, check_action
 from squanta.nucleus import (
     congruence,
@@ -35,6 +35,28 @@ def test_validate_nucleus_examples(n2q):
         validate_presentation(nucleus(n2q, {"0": "1", "1": "1", "2": "2"}))
     assert err.value.law == "nucleus-sum"
     assert err.value.witness == ("0", "0")
+
+
+def test_malformed_presentations(n2q):
+    # a nucleus missing an element is reported once, and nothing else is
+    # scanned; a name outside the space is not an element at all
+    rep = validate_presentation(nucleus(n2q, {"0": "0", "1": "2"}), strict=False)
+    assert rep.lines == ["nucleus-total: FAIL [witness: ['2']]",
+                         "violations found"]
+    with pytest.raises(LawViolated) as err:
+        validate_presentation(nucleus(n2q, {"0": "0", "1": "2"}))
+    assert (err.value.law, err.value.witness) == ("nucleus-total", ["2"])
+    for build in (lambda: nucleus(n2q, {"0": "9", "1": "2", "2": "2"}),
+                  lambda: nucleus(n2q, {"9": "2"}),
+                  lambda: consequence(n2q, [("0", "9")]),
+                  lambda: congruence(n2q, [["0"], ["1", "2", "9"]])):
+        with pytest.raises(UnknownElement) as err:
+            build()
+        assert err.value.witness == "9"
+    with pytest.raises(LawViolated) as err:
+        congruence(n2q, [["0", "1"], ["1", "2"]])
+    assert (err.value.law, err.value.witness) == ("partition-cover",
+                                                  ["0", "1", "1", "2"])
 
 
 def test_convert_examples(n2q):
