@@ -1,6 +1,7 @@
 """The `--json` output of documented commands, byte for byte against the
 files in tests/golden/, recorded before derived structures were built from
-tables. A change that alters any of them has changed what a report says."""
+tables (extend-M2D2.json before the law scans shared one bookkeeping). A
+change that alters any of them has changed what a report says."""
 
 from pathlib import Path
 
@@ -18,6 +19,7 @@ CASES = {
     "projective-A2.json": ["projective", "A·2", "--exhaustive-lifting", "3"],
     "quotient.json": ["quotient", "A3.self", "g022"],
     "correspond-N2.json": ["correspond", "N2"],
+    "extend-M2D2.json": ["extend", "M2D2"],
 }
 
 
