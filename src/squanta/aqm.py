@@ -36,7 +36,7 @@ from .order import (
     table_rows,
     validate_structure,
 )
-from .reporting import Report
+from .reporting import LawScan
 
 __all__ = [
     "QuantaleTerm",
@@ -51,7 +51,7 @@ __all__ = [
     "DmFragment",
     "free_aqm",
     "naive_elementwise_product",
-    "dg_closure",
+    "term_closure",
 ]
 
 
@@ -281,41 +281,38 @@ def table_aqm(quant, mult, one, name=""):
                name)
 
 
-def dg_closure(a):
-    """Closure of the iota-image under 0, +, and finite joins, with a term
-    witness for every element reached. Finite quantale sort only."""
-    q = a.quant
+def term_closure(q, seed):
+    """The closure of the elements of `seed`, (element, term) pairs, under
+    0, + and binary joins in q, round by round: a dict from each element
+    reached to the first term that reaches it. A pair whose sum leaves a
+    fragment is skipped."""
     witness = {q.zero: "0"}
-    for d in sorted(a.dist.elements):
-        witness.setdefault(a.iota(d), f"i({d})")
+    for x, how in seed:
+        witness.setdefault(x, how)
     frontier = True
     while frontier:
         frontier = False
-        current = sorted(witness)
-        for x, y in product(current, repeat=2):
-            for z, how in (
-                (q.plus(x, y), f"({witness[x]}+{witness[y]})"),
-                (q.join([x, y]), f"({witness[x]}v{witness[y]})"),
-            ):
+        for x, y in product(sorted(witness, key=q.sort_key), repeat=2):
+            try:
+                new = ((q.plus(x, y), f"({witness[x]}+{witness[y]})"),
+                       (q.join([x, y]), f"({witness[x]}v{witness[y]})"))
+            except FragmentExceeded:
+                continue
+            for z, how in new:
                 if z not in witness:
                     witness[z] = how
                     frontier = True
-    return set(witness), witness
+    return witness
 
 
-def check_aqm(a, strict=True, bounds=None):
+def check_aqm(a, strict=True):
     """Exhaustively verify the AQM laws; on a fragment sort, scan the bounded
     fragment instead and count instances that leave it.
 
     With strict=True the first violated law raises LawViolated; otherwise all
     violations are collected into the returned report.
     """
-    rep = Report(f"aqm {a.name or ''}".strip())
-
-    def fail(law, witness):
-        if strict:
-            raise LawViolated(law, witness=witness)
-        rep.failed(law, witness)
+    rep = LawScan(f"aqm {a.name or ''}".strip(), strict=strict)
 
     if a.is_finite:
         q = a.quant
@@ -328,44 +325,42 @@ def check_aqm(a, strict=True, bounds=None):
         iota = {d: poset.index_of(a.iota(d)) for d in a.dist.elements}
         for x in range(n):
             if mr[one][x] != x or mr[x][one] != x:
-                fail("unit", (a.one, els[x]))
+                rep.fail("unit", (a.one, els[x]))
         for x, y in product(range(n), repeat=2):
             mx = mr[x]
-            for z, law in row_mismatches(
-                    [("assoc", mr[mx[y]], [mx[v] for v in mr[y]])]):
-                fail(law, (els[x], els[y], els[z]))
+            rep.rows([("assoc", mr[mx[y]], [mx[v] for v in mr[y]])],
+                     lambda z: (els[x], els[y], els[z]))
         for x, y in product(range(n), repeat=2):
             both = list(zip(mr[x], mr[y]))
-            for z, law in row_mismatches([
+            rep.rows([
                 ("right-join-dist", mr[jr[x][y]], [jr[u][v] for u, v in both]),
                 ("right-plus-dist", mr[pr[x][y]], [pr[u][v] for u, v in both]),
-            ]):
-                fail(law, (els[x], els[y], els[z]))
+            ], lambda z: (els[x], els[y], els[z]))
         for x in range(n):
             if mr[zero][x] != zero:
-                fail("zero-annihilates", els[x])
+                rep.fail("zero-annihilates", els[x])
         for d, i in iota.items():
             mi = mr[i]
             for x in range(n):
                 jx, px = jr[mi[x]], pr[mi[x]]
-                for y, law in row_mismatches([
+                rep.rows([
                     ("left-join-dist-iota",
                      [mi[v] for v in jr[x]], [jx[v] for v in mi]),
                     ("left-plus-dist-iota",
                      [mi[v] for v in pr[x]], [px[v] for v in mi]),
-                ]):
-                    fail(law, (d, els[x], els[y]))
+                ], lambda y: (d, els[x], els[y]))
             if mi[zero] != zero:
-                fail("left-zero-iota", d)
+                rep.fail("left-zero-iota", d)
         for d, e in product(a.dist.elements, repeat=2):
             if iota[a.dist.apply(d, e)] != mr[iota[d]][iota[e]]:
-                fail("iota-hom", (d, e))
+                rep.fail("iota-hom", (d, e))
             if a.dist.leq(d, e) and not poset.up_rows[iota[d]] >> iota[e] & 1:
-                fail("iota-monotone", (d, e))
+                rep.fail("iota-monotone", (d, e))
         if a.iota(a.dist.unit) != a.one:
-            fail("iota-unit", a.dist.unit)
-        closure, witness = dg_closure(a)
-        a.distributively_generated = closure == set(els)
+            rep.fail("iota-unit", a.dist.unit)
+        witness = term_closure(q, ((a.iota(d), f"i({d})")
+                                   for d in sorted(a.dist.elements)))
+        a.distributively_generated = set(witness) == set(els)
         a.dg_witness = witness
         rep.note(f"laws scanned over {len(els)} elements: all hold"
                  if rep.ok else "violations found")
@@ -376,53 +371,39 @@ def check_aqm(a, strict=True, bounds=None):
 
     # fragment sort: bounded scan
     frag = a.quant
-    b = bounds or frag.scan_bounds()
+    b = frag.scan_bounds()
     els = frag.enumerate(b)
-    skipped = 0
-    checked = 0
-
-    def guarded(law, wit, thunk):
-        nonlocal skipped, checked
-        try:
-            lhs, rhs = thunk()
-        except FragmentExceeded:
-            skipped += 1
-            return
-        checked += 1
-        if lhs != rhs:
-            fail(law, wit)
-
+    check, mult = rep.check, a.mult
     for x in els:
-        guarded("unit", x, lambda x=x: (a.mult(a.one, x), x))
-        guarded("unit", x, lambda x=x: (a.mult(x, a.one), x))
-        guarded("zero-annihilates", x, lambda x=x: (a.mult(frag.zero, x), frag.zero))
+        check("unit", x, lambda: (mult(a.one, x), x))
+        check("unit", x, lambda: (mult(x, a.one), x))
+        check("zero-annihilates", x, lambda: (mult(frag.zero, x), frag.zero))
     for x, y, z in product(els, repeat=3):
-        guarded("assoc", (x, y, z),
-                lambda x=x, y=y, z=z: (a.mult(a.mult(x, y), z), a.mult(x, a.mult(y, z))))
-        guarded("right-join-dist", (x, y, z),
-                lambda x=x, y=y, z=z: (a.mult(frag.join([x, y]), z),
-                                       frag.join([a.mult(x, z), a.mult(y, z)])))
-        guarded("right-plus-dist", (x, y, z),
-                lambda x=x, y=y, z=z: (a.mult(frag.plus(x, y), z),
-                                       frag.plus(a.mult(x, z), a.mult(y, z))))
+        check("assoc", (x, y, z),
+              lambda: (mult(mult(x, y), z), mult(x, mult(y, z))))
+        check("right-join-dist", (x, y, z),
+              lambda: (mult(frag.join([x, y]), z),
+                       frag.join([mult(x, z), mult(y, z)])))
+        check("right-plus-dist", (x, y, z),
+              lambda: (mult(frag.plus(x, y), z),
+                       frag.plus(mult(x, z), mult(y, z))))
     for d in a.dist.elements:
         i = a.iota(d)
         for x, y in product(els, repeat=2):
-            guarded("left-join-dist-iota", (d, x, y),
-                    lambda i=i, x=x, y=y: (a.mult(i, frag.join([x, y])),
-                                           frag.join([a.mult(i, x), a.mult(i, y)])))
-            guarded("left-plus-dist-iota", (d, x, y),
-                    lambda i=i, x=x, y=y: (a.mult(i, frag.plus(x, y)),
-                                           frag.plus(a.mult(i, x), a.mult(i, y))))
-        guarded("left-zero-iota", d, lambda i=i: (a.mult(i, frag.zero), frag.zero))
+            check("left-join-dist-iota", (d, x, y),
+                  lambda: (mult(i, frag.join([x, y])),
+                           frag.join([mult(i, x), mult(i, y)])))
+            check("left-plus-dist-iota", (d, x, y),
+                  lambda: (mult(i, frag.plus(x, y)),
+                           frag.plus(mult(i, x), mult(i, y))))
+        check("left-zero-iota", d, lambda: (mult(i, frag.zero), frag.zero))
     for d, e in product(a.dist.elements, repeat=2):
-        guarded("iota-hom", (d, e),
-                lambda d=d, e=e: (a.iota(a.dist.apply(d, e)),
-                                  a.mult(a.iota(d), a.iota(e))))
+        check("iota-hom", (d, e),
+              lambda: (a.iota(a.dist.apply(d, e)), mult(a.iota(d), a.iota(e))))
     a.distributively_generated = True  # by construction of the free product
     rep.note(f"fragment scan (multiplicity<={b[0]}, antichain<={b[1]}): "
-             f"{checked} instances checked, {skipped} left the fragment")
-    rep.data.update(checked=checked, skipped=skipped)
+             f"{rep.checked} instances checked, {rep.skipped} left the fragment")
+    rep.data.update(checked=rep.checked, skipped=rep.skipped)
     return rep
 
 

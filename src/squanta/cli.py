@@ -522,8 +522,9 @@ def cmd_search(ws, args):
     suite = args.suite
     rep = Report(f"search size<={args.size} suite={suite}")
     jobs = [(suite, d) for d in descs]
-    if args.workers > 1:
-        with get_context("fork").Pool(args.workers) as pool:
+    workers = ws.config["workers"]
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
             results = pool.map(_search_worker, jobs, chunksize=8)
     else:
         results = [_search_worker(j) for j in jobs]
@@ -619,20 +620,6 @@ def build_parser():
     return p
 
 
-def run(ws, args):
-    """Dispatch a parsed command against a workspace; returns (report, code)."""
-    try:
-        rep = args.run(ws, args)
-    except (ParseError, DanglingReference, DuplicateName):
-        raise
-    except SquantaError as exc:
-        rep = Report(args.command)
-        rep.failed(type(exc).__name__, witness=exc.witness)
-        rep.note(str(exc))
-        return rep, EXIT_VIOLATION
-    return rep, (EXIT_OK if rep.ok else EXIT_VIOLATION)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -657,7 +644,8 @@ def main(argv=None):
         if getattr(args, "size", 0) > 4:
             print(f"note: search size {args.size} exceeds the default guard; "
                   f"runtime expectations relaxed", file=sys.stderr)
-        rep, code = run(ws, args)
+        rep = args.run(ws, args)
+        code = EXIT_OK if rep.ok else EXIT_VIOLATION
     except (ParseError, DanglingReference, DuplicateName) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,10 +9,10 @@ from itertools import product
 
 from .aqm import DmFragment, FinGenQuantale, free_aqm
 from .downset import MultiBase, normalize
-from .errors import FragmentExceeded, LawViolated, UnitNotEmbedding
+from .errors import FragmentExceeded, UnitNotEmbedding
 from .multiupset import Multiupset, generator_embed, mleq
-from .order import FinPoset, row_mismatches, table_rows
-from .reporting import Report
+from .order import FinPoset, table_rows
+from .reporting import LawScan
 
 __all__ = [
     "ActionMap",
@@ -88,111 +88,82 @@ class ActionMap:
 def check_action(am, strict=True):
     """Verify the law set appropriate to the action's level, exhaustively on
     finite carriers and over the bounded fragment otherwise."""
-    rep = Report(f"action {am.name or am.level}".strip())
-    skipped = 0
-    checked = 0
-
-    def fail(law, witness):
-        if strict:
-            raise LawViolated(law, witness=witness)
-        rep.failed(law, witness)
-
-    def eq(law, wit, thunk):
-        nonlocal skipped, checked
-        try:
-            lhs, rhs = thunk()
-        except FragmentExceeded:
-            skipped += 1
-            return
-        checked += 1
-        if lhs != rhs:
-            fail(law, wit)
-
-    def le(law, wit, thunk):
-        nonlocal skipped, checked
-        try:
-            lhs, rhs = thunk()
-        except FragmentExceeded:
-            skipped += 1
-            return
-        checked += 1
-        if not am.space.leq(lhs, rhs):
-            fail(law, wit)
-
+    rep = LawScan(f"action {am.name or am.level}".strip(), strict=strict)
+    check, leq = rep.check, am.space.leq
     scalars = am.scalar_universe()
     points = am.space_universe()
     star = am.star
 
     if am.on_tables:
-        checked = _scan_module_table(am, fail)
+        _scan_module_table(am, rep)
     elif am.level == POSET:
         mon = am.scalars
         for x in points:
-            eq("unit", x, lambda x=x: (star(mon.unit, x), x))
+            check("unit", x, lambda: (star(mon.unit, x), x))
         for a, b in product(mon.elements, repeat=2):
             for x in points:
-                eq("compose", (a, b, x),
-                   lambda a=a, b=b, x=x: (star(mon.apply(a, b), x), star(a, star(b, x))))
+                check("compose", (a, b, x),
+                      lambda: (star(mon.apply(a, b), x), star(a, star(b, x))))
         for a, b in product(mon.elements, repeat=2):
             if mon.leq(a, b):
                 for x in points:
-                    le("scalar-monotone", (a, b, x),
-                       lambda a=a, b=b, x=x: (star(a, x), star(b, x)))
+                    check("scalar-monotone", (a, b, x),
+                          lambda: (star(a, x), star(b, x)), leq)
         for x, y in product(points, repeat=2):
-            if am.space.leq(x, y):
+            if leq(x, y):
                 for a in mon.elements:
-                    le("point-monotone", (a, x, y),
-                       lambda a=a, x=x, y=y: (star(a, x), star(a, y)))
+                    check("point-monotone", (a, x, y),
+                          lambda: (star(a, x), star(a, y)), leq)
     elif am.level == ACT:
         mon = am.scalars
         sp = am.space
         for x in points:
-            eq("unit", x, lambda x=x: (star(mon.unit, x), x))
+            check("unit", x, lambda: (star(mon.unit, x), x))
             for a in mon.elements:
-                eq("zero", (a, x), lambda a=a: (star(a, sp.zero), sp.zero))
+                check("zero", (a, x), lambda: (star(a, sp.zero), sp.zero))
         for a, b in product(mon.elements, repeat=2):
             for x in points:
-                eq("compose", (a, b, x),
-                   lambda a=a, b=b, x=x: (star(mon.apply(a, b), x), star(a, star(b, x))))
+                check("compose", (a, b, x),
+                      lambda: (star(mon.apply(a, b), x), star(a, star(b, x))))
         for a in mon.elements:
             for x, y in product(points, repeat=2):
-                eq("join-dist", (a, x, y),
-                   lambda a=a, x=x, y=y: (star(a, sp.join([x, y])),
-                                          sp.join([star(a, x), star(a, y)])))
-                eq("plus-dist", (a, x, y),
-                   lambda a=a, x=x, y=y: (star(a, sp.plus(x, y)),
-                                          sp.plus(star(a, x), star(a, y))))
+                check("join-dist", (a, x, y),
+                      lambda: (star(a, sp.join([x, y])),
+                               sp.join([star(a, x), star(a, y)])))
+                check("plus-dist", (a, x, y),
+                      lambda: (star(a, sp.plus(x, y)),
+                               sp.plus(star(a, x), star(a, y))))
         for a, b in product(mon.elements, repeat=2):
             if mon.leq(a, b):
                 for x in points:
-                    le("scalar-monotone", (a, b, x),
-                       lambda a=a, b=b, x=x: (star(a, x), star(b, x)))
+                    check("scalar-monotone", (a, b, x),
+                          lambda: (star(a, x), star(b, x)), leq)
     elif am.level == MODULE:  # fragment scalars or space
         a_ = am.scalars
         sp = am.space
         q = a_.quant
         for x in points:
-            eq("unit", x, lambda x=x: (star(a_.one, x), x))
-            eq("zero-scalar", x, lambda x=x: (star(q.zero, x), sp.zero))
+            check("unit", x, lambda: (star(a_.one, x), x))
+            check("zero-scalar", x, lambda: (star(q.zero, x), sp.zero))
         for s, t in product(scalars, repeat=2):
             for x in points:
-                eq("compose", (s, t, x),
-                   lambda s=s, t=t, x=x: (star(a_.mult(s, t), x), star(s, star(t, x))))
-                eq("scalar-plus", (s, t, x),
-                   lambda s=s, t=t, x=x: (star(q.plus(s, t), x),
-                                          sp.plus(star(s, x), star(t, x))))
-                eq("scalar-join", (s, t, x),
-                   lambda s=s, t=t, x=x: (star(q.join([s, t]), x),
-                                          sp.join([star(s, x), star(t, x)])))
+                check("compose", (s, t, x),
+                      lambda: (star(a_.mult(s, t), x), star(s, star(t, x))))
+                check("scalar-plus", (s, t, x),
+                      lambda: (star(q.plus(s, t), x),
+                               sp.plus(star(s, x), star(t, x))))
+                check("scalar-join", (s, t, x),
+                      lambda: (star(q.join([s, t]), x),
+                               sp.join([star(s, x), star(t, x)])))
         for i in am.iota_scalars():
             for x, y in product(points, repeat=2):
-                eq("iota-join-dist", (i, x, y),
-                   lambda i=i, x=x, y=y: (star(i, sp.join([x, y])),
-                                          sp.join([star(i, x), star(i, y)])))
-                eq("iota-plus-dist", (i, x, y),
-                   lambda i=i, x=x, y=y: (star(i, sp.plus(x, y)),
-                                          sp.plus(star(i, x), star(i, y))))
-            eq("iota-zero", i, lambda i=i: (star(i, sp.zero), sp.zero))
+                check("iota-join-dist", (i, x, y),
+                      lambda: (star(i, sp.join([x, y])),
+                               sp.join([star(i, x), star(i, y)])))
+                check("iota-plus-dist", (i, x, y),
+                      lambda: (star(i, sp.plus(x, y)),
+                               sp.plus(star(i, x), star(i, y))))
+            check("iota-zero", i, lambda: (star(i, sp.zero), sp.zero))
     else:
         raise ValueError(f"unknown action level {am.level!r}")
 
@@ -200,18 +171,18 @@ def check_action(am, strict=True):
     if isinstance(am.space, DmFragment):
         k, width = am.scan_bounds or am.space.scan_bounds()
         scope += f"; fragment scope: multiplicity<={k}, antichain<={width}"
-    if skipped:
-        scope += f", {skipped} instances left the fragment"
-    rep.note(f"scanned {checked} instances ({scope}): "
+    if rep.skipped:
+        scope += f", {rep.skipped} instances left the fragment"
+    rep.note(f"scanned {rep.checked} instances ({scope}): "
              + ("all laws hold" if rep.ok else "violations found"))
-    rep.data.update(checked=checked, skipped=skipped)
+    rep.data.update(checked=rep.checked, skipped=rep.skipped)
     return rep
 
 
-def _scan_module_table(am, fail):
+def _scan_module_table(am, rep):
     """The module laws of an action on tables (see ActionMap.star_table),
-    each instance in the order, and with the witness, of a scan over the
-    labels; returns the number of instances checked.
+    into the report `rep` of check_action: each instance in the order, and
+    with the witness, of a scan over the labels, and counted as checked.
 
     Each law is checked at once over all its instances, as two flat lists
     in scan order (row_mismatches), so only a failing law is walked."""
@@ -223,36 +194,33 @@ def _scan_module_table(am, fail):
     pplus, pjoin = sp.plus_table, sp.join_table
     s_index, p_index = q.pomonoid.poset.index_of, sp.pomonoid.poset.index_of
     zero = p_index(sp.zero)
-    for x, law in row_mismatches([
+    rep.rows([
         ("unit", st[s_index(a_.one)], list(range(n))),
         ("zero-scalar", st[s_index(q.zero)], [zero] * n),
-    ]):
-        fail(law, pels[x])
+    ], pels.__getitem__)
     # instance (s, t, x) at position (s * m + t) * n + x
     pairs = [list(zip(ss, tt)) for ss in st for tt in st]
-    for j, law in row_mismatches([
+    rep.rows([
         ("compose", [z for k in a_.mult_table() for z in st[k]],
          [ss[v] for ss in st for tt in st for v in tt]),
         ("scalar-plus", [z for k in q.plus_table for z in st[k]],
          [pplus[u * n + v] for row in pairs for u, v in row]),
         ("scalar-join", [z for k in q.join_table for z in st[k]],
          [pjoin[u * n + v] for row in pairs for u, v in row]),
-    ]):
-        fail(law, (sels[j // (m * n)], sels[j // n % m], pels[j % n]))
+    ], lambda j: (sels[j // (m * n)], sels[j // n % m], pels[j % n]))
     iotas = am.iota_scalars()
     for i in iotas:
         # instance (i, x, y) at position x * n + y
         si = st[s_index(i)]
-        for j, law in row_mismatches([
+        rep.rows([
             ("iota-join-dist", [si[v] for v in pjoin],
              [pjoin[u * n + v] for u in si for v in si]),
             ("iota-plus-dist", [si[v] for v in pplus],
              [pplus[u * n + v] for u in si for v in si]),
-        ]):
-            fail(law, (i, pels[j // n], pels[j % n]))
+        ], lambda j: (i, pels[j // n], pels[j % n]))
         if si[zero] != zero:
-            fail("iota-zero", i)
-    return 2 * n + 3 * m * m * n + len(iotas) * (2 * n * n + 1)
+            rep.fail("iota-zero", i)
+    rep.checked += 2 * n + 3 * m * m * n + len(iotas) * (2 * n * n + 1)
 
 
 def extend_poset_action_to_dm(pa, k=4, antichain_bound=3):

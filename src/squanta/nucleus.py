@@ -14,10 +14,11 @@ from .errors import (
     LawViolated,
     NotDistributivelyGenerated,
     NotStructural,
+    TooLarge,
 )
 from .modact import MODULE, ActionMap, check_action
 from .order import _bits, table_rows
-from .reporting import Report
+from .reporting import LawScan, Report
 
 __all__ = [
     "Nucleus",
@@ -234,11 +235,9 @@ def _failures(p):
 
 def validate_presentation(p, strict=True):
     """Scan every defining invariant of the presentation; witness on failure."""
-    rep = Report(f"presentation {type(p).__name__}")
+    rep = LawScan(f"presentation {type(p).__name__}", strict=strict)
     for law, witness in _failures(p):
-        if strict:
-            raise LawViolated(law, witness=witness)
-        rep.failed(law, witness)
+        rep.fail(law, witness)
     rep.note("all invariants hold" if rep.ok else "violations found")
     return rep
 
@@ -493,7 +492,11 @@ class QuotientModule:
 
 def quotient(ma, nuc, strict=True):
     """The quotient module on the image of a structural nucleus, with the
-    inherited operations; verified against the congruence quotient."""
+    inherited operations; verified against the congruence quotient. Needs
+    finite scalars (ActionMap.on_tables), as module homomorphisms do."""
+    if not ma.on_tables:
+        raise TooLarge("quotients need finite scalars on a finite quantale",
+                       witness=ma.name)
     validate_presentation(nuc)
     structural, witness = _structural_over(nuc, ma, ma.scalar_universe())
     if not structural:
@@ -512,8 +515,7 @@ def quotient(ma, nuc, strict=True):
     rows = [[local[g[ax[x]]] for x in image] for ax in parent_rows]
     module = ActionMap(MODULE, ma.scalars, quant,
                        lambda a, x: nuc.apply(ma.star(a, x)),
-                       table=tuple(z for row in rows for z in row)
-                       if ma.on_tables else None,
+                       table=tuple(z for row in rows for z in row),
                        name=f"{ma.name}/nucleus" if ma.name else "quotient-module")
     rep = Report(f"quotient of {ma.name or 'module'}")
     rep.merge(check_action(module, strict=strict))

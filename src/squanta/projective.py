@@ -6,6 +6,7 @@ lifting checks."""
 from dataclasses import dataclass
 from itertools import permutations, product
 
+from .aqm import term_closure
 from .errors import (
     FragmentExceeded,
     NoLift,
@@ -193,28 +194,6 @@ def gamma_u(u, ma):
     return nuc, rep
 
 
-def _element_key(x):
-    return x.sort_key() if hasattr(x, "sort_key") else x
-
-
-def _quantale_closure(sp, seed):
-    closed = set(seed)
-    closed.add(sp.zero)
-    frontier = True
-    while frontier:
-        frontier = False
-        for x, y in product(sorted(closed, key=_element_key), repeat=2):
-            try:
-                new = (sp.plus(x, y), sp.join([x, y]))
-            except FragmentExceeded:
-                continue
-            for z in new:
-                if z not in closed:
-                    closed.add(z)
-                    frontier = True
-    return closed
-
-
 def cyclic_check(am, u):
     """Is the action generated by the scalar orbit of u, at its level?
 
@@ -227,8 +206,8 @@ def cyclic_check(am, u):
         missing = [x for x in am.space.elements if x not in orbit]
         return (not missing, missing[0] if missing else None)
     if am.level == ACT:
-        orbit = {am.star(a, u) for a in am.scalars.elements}
-        closed = _quantale_closure(am.space, orbit)
+        closed = term_closure(am.space, ((am.star(a, u), f"{a}*u")
+                                         for a in am.scalars.elements))
         missing = [x for x in am.space_universe() if x not in closed]
         return (not missing, missing[0] if missing else None)
     if am.level == MODULE:

@@ -1,6 +1,10 @@
 """Plain-text check reports: one line per verified item, deterministic order."""
 
+import operator
 from dataclasses import dataclass, field
+
+from .errors import FragmentExceeded, LawViolated
+from .order import row_mismatches
 
 
 @dataclass
@@ -38,3 +42,37 @@ class Report:
             "lines": list(self.lines),
             "data": self.data,
         }
+
+
+@dataclass
+class LawScan(Report):
+    """The report of one law scan. A failing instance raises LawViolated
+    when strict and adds a FAIL line otherwise; `checked` and `skipped`
+    count the instances checked and those that left a fragment."""
+
+    strict: bool = True
+    checked: int = 0
+    skipped: int = 0
+
+    def fail(self, law, witness):
+        if self.strict:
+            raise LawViolated(law, witness=witness)
+        self.failed(law, witness)
+
+    def rows(self, checks, witness_of):
+        """Fail every mismatch (j, law) that order.row_mismatches finds in
+        `checks`, with the witness witness_of(j)."""
+        for j, law in row_mismatches(checks):
+            self.fail(law, witness_of(j))
+
+    def check(self, law, witness, thunk, holds=operator.eq):
+        """One instance: fail unless holds(*thunk()); a thunk that leaves
+        the fragment counts as skipped, any other as checked."""
+        try:
+            lhs, rhs = thunk()
+        except FragmentExceeded:
+            self.skipped += 1
+            return
+        self.checked += 1
+        if not holds(lhs, rhs):
+            self.fail(law, witness)

@@ -4,7 +4,6 @@ import pytest
 
 from squanta.aqm import (
     check_aqm,
-    dg_closure,
     eval_term,
     exp_end,
     free_aqm,
@@ -12,6 +11,7 @@ from squanta.aqm import (
     naive_elementwise_product,
     table_aqm,
     term,
+    term_closure,
 )
 from squanta.downset import djoin, unit_embed
 from squanta.errors import FragmentExceeded, LawViolated, TooLarge, UnboundVariable
@@ -91,7 +91,8 @@ def test_dg_closure_lemma(a3, n2q):
     # the closure of the iota-image under {0, +, finite joins} is closed
     # under products and contains the multiplicative unit
     for a in (a3, exp_end(n2q)):
-        closure, _ = dg_closure(a)
+        closure = term_closure(a.quant, ((a.iota(d), f"i({d})")
+                                         for d in a.dist.elements))
         assert a.one in closure
         for x in closure:
             for y in closure:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from squanta import cli
 from squanta.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, load, main
 from squanta.errors import DanglingReference, DuplicateName, ParseError
 
@@ -230,3 +231,17 @@ def test_workers_output_identical(capsys):
     main(["search", "--size", "3", "--suite", "correspond", "--workers", "2"])
     two = capsys.readouterr().out
     assert one == two
+
+
+def test_config_workers_open_a_pool(tmp_path, capsys, monkeypatch):
+    main(["search", "--size", "3", "--suite", "correspond"])
+    one = capsys.readouterr().out
+    path = write_config(tmp_path, {"config": {"workers": 2}, "structures": {}})
+    methods = []
+    real = cli.get_context
+    monkeypatch.setattr(cli, "get_context",
+                        lambda method: methods.append(method) or real(method))
+    assert main(["search", "--size", "3", "--suite", "correspond",
+                 "--config", path]) == EXIT_OK
+    assert methods == ["fork"]
+    assert capsys.readouterr().out == one

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -10,9 +11,10 @@ from oracles import (
     set_partitions,
 )
 from squanta.aqm import exp_end
-from squanta.errors import LawViolated, NotStructural, UnknownElement
-from squanta.modact import MODULE, ActionMap, check_action
+from squanta.errors import LawViolated, NotStructural, TooLarge, UnknownElement
+from squanta.modact import ACT, MODULE, ActionMap, check_action, extend_act_to_module
 from squanta.nucleus import (
+    QuantCongruence,
     congruence,
     consequence,
     convert,
@@ -213,6 +215,36 @@ def test_every_structural_nucleus_gives_lawful_quotient(n2q, a3_self, a3_sub2):
             qm = quotient(ma, g)
             assert qm.report.ok  # full module law scan + congruence iso
             assert check_action(qm.module).ok
+
+
+def test_quotient_needs_finite_scalars(m2, n2q):
+    # the free module over the act of M2 on N2 in which c acts as 0, 2, 2
+    # has fragment scalars: it is refused before the nucleus is looked at,
+    # so an invalid nucleus gets the same answer as the three valid ones
+    cx = {"0": "0", "1": "2", "2": "2"}
+    ma = extend_act_to_module(
+        ActionMap(ACT, m2, n2q, lambda a, x: cx[x] if a == "c" else x))
+    nuclei = enumerate_nuclei(n2q)
+    assert len(nuclei) == 3
+    for g in nuclei + [nucleus(n2q, {"0": "1", "1": "1", "2": "2"})]:
+        with pytest.raises(TooLarge):
+            quotient(ma, g)
+
+
+def test_quotient_fails_against_another_congruence(n2q, a3_self, monkeypatch):
+    # with the identity congruence in place of the kernel of gamma the
+    # classes no longer meet the image once each
+    g022 = nucleus(n2q, {"0": "0", "1": "2", "2": "2"})
+    # the module, not squanta.nucleus, which names the constructor
+    module = sys.modules[quotient.__module__]
+    monkeypatch.setattr(module, "convert", lambda p, target:
+                        QuantCongruence(p.space, tuple(range(len(p.values)))))
+    rep = quotient(a3_self, g022, strict=False).report
+    assert "isomorphic to the congruence quotient: FAIL" in rep.lines
+    assert not rep.ok
+    with pytest.raises(LawViolated) as err:
+        quotient(a3_self, g022)
+    assert err.value.law == "quotient"
 
 
 def test_quotient_isomorphic_to_congruence_quotient(n2q, a3_self):
