@@ -94,7 +94,8 @@ class FinGenQuantale:
         self.pomonoid = pomonoid
         self.name = name
         poset = pomonoid.poset
-        els, up = poset.elements, poset.up_rows
+        self.elements = els = poset.elements
+        up = poset.up_rows
         n = len(els)
         # the join of x and y is the element whose up-set is up[x] & up[y]
         by_up = {row: i for i, row in enumerate(up)}
@@ -119,15 +120,9 @@ class FinGenQuantale:
                 raise LawViolated(law, witness=(els[x], els[y], els[z]))
         self.plus_table = plus
         self.join_table = tuple(join)
-        self._join2 = {(x, y): els[join[i * n + j]]
-                       for i, x in enumerate(els) for j, y in enumerate(els)}
         bottom = by_up.get((1 << n) - 1)
         self.bottom = None if bottom is None else els[bottom]
         self.complete = self.bottom is not None
-
-    @property
-    def elements(self):
-        return self.pomonoid.elements
 
     @property
     def zero(self):
@@ -143,15 +138,20 @@ class FinGenQuantale:
         return self.pomonoid.fold(xs)
 
     def join(self, xs):
-        xs = list(xs)
-        if not xs:
-            if self.complete:
-                return self.bottom
+        return self.elements[self.join_of(map(self.pomonoid.poset.index_of, xs))]
+
+    def join_of(self, positions):
+        """The position of the join of the elements at `positions`, folded
+        through join_table; the bottom's for none, which raises
+        LawViolated("empty-join") when there is no bottom."""
+        join, n, z = self.join_table, len(self.elements), None
+        for y in positions:
+            z = y if z is None else join[z * n + y]
+        if z is not None:
+            return z
+        if not self.complete:
             raise LawViolated("empty-join", witness=())
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = self._join2[(acc, x)]
-        return acc
+        return self.pomonoid.poset.index[self.bottom]
 
     def restrict(self, positions, plus_of, zero, name=""):
         """The quantale on the elements at the ascending `positions`, ordered
@@ -202,7 +202,8 @@ class AQM:
     and `one` the monoid structure on the quantale sort, and `iota` the
     linking map. The product is a function, a dict {(x, y): x * y}, or,
     on a finite quantale sort, a flat tuple over element positions (see
-    Pomonoid.flat); the linking map is a function or a dict.
+    Pomonoid.flat); on a finite sort it is compiled to that tuple when the
+    AQM is built. The linking map is a function or a dict.
 
     Structures derived from the AQM alone (its self-module and what is
     computed from that) are kept in `derived` (see `derive`).
@@ -211,18 +212,18 @@ class AQM:
     def __init__(self, dist, quant, mult, one, iota, name=""):
         self.dist = dist
         self.quant = quant
-        self._mult = mult
         self.one = one
-        self._iota = iota
         self.name = name
         self.distributively_generated = None
         self.dg_witness = None
-        self._mult_table = None
-        if isinstance(mult, tuple):
-            self._mult_table = mult
-            els, index = quant.elements, quant.pomonoid.poset.index
-            n = len(els)
-            self.mult = lambda x, y: els[mult[index[x] * n + index[y]]]
+        if isinstance(quant, FinGenQuantale):
+            # compiled once: every product on a finite sort reads this table
+            els, index_of = quant.elements, quant.pomonoid.poset.index_of
+            if not isinstance(mult, tuple):
+                mult = tuple(index_of(mult(x, y) if callable(mult) else mult[x, y])
+                             for x in els for y in els)
+            self._mult_table, n = mult, len(els)
+            self.mult = lambda x, y: els[mult[index_of(x) * n + index_of(y)]]
         else:
             self.mult = mult if callable(mult) else lambda x, y: mult[(x, y)]
         self.iota = iota if callable(iota) else iota.__getitem__
@@ -237,11 +238,7 @@ class AQM:
 
     def mult_table(self):
         """The product as a flat table over element positions (see
-        Pomonoid.flat); finite quantale sort only. Built on the first call."""
-        if self._mult_table is None:
-            els, poset = self.quant.elements, self.quant.pomonoid.poset
-            self._mult_table = tuple(poset.index_of(self.mult(x, y))
-                                     for x in els for y in els)
+        Pomonoid.flat); finite quantale sort only."""
         return self._mult_table
 
     @property

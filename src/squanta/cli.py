@@ -52,6 +52,7 @@ from .reporting import Report
 from .search import SUITES, correspondence, quantale_descriptions
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INPUT = 0, 1, 2
+DEFAULT_CONFIG = {"fragment": 4, "antichain": 3, "workers": 1}
 
 
 def _builtin_prelude():
@@ -194,7 +195,7 @@ class Workspace:
         self.defs = {}
         self.cache = {}
         self.builtins = _builtin_prelude()
-        self.config = {"fragment": 4, "antichain": 3, "workers": 1}
+        self.config = dict(DEFAULT_CONFIG)
         if config:
             self.config.update(config)
         self._resolving = []
@@ -360,14 +361,6 @@ class Workspace:
             obj = make_quantale(obj, name=value if isinstance(value, str) else "")
         return obj
 
-    def quantale(self, name):
-        obj = self.get(name)
-        if isinstance(obj, Pomonoid):
-            return make_quantale(obj, name=name)
-        if hasattr(obj, "join") and hasattr(obj, "pomonoid"):
-            return obj
-        raise ParseError(f"{name!r} is not a quantale", witness=name)
-
 
 def load(paths, config=None):
     """Build a fully validated workspace from JSON config files."""
@@ -418,7 +411,7 @@ def cmd_validate(ws, args):
 
 
 def cmd_correspond(ws, args):
-    nucs, cons, congs, trip_ok = correspondence(ws.quantale(args.name))
+    nucs, cons, congs, trip_ok = correspondence(ws._quantale_ref(args.name))
     rep = Report(f"correspond {args.name}")
     rep.note(f"nuclei: {len(nucs)}, consequences: {len(cons)}, "
              f"congruences: {len(congs)}")
@@ -564,12 +557,13 @@ def build_parser():
     common.add_argument("--config", action="append", default=[],
                         help="JSON workspace file (repeatable)")
     common.add_argument("--json", action="store_true", help="structured output")
-    common.add_argument("--fragment", type=int, default=4,
+    # unset bounds take the workspace defaults (DEFAULT_CONFIG)
+    common.add_argument("--fragment", type=int,
                         help="multiupset multiplicity bound")
-    common.add_argument("--antichain", type=int, default=3,
+    common.add_argument("--antichain", type=int,
                         help="downset antichain bound")
     common.add_argument("--workers", type=int,
-                        default=int(os.environ.get("SQUANTA_WORKERS", "1")))
+                        default=os.environ.get("SQUANTA_WORKERS"))
 
     p = argparse.ArgumentParser(
         prog="squanta",
@@ -625,21 +619,20 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         for flag in ("size", "workers", "fragment", "antichain"):
-            value = getattr(args, flag, 1)
-            if value < 1:
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
                 raise ParseError(f"--{flag} must be at least 1, got {value}",
                                  witness=value)
-        ws = load(args.config, config={
-            "fragment": args.fragment,
-            "antichain": args.antichain,
-            "workers": args.workers,
-        })
-        if args.workers != 1:
-            print(f"note: workers={args.workers}; reports are canonically "
+        # the flags that are set, which the config files then override
+        ws = load(args.config, config={k: getattr(args, k) for k in DEFAULT_CONFIG
+                                       if getattr(args, k) is not None})
+        config = ws.config
+        if config["workers"] != DEFAULT_CONFIG["workers"]:
+            print(f"note: workers={config['workers']}; reports are canonically "
                   f"sorted, runtime expectations relaxed", file=sys.stderr)
-        if args.fragment != 4 or args.antichain != 3:
+        if any(config[k] != DEFAULT_CONFIG[k] for k in ("fragment", "antichain")):
             print(f"note: fragment bounds overridden "
-                  f"(k={args.fragment}, antichain={args.antichain}); "
+                  f"(k={config['fragment']}, antichain={config['antichain']}); "
                   f"runtime expectations relaxed", file=sys.stderr)
         if getattr(args, "size", 0) > 4:
             print(f"note: search size {args.size} exceeds the default guard; "

@@ -100,10 +100,6 @@ class QuantCongruence:
         return tuple(tuple(els[y] for y in _bits(masks[r]))
                      for r in sorted(set(self.reps)))
 
-    def class_of(self, x):
-        mask = _class_masks(self)[_index(self.space, x)]
-        return tuple(self.space.elements[y] for y in _bits(mask))
-
     def related(self, x, y):
         return self.reps[_index(self.space, x)] == self.reps[_index(self.space, y)]
 
@@ -129,18 +125,6 @@ def _down_rows(q):
     up = q.pomonoid.poset.up_rows
     return [sum(1 << y for y, row in enumerate(up) if row >> x & 1)
             for x in range(len(up))]
-
-
-def _join(q, mask):
-    """The position of the join of the elements at the set bits of mask."""
-    if not mask:
-        return _index(q, q.join([]))
-    n, join = len(q.elements), q.join_table
-    ys = _bits(mask)
-    z = next(ys)
-    for y in ys:
-        z = join[z * n + y]
-    return z
 
 
 def nucleus(space, mapping):
@@ -208,7 +192,7 @@ def _failures(p):
                 for z in _bits(rows[y] & ~rows[x]):
                     yield "consequence-transitive", (els[x], els[y], els[z])
         for x in range(n):
-            if not rows[x] >> _join(q, rows[x]) & 1:
+            if not rows[x] >> q.join_of(_bits(rows[x])) & 1:
                 yield "consequence-join-closed", els[x]
         for x in range(n):
             for y in _bits(rows[x]):
@@ -260,10 +244,10 @@ def convert(p, target):
         return QuantCongruence(q, tuple(first.setdefault(v, x)
                                         for x, v in enumerate(p.values)))
     if isinstance(p, AddConsequence):
-        g = Nucleus(q, tuple(_join(q, row) for row in p.rows))
+        g = Nucleus(q, tuple(q.join_of(_bits(row)) for row in p.rows))
         return g if target == "nucleus" else convert(g, target)
     if target == "nucleus":  # gamma(x) is the join of the class of x
-        return Nucleus(q, tuple(_join(q, m) for m in _class_masks(p)))
+        return Nucleus(q, tuple(q.join_of(_bits(m)) for m in _class_masks(p)))
     cid, join = p.reps, q.join_table  # x |- y when x v y ~ x
     return AddConsequence(q, tuple(
         sum(1 << y for y in range(n) if cid[join[x * n + y]] == cid[x])
@@ -398,7 +382,7 @@ def enumerate_consequences(q):
     members = [list(_bits(s)) for s in range(1 << n)]
     # for every nonempty set of elements: its join, and its images under + z
     # on either side
-    join_of = [None] + [_join(q, s) for s in range(1, 1 << n)]
+    join_of = [None] + [q.join_of(_bits(s)) for s in range(1, 1 << n)]
     right = [[sum({1 << plus[y][z] for y in ys}) for ys in members]
              for z in range(n)]
     left = [[sum({1 << plus[z][y] for y in ys}) for ys in members]

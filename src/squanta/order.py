@@ -1,8 +1,9 @@
 """Finite posets, pomonoids, monotone maps, and antichain utilities.
 
-All values are immutable after validation; element identifiers are opaque
-strings and tables are kept in canonical (sorted) order, so equality of
-validated structures is syntactic.
+All values are immutable after validation. Element identifiers are opaque
+strings kept in sorted order, and a poset or pomonoid holds only tables over
+the positions of its elements, so equality of validated structures is
+equality of tables; label operations look their arguments up by position.
 """
 
 from dataclasses import dataclass, field
@@ -33,19 +34,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FinPoset:
-    """Finite partial order: elements plus the full <= relation as a pair set.
-
-    `index` maps each element to its position in `elements`, and bit j of
-    `up_rows[i]` is set when elements[i] <= elements[j]. Both are built once,
-    with the pairs, and the law scans run on them."""
+    """Finite partial order on the sorted tuple `elements`: bit j of
+    `up_rows[i]` is set when elements[i] <= elements[j], and `index` maps
+    each element to its position. Equality compares the up-set rows."""
 
     elements: tuple
-    pairs: frozenset
+    up_rows: tuple
     index: dict = field(compare=False, repr=False)
-    up_rows: tuple = field(compare=False, repr=False)
+
+    @property
+    def pairs(self):  # the <= relation as a set of (x, y) label pairs
+        els = self.elements
+        return frozenset((x, els[j]) for x, row in zip(els, self.up_rows)
+                         for j in _bits(row))
 
     def leq(self, x, y):
-        return (x, y) in self.pairs
+        try:
+            return bool(self.up_rows[self.index[x]] >> self.index[y] & 1)
+        except KeyError:  # an unknown label is below and above nothing
+            return False
 
     def index_of(self, x):
         try:
@@ -122,10 +129,7 @@ def poset_from_rows(elements, up_rows):
                 raise NotAPartialOrder(
                     "transitivity fails",
                     witness=(elements[i], elements[j], elements[k]))
-    pairs = frozenset((x, elements[j]) for x, row in zip(elements, up)
-                      for j in _bits(row))
-    return FinPoset(elements, pairs, {x: i for i, x in enumerate(elements)},
-                    tuple(up))
+    return FinPoset(elements, tuple(up), {x: i for i, x in enumerate(elements)})
 
 
 def _parse_poset(elements, leq_pairs):
@@ -155,23 +159,20 @@ class Pomonoid:
     """
 
     poset: FinPoset
-    op: tuple  # canonical tuple of ((x, y), z)
+    flat: tuple
     unit: str
     notation: str = "additive"
     commutative: bool = field(default=False, compare=False)
     dually_integral: bool = field(default=False, compare=False)
     idempotent: bool = field(default=False, compare=False)
-    flat: tuple = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_table", dict(self.op))
 
     @property
     def elements(self):
         return self.poset.elements
 
     def apply(self, x, y):
-        return self._table[(x, y)]
+        els, index_of = self.poset.elements, self.poset.index_of
+        return els[self.flat[index_of(x) * len(els) + index_of(y)]]
 
     def leq(self, x, y):
         return self.poset.leq(x, y)
@@ -223,15 +224,13 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
                 raise NotMonotone(message, witness=(els[x], els[y], els[z]))
     return Pomonoid(
         poset,
-        tuple(((x, y), els[t[i * n + j]])
-              for i, x in enumerate(els) for j, y in enumerate(els)),
+        tuple(t),
         els[unit],
         notation,
         commutative=all(t[i * n + j] == t[j * n + i]
                         for i, j in product(range(n), repeat=2)),
         dually_integral=up[unit] == (1 << n) - 1,
         idempotent=all(t[i * n + i] == i for i in range(n)),
-        flat=tuple(t),
     )
 
 

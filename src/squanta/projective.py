@@ -77,10 +77,7 @@ def _residual_index(ma, y, x):
     certificate = [b for b, ok in enumerate(below) if ok]
     if not certificate:
         raise NoResidual("no scalar sends x below y", witness=(pels[y], pels[x]))
-    join, m = q.join_table, len(below)
-    value = certificate[0]
-    for b in certificate[1:]:
-        value = join[value * m + b]
+    value = q.join_of(certificate)
     qels, qup = q.elements, q.pomonoid.poset.up_rows
     # the defining adjunction, scanned for every scalar
     if not below[value]:

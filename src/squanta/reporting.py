@@ -61,7 +61,9 @@ class LawScan(Report):
 
     def rows(self, checks, witness_of):
         """Fail every mismatch (j, law) that order.row_mismatches finds in
-        `checks`, with the witness witness_of(j)."""
+        `checks`, with the witness witness_of(j). Each compared position of
+        each law (all of one length) counts as one checked instance."""
+        self.checked += len(checks) * len(checks[0][1])
         for j, law in row_mismatches(checks):
             self.fail(law, witness_of(j))
 

@@ -245,3 +245,25 @@ def test_config_workers_open_a_pool(tmp_path, capsys, monkeypatch):
                  "--config", path]) == EXIT_OK
     assert methods == ["fork"]
     assert capsys.readouterr().out == one
+
+
+def test_config_form_prints_the_flag_form_notes(tmp_path, capsys):
+    path = write_config(tmp_path, {"config": {"workers": 2, "fragment": 3},
+                                   "structures": {}})
+    assert main(["search", "--size", "2", "--config", path]) == EXIT_OK
+    by_config = capsys.readouterr()
+    assert main(["search", "--size", "2", "--workers", "2",
+                 "--fragment", "3"]) == EXIT_OK
+    by_flags = capsys.readouterr()
+    assert "note: workers=2" in by_config.err
+    assert "note: fragment bounds overridden (k=3, antichain=3)" in by_config.err
+    assert by_config.err == by_flags.err
+    assert by_config.out == by_flags.out
+
+
+def test_malformed_workers_variable_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("SQUANTA_WORKERS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--size", "2"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--workers: invalid int value" in capsys.readouterr().err

@@ -9,7 +9,9 @@ labels."""
 import hashlib
 from itertools import combinations, product
 
-from squanta.errors import SquantaError
+import pytest
+
+from squanta.errors import SquantaError, UnknownElement
 from squanta.order import antichain_ops, validate_structure
 from squanta.search import _labeled_posets, build_quantale, quantale_descriptions
 
@@ -86,6 +88,14 @@ def test_poset_label_views_as_pinned():
     assert _sha(lines) == POSETS_4
     for p, r in combinations(posets, 2):
         assert p != r
+
+
+def test_unknown_label_is_an_unknown_element(n2, n2q):
+    with pytest.raises(UnknownElement):
+        n2.apply("1", UNKNOWN)
+    with pytest.raises(UnknownElement):
+        n2q.join(["1", UNKNOWN])
+    assert not n2.leq(UNKNOWN, "1")
 
 
 QUANTALES_4 = (

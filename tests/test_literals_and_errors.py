@@ -165,7 +165,7 @@ def test_generator_scope_needs_distributive_generation():
                        "notation": "multiplicative"},
         }
     )
-    small = AQM(dist, b3.quant, b3._mult, b3.one, {"0": "0"}, name="B3-small")
+    small = AQM(dist, b3.quant, b3.mult_table(), b3.one, {"0": "0"}, name="B3-small")
     assert not check_aqm(small).data["distributively_generated"]
     ma = ActionMap(MODULE, small, b3.quant, small.mult, name="B3-small-self")
     ident = nucleus(b3.quant, {x: x for x in b3.quant.elements})

@@ -58,7 +58,6 @@ def test_gamma_u_fragment_scope(m2_on_d2):
     from squanta.modact import extend_act_to_module, extend_poset_action_to_dm
 
     ma = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
-    ma.scan_bounds = (2, 2)
     for u in ma.space.enumerate((1, 1)):
         nuc, rep = gamma_u(u, ma)
         assert rep.data["dividing"] and rep.data["fragment_limited"]
@@ -88,7 +87,6 @@ def test_act_level_cyclicity(m2_on_d2):
     from squanta.multiupset import Multiupset
 
     aa = extend_poset_action_to_dm(m2_on_d2)
-    aa.scan_bounds = (2, 2)
     base = aa.space.base
     gen = unit_embed(base, Multiupset(m2_on_d2.space, ("q",)))
     ok, _ = cyclic_check(aa, gen)
@@ -238,7 +236,6 @@ def test_poset_act_cyclicity_equivalence(m2_on_d2):
     from squanta.multiupset import Multiupset
 
     aa = extend_poset_action_to_dm(m2_on_d2)
-    aa.scan_bounds = (2, 2)
     base = aa.space.base
     for u in m2_on_d2.space.elements:
         poset_cyclic = cyclic_check(m2_on_d2, u)[0]
