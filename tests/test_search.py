@@ -1,6 +1,9 @@
 """The pruned search enumerators against the scans in oracles.py: the same
 lists, in the same order."""
 
+import hashlib
+import json
+
 import pytest
 
 from oracles import (
@@ -43,7 +46,11 @@ def test_descriptions_match_scan():
 
 def test_size_five_counts():
     assert len(_labeled_posets(5)) == 4231  # OEIS A001035
-    assert len(quantale_descriptions(5)) == 6247
+    descs = quantale_descriptions(5)
+    assert len(descs) == 6247
+    # the whole list, content and order, as canonical JSON
+    digest = hashlib.sha256(json.dumps(descs, sort_keys=True).encode())
+    assert digest.hexdigest() == DESCRIPTIONS_5
 
 
 def test_commutative_mults_match_scan(small_quantales):
@@ -86,3 +93,7 @@ def test_leftdist_witness_at_size_five():
     got = suite_leftdist(desc)
     assert (got["gen_size"], got["found"]) == (12, True)
     assert got["witnesses"][0] == ("(0,0,1,1,4)", "(0,0,0,2,4)", "(0,0,0,3,4)")
+
+
+DESCRIPTIONS_5 = (
+    "e30ab6ec982cd000c602cb7192fc40d61847466a99c5cb73d4be9bc41db25fab")
