@@ -50,7 +50,6 @@ __all__ = [
     "exp_end",
     "DmFragment",
     "free_aqm",
-    "naive_elementwise_product",
     "term_closure",
 ]
 
@@ -179,6 +178,9 @@ class FinGenQuantale:
 
     def __eq__(self, other):
         return isinstance(other, FinGenQuantale) and self.pomonoid == other.pomonoid
+
+    def __hash__(self):
+        return hash(self.pomonoid)
 
     def __repr__(self):
         return f"FinGenQuantale({self.name or ','.join(self.elements)})"
@@ -602,15 +604,3 @@ def free_aqm(m, k=4, antichain_bound=3):
     a.multiset_act = multiset_act
     a.scalar_act = scalar_act
     return a
-
-
-def naive_elementwise_product(m, p, q):
-    """The elementwise multiset product on downsets, kept as a foil: it does
-    not in general agree with the free product above."""
-    base = p.base
-    gens = [
-        Multiupset(m.poset, tuple(m.apply(a, b) for a in f.gens for b in g.gens))
-        for f in p.maxgens
-        for g in q.maxgens
-    ]
-    return normalize(base, gens)

@@ -3,7 +3,7 @@ the CLI `search` command runs over them: the correspondence counts, the
 left-distributivity counterexample hunt inside the endomorphism closure,
 and the classification of cyclic quotients by projectivity."""
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .aqm import check_aqm, exp_end, make_quantale, table_aqm
 from .errors import LawViolated, NotStructural
@@ -121,29 +121,57 @@ def _commutative_tables(n, leq, unit):
     return fill(0)
 
 
+def _lattice_tables(n):
+    """Each labeled lattice on 0..n-1 (up-rows as in _labeled_posets, whose
+    order it keeps) with its bottom and the sorted list of the + tables
+    (as from _commutative_tables) that make it a c.d.i. generalized
+    quantale with the bottom as unit.
+
+    The tables are searched once per isomorphism class, on its first
+    labeled copy, and carried to every relabeling s of it as the tables
+    t'[s(x)*n + s(y)] = s(t[x*n + y]); relabeling keeps every law, so these
+    are all the tables of the copy. Two tables first differ on a cell
+    (x, y), x <= y, off the unit's row, so sorting puts them in the order
+    _commutative_tables emits them."""
+    full = (1 << n) - 1
+    found = {}  # up-rows of a relabeled lattice -> its + tables
+    for up in _labeled_posets(n):
+        by_up = {m: i for i, m in enumerate(up)}
+        if full not in by_up:
+            continue
+        join = [by_up.get(up[a] & up[b]) for a in range(n) for b in range(n)]
+        if None in join:
+            continue
+        zero = by_up[full]
+        if up not in found:
+            leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
+            # flat-table cells of a+(b v c) = (a+b) v (a+c)
+            dist = [(a * n + join[b * n + c], a * n + b, a * n + c)
+                    for a, b, c in product(range(n), repeat=3)]
+            tables = [t for t in _commutative_tables(n, leq, zero)
+                      if all(t[i] == join[t[j] * n + t[k]] for i, j, k in dist)]
+            for s in permutations(range(n)):
+                inv = sorted(range(n), key=s.__getitem__)
+                src = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
+                key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
+                            for x in inv)
+                found.setdefault(key, set()).update(
+                    tuple(s[t[i]] for i in src) for t in tables)
+        yield up, zero, sorted(found.pop(up))
+
+
 def quantale_descriptions(size):
     """Raw structure descriptions of every c.d.i. generalized quantale on at
     most `size` labeled elements (no isomorphism pruning), in the order of
     their poset's strict-pair bit vector and then of their + table."""
     out = []
     for n in range(1, size + 1):
-        full = (1 << n) - 1
         names = [str(i) for i in range(n)]
-        for up in _labeled_posets(n):
-            by_up = {m: i for i, m in enumerate(up)}
-            join = [by_up.get(up[a] & up[b]) for a in range(n) for b in range(n)]
-            if full not in by_up or None in join:
-                continue
-            zero = by_up[full]
-            leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
-            # flat-table cells of a+(b v c) = (a+b) v (a+c)
-            dist = [(a * n + join[b * n + c], a * n + b, a * n + c)
-                    for a, b, c in product(range(n), repeat=3)]
+        label_pairs = [(a, b) for a in names for b in names]
+        for up, zero, tables in _lattice_tables(n):
             leq_pairs = [[names[i], names[j]] for i in range(n)
-                         for j in range(n) if i != j and leq[i][j]]
-            for t in _commutative_tables(n, leq, zero):
-                if any(t[i] != join[t[j] * n + t[k]] for i, j, k in dist):
-                    continue
+                         for j in range(n) if i != j and up[i] >> j & 1]
+            for t in tables:
                 out.append(
                     {
                         "poset": {
@@ -151,8 +179,8 @@ def quantale_descriptions(size):
                             "leq": [list(p) for p in leq_pairs],
                         },
                         "monoid": {
-                            "op": [[names[x], names[y], names[t[x * n + y]]]
-                                   for x in range(n) for y in range(n)],
+                            "op": [[a, b, names[z]]
+                                   for (a, b), z in zip(label_pairs, t)],
                             "unit": names[zero],
                         },
                     }

@@ -4,6 +4,9 @@ expected values are computed by a second route."""
 
 from itertools import combinations_with_replacement, product
 
+from squanta.downset import normalize
+from squanta.multiupset import Multiupset
+
 
 # -- presentations on a finite quantale table ----------------------------------
 
@@ -365,3 +368,15 @@ def downset_sum_oracle(universe, leq_vec, add_vec, p_set, q_set):
     """Down-closure of all pairwise sums over the *full* downsets."""
     sums = {add_vec(a, b) for a in p_set for b in q_set}
     return frozenset(v for v in universe if any(leq_vec(v, s) for s in sums))
+
+
+def naive_elementwise_product(m, p, q):
+    """The elementwise multiset product on downsets, kept as a foil: it does
+    not in general agree with the free product of aqm.free_aqm."""
+    base = p.base
+    gens = [
+        Multiupset(m.poset, tuple(m.apply(a, b) for a in f.gens for b in g.gens))
+        for f in p.maxgens
+        for g in q.maxgens
+    ]
+    return normalize(base, gens)

@@ -9,9 +9,14 @@ import conftest
 
 import pytest
 
-from oracles import brute_congruences, brute_consequences, brute_nuclei
+from oracles import (
+    brute_congruences,
+    brute_consequences,
+    brute_nuclei,
+    naive_elementwise_product,
+)
 from squanta import fixtures as fx
-from squanta.aqm import check_aqm, exp_end, naive_elementwise_product
+from squanta.aqm import check_aqm, exp_end
 from squanta.cli import EXIT_VIOLATION, main
 from squanta.downset import MultiBase, djoin, dsum, dzero, normalize, unit_embed
 from squanta.equivlogic import (

@@ -2,13 +2,13 @@ from itertools import product
 
 import pytest
 
+from oracles import naive_elementwise_product
 from squanta.aqm import (
     check_aqm,
     eval_term,
     exp_end,
     free_aqm,
     make_quantale,
-    naive_elementwise_product,
     table_aqm,
     term,
     term_closure,

@@ -66,9 +66,20 @@ def test_quantales_equal_their_rebuilds():
     for desc in quantale_descriptions(4):
         q, r = build_quantale(desc), build_quantale(desc)
         assert q == r
+        assert hash(q) == hash(r)
         assert q.pomonoid == r.pomonoid
         assert hash(q.pomonoid) == hash(r.pomonoid)
         assert hash(q.pomonoid.poset) == hash(r.pomonoid.poset)
+
+
+def test_quantales_hash_by_their_pomonoid():
+    quantales = [build_quantale(d) for d in quantale_descriptions(3)]
+    assert len(quantales) == 15
+    for q in quantales:
+        assert hash(q) == hash(q.pomonoid)
+    rebuilds = {build_quantale(d): i
+                for i, d in enumerate(quantale_descriptions(3))}
+    assert [rebuilds[q] for q in quantales] == list(range(15))
 
 
 def test_poset_label_views_as_pinned():

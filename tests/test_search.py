@@ -3,6 +3,8 @@ lists, in the same order."""
 
 import hashlib
 import json
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -14,6 +16,7 @@ from oracles import (
     scan_consequences,
 )
 from squanta.nucleus import enumerate_consequences
+from squanta import search
 from squanta.search import (
     _commutative_mults,
     _labeled_posets,
@@ -51,6 +54,63 @@ def test_size_five_counts():
     # the whole list, content and order, as canonical JSON
     digest = hashlib.sha256(json.dumps(descs, sort_keys=True).encode())
     assert digest.hexdigest() == DESCRIPTIONS_5
+
+
+def _relabel(up, s):
+    """The up-rows of the order `up` with each element x renamed s[x]."""
+    out = [0] * len(up)
+    for x, row in enumerate(up):
+        out[s[x]] = sum(1 << s[y] for y in range(len(up)) if row >> y & 1)
+    return tuple(out)
+
+
+def _is_lattice(up):
+    """Whether the order has a least element and a least upper bound of
+    every pair, by scanning the upper bounds."""
+    n = len(up)
+
+    def leq(a, b):
+        return up[a] >> b & 1
+
+    if not any(all(leq(z, x) for x in range(n)) for z in range(n)):
+        return False
+    for a in range(n):
+        for b in range(n):
+            ubs = [z for z in range(n) if leq(a, z) and leq(b, z)]
+            if not any(all(leq(z, u) for u in ubs) for z in ubs):
+                return False
+    return True
+
+
+def test_one_table_search_per_lattice_class(monkeypatch):
+    calls = []
+    commutative_tables = search._commutative_tables
+
+    def spy(n, leq, unit):
+        calls.append((n, leq))
+        return commutative_tables(n, leq, unit)
+
+    monkeypatch.setattr(search, "_commutative_tables", spy)
+    assert len(quantale_descriptions(5)) == 6247
+    sizes = [n for n, _ in calls]
+    assert sizes == sorted(sizes)
+    assert [sizes.count(n) for n in range(1, 6)] == [1, 1, 1, 2, 5]  # A006966
+    for n in range(1, 6):
+        lattices = [up for up in _labeled_posets(n) if _is_lattice(up)]
+        assert len(lattices) == [1, 2, 6, 36, 380][n - 1]
+        copies = []
+        for m, leq in calls:
+            if m != n:
+                continue
+            rep = tuple(sum(b << j for j, b in enumerate(row)) for row in leq)
+            orbit = {_relabel(rep, s) for s in permutations(range(n))}
+            mine = [up for up in lattices if up in orbit]
+            assert mine[0] == rep  # searched on the first copy of its class
+            automorphisms = sum(_relabel(rep, s) == rep
+                                for s in permutations(range(n)))
+            assert len(mine) * automorphisms == factorial(n)
+            copies.extend(mine)
+        assert sorted(copies) == sorted(lattices)  # the classes partition them
 
 
 def test_commutative_mults_match_scan(small_quantales):
