@@ -27,13 +27,13 @@ from .errors import (
 )
 from .multiupset import Multiupset, enumerate_fragment
 from .order import (
+    ByteTable,
     Pomonoid,
     flat_from_triples,
     pomonoid_from_flat,
     poset_from_rows,
     restrict_pomonoid,
     row_mismatches,
-    table_rows,
     validate_structure,
 )
 from .reporting import LawScan
@@ -96,29 +96,23 @@ class FinGenQuantale:
         self.elements = els = poset.elements
         up = poset.up_rows
         n = len(els)
+        p = ByteTable(pomonoid.flat, n)
         # the join of x and y is the element whose up-set is up[x] & up[y]
         by_up = {row: i for i, row in enumerate(up)}
-        join = []
-        for x, y in product(range(n), repeat=2):
-            z = by_up.get(up[x] & up[y])
-            if z is None:
-                raise LawViolated("join-exists", witness=(els[x], els[y]))
-            join.append(z)
-        plus = pomonoid.flat
-        pr, jr = table_rows(plus, n), table_rows(join, n)
-        pc = [list(plus[j::n]) for j in range(n)]
-        for x, y in product(range(n), repeat=2):
-            px, cx, jy = pr[x], pc[x], jr[y]
-            jxy, jyx = jr[px[y]], jr[cx[y]]
-            bad = row_mismatches([
-                ("join-dist-left", [px[v] for v in jy], [jxy[v] for v in px]),
-                ("join-dist-right", [cx[v] for v in jy], [jyx[v] for v in cx]),
+        join = [by_up.get(up[x] & up[y]) for x in range(n) for y in range(n)]
+        if None in join:
+            x, y = divmod(join.index(None), n)
+            raise LawViolated("join-exists", witness=(els[x], els[y]))
+        self.plus_table, self.join_table = pomonoid.flat, tuple(join)
+        j = ByteTable(join, n)
+        for x, (px, cx) in enumerate(zip(p.rows, p.transposed().rows)):
+            bad = row_mismatches([  # instance (x, y, z) at y * n + z
+                ("join-dist-left", j.after(px), j.pairs(px)),
+                ("join-dist-right", j.after(cx), j.pairs(cx)),
             ])
             if bad:
-                z, law = bad[0]
+                (y, z), law = divmod(bad[0][0], n), bad[0][1]
                 raise LawViolated(law, witness=(els[x], els[y], els[z]))
-        self.plus_table = plus
-        self.join_table = tuple(join)
         bottom = by_up.get((1 << n) - 1)
         self.bottom = None if bottom is None else els[bottom]
         self.complete = self.bottom is not None
@@ -284,22 +278,33 @@ def term_closure(q, seed):
     """The closure of the elements of `seed`, (element, term) pairs, under
     0, + and binary joins in q, round by round: a dict from each element
     reached to the first term that reaches it. A pair whose sum leaves a
-    fragment is skipped."""
-    witness = {q.zero: "0"}
+    fragment is skipped. A finite q is closed on element positions, through
+    its tables, and the result mapped to labels once."""
+    if not isinstance(q, FinGenQuantale):
+        return _closure(q.zero, seed, lambda xs: sorted(xs, key=q.sort_key),
+                        lambda x, y: (q.plus(x, y), q.join([x, y])))
+    n, at = len(q.elements), q.pomonoid.poset.index_of
+    plus, join = q.plus_table, q.join_table
+    closed = _closure(at(q.zero), ((at(x), how) for x, how in seed), sorted,
+                      lambda x, y: (plus[x * n + y], join[x * n + y]))
+    return {q.elements[x]: how for x, how in closed.items()}
+
+
+def _closure(zero, seed, order, plus_join):
+    witness = {zero: "0"}
     for x, how in seed:
         witness.setdefault(x, how)
     frontier = True
     while frontier:
         frontier = False
-        for x, y in product(sorted(witness, key=q.sort_key), repeat=2):
+        for x, y in product(order(witness), repeat=2):
             try:
-                new = ((q.plus(x, y), f"({witness[x]}+{witness[y]})"),
-                       (q.join([x, y]), f"({witness[x]}v{witness[y]})"))
+                new = plus_join(x, y)
             except FragmentExceeded:
                 continue
-            for z, how in new:
+            for z, op in zip(new, "+v"):
                 if z not in witness:
-                    witness[z] = how
+                    witness[z] = f"({witness[x]}{op}{witness[y]})"
                     frontier = True
     return witness
 
@@ -318,36 +323,33 @@ def check_aqm(a, strict=True):
         els = list(q.elements)
         n = len(els)
         poset = q.pomonoid.poset
-        mr, pr, jr = (table_rows(t, n)
-                      for t in (a.mult_table(), q.plus_table, q.join_table))
+        m, p, j = (ByteTable(t, n) for t in (a.mult_table(), q.plus_table,
+                                             q.join_table))
+        mr, by_z = m.rows, m.transposed()  # by_z[z, w] = w * z
         one, zero = poset.index_of(a.one), poset.index_of(q.zero)
         iota = {d: poset.index_of(a.iota(d)) for d in a.dist.elements}
         for x in range(n):
             if mr[one][x] != x or mr[x][one] != x:
                 rep.fail("unit", (a.one, els[x]))
-        for x, y in product(range(n), repeat=2):
-            mx = mr[x]
-            rep.rows([("assoc", mr[mx[y]], [mx[v] for v in mr[y]])],
-                     lambda z: (els[x], els[y], els[z]))
-        for x, y in product(range(n), repeat=2):
-            both = list(zip(mr[x], mr[y]))
+        for x in range(n):  # instance (x, y, z) at y * n + z
+            rep.rows([("assoc", b"".join(map(mr.__getitem__, mr[x])),
+                       m.after(mr[x]))],
+                     lambda k: (els[x], els[k // n], els[k % n]))
+        for x in range(n):  # instance (x, y, z) at z * n + y
             rep.rows([
-                ("right-join-dist", mr[jr[x][y]], [jr[u][v] for u, v in both]),
-                ("right-plus-dist", mr[pr[x][y]], [pr[u][v] for u, v in both]),
-            ], lambda z: (els[x], els[y], els[z]))
+                ("right-join-dist", by_z.each(j.rows[x]), j.at(mr[x], by_z.rows)),
+                ("right-plus-dist", by_z.each(p.rows[x]), p.at(mr[x], by_z.rows)),
+            ], lambda k: (els[x], els[k % n], els[k // n]),
+                lambda k: (k % n, k // n))
         for x in range(n):
             if mr[zero][x] != zero:
                 rep.fail("zero-annihilates", els[x])
         for d, i in iota.items():
             mi = mr[i]
-            for x in range(n):
-                jx, px = jr[mi[x]], pr[mi[x]]
-                rep.rows([
-                    ("left-join-dist-iota",
-                     [mi[v] for v in jr[x]], [jx[v] for v in mi]),
-                    ("left-plus-dist-iota",
-                     [mi[v] for v in pr[x]], [px[v] for v in mi]),
-                ], lambda y: (d, els[x], els[y]))
+            rep.rows([  # instance (d, x, y) at x * n + y
+                ("left-join-dist-iota", j.after(mi), j.pairs(mi)),
+                ("left-plus-dist-iota", p.after(mi), p.pairs(mi)),
+            ], lambda k: (d, els[k // n], els[k % n]))
             if mi[zero] != zero:
                 rep.fail("left-zero-iota", d)
         for d, e in product(a.dist.elements, repeat=2):

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateName,
     ParseError,
     SquantaError,
+    TooLarge,
     UnknownElement,
 )
 from .modact import (
@@ -247,8 +248,9 @@ class Workspace:
             raise ParseError(f"malformed {kind} description", witness=desc)
         try:
             return self._build(kind, desc)
-        except UnknownElement as exc:
-            # a description naming an element it does not have is malformed
+        except (UnknownElement, TooLarge) as exc:
+            # a description naming an element it does not have is
+            # malformed, and so is one on more than 256 elements
             raise ParseError(exc.args[0], witness=exc.witness) from exc
 
     def _build(self, kind, desc):

@@ -11,7 +11,7 @@ from .aqm import DmFragment, FinGenQuantale, free_aqm
 from .downset import MultiBase, normalize
 from .errors import FragmentExceeded, UnitNotEmbedding
 from .multiupset import Multiupset, generator_embed, mleq
-from .order import FinPoset, table_rows
+from .order import ByteTable, FinPoset
 from .reporting import LawScan
 
 __all__ = [
@@ -183,40 +183,38 @@ def _scan_module_table(am, rep):
     with the witness, of a scan over the labels, and counted as checked by
     LawScan.rows.
 
-    Each law is checked at once over all its instances, as two flat lists
-    in scan order (row_mismatches), so only a failing law is walked."""
+    Each law is checked in blocks of instances, as two byte rows
+    (order.ByteTable), so only a failing block is walked."""
     a_, sp = am.scalars, am.space
     q = a_.quant
     sels, pels = q.elements, sp.elements
     m, n = len(sels), len(pels)
-    st = table_rows(am.star_table(), n)
-    pplus, pjoin = sp.plus_table, sp.join_table
+    star = ByteTable(am.star_table(), n)
+    st, by_x = star.rows, star.transposed()  # by_x[x, t] = t * x
+    mult, splus, sjoin = (ByteTable(t, m).rows for t in (
+        a_.mult_table(), q.plus_table, q.join_table))
+    pplus, pjoin = (ByteTable(t, n) for t in (sp.plus_table, sp.join_table))
     s_index, p_index = q.pomonoid.poset.index_of, sp.pomonoid.poset.index_of
     zero = p_index(sp.zero)
     rep.rows([
-        ("unit", st[s_index(a_.one)], list(range(n))),
-        ("zero-scalar", st[s_index(q.zero)], [zero] * n),
+        ("unit", st[s_index(a_.one)], bytes(range(n))),
+        ("zero-scalar", st[s_index(q.zero)], bytes([zero]) * n),
     ], pels.__getitem__)
-    # instance (s, t, x) at position (s * m + t) * n + x
-    pairs = [list(zip(ss, tt)) for ss in st for tt in st]
-    rep.rows([
-        ("compose", [z for k in a_.mult_table() for z in st[k]],
-         [ss[v] for ss in st for tt in st for v in tt]),
-        ("scalar-plus", [z for k in q.plus_table for z in st[k]],
-         [pplus[u * n + v] for row in pairs for u, v in row]),
-        ("scalar-join", [z for k in q.join_table for z in st[k]],
-         [pjoin[u * n + v] for row in pairs for u, v in row]),
-    ], lambda j: (sels[j // (m * n)], sels[j // n % m], pels[j % n]))
-    for i in am.iota_scalars():
-        # instance (i, x, y) at position x * n + y
-        si = st[s_index(i)]
+    for s in range(m):  # instance (s, t, x) at x * m + t
         rep.rows([
-            ("iota-join-dist", [si[v] for v in pjoin],
-             [pjoin[u * n + v] for u in si for v in si]),
-            ("iota-plus-dist", [si[v] for v in pplus],
-             [pplus[u * n + v] for u in si for v in si]),
+            ("compose", by_x.each(mult[s]), by_x.after(st[s])),
+            ("scalar-plus", by_x.each(splus[s]), pplus.at(st[s], by_x.rows)),
+            ("scalar-join", by_x.each(sjoin[s]), pjoin.at(st[s], by_x.rows)),
+        ], lambda j: (sels[s], sels[j % m], pels[j // m]),
+            lambda j: (j % m, j // m))
+    for i in am.iota_scalars():
+        si = st[s_index(i)]
+        rep.rows([  # instance (i, x, y) at x * n + y
+            ("iota-join-dist", pjoin.after(si), pjoin.pairs(si)),
+            ("iota-plus-dist", pplus.after(si), pplus.pairs(si)),
         ], lambda j: (i, pels[j // n], pels[j % n]))
-        rep.rows([("iota-zero", [si[zero]], [zero])], lambda j: i)
+        rep.rows([("iota-zero", si[zero:zero + 1], bytes([zero]))],
+                 lambda j: i)
 
 
 def extend_poset_action_to_dm(pa, k=4, antichain_bound=3):

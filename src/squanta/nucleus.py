@@ -17,7 +17,7 @@ from .errors import (
     TooLarge,
 )
 from .modact import MODULE, ActionMap, check_action
-from .order import _bits, table_rows
+from .order import ByteTable, _bits
 from .reporting import LawScan, Report
 
 __all__ = [
@@ -378,7 +378,7 @@ def enumerate_consequences(q):
     (the lectic order), with the relation held as one bitmask row of
     successors per element."""
     n = len(q.elements)
-    plus = table_rows(q.plus_table, n)
+    plus = ByteTable(q.plus_table, n).rows
     members = [list(_bits(s)) for s in range(1 << n)]
     # for every nonempty set of elements: its join, and its images under + z
     # on either side

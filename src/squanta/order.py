@@ -27,6 +27,7 @@ __all__ = [
     "pomonoid_from_flat",
     "restrict_pomonoid",
     "flat_from_triples",
+    "ByteTable",
     "antichain_ops",
     "enumerate_monotone_selfmaps",
 ]
@@ -86,19 +87,51 @@ def _bits(mask):
         mask ^= low
 
 
-def table_rows(flat, n):
-    """The rows of a flat table with n columns as lists:
-    rows[i][j] = flat[i * n + j]."""
-    return [list(flat[i:i + n]) for i in range(0, len(flat), n)]
+class ByteTable:
+    """A flat table over element positions, n columns wide, held as bytes:
+    `flat`, its `rows` (t[i, j] = rows[i][j] = flat[i * n + j]) and `maps`,
+    each row as a bytes.translate table. The methods build one side of a
+    law as one byte row over a block of instances. A table on more than 256
+    elements raises TooLarge, with its size as witness."""
+
+    def __init__(self, flat, n):
+        if n > 256:
+            raise TooLarge(f"carrier has {n} > 256 elements", witness=n)
+        self.flat = t = bytes(flat)
+        self.rows = [t[i:i + n] for i in range(0, len(t), n or 1)]
+        self.maps = [r.ljust(256, b"\0") for r in self.rows]
+
+    def transposed(self):
+        """The table t' with t'[j, i] = t[i, j]."""
+        n = len(self.rows[0])
+        return ByteTable(b"".join(self.flat[j::n] for j in range(n)),
+                         len(self.rows))
+
+    def after(self, r):
+        """r[t[i, j]] over (i, j): the table mapped through the row r."""
+        return self.flat.translate(r.ljust(256, b"\0"))
+
+    def pairs(self, r):
+        """t[r[i], r[j]] over (i, j)."""
+        return b"".join(map(r.translate, map(self.maps.__getitem__, r)))
+
+    def each(self, r):
+        """t[i, r[j]] over (i, j)."""
+        return b"".join(map(r.translate, self.maps))
+
+    def at(self, r, rows):
+        """t[r[i], rows[i][j]] over (i, j)."""
+        return b"".join(map(bytes.translate, rows,
+                            map(self.maps.__getitem__, r)))
 
 
 def row_mismatches(checks):
     """(j, label) for every position j and every (label, lhs, rhs) in
     `checks` with lhs[j] != rhs[j], ordered by j and then by `checks`.
 
-    A law scan over triples (x, y, z) runs one check per (x, y), with the
-    two sides of the law as lists indexed by z, so it finds the instances
-    that fail, and their order, as a scan over every z would."""
+    A law scan runs one check per block of instances, with the two sides of
+    the law as byte rows over the block (see ByteTable), so one comparison
+    decides a block that holds, and only a failing block is walked."""
     for _, lhs, rhs in checks:
         if lhs != rhs:
             break
@@ -198,39 +231,41 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
     and left translations are monotone."""
     els, up = poset.elements, poset.up_rows
     n = len(els)
-    t = flat
+    tab = ByteTable(flat, n)
+    t, rows, cols = tab.flat, tab.rows, tab.transposed()
     for x in range(n):
         if t[unit * n + x] != x or t[x * n + unit] != x:
             raise UnitNotNeutral("unit is not two-sided neutral",
                                  witness=(els[unit], els[x]))
-    rows, cols = table_rows(t, n), [t[j::n] for j in range(n)]
-    for x, y in product(range(n), repeat=2):
-        rx = rows[x]
-        bad = row_mismatches([(None, rows[rx[y]], [rx[v] for v in rows[y]])])
+    for x in range(n):  # (x.y).z against x.(y.z) at position y * n + z
+        bad = row_mismatches([(None, b"".join(map(rows.__getitem__, rows[x])),
+                               t.translate(tab.maps[x]))])
         if bad:
+            y, z = divmod(bad[0][0], n)
             raise NotAssociative("associativity fails",
-                                 witness=(els[x], els[y], els[bad[0][0]]))
-    ones = [1] * n
+                                 witness=(els[x], els[y], els[z]))
+    # byte z * n + y of by_z is 1 when x.z <= y.z (right translation) or
+    # z.x <= z.y (left), and must be wherever that byte of `above` (x <= y) is
+    leq = ByteTable(b"".join(bytes(map(int, f"{row:0{n}b}"[::-1]))
+                             for row in up), n)
     for x in range(n):
-        for y in _bits(up[x]):
-            bad = row_mismatches([
-                ("right translation not monotone",
-                 [up[u] >> v & 1 for u, v in zip(rows[x], rows[y])], ones),
-                ("left translation not monotone",
-                 [up[u] >> v & 1 for u, v in zip(cols[x], cols[y])], ones),
-            ])
-            if bad:
-                z, message = bad[0]
-                raise NotMonotone(message, witness=(els[x], els[y], els[z]))
+        above, bad = int.from_bytes(leq.rows[x] * n, "little"), []
+        for law, by_z in (("right", leq.at(rows[x], cols.rows)),
+                          ("left", leq.at(cols.rows[x], rows))):
+            bad += [divmod(b >> 3, n)[::-1] + (law,)
+                    for b in _bits(above & ~int.from_bytes(by_z, "little"))]
+        if bad:  # the first (y, z), and right before left at one (y, z)
+            y, z, law = min(bad, key=lambda b: b[:2])
+            raise NotMonotone(law + " translation not monotone",
+                              witness=(els[x], els[y], els[z]))
     return Pomonoid(
         poset,
         tuple(t),
         els[unit],
         notation,
-        commutative=all(t[i * n + j] == t[j * n + i]
-                        for i, j in product(range(n), repeat=2)),
+        commutative=t == cols.flat,
         dually_integral=up[unit] == (1 << n) - 1,
-        idempotent=all(t[i * n + i] == i for i in range(n)),
+        idempotent=t[::n + 1] == bytes(range(n)),
     )
 
 
@@ -387,7 +422,9 @@ def enumerate_monotone_selfmaps(poset, limit=6):
 
 def selfmap_pomonoid(poset, limit=6):
     """The monotone self-maps as a multiplicative pomonoid under composition,
-    the i-th map of enumerate_monotone_selfmaps named f<i>."""
+    the i-th map of enumerate_monotone_selfmaps named f<i>. A pomonoid has
+    at most 256 elements (see ByteTable): the 6-chain, with 462 monotone
+    self-maps, raises TooLarge."""
     maps, order = enumerate_monotone_selfmaps(poset, limit)
     names = [f"f{i}" for i in range(len(maps))]
     at = sorted(range(len(maps)), key=names.__getitem__)  # map at a position

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .modact import ACT, MODULE, POSET, ActionMap, check_action
 from .nucleus import nucleus, quotient
-from .order import table_rows
+from .order import ByteTable
 from .reporting import Report
 
 __all__ = [
@@ -265,7 +265,7 @@ def cyclic_projective_check(ma, lifting_family=None):
     selfm = kept_self_module(aqm)
     els, index_of = q.elements, ma.space.pomonoid.poset.index_of
     m, n = len(els), len(ma.space.elements)
-    mult = table_rows(aqm.mult_table(), m)
+    mult = ByteTable(aqm.mult_table(), m).rows
     star = ma.star_table()
     one = q.pomonoid.poset.index_of(aqm.one)
 

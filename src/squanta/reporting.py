@@ -59,12 +59,14 @@ class LawScan(Report):
             raise LawViolated(law, witness=witness)
         self.failed(law, witness)
 
-    def rows(self, checks, witness_of):
+    def rows(self, checks, witness_of, key=None):
         """Fail every mismatch (j, law) that order.row_mismatches finds in
-        `checks`, with the witness witness_of(j). Each compared position of
+        `checks`, with the witness witness_of(j), sorted by key(j) if given
+        (laws at one position keep their order). Each compared position of
         each law (all of one length) counts as one checked instance."""
         self.checked += len(checks) * len(checks[0][1])
-        for j, law in row_mismatches(checks):
+        bad = row_mismatches(checks)
+        for j, law in sorted(bad, key=lambda m: key(m[0])) if key else bad:
             self.fail(law, witness_of(j))
 
     def check(self, law, witness, thunk, holds=operator.eq):

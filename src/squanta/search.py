@@ -15,7 +15,7 @@ from .nucleus import (
     presentation_leq,
     quotient,
 )
-from .order import row_mismatches, table_rows
+from .order import ByteTable, row_mismatches
 from .projective import cyclic_check, cyclic_projective_check, kept_self_module
 
 __all__ = [
@@ -128,13 +128,13 @@ def _lattice_tables(n):
     quantale with the bottom as unit.
 
     The tables are searched once per isomorphism class, on its first
-    labeled copy, and carried to every relabeling s of it as the tables
-    t'[s(x)*n + s(y)] = s(t[x*n + y]); relabeling keeps every law, so these
-    are all the tables of the copy. Two tables first differ on a cell
-    (x, y), x <= y, off the unit's row, so sorting puts them in the order
-    _commutative_tables emits them."""
+    labeled copy, which keeps them with one relabeling s onto every later
+    copy; that copy gets the tables t'[s(x)*n + s(y)] = s(t[x*n + y]).
+    Relabeling keeps every law, so these are all the tables of the copy.
+    Two tables first differ on a cell (x, y), x <= y, off the unit's row,
+    so sorting puts them in the order _commutative_tables emits them."""
     full = (1 << n) - 1
-    found = {}  # up-rows of a relabeled lattice -> its + tables
+    found = {}  # up-rows of a later copy -> (its class's tables, s)
     for up in _labeled_posets(n):
         by_up = {m: i for i, m in enumerate(up)}
         if full not in by_up:
@@ -151,13 +151,13 @@ def _lattice_tables(n):
             tables = [t for t in _commutative_tables(n, leq, zero)
                       if all(t[i] == join[t[j] * n + t[k]] for i, j, k in dist)]
             for s in permutations(range(n)):
-                inv = sorted(range(n), key=s.__getitem__)
-                src = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
                 key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
-                            for x in inv)
-                found.setdefault(key, set()).update(
-                    tuple(s[t[i]] for i in src) for t in tables)
-        yield up, zero, sorted(found.pop(up))
+                            for x in sorted(range(n), key=s.__getitem__))
+                found.setdefault(key, (tables, s))
+        tables, s = found.pop(up)
+        inv = sorted(range(n), key=s.__getitem__)
+        src = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
+        yield up, zero, sorted(tuple(s[t[i]] for i in src) for t in tables)
 
 
 def quantale_descriptions(size):
@@ -240,13 +240,12 @@ def suite_leftdist(desc):
     a = exp_end(q)
     gen = a.quant.elements
     n = len(gen)
-    mr, jr = table_rows(a.mult_table(), n), table_rows(a.quant.join_table, n)
+    join = ByteTable(a.quant.join_table, n)
     witnesses = []
-    for g, h1 in product(range(n), repeat=2):
-        mg = mr[g]
-        for h2, _ in row_mismatches(
-                [(None, [mg[v] for v in jr[h1]], [jr[mg[h1]][v] for v in mg])]):
-            witnesses.append((gen[g], gen[h1], gen[h2]))
+    for g, mg in enumerate(ByteTable(a.mult_table(), n).rows):
+        # instance (g, h1, h2) at h1 * n + h2
+        for j, _ in row_mismatches([(None, join.after(mg), join.pairs(mg))]):
+            witnesses.append((gen[g], gen[j // n], gen[j % n]))
     return {
         "size": len(q.elements),
         "gen_size": len(gen),

@@ -159,6 +159,20 @@ def test_malformed_config_is_an_input_error(cfg, capsys):
     assert captured.err.startswith("input error: ")
 
 
+def test_carrier_above_256_elements_is_an_input_error(capsys):
+    """A table holds at most 256 elements (order.ByteTable): a 257-element
+    chain exits 2, with its size as witness."""
+    els = [f"{i:03}" for i in range(257)]
+    chain = {"poset": {"elements": els,
+                       "leq": [[x, y] for x in els for y in els if x < y]},
+             "monoid": {"op": [[x, y, max(x, y)] for x in els for y in els],
+                        "unit": "000"}}
+    code, captured = _run({"structures": {"big": chain}}, capsys)
+    assert code == EXIT_INPUT
+    assert captured.err == ("input error: carrier has 257 > 256 elements "
+                            "[witness: 257]\n")
+
+
 BUILTINS = sorted(_builtin_prelude())
 
 

@@ -9,9 +9,13 @@ from squanta.errors import (
     TooLarge,
     UnknownElement,
 )
+from squanta.aqm import FinGenQuantale
 from squanta.order import (
+    Pomonoid,
     antichain_ops,
     enumerate_monotone_selfmaps,
+    pomonoid_from_flat,
+    poset_from_rows,
     selfmap_pomonoid,
     validate_structure,
 )
@@ -118,6 +122,25 @@ def test_too_large_guard():
     )
     with pytest.raises(TooLarge):
         enumerate_monotone_selfmaps(big)
+
+
+def _max_chain(n):
+    """The n-chain 000 < 001 < ... with max as its sum, and that sum."""
+    chain = poset_from_rows(tuple(f"{i:03}" for i in range(n)),
+                            [(1 << n) - (1 << i) for i in range(n)])
+    return chain, tuple(max(i, j) for i in range(n) for j in range(n))
+
+
+def test_tables_hold_at_most_256_elements():
+    chain, flat = _max_chain(256)
+    q = FinGenQuantale(pomonoid_from_flat(chain, flat, 0))
+    assert q.join_table == flat and q.bottom == "000"
+    chain, flat = _max_chain(257)
+    for build in (lambda: pomonoid_from_flat(chain, flat, 0),
+                  lambda: FinGenQuantale(Pomonoid(chain, flat, "000"))):
+        with pytest.raises(TooLarge) as info:
+            build()
+        assert info.value.witness == 257
 
 
 def test_pomonoid_axioms_full_scan(n2):

@@ -16,7 +16,7 @@ from oracles import (
     scan_consequences,
 )
 from squanta.nucleus import enumerate_consequences
-from squanta import search
+from squanta import aqm, order, reporting, search
 from squanta.search import (
     _commutative_mults,
     _labeled_posets,
@@ -128,6 +128,30 @@ def test_consequences_match_scans(small_quantales):
         got = [c.pairs for c in enumerate_consequences(q)]
         assert got == scan_consequences(*_tables(q))
         assert got == brute_consequences(*_tables(q))
+
+
+def test_leftdist_blocks_are_decided_by_one_comparison(monkeypatch):
+    """No law of a suite_leftdist job of size <= 4 is walked: each block of
+    instances is two byte rows, and one comparison decides a block that
+    holds. A side of another type (a list against bytes) compares unequal
+    and would be walked, correctly but slowly."""
+    compared, walked = [], []
+    row_mismatches = order.row_mismatches
+
+    def spy(checks):
+        for law, lhs, rhs in checks:
+            compared.append((type(lhs), type(rhs)))
+            if lhs != rhs:
+                walked.append(law)
+        return row_mismatches(checks)
+
+    for module in (order, aqm, reporting, search):
+        monkeypatch.setattr(module, "row_mismatches", spy)
+    descs = quantale_descriptions(4)
+    assert len(descs) == 207
+    assert not any(suite_leftdist(d)["found"] for d in descs)
+    assert set(compared) == {(bytes, bytes)}
+    assert walked == []
 
 
 def test_leftdist_witness_at_size_five():
