@@ -4,7 +4,8 @@ finite quantale, and the free construction over the downset fragment of a
 multiplicative pomonoid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from .downset import (
@@ -50,6 +51,7 @@ __all__ = [
     "exp_end",
     "DmFragment",
     "free_aqm",
+    "lift_to_downsets",
     "term_closure",
 ]
 
@@ -156,12 +158,6 @@ class FinGenQuantale:
             restrict_pomonoid(self.pomonoid.poset, positions, plus_of, zero),
             name)
 
-    def enumerate(self, bound=None):
-        return list(self.elements)
-
-    def sort_key(self, x):
-        return x
-
     @property
     def is_cdi(self):
         return self.pomonoid.is_cdi
@@ -240,9 +236,6 @@ class AQM:
     @property
     def is_finite(self):
         return isinstance(self.quant, FinGenQuantale)
-
-    def elements(self):
-        return self.quant.enumerate()
 
     def __repr__(self):
         return f"AQM({self.name})"
@@ -401,6 +394,8 @@ def check_aqm(a, strict=True):
     for d, e in product(a.dist.elements, repeat=2):
         check("iota-hom", (d, e),
               lambda: (a.iota(a.dist.apply(d, e)), mult(a.iota(d), a.iota(e))))
+    if a.iota(a.dist.unit) != a.one:
+        rep.fail("iota-unit", a.dist.unit)
     a.distributively_generated = True  # by construction of the free product
     rep.note(f"fragment scan (multiplicity<={b[0]}, antichain<={b[1]}): "
              f"{rep.checked} instances checked, {rep.skipped} left the fragment")
@@ -491,15 +486,16 @@ class DmFragment:
     instead of truncating when a result leaves the multiplicity bound.
 
     Sums, joins and comparisons are computed once per argument tuple and
-    kept in tables that live as long as the fragment. A sum is kept as
+    kept in caches that live as long as the fragment. A sum is kept as
     computed, and its bound is checked on every call."""
 
     base: MultiBase
     k: int = 4
     antichain_bound: int = 3
-    _sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _joins: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _leqs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name, op in (("leq", dleq), ("_sum", dsum), ("_join", djoin)):
+            object.__setattr__(self, name, cache(op))
 
     def check_bound(self, p):
         for g in p.maxgens:
@@ -514,24 +510,11 @@ class DmFragment:
     def zero(self):
         return dzero(self.base)
 
-    def leq(self, p, q):
-        known = self._leqs.get((p, q))
-        if known is None:
-            known = self._leqs[p, q] = dleq(p, q)
-        return known
-
     def plus(self, p, q):
-        s = self._sums.get((p, q))
-        if s is None:
-            s = self._sums[p, q] = dsum(p, q)
-        return self.check_bound(s)
+        return self.check_bound(self._sum(p, q))
 
     def join(self, ps):
-        ps = tuple(ps)
-        j = self._joins.get(ps)
-        if j is None:
-            j = self._joins[ps] = djoin(ps)
-        return j
+        return self._join(tuple(ps))
 
     def sort_key(self, p):
         return p.sort_key()
@@ -554,6 +537,22 @@ class DmFragment:
         return sorted(out, key=self.sort_key)
 
 
+def lift_to_downsets(base, act):
+    """The action act(a, x) of scalars on the points of a MultiBase's poset,
+    lifted to its downsets: a scalar acts elementwise on each maximal
+    generator multiset, and the results are normalized. Each value is
+    computed once per returned callable."""
+
+    @cache
+    def lifted(a, p):
+        return normalize(base, [
+            Multiupset(base.poset, tuple(act(a, x) for x in g.gens))
+            for g in p.maxgens
+        ])
+
+    return lifted
+
+
 def free_aqm(m, k=4, antichain_bound=3):
     """The free additive quantale with multiplication over a multiplicative
     pomonoid, realized on the bounded downset fragment.
@@ -568,41 +567,27 @@ def free_aqm(m, k=4, antichain_bound=3):
     """
     frag = DmFragment(MultiBase(m.poset), k, antichain_bound)
     base = frag.base
-    poset = m.poset
-    scalar_acts, multiset_acts, products = {}, {}, {}
+    scalar_act = lift_to_downsets(base, m.apply)
 
-    def scalar_act(a, q):
-        r = scalar_acts.get((a, q))
-        if r is None:
-            r = scalar_acts[a, q] = normalize(base, [
-                Multiupset(poset, tuple(m.apply(a, x) for x in g.gens))
-                for g in q.maxgens
-            ])
-        return r
-
+    @cache
     def multiset_act(sigma, q):
-        r = multiset_acts.get((sigma, q))
-        if r is None:
-            r = frag.zero
-            for a in sigma.gens:
-                r = dsum(r, scalar_act(a, q))
-            multiset_acts[sigma, q] = r
+        r = frag.zero
+        for a in sigma.gens:
+            r = dsum(r, scalar_act(a, q))
         return r
+
+    @cache
+    def product_of(p, q):
+        return djoin([multiset_act(sigma, q) for sigma in p.maxgens])
 
     def mult(p, q):
-        r = products.get((p, q))
-        if r is None:
-            r = products[p, q] = djoin([multiset_act(sigma, q)
-                                        for sigma in p.maxgens])
-        return frag.check_bound(r)
+        return frag.check_bound(product_of(p, q))
 
     def iota(a):
         m.poset.check_element(a)
-        return unit_embed(base, Multiupset(poset, (a,)))
+        return unit_embed(base, Multiupset(m.poset, (a,)))
 
-    one = unit_embed(base, Multiupset(poset, (m.unit,)))
+    one = unit_embed(base, Multiupset(m.poset, (m.unit,)))
     a = AQM(m, frag, mult, one, iota, name=f"Free({','.join(m.elements)})")
     a.distributively_generated = True
-    a.multiset_act = multiset_act
-    a.scalar_act = scalar_act
     return a

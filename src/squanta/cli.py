@@ -87,9 +87,8 @@ def _builtin_prelude():
 
     def a3_broken():
         q = fx.n2_quantale()
-        mult = {(x, y): str(min(int(x) * int(y), 2))
-                for x in q.elements for y in q.elements}
-        return table_aqm(q, mult, "0", name="A3-broken")  # unit misdeclared
+        return table_aqm(q, fx.truncated_mult(q), "0",
+                         name="A3-broken")  # unit misdeclared
 
     return {
         "D2": fx.d2,
@@ -274,9 +273,7 @@ class Workspace:
                 if not all(x.isdecimal() for x in q.elements):
                     raise ParseError("truncated-mult needs numeral elements",
                                      witness=list(q.elements))
-                cap = max(int(x) for x in q.elements)
-                mult = {(x, y): str(min(int(x) * int(y), cap))
-                        for x in q.elements for y in q.elements}
+                mult = fx.truncated_mult(q)
             else:
                 mult = {(x, y): z for x, y, z in spec["product"]}
             a = table_aqm(q, mult, spec["one"])

@@ -49,9 +49,6 @@ class PomonoidBase:
     def contains(self, x):
         return x in self.pomonoid.elements
 
-    def enumerate(self, bound=None):
-        return list(self.pomonoid.elements)
-
 
 @dataclass(frozen=True)
 class MultiBase:

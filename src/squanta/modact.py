@@ -5,12 +5,13 @@ between them.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
-from .aqm import DmFragment, FinGenQuantale, free_aqm
-from .downset import MultiBase, normalize
+from .aqm import DmFragment, FinGenQuantale, free_aqm, lift_to_downsets
+from .downset import MultiBase
 from .errors import FragmentExceeded, UnitNotEmbedding
-from .multiupset import Multiupset, generator_embed, mleq
+from .multiupset import generator_embed, mleq
 from .order import ByteTable, FinPoset
 from .reporting import LawScan
 
@@ -223,20 +224,8 @@ def extend_poset_action_to_dm(pa, k=4, antichain_bound=3):
     generators of a downset, followed by normalization. Each lifted value is
     computed once per fragment."""
     check_action(pa)
-    poset = pa.space
-    frag = DmFragment(MultiBase(poset), k, antichain_bound)
-    base = frag.base
-    lifted = {}
-
-    def star(a, p):
-        r = lifted.get((a, p))
-        if r is None:
-            r = lifted[a, p] = normalize(base, [
-                Multiupset(poset, tuple(pa.star(a, x) for x in g.gens))
-                for g in p.maxgens
-            ])
-        return r
-
+    frag = DmFragment(MultiBase(pa.space), k, antichain_bound)
+    star = lift_to_downsets(frag.base, pa.star)
     return ActionMap(ACT, pa.scalars, frag, star, name=f"DM({pa.name})" if pa.name else "DM-act")
 
 
@@ -260,26 +249,24 @@ def extend_act_to_module(aa, k=4, antichain_bound=3):
             )
     aqm = free_aqm(mon, k, antichain_bound)
     sp = aa.space
-    sums, stars = {}, {}
+
+    @cache
+    def summed(sigma, x):
+        acc = sp.zero
+        try:
+            for a in sigma.gens:
+                acc = sp.plus(acc, aa.star(a, x))
+        except FragmentExceeded as exc:
+            return exc.witness, True  # the sum that left the fragment
+        return acc, False
 
     def multiset_star(sigma, x):
-        if (sigma, x) not in sums:
-            acc, left = sp.zero, False
-            try:
-                for a in sigma.gens:
-                    acc = sp.plus(acc, aa.star(a, x))
-            except FragmentExceeded as exc:
-                acc, left = exc.witness, True  # the sum that left the fragment
-            sums[sigma, x] = acc, left
-        acc, left = sums[sigma, x]
+        acc, left = summed(sigma, x)
         return sp.check_bound(acc) if left else acc
 
+    @cache
     def star(scalar, x):
-        r = stars.get((scalar, x))
-        if r is None:
-            r = stars[scalar, x] = sp.join([multiset_star(sigma, x)
-                                      for sigma in scalar.maxgens])
-        return r
+        return sp.join([multiset_star(sigma, x) for sigma in scalar.maxgens])
 
     ma = ActionMap(MODULE, aqm, sp, star,
                    name=f"Free({aa.name})" if aa.name else "free-module")

@@ -87,6 +87,11 @@ def _bits(mask):
         mask ^= low
 
 
+def _check_carrier_size(n):  # a ByteTable's carrier: at most 256 elements
+    if n > 256:
+        raise TooLarge(f"carrier has {n} > 256 elements", witness=n)
+
+
 class ByteTable:
     """A flat table over element positions, n columns wide, held as bytes:
     `flat`, its `rows` (t[i, j] = rows[i][j] = flat[i * n + j]) and `maps`,
@@ -95,8 +100,7 @@ class ByteTable:
     elements raises TooLarge, with its size as witness."""
 
     def __init__(self, flat, n):
-        if n > 256:
-            raise TooLarge(f"carrier has {n} > 256 elements", witness=n)
+        _check_carrier_size(n)
         self.flat = t = bytes(flat)
         self.rows = [t[i:i + n] for i in range(0, len(t), n or 1)]
         self.maps = [r.ljust(256, b"\0") for r in self.rows]
@@ -426,6 +430,7 @@ def selfmap_pomonoid(poset, limit=6):
     at most 256 elements (see ByteTable): the 6-chain, with 462 monotone
     self-maps, raises TooLarge."""
     maps, order = enumerate_monotone_selfmaps(poset, limit)
+    _check_carrier_size(len(maps))
     names = [f"f{i}" for i in range(len(maps))]
     at = sorted(range(len(maps)), key=names.__getitem__)  # map at a position
     pos = {m: p for p, m in enumerate(at)}

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import naive_elementwise_product
 from squanta.aqm import (
+    AQM,
     check_aqm,
     eval_term,
     exp_end,
@@ -208,6 +209,22 @@ def test_free_aqm_fragment_scan_counts(m2, base, k, counts):
     assert (rep.data["checked"], rep.data["skipped"]) == counts
 
 
+def test_fragment_scan_checks_iota_unit():
+    from squanta.order import validate_structure
+
+    # iota composed with the swap 0 <-> 1 of chain2 (0 < 1, min) sends the
+    # unit 1 to v[[0]], not to the one v[[1]]. It stays monotone: the
+    # multiupset order reverses the base's, so i(0) = v[[1]] <= v[[0]] = i(1)
+    fa = free_aqm(validate_structure(CHAIN2), k=2)
+    swap = {"0": "1", "1": "0"}
+    a = AQM(fa.dist, fa.quant, fa.mult, fa.one, lambda d: fa.iota(swap[d]))
+    rep = check_aqm(a, strict=False)
+    failed = [ln for ln in rep.lines if ": FAIL" in ln]
+    assert {ln.split(":")[0] for ln in failed} == {"iota-hom", "iota-unit"}
+    assert failed[-1] == "iota-unit: FAIL [witness: '1']"
+    assert rep.data == {"checked": 564, "skipped": 688}  # iota laws uncounted
+
+
 def test_fragment_exceeded_on_every_call(m2):
     # results are kept per fragment; a result outside the bound raises
     # again on each later call, not only on the one that computed it
@@ -239,7 +256,8 @@ def test_dropped_fragment_frees_its_tables(m2):
     fa = free_aqm(m2, k=3)
     check_aqm(fa)
     frag = weakref.ref(fa.quant)
-    assert frag()._sums and frag()._joins
+    assert (frag()._sum.cache_info().currsize
+            and frag()._join.cache_info().currsize)
     del fa
     gc.collect()
     assert frag() is None

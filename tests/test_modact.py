@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from squanta.aqm import free_aqm
+from squanta.aqm import check_aqm, free_aqm
 from squanta.downset import MultiBase, djoin, dsum, dzero, normalize, unit_embed
 from squanta.errors import FragmentExceeded, LawViolated, UnitNotEmbedding
 from squanta.modact import (
@@ -200,3 +200,28 @@ def test_act_level_laws_hold_on_extension(m2_on_d2):
     aa = extend_poset_action_to_dm(m2_on_d2)
     rep = check_action(aa, strict=False)
     assert rep.ok and rep.data["checked"] > 0
+
+
+def test_second_scan_computes_no_sum_or_join(monkeypatch, m2, m2_on_d2):
+    # the spies go in first: a kept result's cache holds the function it
+    # was built with
+    import squanta.aqm
+    import squanta.downset
+    import squanta.modact
+
+    calls = []
+    for mod in (squanta.aqm, squanta.modact, squanta.downset):
+        for name in ("dsum", "djoin"):
+            if hasattr(mod, name):
+                fn = getattr(mod, name)
+                monkeypatch.setattr(mod, name, lambda *args, fn=fn, name=name:
+                                    calls.append(name) or fn(*args))
+    fa = free_aqm(m2, k=3)
+    ma = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
+    for scan, obj in ((check_aqm, fa), (check_action, ma)):
+        calls.clear()
+        first = scan(obj)
+        assert {"dsum", "djoin"} <= set(calls)
+        calls.clear()
+        assert scan(obj).to_dict() == first.to_dict()
+        assert calls == []

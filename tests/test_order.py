@@ -11,6 +11,7 @@ from squanta.errors import (
 )
 from squanta.aqm import FinGenQuantale
 from squanta.order import (
+    MonotoneMap,
     Pomonoid,
     antichain_ops,
     enumerate_monotone_selfmaps,
@@ -114,6 +115,23 @@ def test_selfmap_pomonoid_validates(c2, d2):
     for poset in (c2, d2):
         pom, _ = selfmap_pomonoid(poset)
         assert pom.notation == "multiplicative"
+
+
+def test_selfmap_pomonoid_too_large_before_composing(monkeypatch):
+    # the 6-chain has 462 monotone self-maps, more than a pomonoid holds,
+    # which is known before any of their 213,444 products is composed
+    chain6 = validate_structure({"poset": {
+        "elements": list("012345"),
+        "leq": [[str(i), str(j)] for i in range(6) for j in range(i, 6)]}})
+
+    def compose(self, other):
+        raise AssertionError("composed before the size check")
+
+    monkeypatch.setattr(MonotoneMap, "compose", compose)
+    with pytest.raises(TooLarge) as err:
+        selfmap_pomonoid(chain6)
+    assert err.value.witness == 462
+    assert str(err.value) == "carrier has 462 > 256 elements [witness: 462]"
 
 
 def test_too_large_guard():
