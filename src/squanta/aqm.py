@@ -406,17 +406,18 @@ def check_aqm(a, strict=True):
 # -- the endomorphism construction --------------------------------------------
 
 
-def exp_end(q, limit=5):
+def exp_end(q):
     """The two-sorted endomorphism object of a finite generalized quantale:
     endomorphisms as the distributive sort, their closure under pointwise
-    sums and joins as the quantale sort, composition as the product.
+    sums and joins as the quantale sort, composition as the product; on at
+    most 5 elements (more raise TooLarge).
 
     Maps are tuples over element positions until the structures are built;
     a map's name lists its values in element order, as in "(0,1,2)"."""
     els = q.elements
     n = len(els)
-    if n > limit:
-        raise TooLarge(f"quantale has {n} > {limit} elements", witness=n)
+    if n > 5:
+        raise TooLarge(f"quantale has {n} > 5 elements", witness=n)
     poset, plus, join = q.pomonoid.poset, q.plus_table, q.join_table
     up, zero = poset.up_rows, poset.index[q.zero]
     pts = range(n)
@@ -481,9 +482,10 @@ def exp_end(q, limit=5):
 @dataclass(frozen=True)
 class DmFragment:
     """Bounded window into the downsets of the multiupset pomonoid over a
-    poset: total generator multiplicity <= k, antichains of size <= 3 by
-    default. Operations compute exact results and raise FragmentExceeded
-    instead of truncating when a result leaves the multiplicity bound.
+    poset: total generator multiplicity <= k. Operations compute exact
+    results and raise FragmentExceeded instead of truncating when a result
+    leaves it. No operation checks antichain width: the antichain bound
+    only bounds the law scans' enumeration, and scan_bounds caps it at 2.
 
     Sums, joins and comparisons are computed once per argument tuple and
     kept in caches that live as long as the fragment. A sum is kept as
@@ -522,8 +524,8 @@ class DmFragment:
     def scan_bounds(self):
         return (min(self.k, 2), min(self.antichain_bound, 2))
 
-    def enumerate(self, bounds=None):
-        k, width = bounds if bounds else (self.k, self.antichain_bound)
+    def enumerate(self, bounds):  # bounds as from scan_bounds
+        k, width = bounds
         mus = enumerate_fragment(self.base.poset, k)
         out = []
         for size in range(1, width + 1):

@@ -17,6 +17,7 @@ from .aqm import AQM, FinGenQuantale, check_aqm, free_aqm, make_quantale, table_
 from .errors import (
     DanglingReference,
     DuplicateName,
+    NotProjective,
     ParseError,
     SquantaError,
     TooLarge,
@@ -48,7 +49,7 @@ from .projective import (
     self_module,
     submodule_on_orbit,
 )
-from .equivlogic import TranslationPair, equivalence_check
+from .equivlogic import TranslationPair, equivalence_check, recover_translations
 from .reporting import Report
 from .search import SUITES, correspondence, quantale_descriptions
 
@@ -56,34 +57,26 @@ EXIT_OK, EXIT_VIOLATION, EXIT_INPUT = 0, 1, 2
 DEFAULT_CONFIG = {"fragment": 4, "antichain": 3, "workers": 1}
 
 
+def _presentation(make, space, value):
+    """make(space, value), once validate_presentation passes it."""
+    p = make(space, value)
+    validate_presentation(p)
+    return p
+
+
 def _builtin_prelude():
     """Name -> zero-argument builder. Materialized lazily so that the broken
     negative-control fixtures only fail when actually referenced."""
-    def n3_nucleus():
-        g = nucleus(fx.n3_quantale(), {"0": "0", "1": "1", "2": "3", "3": "3"})
-        validate_presentation(g)
-        return g
+    def nuc(space, table):  # the nucleus `table` on space()
+        return lambda: _presentation(nucleus, space(), table)
+
+    n3_nucleus = nuc(fx.n3_quantale, {"0": "0", "1": "1", "2": "3", "3": "3"})
 
     def n3_quotient():
         return quotient(fx.n3_self_module(), n3_nucleus()).module
 
-    def g022():
-        g = nucleus(fx.n2_quantale(), {"0": "0", "1": "2", "2": "2"})
-        validate_presentation(g)
-        return g
-
-    def g112():
-        g = nucleus(fx.n2_quantale(), {"0": "1", "1": "1", "2": "2"})
-        validate_presentation(g)
-        return g
-
     def n2_broken():
         return validate_structure(fx.broken_descriptions()["N2-broken"])
-
-    def b3_nonstructural_nucleus():
-        g = nucleus(fx.b3().quant, {"0": "0", "1": "0", "2": "2"})
-        validate_presentation(g)
-        return g
 
     def a3_broken():
         q = fx.n2_quantale()
@@ -106,10 +99,10 @@ def _builtin_prelude():
         "N3.q": n3_quotient,
         "B3": fx.b3,
         "B3.self": fx.b3_self_module,
-        "gB3": b3_nonstructural_nucleus,
+        "gB3": nuc(lambda: fx.b3().quant, {"0": "0", "1": "0", "2": "2"}),
         "M2D2": fx.m2_on_d2,
-        "g022": g022,
-        "g112": g112,
+        "g022": nuc(fx.n2_quantale, {"0": "0", "1": "2", "2": "2"}),
+        "g112": nuc(fx.n2_quantale, {"0": "1", "1": "1", "2": "2"}),
         "N2-broken": n2_broken,
         "A3-broken": a3_broken,
     }
@@ -185,6 +178,10 @@ SHAPES = {
         dict(_MODULES, tau=_PAIRS, rho=_PAIRS),
         dict(_MODULES, f=_PAIRS, g=_PAIRS))},
 }
+
+# presentation kind -> (its label constructor, the field the constructor reads)
+PRESENTATIONS = {"nucleus": (nucleus, "table"), "consequence": (consequence, "pairs"),
+                 "congruence": (congruence, "classes")}
 
 
 class Workspace:
@@ -310,23 +307,9 @@ class Workspace:
                 aqm.quant.pomonoid.poset.check_element(spec["orbit"])
                 return submodule_on_orbit(self_module(aqm), spec["orbit"])
             raise ParseError("module needs space: self or orbit", witness=spec)
-        if kind == "nucleus":
-            spec = desc["nucleus"]
-            g = nucleus(self._quantale_ref(spec["space"]), dict(spec["table"]))
-            validate_presentation(g)
-            return g
-        if kind == "consequence":
-            spec = desc["consequence"]
-            c = consequence(self._quantale_ref(spec["space"]),
-                            [tuple(p) for p in spec["pairs"]])
-            validate_presentation(c)
-            return c
-        if kind == "congruence":
-            spec = desc["congruence"]
-            c = congruence(self._quantale_ref(spec["space"]),
-                           [list(cl) for cl in spec["classes"]])
-            validate_presentation(c)
-            return c
+        if kind in PRESENTATIONS:
+            spec, (make, field) = desc[kind], PRESENTATIONS[kind]
+            return _presentation(make, self._quantale_ref(spec["space"]), spec[field])
         spec = desc["translations"]
         p_mod, q_mod = (self._ref(spec[k], ActionMap) for k in ("p", "q"))
         for mod in (p_mod, q_mod):
@@ -339,9 +322,6 @@ class Workspace:
                                  dict(spec["tau"]), dict(spec["rho"]))
             return tp.validate()
         # f, g given instead: recover the pair through projectivity
-        from .equivlogic import recover_translations
-        from .errors import NotProjective
-
         for mod in (p_mod, q_mod):
             cert = cyclic_projective_check(mod)
             if not cert.data["conditions"]["ii"]:
@@ -410,17 +390,16 @@ def cmd_validate(ws, args):
 
 
 def cmd_correspond(ws, args):
-    nucs, cons, congs, trip_ok = correspondence(ws._quantale_ref(args.name))
+    triples, trip_ok = correspondence(ws._quantale_ref(args.name))
+    counts = dict(zip(("nuclei", "consequences", "congruences"), map(len, triples)))
     rep = Report(f"correspond {args.name}")
-    rep.note(f"nuclei: {len(nucs)}, consequences: {len(cons)}, "
-             f"congruences: {len(congs)}")
-    if len({len(nucs), len(cons), len(congs)}) == 1:
+    rep.note(", ".join(f"{kind}: {n}" for kind, n in counts.items()))
+    if len(set(counts.values())) == 1:
         rep.passed("counts agree")
     else:
-        rep.failed("counts agree", witness=(len(nucs), len(cons), len(congs)))
+        rep.failed("counts agree", witness=tuple(counts.values()))
     rep.passed("round-trips", "OK") if trip_ok else rep.failed("round-trips")
-    rep.data.update(nuclei=len(nucs), consequences=len(cons),
-                    congruences=len(congs), round_trips=trip_ok)
+    rep.data.update(counts, round_trips=trip_ok)
     return rep
 
 
@@ -560,7 +539,8 @@ def build_parser():
     common.add_argument("--fragment", type=int,
                         help="multiupset multiplicity bound")
     common.add_argument("--antichain", type=int,
-                        help="downset antichain bound")
+                        help="antichain width of the downsets fragment law "
+                             "scans enumerate, capped at 2 (no operation checks it)")
     common.add_argument("--workers", type=int,
                         default=os.environ.get("SQUANTA_WORKERS"))
 
@@ -634,7 +614,7 @@ def main(argv=None):
                   f"(k={config['fragment']}, antichain={config['antichain']}); "
                   f"runtime expectations relaxed", file=sys.stderr)
         if getattr(args, "size", 0) > 4:
-            print(f"note: search size {args.size} exceeds the default guard; "
+            print(f"note: search size {args.size} is above the default of 4; "
                   f"runtime expectations relaxed", file=sys.stderr)
         rep = args.run(ws, args)
         code = EXIT_OK if rep.ok else EXIT_VIOLATION

@@ -9,7 +9,7 @@ for the underlying elements.
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, EmptyGeneratorSet, NotAHomomorphism, UnknownElement
-from .multiupset import Multiupset, enumerate_fragment, mleq, msum
+from .multiupset import Multiupset, enumerate_fragment, mleq, msum, parse_multiupset
 from .order import FinPoset, Pomonoid
 
 __all__ = [
@@ -180,8 +180,6 @@ def parse_downset(base, text):
     "v[[p],[q,q]]" denotes the downset of the listed multiupsets; "v[[]]"
     is the zero downset. Pomonoid bases use bare element names: "v[1,2]".
     """
-    from .multiupset import parse_multiupset
-
     text = text.strip()
     if not (text.startswith("v[") and text.endswith("]")):
         raise UnknownElement(f"bad downset literal {text!r}", witness=text)

@@ -128,10 +128,10 @@ def _down_rows(q):
 
 
 def nucleus(space, mapping):
-    """The nucleus {x: gamma(x)} of labels; an element outside the space
-    raises UnknownElement, one without a value is left None."""
+    """The nucleus {x: gamma(x)} of labels, a dict or pairs; an element
+    outside the space raises UnknownElement, one without a value is None."""
     values = [None] * len(space.elements)
-    for x, y in mapping.items():
+    for x, y in dict(mapping).items():
         values[_index(space, x)] = _index(space, y)
     return Nucleus(space, tuple(values))
 
@@ -505,7 +505,7 @@ def quotient(ma, nuc, strict=True):
     rep.merge(check_action(module, strict=strict))
 
     # gamma is a surjective module homomorphism onto the quotient
-    from .projective import is_module_hom
+    from .projective import is_module_hom  # a cycle: projective imports nucleus
 
     if is_module_hom(nuc.as_dict(), ma, module):
         rep.passed("nucleus is a surjective module homomorphism")

@@ -396,16 +396,16 @@ def antichain_ops(poset, subset, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def enumerate_monotone_selfmaps(poset, limit=6):
+def enumerate_monotone_selfmaps(poset):
     """All order-preserving self-maps, plus their componentwise order.
 
     Returns (maps, order_pairs) where order_pairs contains (i, j) whenever
     maps[i] <= maps[j] pointwise. The list is closed under composition and
-    contains the identity.
+    contains the identity. More than 6 elements raise TooLarge.
     """
     n = len(poset.elements)
-    if n > limit:
-        raise TooLarge(f"poset has {n} > {limit} elements", witness=n)
+    if n > 6:
+        raise TooLarge(f"poset has {n} > 6 elements", witness=n)
     maps = []
     for values in product(poset.elements, repeat=n):
         tab = dict(zip(poset.elements, values))
@@ -424,12 +424,12 @@ def enumerate_monotone_selfmaps(poset, limit=6):
     return maps, order
 
 
-def selfmap_pomonoid(poset, limit=6):
+def selfmap_pomonoid(poset):
     """The monotone self-maps as a multiplicative pomonoid under composition,
     the i-th map of enumerate_monotone_selfmaps named f<i>. A pomonoid has
     at most 256 elements (see ByteTable): the 6-chain, with 462 monotone
     self-maps, raises TooLarge."""
-    maps, order = enumerate_monotone_selfmaps(poset, limit)
+    maps, order = enumerate_monotone_selfmaps(poset)
     _check_carrier_size(len(maps))
     names = [f"f{i}" for i in range(len(maps))]
     at = sorted(range(len(maps)), key=names.__getitem__)  # map at a position

@@ -10,6 +10,7 @@ from .aqm import term_closure
 from .errors import (
     FragmentExceeded,
     NoLift,
+    NotAHomomorphism,
     NoResidual,
     NotDividing,
     NotStructural,
@@ -198,25 +199,11 @@ def cyclic_check(am, u):
     part when the answer is no. At module level over finite scalars the
     residual characterization (x/u)*u = x is cross-checked when u divides.
     """
-    if am.level == POSET:
-        orbit = {am.star(a, u) for a in am.scalars.elements}
-        missing = [x for x in am.space.elements if x not in orbit]
-        return (not missing, missing[0] if missing else None)
     if am.level == ACT:
         closed = term_closure(am.space, ((am.star(a, u), f"{a}*u")
                                          for a in am.scalars.elements))
         missing = [x for x in am.space_universe() if x not in closed]
-        return (not missing, missing[0] if missing else None)
-    if am.level == MODULE:
-        if not am.on_tables:  # fragment scalars: the orbit scan alone
-            orbit = set()
-            for a in am.scalar_universe():
-                try:
-                    orbit.add(am.star(a, u))
-                except FragmentExceeded:
-                    pass
-            missing = [x for x in am.space_universe() if x not in orbit]
-            return (not missing, missing[0] if missing else None)
+    elif am.on_tables:
         n = len(am.space.elements)
         ui = am.space.pomonoid.poset.index_of(u)
         times_u = am.star_table()[ui::n]  # a * u for every scalar a
@@ -233,8 +220,17 @@ def cyclic_check(am, u):
                 f"orbit and residual characterizations of cyclicity "
                 f"disagree at u={u!r}"
             )
-        return (not missing, missing[0] if missing else None)
-    raise ValueError(am.level)
+    elif am.level in (POSET, MODULE):  # the orbit scan
+        orbit = set()
+        for a in am.scalar_universe():
+            try:
+                orbit.add(am.star(a, u))
+            except FragmentExceeded:
+                pass
+        missing = [x for x in am.space_universe() if x not in orbit]
+    else:
+        raise ValueError(am.level)
+    return (not missing, missing[0] if missing else None)
 
 
 def _iso_between(m1, m2):
@@ -411,8 +407,6 @@ def lifting_check(p, family, size_guard=64):
     rep = Report(f"lifting {p.name or 'module'}")
     if len(family) > size_guard:
         raise TooLarge(f"{len(family)} lifting pairs > guard {size_guard}")
-    from .errors import NotAHomomorphism
-
     for idx, (g, q_mod, r_mod, h) in enumerate(family):
         if not is_module_hom(g, q_mod, r_mod):
             raise NotAHomomorphism("surjection is not a module homomorphism",

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement, permutations, product
 from .aqm import check_aqm, exp_end, make_quantale, table_aqm
 from .errors import LawViolated, NotStructural
 from .nucleus import (
+    KINDS,
     convert,
     enumerate_congruences,
     enumerate_consequences,
@@ -59,8 +60,9 @@ def _labeled_posets(n):
                                  + (u | (1 << k),))
         posets = grown
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return sorted(posets,
-                  key=lambda up: [up[i] >> j & 1 for i, j in pairs])
+    # (i, the bit of j, the weight of the pair (i, j) in the integer key)
+    weights = [(i, 1 << j, 1 << b) for b, (i, j) in enumerate(reversed(pairs))]
+    return sorted(posets, key=lambda up: sum(w for i, m, w in weights if up[i] & m))
 
 
 def _commutative_tables(n, leq, unit):
@@ -193,43 +195,34 @@ def build_quantale(desc):
 
 
 def correspondence(q):
-    """The nuclei, consequence relations and congruences of q, and whether
-    every round trip through the other two presentations is the identity."""
-    nucs = enumerate_nuclei(q)
-    cons = enumerate_consequences(q)
-    congs = enumerate_congruences(q)
-    round_ok = True
-    for p in nucs:
-        round_ok &= convert(convert(p, "consequence"), "nucleus") == p
-        round_ok &= convert(convert(p, "congruence"), "nucleus") == p
-    for p in cons:
-        round_ok &= convert(convert(p, "nucleus"), "consequence") == p
-        round_ok &= convert(convert(p, "congruence"), "consequence") == p
-    for p in congs:
-        round_ok &= convert(convert(p, "nucleus"), "congruence") == p
-        round_ok &= convert(convert(p, "consequence"), "congruence") == p
-    return nucs, cons, congs, bool(round_ok)
+    """The nuclei, consequence relations and congruences of q, one list per
+    kind, each presentation as its images in the KINDS (one conversion each),
+    and whether the lists give one set of image triples: then the
+    conversions are mutually inverse bijections between the lists."""
+    triples = [[tuple(convert(p, kind) for kind in KINDS) for p in ps]
+               for ps in (enumerate_nuclei(q), enumerate_consequences(q),
+                          enumerate_congruences(q))]
+    tables = [{(g.values, c.rows, r.reps) for g, c, r in ts} for ts in triples]
+    return triples, tables[0] == tables[1] == tables[2]
 
 
 def suite_correspond(desc):
     """Counts of the three presentations, round-trip identity, and
     order-preservation of the conversions (pointwise order on nuclei,
-    inclusion on relations, refinement on partitions)."""
+    inclusion on relations, refinement on partitions), read off the
+    nuclei's image triples."""
     q = build_quantale(desc)
-    nucs, cons, congs, round_ok = correspondence(q)
-    # each nucleus with its two conversions, each converted once
-    images = [(g, convert(g, "consequence"), convert(g, "congruence"))
-              for g in nucs]
+    triples, round_ok = correspondence(q)
     monotone_ok = all(len(set(map(presentation_leq, ps, rs))) == 1
-                      for ps, rs in product(images, repeat=2))
-    counts = (len(nucs), len(cons), len(congs))
+                      for ps, rs in product(triples[0], repeat=2))
+    counts = tuple(map(len, triples))
     return {
         "size": len(q.elements),
         "counts": counts,
         "counts_agree": len(set(counts)) == 1,
         "round_trips": round_ok,
-        "order_preserving": bool(monotone_ok),
-        "ok": len(set(counts)) == 1 and round_ok and bool(monotone_ok),
+        "order_preserving": monotone_ok,
+        "ok": len(set(counts)) == 1 and round_ok and monotone_ok,
     }
 
 

@@ -1,0 +1,60 @@
+"""The correspondence suite converts each presentation once into each kind,
+and fails when a conversion breaks a round trip or the order."""
+
+from squanta import fixtures as fx
+from squanta import search
+from squanta.nucleus import AddConsequence, convert, enumerate_nuclei, presentation_leq
+from squanta.search import quantale_descriptions, suite_correspond
+
+
+def test_each_presentation_converted_once_per_kind(monkeypatch):
+    calls = []
+
+    def spy(p, target):
+        calls.append(target)
+        return convert(p, target)
+
+    monkeypatch.setattr(search, "convert", spy)
+    for desc in quantale_descriptions(3):
+        calls.clear()
+        result = suite_correspond(desc)
+        assert result["ok"]
+        assert len(calls) <= 3 * sum(result["counts"])
+
+
+def _comparable_pair():
+    """Two distinct nuclei g <= h of N2, with their consequence relations."""
+    q = fx.n2_quantale()
+    g, h = next((g, h) for g in enumerate_nuclei(q) for h in enumerate_nuclei(q)
+                if g != h and presentation_leq(g, h))
+    return convert(g, "consequence"), convert(h, "consequence")
+
+
+def _trade_consequences(monkeypatch, trade):
+    """Patch search.convert to replace the consequence relations with rows
+    in `trade` by the mapped ones, on the way in and on the way out."""
+    def swap(p):
+        return trade.get(p.rows, p) if isinstance(p, AddConsequence) else p
+
+    monkeypatch.setattr(search, "convert",
+                        lambda p, target: swap(convert(swap(p), target)))
+
+
+def test_broken_round_trip_fails(monkeypatch):
+    c, d = _comparable_pair()
+    _trade_consequences(monkeypatch, {c.rows: d})  # c no longer has a preimage
+    result = suite_correspond(fx.n2())
+    assert result["counts"] == (3, 3, 3)
+    assert not result["round_trips"]
+    assert not result["ok"]
+
+
+def test_bijection_that_reverses_the_order_fails(monkeypatch):
+    # trading the images of g <= h keeps every round trip, but sends g to
+    # a relation that is not contained in the image of h
+    c, d = _comparable_pair()
+    _trade_consequences(monkeypatch, {c.rows: d, d.rows: c})
+    result = suite_correspond(fx.n2())
+    assert result["counts_agree"] and result["round_trips"]
+    assert not result["order_preserving"]
+    assert not result["ok"]

@@ -3,7 +3,12 @@ from itertools import product
 import pytest
 
 from squanta.errors import NoResidual, NotDividing, TooLarge
-from squanta.modact import check_action
+from squanta.modact import (
+    ActionMap,
+    check_action,
+    extend_act_to_module,
+    extend_poset_action_to_dm,
+)
 from squanta.nucleus import enumerate_nuclei, nucleus, quotient, structural_check
 from squanta.projective import (
     cyclic_check,
@@ -91,6 +96,18 @@ def test_act_level_cyclicity(m2_on_d2):
     gen = unit_embed(base, Multiupset(m2_on_d2.space, ("q",)))
     ok, _ = cyclic_check(aa, gen)
     assert ok  # poset-level cyclicity lifts to the act (fragment scope)
+
+
+def test_module_level_cyclicity_over_fragment_scalars(m2_on_d2):
+    ma = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
+    got = {str(u): cyclic_check(ma, u) for u in ma.space_universe()}
+    assert len(got) == 12
+    q = next(u for u in ma.space_universe() if str(u) == "v[[q]]")
+    assert got.pop("v[[q]]") == (True, None)  # the orbit scan alone
+    assert set(got.values()) == {(False, q)}
+    with pytest.raises(ValueError):
+        cyclic_check(ActionMap("bogus", m2_on_d2.scalars, m2_on_d2.space,
+                               m2_on_d2.star), "q")
 
 
 def test_cyclic_projective_a_sub2(a3_sub2):
