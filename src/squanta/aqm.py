@@ -422,13 +422,12 @@ def exp_end(q):
     up, zero = poset.up_rows, poset.index[q.zero]
     pts = range(n)
     pairs = list(product(pts, repeat=2))
-    order = [(x, y) for x, y in pairs if up[x] >> y & 1]
-    # an endomorphism fixes the zero and the bottom
+    # an endomorphism fixes the zero and the bottom (and, as it preserves
+    # joins, is monotone)
     fixed = {zero} | ({poset.index[q.bottom]} if q.complete else set())
     endos = [
         f for f in product(*([x] if x in fixed else pts for x in pts))
-        if all(up[f[x]] >> f[y] & 1 for x, y in order)
-        and all(f[join[x * n + y]] == join[f[x] * n + f[y]] for x, y in pairs)
+        if all(f[join[x * n + y]] == join[f[x] * n + f[y]] for x, y in pairs)
         and all(f[plus[x * n + y]] == plus[f[x] * n + f[y]] for x, y in pairs)
     ]
 
@@ -484,8 +483,8 @@ class DmFragment:
     """Bounded window into the downsets of the multiupset pomonoid over a
     poset: total generator multiplicity <= k. Operations compute exact
     results and raise FragmentExceeded instead of truncating when a result
-    leaves it. No operation checks antichain width: the antichain bound
-    only bounds the law scans' enumeration, and scan_bounds caps it at 2.
+    leaves it. The law scans range over downsets with at most two maximal
+    generators (see scan_bounds); no operation bounds the width.
 
     Sums, joins and comparisons are computed once per argument tuple and
     kept in caches that live as long as the fragment. A sum is kept as
@@ -493,7 +492,6 @@ class DmFragment:
 
     base: MultiBase
     k: int = 4
-    antichain_bound: int = 3
 
     def __post_init__(self):
         for name, op in (("leq", dleq), ("_sum", dsum), ("_join", djoin)):
@@ -522,7 +520,7 @@ class DmFragment:
         return p.sort_key()
 
     def scan_bounds(self):
-        return (min(self.k, 2), min(self.antichain_bound, 2))
+        return (min(self.k, 2), 2)
 
     def enumerate(self, bounds):  # bounds as from scan_bounds
         k, width = bounds
@@ -555,7 +553,7 @@ def lift_to_downsets(base, act):
     return lifted
 
 
-def free_aqm(m, k=4, antichain_bound=3):
+def free_aqm(m, k=DmFragment.k):
     """The free additive quantale with multiplication over a multiplicative
     pomonoid, realized on the bounded downset fragment.
 
@@ -567,7 +565,7 @@ def free_aqm(m, k=4, antichain_bound=3):
     maximal generator multisets. Each action and each product is computed
     once per AQM; a product's bound is checked on every call.
     """
-    frag = DmFragment(MultiBase(m.poset), k, antichain_bound)
+    frag = DmFragment(MultiBase(m.poset), k)
     base = frag.base
     scalar_act = lift_to_downsets(base, m.apply)
 

@@ -13,7 +13,8 @@ import sys
 from multiprocessing import get_context
 
 from . import fixtures as fx
-from .aqm import AQM, FinGenQuantale, check_aqm, free_aqm, make_quantale, table_aqm
+from .aqm import (AQM, DmFragment, FinGenQuantale, check_aqm, free_aqm,
+                  make_quantale, table_aqm)
 from .errors import (
     DanglingReference,
     DuplicateName,
@@ -54,7 +55,7 @@ from .reporting import Report
 from .search import SUITES, correspondence, quantale_descriptions
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INPUT = 0, 1, 2
-DEFAULT_CONFIG = {"fragment": 4, "antichain": 3, "workers": 1}
+DEFAULT_CONFIG = {"fragment": DmFragment.k, "workers": 1}
 
 
 def _presentation(make, space, value):
@@ -261,8 +262,7 @@ class Workspace:
             spec = desc["aqm"]
             if spec["product"] == "free":
                 pom = self._ref(spec["pomonoid"], Pomonoid)
-                return free_aqm(pom, self.config["fragment"],
-                                self.config["antichain"])
+                return free_aqm(pom, self.config["fragment"])
             q = self._ref(spec["quantale"], (FinGenQuantale, Pomonoid))
             if isinstance(q, Pomonoid):
                 q = make_quantale(q)
@@ -390,16 +390,16 @@ def cmd_validate(ws, args):
 
 
 def cmd_correspond(ws, args):
-    triples, trip_ok = correspondence(ws._quantale_ref(args.name))
-    counts = dict(zip(("nuclei", "consequences", "congruences"), map(len, triples)))
+    result = correspondence(ws._quantale_ref(args.name))
+    counts = dict(zip(("nuclei", "consequences", "congruences"),
+                      result["counts"]))
     rep = Report(f"correspond {args.name}")
     rep.note(", ".join(f"{kind}: {n}" for kind, n in counts.items()))
-    if len(set(counts.values())) == 1:
-        rep.passed("counts agree")
-    else:
-        rep.failed("counts agree", witness=tuple(counts.values()))
-    rep.passed("round-trips", "OK") if trip_ok else rep.failed("round-trips")
-    rep.data.update(counts, round_trips=trip_ok)
+    rep.verdict("counts agree", result["counts_agree"], witness=result["counts"])
+    rep.verdict("round-trips", result["round_trips"], "OK")
+    rep.verdict("order-preserving", result["order_preserving"])
+    rep.data.update(counts, round_trips=result["round_trips"],
+                    order_preserving=result["order_preserving"])
     return rep
 
 
@@ -409,19 +409,15 @@ def cmd_extend(ws, args):
         raise ParseError(f"{args.name!r} is not a poset-level action",
                          witness=args.name)
     rep = Report(f"extend {args.name}")
-    aa = extend_poset_action_to_dm(pa, ws.config["fragment"],
-                                   ws.config["antichain"])
+    aa = extend_poset_action_to_dm(pa, ws.config["fragment"])
     rep.merge(check_action(aa))
-    ma = extend_act_to_module(aa, ws.config["fragment"], ws.config["antichain"])
+    ma = extend_act_to_module(aa, ws.config["fragment"])
     rep.merge(check_action(ma))
     back = restrict_module_to_act(ma)
     pts = aa.space.enumerate(aa.space.scan_bounds())
     round_ok = all(back.star(a, p) == aa.star(a, p)
                    for a in pa.scalars.elements for p in pts)
-    if round_ok:
-        rep.passed("restriction recovers the act")
-    else:
-        rep.failed("restriction recovers the act")
+    rep.verdict("restriction recovers the act", round_ok)
     return rep
 
 
@@ -538,9 +534,6 @@ def build_parser():
     # unset bounds take the workspace defaults (DEFAULT_CONFIG)
     common.add_argument("--fragment", type=int,
                         help="multiupset multiplicity bound")
-    common.add_argument("--antichain", type=int,
-                        help="antichain width of the downsets fragment law "
-                             "scans enumerate, capped at 2 (no operation checks it)")
     common.add_argument("--workers", type=int,
                         default=os.environ.get("SQUANTA_WORKERS"))
 
@@ -597,7 +590,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("size", "workers", "fragment", "antichain"):
+        for flag in ("size", "workers", "fragment"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ParseError(f"--{flag} must be at least 1, got {value}",
@@ -609,9 +602,8 @@ def main(argv=None):
         if config["workers"] != DEFAULT_CONFIG["workers"]:
             print(f"note: workers={config['workers']}; reports are canonically "
                   f"sorted, runtime expectations relaxed", file=sys.stderr)
-        if any(config[k] != DEFAULT_CONFIG[k] for k in ("fragment", "antichain")):
-            print(f"note: fragment bounds overridden "
-                  f"(k={config['fragment']}, antichain={config['antichain']}); "
+        if config["fragment"] != DEFAULT_CONFIG["fragment"]:
+            print(f"note: fragment bound overridden (k={config['fragment']}); "
                   f"runtime expectations relaxed", file=sys.stderr)
         if getattr(args, "size", 0) > 4:
             print(f"note: search size {args.size} is above the default of 4; "

@@ -7,7 +7,8 @@ from itertools import product
 
 from .errors import IllDefined, NoLift, NotProjective
 from .nucleus import Nucleus
-from .projective import enumerate_module_homs, is_module_hom
+from .modact import is_module_hom
+from .projective import find_lift
 from .reporting import Report
 
 __all__ = [
@@ -120,14 +121,12 @@ def equivalence_check(tp: TranslationPair):
                      ("tau-rho round trip is interderivable", c2),
                      ("back-translation preserves entailment", c3),
                      ("rho-tau round trip is interderivable", c4)]:
-        rep.passed(name) if ok else rep.failed(name)
+        rep.verdict(name, ok)
     line1, line2 = c1 and c2, c3 and c4
     rep.data.update(line1=line1, line2=line2,
                     conditions=dict(c1=c1, c2=c2, c3=c3, c4=c4))
-    if line1 == line2:
-        rep.passed("line 1 equivalent to line 2", f"both {line1}")
-    else:
-        rep.failed("line 1 equivalent to line 2", witness=(line1, line2))
+    rep.verdict("line 1 equivalent to line 2", line1 == line2,
+                f"both {line1}", witness=(line1, line2))
 
     if line1 and line2:
         gd, dd = g.as_dict(), d.as_dict()
@@ -136,10 +135,8 @@ def equivalence_check(tp: TranslationPair):
         inverse = all(h[f[x]] == x for x in g.image()) and all(
             f[h[e]] == e for e in d.image()
         )
-        if inverse:
-            rep.passed("delta.tau and gamma.rho are mutually inverse on quotients")
-        else:
-            rep.failed("delta.tau and gamma.rho are mutually inverse on quotients")
+        rep.verdict("delta.tau and gamma.rho are mutually inverse on "
+                    "quotients", inverse)
         rep.data["f"] = f
         rep.data["g"] = h
     return rep
@@ -165,16 +162,8 @@ def recover_translations(f, g, p_mod, q_mod, gamma, delta, certified=()):
         if not set(image.values()) <= set(h):
             raise IllDefined(f"{label} is not defined on the whole image",
                              witness=label)
-    tau = None
-    for cand in enumerate_module_homs(p_mod, q_mod):
-        if all(dd[cand[x]] == f[gd[x]] for x in p_mod.space.elements):
-            tau = cand
-            break
-    rho = None
-    for cand in enumerate_module_homs(q_mod, p_mod):
-        if all(gd[cand[e]] == g[dd[e]] for e in q_mod.space.elements):
-            rho = cand
-            break
+    tau = find_lift({x: f[gd[x]] for x in gd}, dd, p_mod, q_mod)
+    rho = find_lift({e: g[dd[e]] for e in dd}, gd, q_mod, p_mod)
     if tau is None or rho is None:
         raise NoLift(
             "certified projective module admitted no lift: this is a bug trap",

@@ -1,7 +1,7 @@
 """Actions at the three levels of the hierarchy: pomonoids on posets,
 pomonoids on quantales (acts), and additive quantales with multiplication on
 quantales (modules), together with the extension and restriction functors
-between them.
+between them and the test for module homomorphisms.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +10,7 @@ from itertools import product
 
 from .aqm import DmFragment, FinGenQuantale, free_aqm, lift_to_downsets
 from .downset import MultiBase
-from .errors import FragmentExceeded, UnitNotEmbedding
+from .errors import FragmentExceeded, TooLarge, UnitNotEmbedding, UnknownElement
 from .multiupset import generator_embed, mleq
 from .order import ByteTable, FinPoset
 from .reporting import LawScan
@@ -21,6 +21,7 @@ __all__ = [
     "extend_poset_action_to_dm",
     "extend_act_to_module",
     "restrict_module_to_act",
+    "is_module_hom",
 ]
 
 POSET, ACT, MODULE = "poset", "act", "module"
@@ -218,18 +219,18 @@ def _scan_module_table(am, rep):
                  lambda j: i)
 
 
-def extend_poset_action_to_dm(pa, k=4, antichain_bound=3):
+def extend_poset_action_to_dm(pa, k=DmFragment.k):
     """Lift a poset-level action to the downset fragment over the space:
     scalars act elementwise on generator multisets, then on maximal
     generators of a downset, followed by normalization. Each lifted value is
     computed once per fragment."""
     check_action(pa)
-    frag = DmFragment(MultiBase(pa.space), k, antichain_bound)
+    frag = DmFragment(MultiBase(pa.space), k)
     star = lift_to_downsets(frag.base, pa.star)
     return ActionMap(ACT, pa.scalars, frag, star, name=f"DM({pa.name})" if pa.name else "DM-act")
 
 
-def extend_act_to_module(aa, k=4, antichain_bound=3):
+def extend_act_to_module(aa, k=DmFragment.k):
     """Expand an act of a pomonoid on a quantale-sort space to a module over
     the free additive quantale with multiplication on that pomonoid.
 
@@ -247,7 +248,7 @@ def extend_act_to_module(aa, k=4, antichain_bound=3):
             raise UnitNotEmbedding(
                 "unit map of scalars is not an order-embedding", witness=(a, b)
             )
-    aqm = free_aqm(mon, k, antichain_bound)
+    aqm = free_aqm(mon, k)
     sp = aa.space
 
     @cache
@@ -283,3 +284,37 @@ def restrict_module_to_act(ma):
 
     return ActionMap(ACT, aqm.dist, ma.space, star,
                      name=f"restrict({ma.name})" if ma.name else "restricted-act")
+
+
+def is_module_hom(h, src, dst):
+    """h: dict mapping the src carrier into the dst carrier, for modules with
+    finite scalars on finite quantales (ActionMap.on_tables); raises
+    TooLarge for any other action. Modules over different scalar carriers,
+    a map with a value outside the dst carrier and an action that leaves its
+    own carrier give False: there is no homomorphism."""
+    if not (src.on_tables and dst.on_tables):
+        raise TooLarge("module homomorphisms need finite scalars on finite "
+                       "quantales", witness=(src.name, dst.name))
+    if src.scalars.quant.elements != dst.scalars.quant.elements:
+        return False
+    p, r = src.space, dst.space
+    els = p.elements
+    if sorted(h) != sorted(els):
+        return False
+    index_of = r.pomonoid.poset.index_of
+    try:
+        hv = [index_of(h[x]) for x in els]
+        src_star, dst_star = src.star_table(), dst.star_table()
+    except UnknownElement:
+        return False
+    k = len(r.elements)
+    for p_op, r_op in ((p.join_table, r.join_table),
+                       (p.plus_table, r.plus_table)):
+        # h(x op y) against h(x) op h(y), for every x, y
+        if [hv[z] for z in p_op] != [r_op[a * k + b] for a in hv for b in hv]:
+            return False
+    if hv[p.pomonoid.poset.index_of(p.zero)] != index_of(r.zero):
+        return False
+    rows = range(len(src.scalars.quant.elements))
+    return [hv[z] for z in src_star] == \
+        [dst_star[a * k + b] for a in rows for b in hv]

@@ -16,7 +16,7 @@ from .errors import (
     NotStructural,
     TooLarge,
 )
-from .modact import MODULE, ActionMap, check_action
+from .modact import MODULE, ActionMap, check_action, is_module_hom
 from .order import ByteTable, _bits
 from .reporting import LawScan, Report
 
@@ -332,20 +332,14 @@ def structural_check(p, am, scope="all"):
     rep.data["generators_pass"] = gen_ok
     rep.data["all_pass"] = all_ok
     rep.data["structural"] = all_ok if scope == "all" else gen_ok
-    if gen_ok == all_ok:
-        rep.passed("generator-scope agrees with all-scope", f"both {gen_ok}")
-    else:
-        rep.failed("generator-scope agrees with all-scope",
-                   witness=(gen_wit, all_wit))
+    rep.verdict("generator-scope agrees with all-scope", gen_ok == all_ok,
+                f"both {gen_ok}", witness=(gen_wit, all_wit))
     if rep.data["structural"]:
         rep.passed("structural", f"scope={scope}")
         for target in [t for t in KINDS if t != kind]:
             t_ok, t_wit = _structural_over(convert(p, target), am,
                                            am.scalar_universe())
-            if t_ok:
-                rep.passed(f"transfer to {target}")
-            else:
-                rep.failed(f"transfer to {target}", witness=t_wit)
+            rep.verdict(f"transfer to {target}", t_ok, witness=t_wit)
     else:
         witness = all_wit if scope == "all" else gen_wit
         rep.data["witness"] = witness
@@ -505,12 +499,8 @@ def quotient(ma, nuc, strict=True):
     rep.merge(check_action(module, strict=strict))
 
     # gamma is a surjective module homomorphism onto the quotient
-    from .projective import is_module_hom  # a cycle: projective imports nucleus
-
-    if is_module_hom(nuc.as_dict(), ma, module):
-        rep.passed("nucleus is a surjective module homomorphism")
-    else:
-        rep.failed("nucleus is a surjective module homomorphism")
+    rep.verdict("nucleus is a surjective module homomorphism",
+                is_module_hom(nuc.as_dict(), ma, module))
 
     # isomorphic to the quotient by the kernel congruence, on class ids (the
     # least position in each class): the image meets every class once, and
@@ -527,10 +517,7 @@ def quotient(ma, nuc, strict=True):
         iso_ok &= fwd[q_plus[i * m + j]] == cid[plus[c * n + d]]
     for row, ax in zip(rows, parent_rows):
         iso_ok &= all(fwd[z] == cid[ax[c]] for z, c in zip(row, fwd))
-    if iso_ok:
-        rep.passed("isomorphic to the congruence quotient")
-    else:
-        rep.failed("isomorphic to the congruence quotient")
+    rep.verdict("isomorphic to the congruence quotient", iso_ok)
     if strict and not rep.ok:
         raise LawViolated("quotient", witness=rep.lines)
     return QuotientModule(ma, nuc, module, rep)

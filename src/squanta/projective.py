@@ -15,9 +15,8 @@ from .errors import (
     NotDividing,
     NotStructural,
     TooLarge,
-    UnknownElement,
 )
-from .modact import ACT, MODULE, POSET, ActionMap, check_action
+from .modact import ACT, MODULE, POSET, ActionMap, check_action, is_module_hom
 from .nucleus import nucleus, quotient
 from .order import ByteTable
 from .reporting import Report
@@ -29,6 +28,7 @@ __all__ = [
     "cyclic_check",
     "cyclic_projective_check",
     "lifting_check",
+    "find_lift",
     "self_module",
     "kept_self_module",
     "submodule_on_orbit",
@@ -105,7 +105,8 @@ def _gamma_index(ma, u):
 def self_module(aqm, name=None):
     """The AQM acting on its own quantale sort by multiplication."""
     return ActionMap(MODULE, aqm, aqm.quant, aqm.mult,
-                     name=name or f"{aqm.name}-self")
+                     name=name or f"{aqm.name}-self",
+                     table=aqm.mult_table() if aqm.is_finite else None)
 
 
 def kept_self_module(aqm):
@@ -168,7 +169,7 @@ def gamma_u(u, ma):
     table = {a: residual(ma.star(a, u), u, ma).value for a in q.elements}
     nuc = nucleus(q, table)
     try:
-        qm = quotient(self_module(aqm), nuc)
+        qm = quotient(kept_self_module(aqm), nuc)
     except NotStructural:
         rep.failed("gamma_u structural on the scalar quantale")
         return nuc, rep
@@ -183,11 +184,8 @@ def gamma_u(u, ma):
     )
     iso_ok = iso_ok and is_module_hom(fwd, orbit_mod, qm.module)
     iso_ok = iso_ok and is_module_hom(bwd, qm.module, orbit_mod)
-    if iso_ok:
-        rep.passed("orbit module isomorphic to scalar quotient",
-                   "via x->x/u and a->a*u")
-    else:
-        rep.failed("orbit module isomorphic to scalar quotient")
+    rep.verdict("orbit module isomorphic to scalar quotient", iso_ok,
+                "via x->x/u and a->a*u")
     rep.data["nucleus"] = nuc
     return nuc, rep
 
@@ -309,10 +307,8 @@ def cyclic_projective_check(ma, lifting_family=None):
             rep.passed(f"condition ({k})", f"witness {conds[k][0]}")
         else:
             rep.note(f"condition ({k}): no witness")
-    if len(set(truth.values())) > 1:
-        rep.failed("conditions (ii)-(v) mutually equivalent", witness=truth)
-    else:
-        rep.passed("conditions (ii)-(v) mutually equivalent", f"all {truth['ii']}")
+    rep.verdict("conditions (ii)-(v) mutually equivalent",
+                len(set(truth.values())) == 1, f"all {truth['ii']}", truth)
     rep.data["conditions"] = truth
     rep.data["witnesses"] = conds
     if truth["iii"]:
@@ -327,11 +323,8 @@ def cyclic_projective_check(ma, lifting_family=None):
         lift_rep = lifting_check(ma, lifting_family)
         rep.merge(lift_rep)
         rep.data["lifting_ok"] = lift_rep.ok
-        if lift_rep.ok != truth["ii"]:
-            rep.failed("condition (i) agrees with (ii)-(v)",
-                       witness=(lift_rep.ok, truth))
-        else:
-            rep.passed("condition (i) agrees with (ii)-(v)")
+        rep.verdict("condition (i) agrees with (ii)-(v)",
+                    lift_rep.ok == truth["ii"], witness=(lift_rep.ok, truth))
     if not any(truth.values()):
         rep.data["exhausted"] = True
         rep.note("conditions (ii)-(v) fail: no dividing idempotent witness "
@@ -340,40 +333,6 @@ def cyclic_projective_check(ma, lifting_family=None):
 
 
 # -- module homomorphisms ------------------------------------------------------
-
-
-def is_module_hom(h, src, dst):
-    """h: dict mapping the src carrier into the dst carrier, for modules with
-    finite scalars on finite quantales (ActionMap.on_tables); raises
-    TooLarge for any other action. Modules over different scalar carriers,
-    a map with a value outside the dst carrier and an action that leaves its
-    own carrier give False: there is no homomorphism."""
-    if not (src.on_tables and dst.on_tables):
-        raise TooLarge("module homomorphisms need finite scalars on finite "
-                       "quantales", witness=(src.name, dst.name))
-    if src.scalars.quant.elements != dst.scalars.quant.elements:
-        return False
-    p, r = src.space, dst.space
-    els = p.elements
-    if sorted(h) != sorted(els):
-        return False
-    index_of = r.pomonoid.poset.index_of
-    try:
-        hv = [index_of(h[x]) for x in els]
-        src_star, dst_star = src.star_table(), dst.star_table()
-    except UnknownElement:
-        return False
-    k = len(r.elements)
-    for p_op, r_op in ((p.join_table, r.join_table),
-                       (p.plus_table, r.plus_table)):
-        # h(x op y) against h(x) op h(y), for every x, y
-        if [hv[z] for z in p_op] != [r_op[a * k + b] for a in hv for b in hv]:
-            return False
-    if hv[p.pomonoid.poset.index_of(p.zero)] != index_of(r.zero):
-        return False
-    rows = range(len(src.scalars.quant.elements))
-    return [hv[z] for z in src_star] == \
-        [dst_star[a * k + b] for a in rows for b in hv]
 
 
 def enumerate_module_homs(src, dst):
@@ -393,6 +352,16 @@ def enumerate_surjective_homs(src, dst):
         for h in enumerate_module_homs(src, dst)
         if set(h.values()) == set(dst.space.elements)
     ]
+
+
+def find_lift(h, g, p, q):
+    """The first module homomorphism k: p -> q, in the order of
+    enumerate_module_homs, with g(k(x)) = h(x) for every x of p's carrier,
+    or None when there is none."""
+    for k in enumerate_module_homs(p, q):
+        if all(g[k[x]] == h[x] for x in p.space.elements):
+            return k
+    return None
 
 
 def lifting_check(p, family, size_guard=64):
@@ -417,11 +386,7 @@ def lifting_check(p, family, size_guard=64):
         if not is_module_hom(h, p, r_mod):
             raise NotAHomomorphism("candidate is not a module homomorphism",
                                    witness=sorted(h.items()))
-        lift = None
-        for cand in enumerate_module_homs(p, q_mod):
-            if all(g[cand[x]] == h[x] for x in p.space.elements):
-                lift = cand
-                break
+        lift = find_lift(h, g, p, q_mod)
         label = f"pair {idx} ({q_mod.name}->>{r_mod.name})"
         if lift is None:
             rep.failed(label, witness=NoLift("no lift exists").args[0])

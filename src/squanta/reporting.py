@@ -22,6 +22,13 @@ class Report:
         suffix = f" [witness: {witness!r}]" if witness is not None else ""
         self.lines.append(f"{label}: FAIL{suffix}")
 
+    def verdict(self, label, ok, detail="", witness=None):
+        """A PASS line for label (with detail) when ok, else a FAIL line."""
+        if ok:
+            self.passed(label, detail)
+        else:
+            self.failed(label, witness)
+
     def note(self, text):
         self.lines.append(text)
 

@@ -195,35 +195,34 @@ def build_quantale(desc):
 
 
 def correspondence(q):
-    """The nuclei, consequence relations and congruences of q, one list per
-    kind, each presentation as its images in the KINDS (one conversion each),
-    and whether the lists give one set of image triples: then the
-    conversions are mutually inverse bijections between the lists."""
+    """The correspondence verdict on q: the counts of its nuclei, consequence
+    relations and congruences, each converted once into each of the KINDS;
+    whether the lists give one set of image triples (then the conversions
+    are mutually inverse bijections); and whether the conversions preserve
+    and reflect order on the nuclei's triples (pointwise order on nuclei,
+    inclusion on relations, refinement on partitions)."""
     triples = [[tuple(convert(p, kind) for kind in KINDS) for p in ps]
                for ps in (enumerate_nuclei(q), enumerate_consequences(q),
                           enumerate_congruences(q))]
     tables = [{(g.values, c.rows, r.reps) for g, c, r in ts} for ts in triples]
-    return triples, tables[0] == tables[1] == tables[2]
-
-
-def suite_correspond(desc):
-    """Counts of the three presentations, round-trip identity, and
-    order-preservation of the conversions (pointwise order on nuclei,
-    inclusion on relations, refinement on partitions), read off the
-    nuclei's image triples."""
-    q = build_quantale(desc)
-    triples, round_ok = correspondence(q)
+    round_ok = tables[0] == tables[1] == tables[2]
     monotone_ok = all(len(set(map(presentation_leq, ps, rs))) == 1
                       for ps, rs in product(triples[0], repeat=2))
     counts = tuple(map(len, triples))
+    agree = len(set(counts)) == 1
     return {
-        "size": len(q.elements),
         "counts": counts,
-        "counts_agree": len(set(counts)) == 1,
+        "counts_agree": agree,
         "round_trips": round_ok,
         "order_preserving": monotone_ok,
-        "ok": len(set(counts)) == 1 and round_ok and monotone_ok,
+        "ok": agree and round_ok and monotone_ok,
     }
+
+
+def suite_correspond(desc):
+    """The correspondence verdict on the quantale of desc, with its size."""
+    q = build_quantale(desc)
+    return {"size": len(q.elements), **correspondence(q)}
 
 
 def suite_leftdist(desc):

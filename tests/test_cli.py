@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -144,7 +147,6 @@ def test_search_command(capsys):
     ["search", "--size", "-1"],
     ["search", "--workers", "0"],
     ["extend", "M2D2", "--fragment", "0"],
-    ["extend", "M2D2", "--antichain", "0"],
     ["extend", "M2D2", "--fragment", "-2"],
 ])
 def test_search_rejects_nonpositive_bounds(argv, capsys):
@@ -152,6 +154,20 @@ def test_search_rejects_nonpositive_bounds(argv, capsys):
     captured = capsys.readouterr()
     assert "input error: --" in captured.err
     assert captured.out == ""
+
+
+def test_antichain_width_is_not_a_setting(tmp_path, capsys):
+    # the fragment law scans have a fixed width of 2, so neither a flag nor
+    # a config key sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "M2D2", "--antichain", "2"])
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments: --antichain" in capsys.readouterr().err
+    path = write_config(tmp_path, {"config": {"antichain": 2}, "structures": {}})
+    assert main(["extend", "M2D2", "--config", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "'config' takes positive integers ['fragment', 'workers']" in err
 
 
 def test_json_output(capsys):
@@ -256,7 +272,8 @@ def test_config_form_prints_the_flag_form_notes(tmp_path, capsys):
                  "--fragment", "3"]) == EXIT_OK
     by_flags = capsys.readouterr()
     assert "note: workers=2" in by_config.err
-    assert "note: fragment bounds overridden (k=3, antichain=3)" in by_config.err
+    assert ("note: fragment bound overridden (k=3); runtime expectations "
+            "relaxed") in by_config.err
     assert by_config.err == by_flags.err
     assert by_config.out == by_flags.out
 
@@ -267,3 +284,19 @@ def test_malformed_workers_variable_is_an_input_error(monkeypatch, capsys):
         main(["search", "--size", "2"])
     assert exc.value.code == EXIT_INPUT
     assert "--workers: invalid int value" in capsys.readouterr().err
+
+
+def test_readme_names_only_accepted_flags():
+    # every --flag the README names, apart from pip's, is an option of some
+    # squanta command, so the docs cannot name a removed option
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {s for sp in commands.values() for a in sp._actions
+                for s in a.option_strings}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = {flag for line in readme.splitlines()
+             if not line.startswith("pip ")
+             for flag in re.findall(r"--[a-z][a-z-]*", line)}
+    assert {"--config", "--fragment", "--size"} <= named
+    assert named <= accepted, sorted(named - accepted)

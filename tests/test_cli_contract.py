@@ -21,7 +21,7 @@ N2 = {
 
 # one valid entry of every kind of structure description
 VALID = {
-    "config": {"fragment": 2, "antichain": 2},
+    "config": {"fragment": 2},
     "structures": {
         "P": {"poset": {"elements": ["p", "q"], "leq": []}},
         "N": N2,

@@ -338,7 +338,7 @@ def _fragment_scalar_modules():
     for q in (fx.n2_quantale(), fx.b3().quant):
         aa = ActionMap(ACT, fx.m2(), q, lambda a, x: x if a == "e" else h[x])
         check_action(aa)
-        ma = extend_act_to_module(aa, 2, 2)
+        ma = extend_act_to_module(aa, 2)
         check_action(ma)
         yield ma
 

@@ -1,8 +1,10 @@
 """The correspondence suite converts each presentation once into each kind,
-and fails when a conversion breaks a round trip or the order."""
+and it and the `correspond` command fail when a conversion breaks a round
+trip or the order."""
 
 from squanta import fixtures as fx
 from squanta import search
+from squanta.cli import EXIT_VIOLATION, main
 from squanta.nucleus import AddConsequence, convert, enumerate_nuclei, presentation_leq
 from squanta.search import quantale_descriptions, suite_correspond
 
@@ -58,3 +60,12 @@ def test_bijection_that_reverses_the_order_fails(monkeypatch):
     assert result["counts_agree"] and result["round_trips"]
     assert not result["order_preserving"]
     assert not result["ok"]
+
+
+def test_correspond_command_fails_on_the_reversed_order(monkeypatch, capsys):
+    c, d = _comparable_pair()
+    _trade_consequences(monkeypatch, {c.rows: d, d.rows: c})
+    assert main(["correspond", "N2"]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "round-trips: PASS" in out
+    assert "order-preserving: FAIL" in out

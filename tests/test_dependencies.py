@@ -1,7 +1,7 @@
 """The package keeps zero runtime dependencies: every module of
 `src/squanta` imports only the standard library and the package itself,
 and `pyproject.toml` declares no dependency. Its imports sit at module
-level, where an import cycle shows, except the one that breaks a cycle."""
+level, where an import cycle shows."""
 
 import ast
 import sys
@@ -47,7 +47,5 @@ def test_pyproject_declares_no_dependencies():
 
 
 def test_imports_sit_at_module_level():
-    # projective imports nucleus, so nucleus.quotient imports from
-    # projective in its body
     found = [imp for path in _sources() for imp in _nested_imports(path)]
-    assert found == [("nucleus.py", "projective", ("is_module_hom",))]
+    assert found == []

@@ -16,8 +16,10 @@ from squanta.projective import (
     enumerate_module_homs,
     enumerate_surjective_homs,
     exhaustive_family,
+    find_lift,
     gamma_u,
     is_module_hom,
+    kept_self_module,
     lifting_check,
     residual,
     self_module,
@@ -147,6 +149,24 @@ def test_lifting_examples(n2q, a3_self, a3_sub2):
     ident = {x: x for x in a3_sub2.space.elements}
     rep2 = lifting_check(a3_sub2, [(ident, a3_sub2, a3_sub2, ident)])
     assert rep2.ok  # identity surjection lifts by h itself
+
+
+def test_find_lift_is_the_first_lift(n2q, a3_self, a3_sub2, n3_self):
+    g022 = nucleus(n2q, {"0": "0", "1": "2", "2": "2"}).as_dict()
+    inclusion = {x: x for x in a3_sub2.space.elements}
+    lifts = [k for k in enumerate_module_homs(a3_sub2, a3_self)
+             if all(g022[k[x]] == x for x in k)]
+    assert lifts
+    assert find_lift(inclusion, g022, a3_sub2, a3_self) == lifts[0]
+    g = nucleus(n3_self.space, {"0": "0", "1": "1", "2": "3", "3": "3"})
+    qm = quotient(n3_self, g)
+    ident = {x: x for x in qm.module.space.elements}
+    assert find_lift(ident, g.as_dict(), qm.module, n3_self) is None
+
+
+def test_self_module_star_table_is_the_product_table():
+    a = fx.a3()
+    assert kept_self_module(a).star_table() is a.mult_table()
 
 
 def test_nonprojective_fixture_yields_nolift(n3_self):
