@@ -147,6 +147,7 @@ def test_search_command(capsys):
     ["search", "--size", "-1"],
     ["search", "--workers", "0"],
     ["extend", "M2D2", "--fragment", "0"],
+    ["extend", "M2D2", "--workers", "0"],
     ["extend", "M2D2", "--fragment", "-2"],
 ])
 def test_search_rejects_nonpositive_bounds(argv, capsys):
