@@ -48,6 +48,7 @@ __all__ = [
     "table_aqm",
     "eval_term",
     "check_aqm",
+    "scan_module_laws",
     "exp_end",
     "DmFragment",
     "free_aqm",
@@ -302,104 +303,130 @@ def _closure(zero, seed, order, plus_join):
     return witness
 
 
+# the eight module laws, and their names as laws of an AQM acting on itself
+MODULE_LAWS = ("unit", "zero-scalar", "compose", "scalar-plus", "scalar-join",
+               "iota-join-dist", "iota-plus-dist", "iota-zero")
+AQM_MODULE_LAWS = ("unit", "zero-annihilates", "assoc", "right-plus-dist",
+                   "right-join-dist", "left-join-dist-iota",
+                   "left-plus-dist-iota", "left-zero-iota")
+
+
+def scan_module_laws(rep, a, space, star, scalars, points, dist, table, laws):
+    """The module laws of the action star(s, x) of the AQM a's quantale sort
+    on `space`, over the universes `scalars` and `points`, into the LawScan
+    `rep` under the names `laws` (in the order of MODULE_LAWS): unit and
+    zero-scalar per x; compose, scalar-plus and scalar-join per (s, t, x);
+    then, per distributive scalar i given as (witness label, i) in `dist`,
+    iota-join-dist and iota-plus-dist per (x, y), and iota-zero.
+
+    `table` is the flat star table (see modact.ActionMap.star_table) of an
+    action between finite carriers, or None. On a table each law is checked
+    in blocks of instances, as two byte rows (order.ByteTable), so only a
+    failing block is walked, in the order above."""
+    unit, zero, compose, plus, join, iota_join, iota_plus, iota_zero = laws
+    q = a.quant
+    if table is None:
+        check = rep.check
+        for x in points:
+            check(unit, x, lambda: (star(a.one, x), x))
+            check(zero, x, lambda: (star(q.zero, x), space.zero))
+        for s, t in product(scalars, repeat=2):
+            for x in points:
+                check(compose, (s, t, x),
+                      lambda: (star(a.mult(s, t), x), star(s, star(t, x))))
+                check(plus, (s, t, x),
+                      lambda: (star(q.plus(s, t), x),
+                               space.plus(star(s, x), star(t, x))))
+                check(join, (s, t, x),
+                      lambda: (star(q.join([s, t]), x),
+                               space.join([star(s, x), star(t, x)])))
+        for label, i in dist:
+            for x, y in product(points, repeat=2):
+                check(iota_join, (label, x, y),
+                      lambda: (star(i, space.join([x, y])),
+                               space.join([star(i, x), star(i, y)])))
+                check(iota_plus, (label, x, y),
+                      lambda: (star(i, space.plus(x, y)),
+                               space.plus(star(i, x), star(i, y))))
+            check(iota_zero, label, lambda: (star(i, space.zero), space.zero))
+        return
+    m, n = len(scalars), len(points)
+    acts = ByteTable(table, n)
+    st, by_x = acts.rows, acts.transposed()  # by_x[x, t] = t * x
+    mult, splus, sjoin = (ByteTable(t, m).rows for t in (
+        a.mult_table(), q.plus_table, q.join_table))
+    pplus, pjoin = (ByteTable(t, n) for t in (space.plus_table,
+                                              space.join_table))
+    s_index = q.pomonoid.poset.index_of
+    pzero = space.pomonoid.poset.index_of(space.zero)
+    iota_rows = [(label, st[s_index(i)]) for label, i in dist]
+    rep.rows([
+        (unit, st[s_index(a.one)], bytes(range(n))),
+        (zero, st[s_index(q.zero)], bytes([pzero]) * n),
+    ], points.__getitem__)
+    for s in range(m):  # instance (s, t, x) at x * m + t
+        rep.rows([
+            (compose, by_x.each(mult[s]), by_x.after(st[s])),
+            (plus, by_x.each(splus[s]), pplus.at(st[s], by_x.rows)),
+            (join, by_x.each(sjoin[s]), pjoin.at(st[s], by_x.rows)),
+        ], lambda j: (scalars[s], scalars[j % m], points[j // m]),
+            lambda j: (j % m, j // m))
+    for label, si in iota_rows:
+        rep.rows([  # instance (label, x, y) at x * n + y
+            (iota_join, pjoin.after(si), pjoin.pairs(si)),
+            (iota_plus, pplus.after(si), pplus.pairs(si)),
+        ], lambda j: (label, points[j // n], points[j % n]))
+        rep.rows([(iota_zero, si[pzero:pzero + 1], bytes([pzero]))],
+                 lambda j: label)
+
+
 def check_aqm(a, strict=True):
     """Exhaustively verify the AQM laws; on a fragment sort, scan the bounded
-    fragment instead and count instances that leave it.
+    fragment instead and count instances that leave it. The laws are the
+    module laws of the AQM acting on its quantale sort by its product
+    (scan_module_laws), then four link laws: the right unit, iota-hom,
+    iota-monotone (finite sort only) and iota-unit, in one order on both
+    kinds of sort.
 
     With strict=True the first violated law raises LawViolated; otherwise all
     violations are collected into the returned report.
     """
     rep = LawScan(f"aqm {a.name or ''}".strip(), strict=strict)
-
+    q, mult, dist, check = a.quant, a.mult, a.dist, rep.check
     if a.is_finite:
-        q = a.quant
-        els = list(q.elements)
-        n = len(els)
-        poset = q.pomonoid.poset
-        m, p, j = (ByteTable(t, n) for t in (a.mult_table(), q.plus_table,
-                                             q.join_table))
-        mr, by_z = m.rows, m.transposed()  # by_z[z, w] = w * z
-        one, zero = poset.index_of(a.one), poset.index_of(q.zero)
-        iota = {d: poset.index_of(a.iota(d)) for d in a.dist.elements}
-        for x in range(n):
-            if mr[one][x] != x or mr[x][one] != x:
-                rep.fail("unit", (a.one, els[x]))
-        for x in range(n):  # instance (x, y, z) at y * n + z
-            rep.rows([("assoc", b"".join(map(mr.__getitem__, mr[x])),
-                       m.after(mr[x]))],
-                     lambda k: (els[x], els[k // n], els[k % n]))
-        for x in range(n):  # instance (x, y, z) at z * n + y
-            rep.rows([
-                ("right-join-dist", by_z.each(j.rows[x]), j.at(mr[x], by_z.rows)),
-                ("right-plus-dist", by_z.each(p.rows[x]), p.at(mr[x], by_z.rows)),
-            ], lambda k: (els[x], els[k % n], els[k // n]),
-                lambda k: (k % n, k // n))
-        for x in range(n):
-            if mr[zero][x] != zero:
-                rep.fail("zero-annihilates", els[x])
-        for d, i in iota.items():
-            mi = mr[i]
-            rep.rows([  # instance (d, x, y) at x * n + y
-                ("left-join-dist-iota", j.after(mi), j.pairs(mi)),
-                ("left-plus-dist-iota", p.after(mi), p.pairs(mi)),
-            ], lambda k: (d, els[k // n], els[k % n]))
-            if mi[zero] != zero:
-                rep.fail("left-zero-iota", d)
-        for d, e in product(a.dist.elements, repeat=2):
-            if iota[a.dist.apply(d, e)] != mr[iota[d]][iota[e]]:
-                rep.fail("iota-hom", (d, e))
-            if a.dist.leq(d, e) and not poset.up_rows[iota[d]] >> iota[e] & 1:
-                rep.fail("iota-monotone", (d, e))
-        if a.iota(a.dist.unit) != a.one:
-            rep.fail("iota-unit", a.dist.unit)
-        witness = term_closure(q, ((a.iota(d), f"i({d})")
-                                   for d in sorted(a.dist.elements)))
-        a.distributively_generated = set(witness) == set(els)
-        a.dg_witness = witness
-        rep.note(f"laws scanned over {len(els)} elements: all hold"
-                 if rep.ok else "violations found")
-        rep.note(f"distributively generated: {a.distributively_generated}")
-        rep.data["distributively_generated"] = a.distributively_generated
-        rep.data["dg_witness"] = dict(sorted(witness.items()))
-        return rep
-
-    # fragment sort: bounded scan
-    frag = a.quant
-    b = frag.scan_bounds()
-    els = frag.enumerate(b)
-    check, mult = rep.check, a.mult
+        els, table = list(q.elements), a.mult_table()
+    else:
+        k, width = q.scan_bounds()
+        els, table = q.enumerate((k, width)), None
+    scan_module_laws(rep, a, q, mult, els, els,
+                     [(d, a.iota(d)) for d in dist.elements], table,
+                     AQM_MODULE_LAWS)
     for x in els:
-        check("unit", x, lambda: (mult(a.one, x), x))
         check("unit", x, lambda: (mult(x, a.one), x))
-        check("zero-annihilates", x, lambda: (mult(frag.zero, x), frag.zero))
-    for x, y, z in product(els, repeat=3):
-        check("assoc", (x, y, z),
-              lambda: (mult(mult(x, y), z), mult(x, mult(y, z))))
-        check("right-join-dist", (x, y, z),
-              lambda: (mult(frag.join([x, y]), z),
-                       frag.join([mult(x, z), mult(y, z)])))
-        check("right-plus-dist", (x, y, z),
-              lambda: (mult(frag.plus(x, y), z),
-                       frag.plus(mult(x, z), mult(y, z))))
-    for d in a.dist.elements:
-        i = a.iota(d)
-        for x, y in product(els, repeat=2):
-            check("left-join-dist-iota", (d, x, y),
-                  lambda: (mult(i, frag.join([x, y])),
-                           frag.join([mult(i, x), mult(i, y)])))
-            check("left-plus-dist-iota", (d, x, y),
-                  lambda: (mult(i, frag.plus(x, y)),
-                           frag.plus(mult(i, x), mult(i, y))))
-        check("left-zero-iota", d, lambda: (mult(i, frag.zero), frag.zero))
-    for d, e in product(a.dist.elements, repeat=2):
+    for d, e in product(dist.elements, repeat=2):
         check("iota-hom", (d, e),
-              lambda: (a.iota(a.dist.apply(d, e)), mult(a.iota(d), a.iota(e))))
-    if a.iota(a.dist.unit) != a.one:
-        rep.fail("iota-unit", a.dist.unit)
-    a.distributively_generated = True  # by construction of the free product
-    rep.note(f"fragment scan (multiplicity<={b[0]}, antichain<={b[1]}): "
-             f"{rep.checked} instances checked, {rep.skipped} left the fragment")
+              lambda: (a.iota(dist.apply(d, e)), mult(a.iota(d), a.iota(e))))
+        if a.is_finite and dist.leq(d, e):
+            check("iota-monotone", (d, e), lambda: (a.iota(d), a.iota(e)),
+                  q.leq)
+    if a.iota(dist.unit) != a.one:
+        rep.fail("iota-unit", dist.unit)
     rep.data.update(checked=rep.checked, skipped=rep.skipped)
+    if not a.is_finite:
+        a.distributively_generated = True  # by construction of the free product
+        rep.note(f"fragment scan (multiplicity<={k}, antichain<={width}): "
+                 f"{rep.checked} instances checked, "
+                 f"{rep.skipped} left the fragment")
+        return rep
+    witness = term_closure(q, ((a.iota(d), f"i({d})")
+                               for d in sorted(dist.elements)))
+    a.distributively_generated = set(witness) == set(els)
+    a.dg_witness = witness
+    rep.note(f"laws scanned over {len(els)} elements: all hold"
+             if rep.ok else "violations found")
+    rep.note(f"distributively generated: {a.distributively_generated}")
+    rep.data["distributively_generated"] = a.distributively_generated
+    rep.data["dg_witness"] = dict(sorted(witness.items()))
     return rep
 
 

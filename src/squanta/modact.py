@@ -8,11 +8,12 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 
-from .aqm import DmFragment, FinGenQuantale, free_aqm, lift_to_downsets
+from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_aqm,
+                  lift_to_downsets, scan_module_laws)
 from .downset import MultiBase
 from .errors import FragmentExceeded, TooLarge, UnitNotEmbedding, UnknownElement
 from .multiupset import generator_embed, mleq
-from .order import ByteTable, FinPoset
+from .order import FinPoset
 from .reporting import LawScan
 
 __all__ = [
@@ -94,8 +95,11 @@ def check_action(am, strict=True):
     points = am.space_universe()
     star = am.star
 
-    if am.on_tables:
-        _scan_module_table(am, rep)
+    if am.level == MODULE:
+        scan_module_laws(rep, am.scalars, am.space, star, scalars, points,
+                         [(i, i) for i in am.iota_scalars()],
+                         am.star_table() if am.on_tables else None,
+                         MODULE_LAWS)
     elif am.level == POSET:
         mon = am.scalars
         for x in points:
@@ -138,32 +142,6 @@ def check_action(am, strict=True):
                 for x in points:
                     check("scalar-monotone", (a, b, x),
                           lambda: (star(a, x), star(b, x)), leq)
-    elif am.level == MODULE:  # fragment scalars or space
-        a_ = am.scalars
-        sp = am.space
-        q = a_.quant
-        for x in points:
-            check("unit", x, lambda: (star(a_.one, x), x))
-            check("zero-scalar", x, lambda: (star(q.zero, x), sp.zero))
-        for s, t in product(scalars, repeat=2):
-            for x in points:
-                check("compose", (s, t, x),
-                      lambda: (star(a_.mult(s, t), x), star(s, star(t, x))))
-                check("scalar-plus", (s, t, x),
-                      lambda: (star(q.plus(s, t), x),
-                               sp.plus(star(s, x), star(t, x))))
-                check("scalar-join", (s, t, x),
-                      lambda: (star(q.join([s, t]), x),
-                               sp.join([star(s, x), star(t, x)])))
-        for i in am.iota_scalars():
-            for x, y in product(points, repeat=2):
-                check("iota-join-dist", (i, x, y),
-                      lambda: (star(i, sp.join([x, y])),
-                               sp.join([star(i, x), star(i, y)])))
-                check("iota-plus-dist", (i, x, y),
-                      lambda: (star(i, sp.plus(x, y)),
-                               sp.plus(star(i, x), star(i, y))))
-            check("iota-zero", i, lambda: (star(i, sp.zero), sp.zero))
     else:
         raise ValueError(f"unknown action level {am.level!r}")
 
@@ -177,46 +155,6 @@ def check_action(am, strict=True):
              + ("all laws hold" if rep.ok else "violations found"))
     rep.data.update(checked=rep.checked, skipped=rep.skipped)
     return rep
-
-
-def _scan_module_table(am, rep):
-    """The module laws of an action on tables (see ActionMap.star_table),
-    into the report `rep` of check_action: each instance in the order, and
-    with the witness, of a scan over the labels, and counted as checked by
-    LawScan.rows.
-
-    Each law is checked in blocks of instances, as two byte rows
-    (order.ByteTable), so only a failing block is walked."""
-    a_, sp = am.scalars, am.space
-    q = a_.quant
-    sels, pels = q.elements, sp.elements
-    m, n = len(sels), len(pels)
-    star = ByteTable(am.star_table(), n)
-    st, by_x = star.rows, star.transposed()  # by_x[x, t] = t * x
-    mult, splus, sjoin = (ByteTable(t, m).rows for t in (
-        a_.mult_table(), q.plus_table, q.join_table))
-    pplus, pjoin = (ByteTable(t, n) for t in (sp.plus_table, sp.join_table))
-    s_index, p_index = q.pomonoid.poset.index_of, sp.pomonoid.poset.index_of
-    zero = p_index(sp.zero)
-    rep.rows([
-        ("unit", st[s_index(a_.one)], bytes(range(n))),
-        ("zero-scalar", st[s_index(q.zero)], bytes([zero]) * n),
-    ], pels.__getitem__)
-    for s in range(m):  # instance (s, t, x) at x * m + t
-        rep.rows([
-            ("compose", by_x.each(mult[s]), by_x.after(st[s])),
-            ("scalar-plus", by_x.each(splus[s]), pplus.at(st[s], by_x.rows)),
-            ("scalar-join", by_x.each(sjoin[s]), pjoin.at(st[s], by_x.rows)),
-        ], lambda j: (sels[s], sels[j % m], pels[j // m]),
-            lambda j: (j % m, j // m))
-    for i in am.iota_scalars():
-        si = st[s_index(i)]
-        rep.rows([  # instance (i, x, y) at x * n + y
-            ("iota-join-dist", pjoin.after(si), pjoin.pairs(si)),
-            ("iota-plus-dist", pplus.after(si), pplus.pairs(si)),
-        ], lambda j: (i, pels[j // n], pels[j % n]))
-        rep.rows([("iota-zero", si[zero:zero + 1], bytes([zero]))],
-                 lambda j: i)
 
 
 def extend_poset_action_to_dm(pa, k=DmFragment.k):

@@ -200,6 +200,55 @@ def test_check_aqm_witnesses(callables):
     assert (err.value.law, err.value.witness) == ("unit", ("1", "0"))
 
 
+# the module laws of an AQM's action on itself, by their AQM names
+SELF_MODULE_LAWS = {
+    "unit": "unit", "zero-scalar": "zero-annihilates", "compose": "assoc",
+    "scalar-plus": "right-plus-dist", "scalar-join": "right-join-dist",
+    "iota-join-dist": "left-join-dist-iota",
+    "iota-plus-dist": "left-plus-dist-iota", "iota-zero": "left-zero-iota",
+}
+
+
+def _finite_aqms():
+    """Every commutative AQM on each quantale of size <= 3, then every
+    single-cell change of the A3 and N3 product tables."""
+    for desc in quantale_descriptions(3):
+        yield from _commutative_mults(build_quantale(desc))
+    for a in (fx.a3(), fx.n3()):
+        n = len(a.quant.elements)
+        for cell, z in product(range(n * n), range(n)):
+            if a.mult_table()[cell] != z:
+                t = list(a.mult_table())
+                t[cell] = z
+                yield AQM(a.dist, a.quant, tuple(t), a.one, a.iota, a.name)
+
+
+def test_check_aqm_matches_self_module_scan():
+    """The finite check_aqm fails the module laws of the AQM acting on
+    itself as the label scan of oracles.py does, in its order and under
+    the AQM names; only the right unit and the iota link laws follow."""
+    count = failing = 0
+    for a in _finite_aqms():
+        failures, checked = brute_check_action(self_module(a))
+        rep = check_aqm(a, strict=False)
+        fails = [ln for ln in rep.lines if ": FAIL [witness: " in ln]
+        assert fails[:len(failures)] == [
+            f"{SELF_MODULE_LAWS[law]}: FAIL [witness: {w!r}]"
+            for law, w in failures]
+        assert {ln.split(":")[0] for ln in fails[len(failures):]} <= {
+            "unit", "iota-hom", "iota-monotone", "iota-unit"}
+        # the link laws check the right unit per element, iota-hom per
+        # pair of distributive elements and iota-monotone per ordered pair
+        dist = a.dist.elements
+        links = len(a.quant.elements) + len(dist) ** 2 + sum(
+            a.dist.leq(d, e) for d, e in product(dist, repeat=2))
+        assert (rep.data["checked"], rep.data["skipped"]) == (
+            checked + links, 0)
+        count += 1
+        failing += bool(failures)
+    assert (count, failing) == (93, 66)
+
+
 # -- module actions on tables ---------------------------------------------------
 
 
