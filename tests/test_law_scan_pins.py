@@ -94,4 +94,4 @@ POSET_MUTANTS = (
 ACT_MUTANTS = (
     "606a8969ee30654de5381a137bf41855e82ec2a57b751cb98368eecf3a629b9b")
 FRAGMENT_MUTANTS = (
-    "d7559c05769cb20c6c9524e05c650ea9763aad19d17c86750679da3e9910aae7")
+    "eefcc187e16280834e207417cad2e484f6ca5155d5e57ab054262a0e9b5f4e16")

@@ -120,11 +120,11 @@ def test_module_table_mutants_as_pinned():
 
 
 A3_AQM_MUTANTS = (
-    "599ad0a91c4137d02b826e3f9075b4c25fcd46907ee8faef6c86a4d455e7b297")
+    "864860764972f3e1a746e47a7d969f549d5d25e49753ef4c5dc6132580dc7af0")
 A3_AQM_TWO_CELL_MUTANTS = (
-    "5d3756be00ea74685bdb67a070465d43ab855a543116d20e69504df369314302")
+    "68fbab3a0f92084b23e04beeb0e6c7906a4e1de1cd915ee62c2fe4383d669e15")
 GEN_AQM_MUTANTS = (
-    "99dd48f9b8973d72646c555360db16a4c5f052914c0abb1d739dbef5ade27265")
+    "f978e3ec2f69a3dfa3ce188a7ae89f89f03d179bed72b4d7d972655d7de3d37c")
 PLUS_MUTANTS = (
     "4df3f190c8d21537d0cd445ce4cc9cbc6083bff9fdc33b5a20f0df025d779ed1")
 MODULE_MUTANTS = (

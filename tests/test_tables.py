@@ -167,7 +167,7 @@ def _broken_aqm(callables):
 
 # law -> (number of failed instances, first witness)
 BROKEN_AQM_FAILURES = {
-    "unit": (2, ("1", "0")),
+    "unit": (2, "0"),
     "assoc": (18, ("0", "0", "0")),
     "right-join-dist": (8, ("0", "1", "2")),
     "right-plus-dist": (12, ("0", "0", "0")),
@@ -197,7 +197,7 @@ def test_check_aqm_witnesses(callables):
     assert a.dg_witness == {"0": "0", "2": "i(d0)"}
     with pytest.raises(LawViolated) as err:
         check_aqm(a)
-    assert (err.value.law, err.value.witness) == ("unit", ("1", "0"))
+    assert (err.value.law, err.value.witness) == ("unit", "0")
 
 
 # the module laws of an AQM's action on itself, by their AQM names
