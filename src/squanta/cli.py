@@ -46,7 +46,6 @@ from .order import FinPoset, Pomonoid, validate_structure
 from .projective import (
     cyclic_projective_check,
     exhaustive_family,
-    lifting_check,
     self_module,
     submodule_on_orbit,
 )

@@ -49,3 +49,26 @@ def test_pyproject_declares_no_dependencies():
 def test_imports_sit_at_module_level():
     found = [imp for path in _sources() for imp in _nested_imports(path)]
     assert found == []
+
+
+def _unused_imports(path):
+    """(file, name) for each name a module-level import binds that the
+    module neither reads nor lists in `__all__`."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [(path.name, name) for name in bound if name not in read]
+
+
+def test_sources_have_no_unused_imports():
+    found = [unused for path in _sources() if path.name != "__init__.py"
+             for unused in _unused_imports(path)]
+    assert found == []

@@ -2,10 +2,9 @@ from itertools import product
 
 import pytest
 
-from squanta.errors import NoResidual, NotDividing, TooLarge
+from squanta.errors import TooLarge
 from squanta.modact import (
     ActionMap,
-    check_action,
     extend_act_to_module,
     extend_poset_action_to_dm,
 )
@@ -22,8 +21,6 @@ from squanta.projective import (
     kept_self_module,
     lifting_check,
     residual,
-    self_module,
-    submodule_on_orbit,
 )
 from squanta import fixtures as fx
 
