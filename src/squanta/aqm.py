@@ -359,6 +359,7 @@ def scan_module_laws(rep, a, space, star, scalars, points, dist, table, laws):
                                               space.join_table))
     s_index = q.pomonoid.poset.index_of
     pzero = space.pomonoid.poset.index_of(space.zero)
+    # an iota value outside the carrier raises before any law is scanned
     iota_rows = [(label, st[s_index(i)]) for label, i in dist]
     rep.rows([
         (unit, st[s_index(a.one)], bytes(range(n))),
@@ -386,7 +387,7 @@ def check_aqm(a, strict=True):
     module laws of the AQM acting on its quantale sort by its product
     (scan_module_laws), then four link laws: the right unit, iota-hom,
     iota-monotone (finite sort only) and iota-unit, in one order on both
-    kinds of sort.
+    kinds of sort. The report's data holds the checked and skipped counts.
 
     With strict=True the first violated law raises LawViolated; otherwise all
     violations are collected into the returned report.

@@ -1,7 +1,7 @@
 """The package keeps zero runtime dependencies: every module of
 `src/squanta` imports only the standard library and the package itself,
 and `pyproject.toml` declares no dependency. Its imports sit at module
-level, where an import cycle shows."""
+level, where an import cycle shows, and each one is used."""
 
 import ast
 import sys
