@@ -9,6 +9,7 @@ from itertools import permutations, product
 import pytest
 
 from oracles import brute_check_action, brute_exp_end, brute_residual
+from test_table_scan_pins import _cell_mutants
 from squanta import fixtures as fx
 from squanta.aqm import AQM, check_aqm, exp_end, make_quantale
 from squanta.errors import (
@@ -215,12 +216,8 @@ def _finite_aqms():
     for desc in quantale_descriptions(3):
         yield from _commutative_mults(build_quantale(desc))
     for a in (fx.a3(), fx.n3()):
-        n = len(a.quant.elements)
-        for cell, z in product(range(n * n), range(n)):
-            if a.mult_table()[cell] != z:
-                t = list(a.mult_table())
-                t[cell] = z
-                yield AQM(a.dist, a.quant, tuple(t), a.one, a.iota, a.name)
+        for t in _cell_mutants(a.mult_table(), len(a.quant.elements)):
+            yield AQM(a.dist, a.quant, t, a.one, a.iota, a.name)
 
 
 def test_check_aqm_matches_self_module_scan():
