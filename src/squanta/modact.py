@@ -88,7 +88,8 @@ class ActionMap:
 
 def check_action(am, strict=True):
     """Verify the law set appropriate to the action's level, exhaustively on
-    finite carriers and over the bounded fragment otherwise."""
+    finite carriers and over the bounded fragment otherwise. Poset actions
+    and acts scan the laws they share first, then each level's own."""
     rep = LawScan(f"action {am.name or am.level}".strip(), strict=strict)
     check, leq = rep.check, am.space.leq
     scalars = am.scalar_universe()
@@ -100,48 +101,36 @@ def check_action(am, strict=True):
                          [(i, i) for i in am.iota_scalars()],
                          am.star_table() if am.on_tables else None,
                          MODULE_LAWS)
-    elif am.level == POSET:
-        mon = am.scalars
+    elif am.level in (POSET, ACT):
+        mon, sp = am.scalars, am.space
         for x in points:
             check("unit", x, lambda: (star(mon.unit, x), x))
-        for a, b in product(mon.elements, repeat=2):
+        for a, b in product(scalars, repeat=2):
             for x in points:
                 check("compose", (a, b, x),
                       lambda: (star(mon.apply(a, b), x), star(a, star(b, x))))
-        for a, b in product(mon.elements, repeat=2):
+        for a, b in product(scalars, repeat=2):
             if mon.leq(a, b):
                 for x in points:
                     check("scalar-monotone", (a, b, x),
                           lambda: (star(a, x), star(b, x)), leq)
-        for x, y in product(points, repeat=2):
-            if leq(x, y):
-                for a in mon.elements:
-                    check("point-monotone", (a, x, y),
-                          lambda: (star(a, x), star(a, y)), leq)
-    elif am.level == ACT:
-        mon = am.scalars
-        sp = am.space
-        for x in points:
-            check("unit", x, lambda: (star(mon.unit, x), x))
-            for a in mon.elements:
-                check("zero", (a, x), lambda: (star(a, sp.zero), sp.zero))
-        for a, b in product(mon.elements, repeat=2):
-            for x in points:
-                check("compose", (a, b, x),
-                      lambda: (star(mon.apply(a, b), x), star(a, star(b, x))))
-        for a in mon.elements:
+        if am.level == POSET:
             for x, y in product(points, repeat=2):
-                check("join-dist", (a, x, y),
-                      lambda: (star(a, sp.join([x, y])),
-                               sp.join([star(a, x), star(a, y)])))
-                check("plus-dist", (a, x, y),
-                      lambda: (star(a, sp.plus(x, y)),
-                               sp.plus(star(a, x), star(a, y))))
-        for a, b in product(mon.elements, repeat=2):
-            if mon.leq(a, b):
+                if leq(x, y):
+                    for a in scalars:
+                        check("point-monotone", (a, x, y),
+                              lambda: (star(a, x), star(a, y)), leq)
+        else:
+            for a in scalars:
                 for x in points:
-                    check("scalar-monotone", (a, b, x),
-                          lambda: (star(a, x), star(b, x)), leq)
+                    check("zero", (a, x), lambda: (star(a, sp.zero), sp.zero))
+                for x, y in product(points, repeat=2):
+                    check("join-dist", (a, x, y),
+                          lambda: (star(a, sp.join([x, y])),
+                                   sp.join([star(a, x), star(a, y)])))
+                    check("plus-dist", (a, x, y),
+                          lambda: (star(a, sp.plus(x, y)),
+                                   sp.plus(star(a, x), star(a, y))))
     else:
         raise ValueError(f"unknown action level {am.level!r}")
 
