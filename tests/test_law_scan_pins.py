@@ -92,6 +92,6 @@ def test_fragment_mutants_as_pinned():
 POSET_MUTANTS = (
     "8efd44bdb556a35848d745efbffbb84bd9c275d476648e2d1d4282ad60a117a7")
 ACT_MUTANTS = (
-    "606a8969ee30654de5381a137bf41855e82ec2a57b751cb98368eecf3a629b9b")
+    "8fe136d0d0d2b5f4c75a9eb4a17d6cd689ca292ed7afb0393c2e2ccff3dc8379")
 FRAGMENT_MUTANTS = (
     "eefcc187e16280834e207417cad2e484f6ca5155d5e57ab054262a0e9b5f4e16")
