@@ -385,7 +385,7 @@ def check_aqm(a, strict=True):
     """Exhaustively verify the AQM laws; on a fragment sort, scan the bounded
     fragment instead and count instances that leave it. The laws are the
     module laws of the AQM acting on its quantale sort by its product
-    (scan_module_laws), then four link laws: the right unit, iota-hom,
+    (scan_module_laws), then four link laws: right-unit, iota-hom,
     iota-monotone (finite sort only) and iota-unit, in one order on both
     kinds of sort. The report's data holds the checked and skipped counts.
 
@@ -404,7 +404,7 @@ def check_aqm(a, strict=True):
     scan_module_laws(rep, a, q, mult, els, els, list(zip(dels, at)), table,
                      AQM_MODULE_LAWS)
     for x in els:
-        check("unit", x, lambda: (mult(x, a.one), x))
+        check("right-unit", x, lambda: (mult(x, a.one), x))
     m, flat, up = len(dels), dist.flat, dist.poset.up_rows
     for (i, d), (j, e) in product(enumerate(dels), repeat=2):
         check("iota-hom", (d, e),

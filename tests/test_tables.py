@@ -201,6 +201,24 @@ def test_check_aqm_witnesses(callables):
     assert (err.value.law, err.value.witness) == ("unit", "0")
 
 
+
+@pytest.mark.parametrize("cell, law, other", [
+    ((2, 1), "right-unit", "unit"),
+    ((1, 2), "unit", "right-unit"),
+])
+def test_check_aqm_names_the_unit_side(cell, law, other):
+    """A3's product with one cell set to 1 breaks its unit 1 at x = 2 on
+    one side, 2 * 1 = 1 on the right or 1 * 2 = 1 on the left, and the
+    report names that side only."""
+    a, (s, x) = fx.a3(), cell
+    t = list(a.mult_table())
+    t[s * len(a.quant.elements) + x] = 1
+    rep = check_aqm(AQM(a.dist, a.quant, tuple(t), a.one, a.iota),
+                    strict=False)
+    assert f"{law}: FAIL [witness: '2']" in rep.lines
+    assert not any(ln.startswith(f"{other}: ") for ln in rep.lines)
+
+
 # the module laws of an AQM's action on itself, by their AQM names
 SELF_MODULE_LAWS = {
     "unit": "unit", "zero-scalar": "zero-annihilates", "compose": "assoc",
