@@ -120,11 +120,11 @@ def test_module_table_mutants_as_pinned():
 
 
 A3_AQM_MUTANTS = (
-    "864860764972f3e1a746e47a7d969f549d5d25e49753ef4c5dc6132580dc7af0")
+    "4cf3a5e12ca266e265c8e480a814b5e650e0fbc50c9a37b22c16cc58a011ffe0")
 A3_AQM_TWO_CELL_MUTANTS = (
-    "68fbab3a0f92084b23e04beeb0e6c7906a4e1de1cd915ee62c2fe4383d669e15")
+    "9974f074224975cc6de4ffd7bea0adc27805024a31eec7ea394d59dc1f794384")
 GEN_AQM_MUTANTS = (
-    "f978e3ec2f69a3dfa3ce188a7ae89f89f03d179bed72b4d7d972655d7de3d37c")
+    "32f4291cd7fdb51d9112e85358c4a3250a5524ae7e1f03d65cdeadc11541f2a2")
 PLUS_MUTANTS = (
     "4df3f190c8d21537d0cd445ce4cc9cbc6083bff9fdc33b5a20f0df025d779ed1")
 MODULE_MUTANTS = (

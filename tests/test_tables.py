@@ -251,7 +251,7 @@ def test_check_aqm_matches_self_module_scan():
             f"{SELF_MODULE_LAWS[law]}: FAIL [witness: {w!r}]"
             for law, w in failures]
         assert {ln.split(":")[0] for ln in fails[len(failures):]} <= {
-            "unit", "iota-hom", "iota-monotone", "iota-unit"}
+            "right-unit", "iota-hom", "iota-monotone", "iota-unit"}
         # the link laws check the right unit per element, iota-hom per
         # pair of distributive elements and iota-monotone per ordered pair
         dist = a.dist.elements
