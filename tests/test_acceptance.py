@@ -25,7 +25,7 @@ from squanta.equivlogic import (
     hom_from_generator_image,
     recover_translations,
 )
-from squanta.errors import IllDefined, NotStructural
+from squanta.errors import IllDefined
 from squanta.modact import (
     MODULE,
     ActionMap,
@@ -57,7 +57,6 @@ from squanta.projective import (
     enumerate_module_homs,
     exhaustive_family,
     gamma_u,
-    lifting_check,
     residual,
 )
 from squanta.search import quantale_descriptions, suite_correspond

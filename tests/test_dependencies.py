@@ -1,7 +1,8 @@
 """The package keeps zero runtime dependencies: every module of
 `src/squanta` imports only the standard library and the package itself,
 and `pyproject.toml` declares no dependency. Its imports sit at module
-level, where an import cycle shows, and each one is used."""
+level, where an import cycle shows, and each one is used, as is each
+module-level import of the tests."""
 
 import ast
 import sys
@@ -70,5 +71,11 @@ def _unused_imports(path):
 
 def test_sources_have_no_unused_imports():
     found = [unused for path in _sources() if path.name != "__init__.py"
+             for unused in _unused_imports(path)]
+    assert found == []
+
+
+def test_tests_have_no_unused_imports():
+    found = [unused for path in sorted((ROOT / "tests").glob("*.py"))
              for unused in _unused_imports(path)]
     assert found == []

@@ -1,11 +1,10 @@
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import downset_sum_oracle, full_downset
 from squanta.downset import (
-    FGDownset,
     MultiBase,
     PomonoidBase,
     djoin,

@@ -1,13 +1,10 @@
-from itertools import product
-
 import pytest
 
 from squanta.aqm import check_aqm, free_aqm
-from squanta.downset import MultiBase, djoin, dsum, dzero, normalize, unit_embed
+from squanta.downset import djoin, normalize, unit_embed
 from squanta.errors import FragmentExceeded, LawViolated, UnitNotEmbedding
 from squanta.modact import (
     ACT,
-    MODULE,
     POSET,
     ActionMap,
     check_action,

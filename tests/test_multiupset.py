@@ -1,5 +1,3 @@
-from itertools import combinations_with_replacement
-
 import pytest
 from hypothesis import given, strategies as st
 

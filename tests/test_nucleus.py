@@ -1,5 +1,4 @@
 import sys
-from itertools import product
 
 import pytest
 
@@ -26,7 +25,6 @@ from squanta.nucleus import (
     structural_check,
     validate_presentation,
 )
-from squanta.projective import self_module
 from squanta.search import build_quantale, quantale_descriptions
 
 
