@@ -13,7 +13,6 @@ from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_aqm,
 from .downset import MultiBase
 from .errors import FragmentExceeded, TooLarge, UnitNotEmbedding, UnknownElement
 from .multiupset import generator_embed, mleq
-from .order import FinPoset
 from .reporting import LawScan
 
 __all__ = [
@@ -75,8 +74,6 @@ class ActionMap:
         return list(self.scalars.elements)
 
     def space_universe(self):
-        if isinstance(self.space, FinPoset):
-            return list(self.space.elements)
         if isinstance(self.space, DmFragment):
             return self.space.enumerate(self.space.scan_bounds())
         return list(self.space.elements)

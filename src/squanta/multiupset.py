@@ -60,9 +60,6 @@ class Multiupset:
             self._counts = dict(zip(self.base.elements, self._key))
         return self._counts
 
-    def value(self, x):
-        return self._key[self.base.index_of(x)]
-
     @property
     def total_multiplicity(self):
         return len(self.gens)
