@@ -5,6 +5,8 @@ expected values are computed by a second route."""
 from itertools import combinations_with_replacement, product
 
 from squanta.downset import normalize
+from squanta.errors import FragmentExceeded
+from squanta.modact import POSET
 from squanta.multiupset import Multiupset
 
 
@@ -294,6 +296,49 @@ def brute_check_action(ma):
                sp.plus(star(i, x), star(i, y)))
         eq("iota-zero", i, star(i, sp.zero), sp.zero)
     return failures, checked
+
+
+def brute_check_poset_act(am):
+    """The laws of a poset action or an act, each instance evaluated on its
+    own over scalar_universe() x space_universe(): the set of failing
+    (law, witness) pairs and the (checked, skipped) counts, an instance
+    that leaves the fragment counting as skipped."""
+    mon, sp, star = am.scalars, am.space, am.star
+    scalars, points = am.scalar_universe(), am.space_universe()
+    failures, counts = set(), [0, 0]  # checked, skipped
+
+    def holds(law, witness, test):
+        try:
+            ok = test()
+        except FragmentExceeded:
+            counts[1] += 1
+            return
+        counts[0] += 1
+        if not ok:
+            failures.add((law, witness))
+
+    for x in points:
+        holds("unit", x, lambda: star(mon.unit, x) == x)
+    for a, b, x in product(scalars, scalars, points):
+        holds("compose", (a, b, x),
+              lambda: star(mon.apply(a, b), x) == star(a, star(b, x)))
+        if mon.leq(a, b):
+            holds("scalar-monotone", (a, b, x),
+                  lambda: sp.leq(star(a, x), star(b, x)))
+    if am.level == POSET:
+        for a, x, y in product(scalars, points, points):
+            if sp.leq(x, y):
+                holds("point-monotone", (a, x, y),
+                      lambda: sp.leq(star(a, x), star(a, y)))
+        return failures, tuple(counts)
+    for a, x in product(scalars, points):
+        holds("zero", (a, x), lambda: star(a, sp.zero) == sp.zero)
+    for a, x, y in product(scalars, points, points):
+        holds("join-dist", (a, x, y), lambda: star(a, sp.join([x, y]))
+              == sp.join([star(a, x), star(a, y)]))
+        holds("plus-dist", (a, x, y), lambda: star(a, sp.plus(x, y))
+              == sp.plus(star(a, x), star(a, y)))
+    return failures, tuple(counts)
 
 
 def brute_structural_over(p, ma, scalars):

@@ -55,6 +55,16 @@ def _other(value, candidates):
     return next(c for c in candidates if c != value)
 
 
+def _fragment_mutant(am):
+    """The action with its value at the middle scalar and point of its
+    universes changed."""
+    scalars, points = am.scalar_universe(), am.space_universe()
+    at = (scalars[len(scalars) // 2], points[len(points) // 2])
+    wrong = _other(am.star(*at), [am.space.zero] + points)
+    return ActionMap(am.level, am.scalars, am.space,
+                     _changed(am.star, at, wrong), name=am.name)
+
+
 def test_poset_action_mutants_as_pinned():
     lines = []
     for am in _table_mutants(fx.m2_on_d2(), POSET):
@@ -74,12 +84,7 @@ def test_fragment_mutants_as_pinned():
     aa = extend_poset_action_to_dm(fx.m2_on_d2())
     ma = extend_act_to_module(aa)
     for am in (aa, ma):
-        scalars, points = am.scalar_universe(), am.space_universe()
-        at = (scalars[len(scalars) // 2], points[len(points) // 2])
-        wrong = _other(am.star(*at), [am.space.zero] + points)
-        _record(lines, check_action, ActionMap(
-            am.level, am.scalars, am.space, _changed(am.star, at, wrong),
-            name=am.name))
+        _record(lines, check_action, _fragment_mutant(am))
     a = free_aqm(fx.m2(), k=3)
     els = a.quant.enumerate(a.quant.scan_bounds())
     at = (els[2], els[3])

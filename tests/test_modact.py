@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import brute_check_poset_act
+from test_law_scan_pins import _fragment_mutant, _table_mutants
 from squanta.aqm import check_aqm, free_aqm
 from squanta.downset import djoin, normalize, unit_embed
 from squanta.errors import FragmentExceeded, LawViolated, UnitNotEmbedding
@@ -26,6 +28,31 @@ def test_poset_action_valid(m2_on_d2):
 
 def test_a3_self_action_valid_at_module_level(a3_self):
     assert check_action(a3_self).ok
+
+
+def test_poset_and_act_scans_match_oracle(m2_on_d2, a3_self):
+    """check_action fails the same (law, witness) pairs as the oracle's
+    scan, with the same counts, on every table mutant of the pin tests,
+    on the act of extend M2D2, on that act's fragment mutant and on the
+    act over the fragment of multiplicity 2, where instances leave it."""
+    aa, small = (extend_poset_action_to_dm(m2_on_d2, k) for k in (4, 2))
+    actions = [*_table_mutants(m2_on_d2, POSET),
+               *_table_mutants(restrict_module_to_act(a3_self), ACT),
+               aa, _fragment_mutant(aa), small]
+    failing = 0
+    for am in actions:
+        failures, counts = brute_check_poset_act(am)
+        rep = check_action(am, strict=False)
+        fails = [ln for ln in rep.lines if ": FAIL [witness: " in ln]
+        assert len(fails) == len(failures)
+        assert set(fails) == {f"{law}: FAIL [witness: {w!r}]"
+                              for law, w in failures}
+        assert (rep.data["checked"], rep.data["skipped"]) == counts
+        assert rep.ok == (not failures)
+        failing += bool(failures)
+    assert brute_check_poset_act(aa) == (set(), (684, 0))
+    assert brute_check_poset_act(small) == (set(), (460, 224))
+    assert (len(actions), failing) == (38, 21)
 
 
 def test_constant_action_violates_unit(m2, d2):
