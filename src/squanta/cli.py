@@ -589,11 +589,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("size", "workers", "fragment"):
+        for flag, low in (("size", 1), ("workers", 1), ("fragment", 1),
+                          ("exhaustive_lifting", 0)):
             value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ParseError(f"--{flag} must be at least 1, got {value}",
-                                 witness=value)
+            if value is not None and value < low:
+                raise ParseError(f"--{flag.replace('_', '-')} must be at least "
+                                 f"{low}, got {value}", witness=value)
         # the flags that are set, which the config files then override
         ws = load(args.config, config={k: getattr(args, k) for k in DEFAULT_CONFIG
                                        if getattr(args, k) is not None})

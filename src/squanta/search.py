@@ -5,8 +5,8 @@ and the classification of cyclic quotients by projectivity."""
 
 from itertools import combinations_with_replacement, permutations, product
 
-from .aqm import check_aqm, exp_end, make_quantale, table_aqm
-from .errors import LawViolated, NotStructural
+from .aqm import exp_end, make_quantale, table_aqm
+from .errors import NotStructural
 from .nucleus import (
     KINDS,
     convert,
@@ -21,7 +21,6 @@ from .projective import cyclic_check, cyclic_projective_check, kept_self_module
 
 __all__ = [
     "quantale_descriptions",
-    "build_quantale",
     "correspondence",
     "suite_correspond",
     "suite_leftdist",
@@ -65,22 +64,26 @@ def _labeled_posets(n):
     return sorted(posets, key=lambda up: sum(w for i, m, w in weights if up[i] & m))
 
 
-def _commutative_tables(n, leq, unit):
+def _commutative_tables(n, leq, unit, over=()):
     """Every commutative, associative table t on 0..n-1 (x*y = t[x*n + y])
-    with `unit` neutral and both translations monotone for the 0/1 matrix
-    `leq`.
+    with `unit` neutral, both translations monotone for the 0/1 matrix
+    `leq`, and distributing over each flat table op in `over`:
+    a*op(b, c) = op(a*b, a*c), one side being enough as t is commutative.
 
     The cells off the unit's row are filled one at a time in
     `combinations_with_replacement` order, trying values in ascending order,
     so the tables come out in the order of `product(range(n), repeat=...)`
     over those cells. A value is rejected as soon as it breaks monotonicity
     against an assigned cell, or associativity on a triple whose four cells
-    are all assigned."""
+    are all assigned. Distributivity is decided on each complete table."""
     t = [-1] * (n * n)
     for x in range(n):
         t[unit * n + x] = t[x * n + unit] = x
     cells = list(combinations_with_replacement(
         [x for x in range(n) if x != unit], 2))
+    # flat-table cells of a*op(b, c) = op(a*b, a*c)
+    dist = [(op, [(a * n + op[b * n + c], a * n + b, a * n + c)
+                  for a, b, c in product(range(n), repeat=3)]) for op in over]
 
     def assoc(a, b, c):
         ab, bc = t[a * n + b], t[b * n + c]
@@ -111,7 +114,9 @@ def _commutative_tables(n, leq, unit):
 
     def fill(k):
         if k == len(cells):
-            yield tuple(t)
+            if all(t[u] == op[t[v] * n + t[w]]
+                   for op, uvw in dist for u, v, w in uvw):
+                yield tuple(t)
             return
         x, y = cells[k]
         for z in range(n):
@@ -147,11 +152,7 @@ def _lattice_tables(n):
         zero = by_up[full]
         if up not in found:
             leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
-            # flat-table cells of a+(b v c) = (a+b) v (a+c)
-            dist = [(a * n + join[b * n + c], a * n + b, a * n + c)
-                    for a, b, c in product(range(n), repeat=3)]
-            tables = [t for t in _commutative_tables(n, leq, zero)
-                      if all(t[i] == join[t[j] * n + t[k]] for i, j, k in dist)]
+            tables = list(_commutative_tables(n, leq, zero, [join]))
             for s in permutations(range(n)):
                 key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
                             for x in sorted(range(n), key=s.__getitem__))
@@ -190,10 +191,6 @@ def quantale_descriptions(size):
     return out
 
 
-def build_quantale(desc):
-    return make_quantale(desc)
-
-
 def correspondence(q):
     """The correspondence verdict on q: the counts of its nuclei, consequence
     relations and congruences, each converted once into each of the KINDS;
@@ -221,14 +218,14 @@ def correspondence(q):
 
 def suite_correspond(desc):
     """The correspondence verdict on the quantale of desc, with its size."""
-    q = build_quantale(desc)
+    q = make_quantale(desc)
     return {"size": len(q.elements), **correspondence(q)}
 
 
 def suite_leftdist(desc):
     """Hunt for g, h1, h2 in the endomorphism closure with
     g(h1 v h2) != g(h1) v g(h2) under composition."""
-    q = build_quantale(desc)
+    q = make_quantale(desc)
     a = exp_end(q)
     gen = a.quant.elements
     n = len(gen)
@@ -248,27 +245,22 @@ def suite_leftdist(desc):
 
 
 def _commutative_mults(q):
-    """Commutative, monotone, unital, fully bidistributive multiplications,
-    for each unit in element order."""
+    """The AQMs of q's commutative, monotone, unital multiplications that
+    distribute over + and binary joins and that 0 annihilates, for each unit
+    in element order."""
     els, up = q.elements, q.pomonoid.poset.up_rows
-    n = len(els)
+    n, zero = len(els), q.pomonoid.poset.index_of(q.zero)
     leq = [[up[x] >> y & 1 for y in range(n)] for x in range(n)]
-    out = []
-    for one in range(n):
-        for t in _commutative_tables(n, leq, one):
-            try:
-                aqm = table_aqm(q, t, els[one])
-                check_aqm(aqm)
-            except LawViolated:
-                continue
-            out.append(aqm)
-    return out
+    over = [q.plus_table, q.join_table]
+    return [table_aqm(q, t, els[one]) for one in range(n)
+            for t in _commutative_tables(n, leq, one, over)
+            if all(t[zero * n + x] == zero for x in range(n))]
 
 
 def suite_projective(desc):
     """Classify the cyclic quotients of every commutative AQM on this
     quantale; report any without a dividing-idempotent witness."""
-    q = build_quantale(desc)
+    q = make_quantale(desc)
     nonprojective = []
     n_aqms = 0
     n_quotients = 0

@@ -149,6 +149,7 @@ def test_search_command(capsys):
     ["extend", "M2D2", "--fragment", "0"],
     ["extend", "M2D2", "--workers", "0"],
     ["extend", "M2D2", "--fragment", "-2"],
+    ["projective", "A·2", "--exhaustive-lifting", "-1"],
 ])
 def test_search_rejects_nonpositive_bounds(argv, capsys):
     assert main(argv) == EXIT_INPUT

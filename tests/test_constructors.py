@@ -37,7 +37,6 @@ from squanta.projective import self_module, submodule_on_orbit
 from squanta.search import (
     _commutative_mults,
     _commutative_tables,
-    build_quantale,
     quantale_descriptions,
     suite_leftdist,
     suite_projective,
@@ -137,7 +136,7 @@ def test_pomonoid_from_flat_matches_parser():
     for desc in DESCS:
         poset = validate_structure({"poset": desc["poset"]})
         els, n = poset.elements, len(poset.elements)
-        flat = build_quantale(desc).plus_table
+        flat = make_quantale(desc).plus_table
         for t, unit in product(_mutants(flat, n), range(n)):
             for notation in ("additive", "multiplicative"):
                 by_table = _outcome(
@@ -187,7 +186,7 @@ def test_restrict_outside_the_positions():
 def test_derived_structures_match_label_descriptions():
     orbits = quotients = 0
     for desc in DESCS:
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         nucs = enumerate_nuclei(q)
         for aqm in _commutative_mults(q):
             selfm = self_module(aqm)
@@ -248,7 +247,7 @@ def _label_table_aqm(q, mult, one):
 def test_table_aqm_matches_label_description():
     kinds = Counter()
     for desc in DESCS:
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         els, n = q.elements, len(q.elements)
         leq = [[q.leq(x, y) for y in els] for x in els]
         for one in range(n):
@@ -291,7 +290,7 @@ def test_table_aqm_dict_errors():
 
 def test_exp_end_matches_label_description():
     for desc in DESCS:
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         a = exp_end(q)
         tables = a.gen_tables
         names = sorted(tables)
@@ -349,7 +348,7 @@ def test_structural_scan_matches_labels():
     modules = [ma for mods in _small_modules() for ma in mods]
     # a size-4 quantale on which a consequence relation fails at (x, y) and
     # at (x', y') with x < x' and y > y', so the scan order decides the witness
-    q4 = build_quantale(quantale_descriptions(4)[186])
+    q4 = make_quantale(quantale_descriptions(4)[186])
     modules += [self_module(a) for a in _commutative_mults(q4)]
     modules += list(_fragment_scalar_modules())
     for ma in modules + list(_broken_modules()):

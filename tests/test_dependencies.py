@@ -5,6 +5,7 @@ level, where an import cycle shows, and each one is used, as is each
 module-level import of the tests."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -79,3 +80,13 @@ def test_tests_have_no_unused_imports():
     found = [unused for path in sorted((ROOT / "tests").glob("*.py"))
              for unused in _unused_imports(path)]
     assert found == []
+
+
+def test_all_entries_name_attributes():
+    stale = []
+    for path in _sources():
+        name = "squanta" if path.stem == "__init__" else f"squanta.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [(path.name, entry) for entry in getattr(module, "__all__", ())
+                  if not hasattr(module, entry)]
+    assert stale == []

@@ -11,9 +11,10 @@ from itertools import combinations, product
 
 import pytest
 
+from squanta.aqm import make_quantale
 from squanta.errors import SquantaError, UnknownElement
 from squanta.order import antichain_ops, validate_structure
-from squanta.search import _labeled_posets, build_quantale, quantale_descriptions
+from squanta.search import _labeled_posets, quantale_descriptions
 
 UNKNOWN = "?"
 
@@ -41,7 +42,7 @@ def test_quantale_label_views_as_pinned():
     lines = []
     quantales = []
     for desc in quantale_descriptions(4):
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         quantales.append(q)
         els, pom = q.elements, q.pomonoid
         lines.extend(_poset_lines(pom.poset))
@@ -64,7 +65,7 @@ def test_quantale_label_views_as_pinned():
 
 def test_quantales_equal_their_rebuilds():
     for desc in quantale_descriptions(4):
-        q, r = build_quantale(desc), build_quantale(desc)
+        q, r = make_quantale(desc), make_quantale(desc)
         assert q == r
         assert hash(q) == hash(r)
         assert q.pomonoid == r.pomonoid
@@ -73,11 +74,11 @@ def test_quantales_equal_their_rebuilds():
 
 
 def test_quantales_hash_by_their_pomonoid():
-    quantales = [build_quantale(d) for d in quantale_descriptions(3)]
+    quantales = [make_quantale(d) for d in quantale_descriptions(3)]
     assert len(quantales) == 15
     for q in quantales:
         assert hash(q) == hash(q.pomonoid)
-    rebuilds = {build_quantale(d): i
+    rebuilds = {make_quantale(d): i
                 for i, d in enumerate(quantale_descriptions(3))}
     assert [rebuilds[q] for q in quantales] == list(range(15))
 

@@ -9,7 +9,7 @@ from oracles import (
     congruence_failures,
     set_partitions,
 )
-from squanta.aqm import exp_end
+from squanta.aqm import exp_end, make_quantale
 from squanta.errors import LawViolated, NotStructural, TooLarge, UnknownElement
 from squanta.modact import ACT, MODULE, ActionMap, check_action, extend_act_to_module
 from squanta.nucleus import (
@@ -25,7 +25,7 @@ from squanta.nucleus import (
     structural_check,
     validate_presentation,
 )
-from squanta.search import build_quantale, quantale_descriptions
+from squanta.search import quantale_descriptions
 
 
 def test_validate_nucleus_examples(n2q):
@@ -91,7 +91,7 @@ def test_congruence_scan_witnesses():
     # labels: each failing instance, in order, and the first one raised
     failing = 0
     for desc in quantale_descriptions(4):
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         join = lambda x, y: q.join([x, y])
         for part in set_partitions(q.elements):
             expected = congruence_failures(q.elements, q.plus, join, part)

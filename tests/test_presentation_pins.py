@@ -7,6 +7,7 @@ says about itself."""
 
 import hashlib
 
+from squanta.aqm import make_quantale
 from squanta.nucleus import (
     consequence,
     convert,
@@ -16,7 +17,7 @@ from squanta.nucleus import (
     nucleus,
     validate_presentation,
 )
-from squanta.search import build_quantale, quantale_descriptions
+from squanta.search import quantale_descriptions
 
 
 def _sha(lines):
@@ -27,7 +28,7 @@ def test_presentations_convert_and_validate_as_pinned():
     lines = []
     count = 0
     for desc in quantale_descriptions(4):
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         for p in (enumerate_nuclei(q) + enumerate_consequences(q)
                   + enumerate_congruences(q)):
             count += 1
@@ -55,7 +56,7 @@ def test_mutant_reports_as_pinned():
     lines = []
     count = 0
     for desc in quantale_descriptions(3):
-        for p in _mutants(build_quantale(desc)):
+        for p in _mutants(make_quantale(desc)):
             count += 1
             lines.append(repr(p))
             lines.extend(validate_presentation(p, strict=False).lines)

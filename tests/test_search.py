@@ -15,12 +15,12 @@ from oracles import (
     brute_quantale_descriptions,
     scan_consequences,
 )
+from squanta.aqm import make_quantale
 from squanta.nucleus import enumerate_consequences
 from squanta import aqm, order, reporting, search
 from squanta.search import (
     _commutative_mults,
     _labeled_posets,
-    build_quantale,
     quantale_descriptions,
     suite_leftdist,
 )
@@ -29,7 +29,7 @@ from squanta.search import (
 @pytest.fixture(scope="module")
 def small_quantales():
     """Every c.d.i. generalized quantale on at most 3 labeled elements."""
-    return [build_quantale(d) for d in quantale_descriptions(3)]
+    return [make_quantale(d) for d in quantale_descriptions(3)]
 
 
 def _tables(q):
@@ -86,9 +86,9 @@ def test_one_table_search_per_lattice_class(monkeypatch):
     calls = []
     commutative_tables = search._commutative_tables
 
-    def spy(n, leq, unit):
+    def spy(n, leq, unit, over=()):
         calls.append((n, leq))
-        return commutative_tables(n, leq, unit)
+        return commutative_tables(n, leq, unit, over)
 
     monkeypatch.setattr(search, "_commutative_tables", spy)
     assert len(quantale_descriptions(5)) == 6247
@@ -121,6 +121,29 @@ def test_commutative_mults_match_scan(small_quantales):
                for a in _commutative_mults(q)]
         els, leq, plus, join = _tables(q)
         assert got == brute_commutative_mults(els, leq, plus, join, q.zero)
+
+
+def test_commutative_mults_keep_what_check_aqm_accepts():
+    """On every quantale of size <= 4, _commutative_mults keeps, in order,
+    exactly the unfiltered candidate tables whose AQM the law scan
+    accepts: its distributivity and zero filters decide the AQM laws."""
+    descs = quantale_descriptions(4)
+    assert len(descs) == 207
+    candidates = kept = 0
+    for desc in descs:
+        q = make_quantale(desc)
+        els, up = q.elements, q.pomonoid.poset.up_rows
+        n = len(els)
+        leq = [[up[x] >> y & 1 for y in range(n)] for x in range(n)]
+        tables = [(els[one], t) for one in range(n)
+                  for t in search._commutative_tables(n, leq, one)]
+        want = [(one, t) for one, t in tables
+                if aqm.check_aqm(aqm.table_aqm(q, t, one), strict=False).ok]
+        assert [(a.one, a.mult_table())
+                for a in _commutative_mults(q)] == want
+        candidates += len(tables)
+        kept += len(want)
+    assert (candidates, kept) == (4685, 711)
 
 
 def test_consequences_match_scans(small_quantales):

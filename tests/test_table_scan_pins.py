@@ -13,11 +13,11 @@ from itertools import combinations, product
 from test_law_scan_pins import _record, _sha
 
 from squanta import fixtures as fx
-from squanta.aqm import AQM, FinGenQuantale, check_aqm, exp_end
+from squanta.aqm import AQM, FinGenQuantale, check_aqm, exp_end, make_quantale
 from squanta.errors import LawViolated, SquantaError
 from squanta.modact import ActionMap, check_action
 from squanta.order import Pomonoid, pomonoid_from_flat, poset_from_rows
-from squanta.search import _labeled_posets, build_quantale, quantale_descriptions
+from squanta.search import _labeled_posets, quantale_descriptions
 
 
 def _cell_mutants(flat, n, k=1):
@@ -65,7 +65,7 @@ def test_a3_product_two_cell_mutants_as_pinned():
 def test_gen_product_mutants_as_pinned():
     # quantale 15 of size <= 4: its Gen quantale has 8 elements, all of
     # them endomorphisms
-    a = exp_end(build_quantale(quantale_descriptions(4)[15]))
+    a = exp_end(make_quantale(quantale_descriptions(4)[15]))
     assert len(a.quant.elements) == len(a.dist.elements) == 8
     assert _sha(_aqm_mutant_lines(a)) == GEN_AQM_MUTANTS
 
@@ -73,7 +73,7 @@ def test_gen_product_mutants_as_pinned():
 def _plus_mutant_lines(k):
     lines = []
     for desc in quantale_descriptions(3):
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         poset, n = q.pomonoid.poset, len(q.elements)
         unit = poset.index_of(q.zero)
         for t in _cell_mutants(q.plus_table, n, k):

@@ -35,7 +35,6 @@ from squanta.projective import (
 )
 from squanta.search import (
     _commutative_mults,
-    build_quantale,
     quantale_descriptions,
     suite_projective,
 )
@@ -66,7 +65,7 @@ def _name(values):
 
 def test_exp_end_matches_scan():
     for desc in quantale_descriptions(3):
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         a = exp_end(q)
         els = q.elements
         endos, gen = brute_exp_end(els, q.leq, q.plus,
@@ -232,7 +231,7 @@ def _finite_aqms():
     """Every commutative AQM on each quantale of size <= 3, then every
     single-cell change of the A3 and N3 product tables."""
     for desc in quantale_descriptions(3):
-        yield from _commutative_mults(build_quantale(desc))
+        yield from _commutative_mults(make_quantale(desc))
     for a in (fx.a3(), fx.n3()):
         for t in _cell_mutants(a.mult_table(), len(a.quant.elements)):
             yield AQM(a.dist, a.quant, t, a.one, a.iota, a.name)
@@ -272,7 +271,7 @@ def _small_modules():
     self-module, the orbit submodule of every element and the quotient by
     every structural nucleus."""
     for desc in quantale_descriptions(3):
-        q = build_quantale(desc)
+        q = make_quantale(desc)
         nucs = enumerate_nuclei(q)
         for aqm in _commutative_mults(q):
             selfm = self_module(aqm)
@@ -310,7 +309,7 @@ def test_check_action_matches_scan():
 def _broken_modules():
     """Every single-cell change of the A3 and N3 self-module tables and of
     a self-module on the four-element lattice 3 < 1, 2 < 0."""
-    square = build_quantale(quantale_descriptions(4)[15])
+    square = make_quantale(quantale_descriptions(4)[15])
     for ma in (fx.a3_self_module(), fx.n3_self_module(),
                self_module(_commutative_mults(square)[0])):
         cells = {(a, x): ma.star(a, x) for a in ma.scalars.quant.elements
@@ -374,7 +373,7 @@ def test_iso_between_matches_scan():
     # automorphism, so that the first one found is the one pinned
     several = 0
     for desc in quantale_descriptions(4)[15:]:
-        for aqm in _commutative_mults(build_quantale(desc)):
+        for aqm in _commutative_mults(make_quantale(desc)):
             m = self_module(aqm)
             els = m.space.elements
             if sum(is_module_hom(dict(zip(els, p)), m, m)
