@@ -30,7 +30,6 @@ __all__ = [
     "congruence",
     "validate_presentation",
     "convert",
-    "presentation_leq",
     "structural_check",
     "quotient",
     "enumerate_nuclei",
@@ -252,18 +251,6 @@ def convert(p, target):
     return AddConsequence(q, tuple(
         sum(1 << y for y in range(n) if cid[join[x * n + y]] == cid[x])
         for x in range(n)))
-
-
-def presentation_leq(p, r):
-    """Whether p lies below r, two presentations of one kind on one space:
-    pointwise for nuclei, by inclusion for consequence relations and by
-    refinement for congruences."""
-    if isinstance(p, Nucleus):
-        up = p.space.pomonoid.poset.up_rows
-        return all(up[x] >> y & 1 for x, y in zip(p.values, r.values))
-    if isinstance(p, AddConsequence):
-        return all(a & ~b == 0 for a, b in zip(p.rows, r.rows))
-    return all(r.reps[x] == r.reps[c] for x, c in enumerate(p.reps))
 
 
 def _star_rows(am, scalars):

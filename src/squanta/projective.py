@@ -250,7 +250,9 @@ def cyclic_projective_check(ma, lifting_family=None):
     """Evaluate conditions (ii)-(v) of the dividing-idempotent
     characterization independently, assert their mutual equivalence, and
     report shared witnesses. Condition (i), projectivity itself, is checked
-    directly only when a lifting family is supplied."""
+    directly only when a lifting family is supplied, and a family can only
+    refute it: when every lift exists but (ii) fails, the report notes (i)
+    as inconclusive."""
     aqm = ma.scalars
     if not aqm.is_finite:
         raise TooLarge("characterization check needs finite scalars")
@@ -320,11 +322,21 @@ def cyclic_projective_check(ma, lifting_family=None):
         else:
             rep.failed("shared witness across conditions")
     if lifting_family is not None:
+        # a missing lift refutes projectivity, but lifts through a finite
+        # family cannot prove it: only a missing lift while (ii) holds
+        # contradicts the characterization
         lift_rep = lifting_check(ma, lifting_family)
+        ok = rep.ok
         rep.merge(lift_rep)
+        rep.ok = ok
         rep.data["lifting_ok"] = lift_rep.ok
-        rep.verdict("condition (i) agrees with (ii)-(v)",
-                    lift_rep.ok == truth["ii"], witness=(lift_rep.ok, truth))
+        if lift_rep.ok and not truth["ii"]:
+            rep.note("condition (i): inconclusive (every lift in the family "
+                     "exists, and a finite family cannot prove projectivity)")
+        else:
+            rep.verdict("condition (i) agrees with (ii)-(v)",
+                        lift_rep.ok == truth["ii"],
+                        witness=(lift_rep.ok, truth))
     if not any(truth.values()):
         rep.data["exhausted"] = True
         rep.note("conditions (ii)-(v) fail: no dividing idempotent witness "

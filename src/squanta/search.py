@@ -3,17 +3,21 @@ the CLI `search` command runs over them: the correspondence counts, the
 left-distributivity counterexample hunt inside the endomorphism closure,
 and the classification of cyclic quotients by projectivity."""
 
+import gc
 from itertools import combinations_with_replacement, permutations, product
 
 from .aqm import exp_end, make_quantale, table_aqm
 from .errors import NotStructural
 from .nucleus import (
     KINDS,
+    AddConsequence,
+    Nucleus,
+    _class_masks,
+    _down_rows,
     convert,
     enumerate_congruences,
     enumerate_consequences,
     enumerate_nuclei,
-    presentation_leq,
     quotient,
 )
 from .order import ByteTable, row_mismatches
@@ -166,29 +170,61 @@ def _lattice_tables(n):
 def quantale_descriptions(size):
     """Raw structure descriptions of every c.d.i. generalized quantale on at
     most `size` labeled elements (no isomorphism pruning), in the order of
-    their poset's strict-pair bit vector and then of their + table."""
-    out = []
-    for n in range(1, size + 1):
-        names = [str(i) for i in range(n)]
-        label_pairs = [(a, b) for a in names for b in names]
-        for up, zero, tables in _lattice_tables(n):
-            leq_pairs = [[names[i], names[j]] for i in range(n)
-                         for j in range(n) if i != j and up[i] >> j & 1]
-            for t in tables:
-                out.append(
-                    {
-                        "poset": {
-                            "elements": list(names),
-                            "leq": [list(p) for p in leq_pairs],
-                        },
-                        "monoid": {
-                            "op": [[a, b, names[z]]
-                                   for (a, b), z in zip(label_pairs, t)],
-                            "unit": names[zero],
-                        },
-                    }
-                )
-    return out
+    their poset's strict-pair bit vector and then of their + table.
+
+    The cyclic garbage collector is paused while the list is built: the
+    lists and dicts it allocates (about 250,000 at size 5) are acyclic and
+    stay reachable, yet each collection rescans all of them, which was most
+    of the build's time. The pause is process-wide; the collector's state
+    is restored before the function returns or raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = []
+        for n in range(1, size + 1):
+            names = [str(i) for i in range(n)]
+            label_pairs = [(a, b) for a in names for b in names]
+            for up, zero, tables in _lattice_tables(n):
+                leq_pairs = [[names[i], names[j]] for i in range(n)
+                             for j in range(n) if i != j and up[i] >> j & 1]
+                for t in tables:
+                    out.append(
+                        {
+                            "poset": {
+                                "elements": list(names),
+                                "leq": [list(p) for p in leq_pairs],
+                            },
+                            "monoid": {
+                                "op": [[a, b, names[z]]
+                                       for (a, b), z in zip(label_pairs, t)],
+                                "unit": names[zero],
+                            },
+                        }
+                    )
+        return out
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _order_rows(ps):
+    """Row i is the bitmask of the j with ps[i] <= ps[j], for presentations
+    of one kind on one space. Each is read as a set of cells (x, y), held as
+    one mask with bit x*n + y: y <= gamma(x) for a nucleus, x |- y for a
+    consequence relation, x ~ y for a congruence. The pointwise order,
+    inclusion and refinement are each the inclusion of these sets."""
+    down = _down_rows(ps[0].space)
+    masks = []
+    for p in ps:
+        if isinstance(p, Nucleus):
+            rows = [down[v] for v in p.values]
+        elif isinstance(p, AddConsequence):
+            rows = p.rows
+        else:
+            rows = _class_masks(p)
+        masks.append(sum(row << x * len(rows) for x, row in enumerate(rows)))
+    return tuple(sum(1 << j for j, r in enumerate(masks) if not m & ~r)
+                 for m in masks)
 
 
 def correspondence(q):
@@ -203,8 +239,9 @@ def correspondence(q):
                           enumerate_congruences(q))]
     tables = [{(g.values, c.rows, r.reps) for g, c, r in ts} for ts in triples]
     round_ok = tables[0] == tables[1] == tables[2]
-    monotone_ok = all(len(set(map(presentation_leq, ps, rs))) == 1
-                      for ps, rs in product(triples[0], repeat=2))
+    # one list of order rows per kind over the nuclei's triples, each
+    # computed within its kind
+    monotone_ok = len({_order_rows(ps) for ps in zip(*triples[0])}) <= 1
     counts = tuple(map(len, triples))
     agree = len(set(counts)) == 1
     return {

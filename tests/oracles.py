@@ -8,6 +8,7 @@ from squanta.downset import normalize
 from squanta.errors import FragmentExceeded
 from squanta.modact import POSET
 from squanta.multiupset import Multiupset
+from squanta.nucleus import AddConsequence, Nucleus
 
 
 # -- presentations on a finite quantale table ----------------------------------
@@ -106,6 +107,18 @@ def brute_congruences(els, leq, plus, join):
     return [tuple(sorted(tuple(sorted(c)) for c in part))
             for part in set_partitions(list(els))
             if not congruence_failures(els, plus, join, part)]
+
+
+def presentation_leq(p, r):
+    """Whether p lies below r, two presentations of one kind on one space:
+    pointwise for nuclei, by inclusion for consequence relations and by
+    refinement for congruences."""
+    if isinstance(p, Nucleus):
+        up = p.space.pomonoid.poset.up_rows
+        return all(up[x] >> y & 1 for x, y in zip(p.values, r.values))
+    if isinstance(p, AddConsequence):
+        return all(a & ~b == 0 for a, b in zip(p.rows, r.rows))
+    return all(r.reps[x] == r.reps[c] for x, c in enumerate(p.reps))
 
 
 # -- the search enumerators, by scanning every candidate table ----------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from squanta import cli
+from squanta import cli, projective
 from squanta.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, load, main
 from squanta.errors import DanglingReference, DuplicateName, ParseError
 
@@ -107,6 +107,30 @@ def test_nonprojective_command(capsys):
     assert main(["projective", "N3.q"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "no witness" in out
+
+
+def test_lifts_through_a_small_family_are_inconclusive(capsys):
+    # N3.q's family at bound 3 holds only N3.q itself, and every lift exists
+    assert main(["projective", "N3.q", "--exhaustive-lifting", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "condition (ii): no witness" in out
+    assert "condition (i): inconclusive" in out
+    assert "condition (i) agrees" not in out
+
+
+def test_missing_lift_agrees_with_a_failing_condition_ii(monkeypatch, capsys):
+    monkeypatch.setattr(projective, "find_lift", lambda h, g, p, q: None)
+    assert main(["projective", "N3.q", "--exhaustive-lifting", "3"]) == EXIT_OK
+    assert "condition (i) agrees with (ii)-(v): PASS" in capsys.readouterr().out
+
+
+def test_missing_lift_while_condition_ii_holds_fails(monkeypatch, capsys):
+    monkeypatch.setattr(projective, "find_lift", lambda h, g, p, q: None)
+    argv = ["projective", "A·2", "--exhaustive-lifting", "3"]
+    assert main(argv) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "condition (ii): PASS" in out
+    assert "condition (i) agrees with (ii)-(v): FAIL" in out
 
 
 def test_extend_command(capsys):

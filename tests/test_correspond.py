@@ -2,10 +2,18 @@
 and it and the `correspond` command fail when a conversion breaks a round
 trip or the order."""
 
+from oracles import presentation_leq
 from squanta import fixtures as fx
 from squanta import search
 from squanta.cli import EXIT_VIOLATION, main
-from squanta.nucleus import AddConsequence, convert, enumerate_nuclei, presentation_leq
+from squanta.nucleus import (
+    KINDS,
+    AddConsequence,
+    convert,
+    enumerate_congruences,
+    enumerate_consequences,
+    enumerate_nuclei,
+)
 from squanta.search import quantale_descriptions, suite_correspond
 
 
@@ -69,3 +77,18 @@ def test_correspond_command_fails_on_the_reversed_order(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "round-trips: PASS" in out
     assert "order-preserving: FAIL" in out
+
+
+def test_order_rows_match_the_pairwise_order():
+    # on every quantale of size <= 4, for each kind: over the nuclei's
+    # triples and over that kind's own enumeration
+    for desc in quantale_descriptions(4):
+        q = search.make_quantale(desc)
+        nucs = enumerate_nuclei(q)
+        lists = [[convert(g, kind) for g in nucs] for kind in KINDS]
+        lists += [enumerate_consequences(q), enumerate_congruences(q)]
+        for ps in lists:
+            rows = search._order_rows(ps)
+            assert rows == tuple(
+                sum(1 << j for j, r in enumerate(ps) if presentation_leq(p, r))
+                for p in ps)

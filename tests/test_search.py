@@ -1,6 +1,7 @@
 """The pruned search enumerators against the scans in oracles.py: the same
 lists, in the same order."""
 
+import gc
 import hashlib
 import json
 from itertools import permutations
@@ -54,6 +55,56 @@ def test_size_five_counts():
     # the whole list, content and order, as canonical JSON
     digest = hashlib.sha256(json.dumps(descs, sort_keys=True).encode())
     assert digest.hexdigest() == DESCRIPTIONS_5
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_descriptions_pause_the_collector_and_restore_it(enabled, monkeypatch):
+    during = []
+    lattice_tables = search._lattice_tables
+
+    def spy(n):
+        during.append(gc.isenabled())
+        return lattice_tables(n)
+
+    monkeypatch.setattr(search, "_lattice_tables", spy)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(quantale_descriptions(3)) == 15
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during == [False] * 3
+
+
+def test_descriptions_restore_the_collector_when_the_build_raises(monkeypatch):
+    lattice_tables = search._lattice_tables
+
+    def partway(n):
+        if n == 2:
+            raise RuntimeError("build interrupted")
+        return lattice_tables(n)
+
+    monkeypatch.setattr(search, "_lattice_tables", partway)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="build interrupted"):
+        quantale_descriptions(3)
+    assert gc.isenabled()
+
+
+def test_descriptions_share_no_list_or_dict():
+    # an edit to one description must not change another
+    owner = {}
+
+    def walk(obj, i):
+        if isinstance(obj, (list, dict)):
+            assert owner.setdefault(id(obj), i) == i
+            for v in obj.values() if isinstance(obj, dict) else obj:
+                walk(v, i)
+
+    descs = quantale_descriptions(3)
+    for i, desc in enumerate(descs):
+        walk(desc, i)
 
 
 def _relabel(up, s):
