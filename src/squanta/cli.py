@@ -18,7 +18,6 @@ from .aqm import (AQM, DmFragment, FinGenQuantale, check_aqm, free_aqm,
 from .errors import (
     DanglingReference,
     DuplicateName,
-    NotProjective,
     ParseError,
     SquantaError,
     TooLarge,
@@ -321,17 +320,8 @@ class Workspace:
                                  dict(spec["tau"]), dict(spec["rho"]))
             return tp.validate()
         # f, g given instead: recover the pair through projectivity
-        for mod in (p_mod, q_mod):
-            cert = cyclic_projective_check(mod)
-            if not cert.data["conditions"]["ii"]:
-                raise NotProjective(
-                    f"module {mod.name!r} is not cyclic projective",
-                    witness=mod.name,
-                )
-        return recover_translations(
-            dict(spec["f"]), dict(spec["g"]), p_mod, q_mod, gamma, delta,
-            certified=(p_mod, q_mod),
-        )
+        return recover_translations(dict(spec["f"]), dict(spec["g"]),
+                                    p_mod, q_mod, gamma, delta)
 
     def _quantale_ref(self, value):
         obj = self._ref(value, (Pomonoid, FinGenQuantale))

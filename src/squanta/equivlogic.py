@@ -8,7 +8,7 @@ from itertools import product
 from .errors import IllDefined, NoLift, NotProjective
 from .nucleus import Nucleus
 from .modact import is_module_hom
-from .projective import find_lift
+from .projective import cyclic_projective_check, find_lift
 from .reporting import Report
 
 __all__ = [
@@ -90,6 +90,22 @@ def _entails(nuc, space, x, y):
     return space.leq(y, nuc.apply(x))
 
 
+def _preserves(src, dst):
+    """Condition (1) for src = (P, gamma, tau), dst = (Q, delta, rho), and
+    (3) with them swapped: the translation preserves and reflects entailment."""
+    (sp, nuc, there), (dsp, dnuc, _) = src, dst
+    return all(_entails(nuc, sp, x, y) == _entails(dnuc, dsp, there[x], there[y])
+               for x, y in product(sp.elements, repeat=2))
+
+
+def _round_trip(src, dst):
+    """Condition (2) for src and dst as in _preserves, and (4) with them
+    swapped: each e of dst is interderivable with there(back(e))."""
+    (_, _, there), (sp, nuc, back) = src, dst
+    return all(_entails(nuc, sp, e, there[back[e]])
+               and _entails(nuc, sp, there[back[e]], e) for e in sp.elements)
+
+
 def equivalence_check(tp: TranslationPair):
     """Evaluate the four equivalence conditions exhaustively, the meta-claim
     that the two condition lines have equal truth value, and, on success,
@@ -97,26 +113,10 @@ def equivalence_check(tp: TranslationPair):
     the two quotients."""
     tp.validate()
     rep = Report("equivalence")
-    p_sp, q_sp = tp.p_mod.space, tp.q_mod.space
-    g, d = tp.gamma, tp.delta
-    tau, rho = tp.tau, tp.rho
-
-    c1 = all(
-        _entails(g, p_sp, x, y) == _entails(d, q_sp, tau[x], tau[y])
-        for x, y in product(p_sp.elements, repeat=2)
-    )
-    c2 = all(
-        _entails(d, q_sp, e, tau[rho[e]]) and _entails(d, q_sp, tau[rho[e]], e)
-        for e in q_sp.elements
-    )
-    c3 = all(
-        _entails(d, q_sp, e, f) == _entails(g, p_sp, rho[e], rho[f])
-        for e, f in product(q_sp.elements, repeat=2)
-    )
-    c4 = all(
-        _entails(g, p_sp, x, rho[tau[x]]) and _entails(g, p_sp, rho[tau[x]], x)
-        for x in p_sp.elements
-    )
+    p = (tp.p_mod.space, tp.gamma, tp.tau)
+    q = (tp.q_mod.space, tp.delta, tp.rho)
+    c1, c2 = _preserves(p, q), _round_trip(p, q)
+    c3, c4 = _preserves(q, p), _round_trip(q, p)
     for name, ok in [("translation preserves entailment", c1),
                      ("tau-rho round trip is interderivable", c2),
                      ("back-translation preserves entailment", c3),
@@ -129,12 +129,10 @@ def equivalence_check(tp: TranslationPair):
                 f"both {line1}", witness=(line1, line2))
 
     if line1 and line2:
-        gd, dd = g.as_dict(), d.as_dict()
-        f = {x: dd[tau[x]] for x in g.image()}
-        h = {e: gd[rho[e]] for e in d.image()}
-        inverse = all(h[f[x]] == x for x in g.image()) and all(
-            f[h[e]] == e for e in d.image()
-        )
+        gd, dd = tp.gamma.as_dict(), tp.delta.as_dict()
+        f = {x: dd[tp.tau[x]] for x in tp.gamma.image()}
+        h = {e: gd[tp.rho[e]] for e in tp.delta.image()}
+        inverse = all(h[f[x]] == x for x in f) and all(f[h[e]] == e for e in h)
         rep.verdict("delta.tau and gamma.rho are mutually inverse on "
                     "quotients", inverse)
         rep.data["f"] = f
@@ -142,19 +140,18 @@ def equivalence_check(tp: TranslationPair):
     return rep
 
 
-def recover_translations(f, g, p_mod, q_mod, gamma, delta, certified=()):
+def recover_translations(f, g, p_mod, q_mod, gamma, delta):
     """Lift a quotient isomorphism back to a translation pair.
 
-    `certified` must list the modules certified cyclic projective (the
-    reports produced by the projectivity pipeline); the hom search then
-    cannot fail, and its failure would indicate a bug, not a math fact.
+    Both modules are first certified cyclic projective (condition (ii) of
+    `cyclic_projective_check`); a module that is not raises NotProjective
+    with its name as the witness. On certified modules the lifts exist, so
+    a failed hom search would indicate a bug, not a math fact.
     """
-    required = {id(p_mod), id(q_mod)}
-    if not required <= {id(m) for m in certified}:
-        raise NotProjective(
-            "both modules must carry a cyclic-projective certificate",
-            witness=[m.name for m in certified],
-        )
+    for mod in (p_mod, q_mod):
+        if not cyclic_projective_check(mod).data["conditions"]["ii"]:
+            raise NotProjective(f"module {mod.name!r} is not cyclic projective",
+                                witness=mod.name)
     _check_on(gamma, p_mod, "gamma")
     _check_on(delta, q_mod, "delta")
     gd, dd = gamma.as_dict(), delta.as_dict()

@@ -376,18 +376,18 @@ def find_lift(h, g, p, q):
     return None
 
 
-def lifting_check(p, family, size_guard=64):
+def lifting_check(p, family):
     """For each (g, h) with g: q ->> r surjective and h: p -> r, search all
     module homomorphisms p -> q for a lift through g.
 
-    `family` is a list of (g, q_module, r_module, h) tuples; use
+    `family` is a list of at most 64 (g, q_module, r_module, h) tuples; use
     `exhaustive_family` to build one from a module list. The report records,
     per pair, the first lift found (deterministic enumeration order) or a
     NoLift verdict.
     """
     rep = Report(f"lifting {p.name or 'module'}")
-    if len(family) > size_guard:
-        raise TooLarge(f"{len(family)} lifting pairs > guard {size_guard}")
+    if len(family) > 64:
+        raise TooLarge(f"{len(family)} lifting pairs > guard 64")
     for idx, (g, q_mod, r_mod, h) in enumerate(family):
         if not is_module_hom(g, q_mod, r_mod):
             raise NotAHomomorphism("surjection is not a module homomorphism",

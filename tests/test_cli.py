@@ -232,6 +232,20 @@ def test_equiv_command(tmp_path, capsys):
     assert "line 1 equivalent to line 2: PASS" in out
 
 
+def test_equiv_recovery_through_a_nonprojective_module_exits_1(tmp_path, capsys):
+    cfg = {"structures": {"tp": {"translations": {
+        "p": "N3.q", "q": "N3.q", "gamma": "g022", "delta": "g022",
+        "f": {"0": "0"}, "g": {"0": "0"}}}}}
+    path = write_config(tmp_path, cfg)
+    assert main(["equiv", "--config", path]) == EXIT_VIOLATION
+    assert capsys.readouterr().out.splitlines() == [
+        "== equiv [VIOLATION] ==",
+        "  NotProjective: FAIL [witness: 'N3/nucleus']",
+        "  module 'N3/nucleus' is not cyclic projective "
+        "[witness: 'N3/nucleus']",
+    ]
+
+
 def test_action_config_and_workspace_validation(tmp_path):
     cfg = {
         "structures": {

@@ -8,7 +8,7 @@ from squanta.equivlogic import (
     recover_translations,
 )
 from squanta.errors import IllDefined, NotProjective
-from squanta.nucleus import enumerate_nuclei, nucleus, structural_check
+from squanta.nucleus import enumerate_nuclei, nucleus, quotient, structural_check
 from squanta.projective import enumerate_module_homs
 
 
@@ -97,26 +97,29 @@ def test_line_equivalence_over_all_hom_pairs(n2q, a3_self):
 def test_recover_translations_identity(n2q, a3_self):
     ident_n = nucleus(n2q, {x: x for x in n2q.elements})
     ident = {x: x for x in n2q.elements}
-    tp = recover_translations(ident, ident, a3_self, a3_self, ident_n, ident_n,
-                              certified=(a3_self, a3_self))
+    tp = recover_translations(ident, ident, a3_self, a3_self, ident_n, ident_n)
     assert equivalence_check(tp).ok
 
 
 def test_recover_translations_g022(n2q, a3, a3_self):
     g = g022_of(n2q)
     f_id = {x: x for x in g.image()}
-    tp = recover_translations(f_id, f_id, a3_self, a3_self, g, g,
-                              certified=(a3_self, a3_self))
+    tp = recover_translations(f_id, f_id, a3_self, a3_self, g, g)
     gd = g.as_dict()
     assert all(gd[tp.tau[x]] == f_id[gd[x]] for x in n2q.elements)
     assert equivalence_check(tp).ok
 
 
-def test_recover_requires_certification(n2q, a3_self):
-    ident_n = nucleus(n2q, {x: x for x in n2q.elements})
-    ident = {x: x for x in n2q.elements}
-    with pytest.raises(NotProjective):
-        recover_translations(ident, ident, a3_self, a3_self, ident_n, ident_n)
+def test_recover_rejects_a_nonprojective_module(n2q, n3_self):
+    # N3 by the nucleus fixing {0, 1, 3} is cyclic but not projective
+    n3q = n3_self.space
+    g0133 = nucleus(n3q, {"0": "0", "1": "1", "2": "3", "3": "3"})
+    qm = quotient(n3_self, g0133).module
+    g, f = g022_of(n2q), {"0": "0"}
+    with pytest.raises(NotProjective) as err:
+        recover_translations(f, f, qm, qm, g, g)
+    assert err.value.args[0] == "module 'N3/nucleus' is not cyclic projective"
+    assert err.value.witness == "N3/nucleus"
 
 
 def test_recover_via_gamma_u_isomorphism(n2q, a3, a3_self, a3_sub2):
@@ -128,8 +131,7 @@ def test_recover_via_gamma_u_isomorphism(n2q, a3, a3_self, a3_sub2):
     fwd = {x: residual(x, "2", a3_self).value for x in a3_sub2.space.elements}
     bwd = {a: a3_self.star(a, "2") for a in g.image()}
     ident2 = nucleus(a3_sub2.space, {x: x for x in a3_sub2.space.elements})
-    tp = recover_translations(fwd, bwd, a3_sub2, a3_self, ident2, g,
-                              certified=(a3_sub2, a3_self))
+    tp = recover_translations(fwd, bwd, a3_sub2, a3_self, ident2, g)
     assert equivalence_check(tp).ok
 
 
@@ -139,8 +141,7 @@ def test_round_trip_recovered_pair_induces_same_iso(n2q, a3, a3_self):
     tp = TranslationPair(a3_self, a3_self, g, g, t, t)
     rep = equivalence_check(tp)
     f, gg = rep.data["f"], rep.data["g"]
-    tp2 = recover_translations(f, gg, a3_self, a3_self, g, g,
-                               certified=(a3_self, a3_self))
+    tp2 = recover_translations(f, gg, a3_self, a3_self, g, g)
     rep2 = equivalence_check(tp2)
     assert rep2.ok
     assert rep2.data["f"] == f and rep2.data["g"] == gg

@@ -83,9 +83,10 @@ def test_no_residual_on_non_dually_integral_scalars():
 
 def test_lifting_size_guard(a3_sub2, a3_self):
     ident = {x: x for x in a3_sub2.space.elements}
-    fam = [(ident, a3_sub2, a3_sub2, ident)] * 100
+    fam = [(ident, a3_sub2, a3_sub2, ident)] * 65
     with pytest.raises(TooLarge):
-        lifting_check(a3_sub2, fam, size_guard=50)
+        lifting_check(a3_sub2, fam)
+    assert lifting_check(a3_sub2, fam[:64]).data["pairs"] == 64
 
 
 def test_djoin_empty_family_rejected():
