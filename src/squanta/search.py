@@ -116,20 +116,27 @@ def _commutative_tables(n, leq, unit, over=()):
                     return False
         return True
 
-    def fill(k):
+    # depth-first without recursion: a nested generator calling itself
+    # would hold itself through its closure cell, a cycle left per call
+    tried = [-1] * len(cells)  # the value of each assigned cell
+    k = 0
+    while k >= 0:
         if k == len(cells):
             if all(t[u] == op[t[v] * n + t[w]]
                    for op, uvw in dist for u, v, w in uvw):
                 yield tuple(t)
-            return
+            k -= 1
+            continue
         x, y = cells[k]
-        for z in range(n):
+        for z in range(tried[k] + 1, n):
             t[x * n + y] = t[y * n + x] = z
             if fits(x, y, z):
-                yield from fill(k + 1)
-        t[x * n + y] = t[y * n + x] = -1
-
-    return fill(0)
+                tried[k] = z
+                k += 1
+                break
+        else:
+            t[x * n + y] = t[y * n + x] = tried[k] = -1
+            k -= 1
 
 
 def _lattice_tables(n):

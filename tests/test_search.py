@@ -92,6 +92,18 @@ def test_descriptions_restore_the_collector_when_the_build_raises(monkeypatch):
     assert gc.isenabled()
 
 
+def test_commutative_tables_leave_no_reference_cycle():
+    chain4 = [[int(a <= b) for b in range(4)] for a in range(4)]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(list(search._commutative_tables(4, chain4, 0))) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()
+
+
 def test_descriptions_share_no_list_or_dict():
     # an edit to one description must not change another
     owner = {}
