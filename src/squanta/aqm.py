@@ -196,7 +196,8 @@ class AQM:
     linking map. The product is a function, a dict {(x, y): x * y}, or,
     on a finite quantale sort, a flat tuple over element positions (see
     Pomonoid.flat); on a finite sort it is compiled to that tuple when the
-    AQM is built. The linking map is a function or a dict.
+    AQM is built, a dict through order.flat_from_triples (an incomplete one
+    raises NotAssociative). The linking map is a function or a dict.
 
     Structures derived from the AQM alone (its self-module and what is
     computed from that) are kept in `derived` (see `derive`).
@@ -212,9 +213,11 @@ class AQM:
         if isinstance(quant, FinGenQuantale):
             # compiled once: every product on a finite sort reads this table
             els, index_of = quant.elements, quant.pomonoid.poset.index_of
-            if not isinstance(mult, tuple):
-                mult = tuple(index_of(mult(x, y) if callable(mult) else mult[x, y])
-                             for x in els for y in els)
+            if isinstance(mult, dict):
+                mult = flat_from_triples(quant.pomonoid.poset,
+                                         [(x, y, z) for (x, y), z in mult.items()])
+            elif callable(mult):
+                mult = tuple(index_of(mult(x, y)) for x in els for y in els)
             self._mult_table, n = mult, len(els)
             self.mult = lambda x, y: els[mult[index_of(x) * n + index_of(y)]]
         else:

@@ -15,7 +15,8 @@ from squanta.aqm import (
     term_closure,
 )
 from squanta.downset import djoin, unit_embed
-from squanta.errors import FragmentExceeded, LawViolated, TooLarge, UnboundVariable
+from squanta.errors import (FragmentExceeded, LawViolated, NotAssociative,
+                            TooLarge, UnboundVariable, UnknownElement)
 from squanta.multiupset import Multiupset
 
 
@@ -52,6 +53,19 @@ def test_a3_broken_unit(n2q):
     with pytest.raises(LawViolated) as err:
         table_aqm(n2q, mult, "0")  # 0*a = 0 != a
     assert err.value.law == "unit"
+
+
+def test_product_dict_missing_a_pair_or_naming_no_element(n2q, a3):
+    mult = {(x, y): a3.mult(x, y) for x in n2q.elements for y in n2q.elements}
+    del mult["0", "1"]
+    with pytest.raises(NotAssociative) as err:
+        AQM(a3.dist, n2q, mult, "1", a3.iota)
+    assert (err.value.args[0], err.value.witness) == (
+        "operation table incomplete", ("0", "1"))
+    mult["0", "1"] = "7"
+    with pytest.raises(UnknownElement) as err:
+        AQM(a3.dist, n2q, mult, "1", a3.iota)
+    assert err.value.witness == "7"
 
 
 def test_exp_end_structure(n2q):
