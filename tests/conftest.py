@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import sys
 from pathlib import Path
 
@@ -15,6 +17,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+STDERR_FD = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # stderr before output capture starts, where a hang's traceback shows
+    config.stash[STDERR_FD] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    """End the run with every thread's traceback when one test runs past
+    120 s (the slowest takes a few seconds), so that a hang fails the
+    suite instead of stalling it."""
+    faulthandler.dump_traceback_later(120, exit=True,
+                                      file=request.config.stash[STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +91,4 @@ def n3():
 @pytest.fixture(scope="session")
 def n3_self():
     return fx.n3_self_module()
+
