@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from squanta import fixtures as fx
+from squanta.aqm import make_quantale
 
 ACCEPTANCE_LINES = []
 
@@ -92,3 +93,16 @@ def n3():
 def n3_self():
     return fx.n3_self_module()
 
+
+@pytest.fixture(scope="session")
+def chain4_nc():
+    """The chain 0 < 1 < 2 < 3 under a + with unit 0 that does not commute:
+    1 + 1 = 1 and 1 + 2 = 2, every other sum of nonzero elements is 3."""
+    els = ["0", "1", "2", "3"]
+    sums = {("1", "1"): "1", ("1", "2"): "2"}
+    op = [[x, y, y if x == "0" else x if y == "0" else sums.get((x, y), "3")]
+          for x in els for y in els]
+    return make_quantale({
+        "poset": {"elements": els, "leq": [[x, y] for x in els for y in els
+                                           if x < y]},
+        "monoid": {"op": op, "unit": "0"}}, name="C4nc")

@@ -30,20 +30,24 @@ def test_a3_self_action_valid_at_module_level(a3_self):
     assert check_action(a3_self).ok
 
 
-def test_poset_and_act_scans_match_oracle(m2_on_d2, a3_self, c2):
+def test_poset_and_act_scans_match_oracle(m2_on_d2, a3_self, c2, m2,
+                                         chain4_nc):
     """check_action fails the same (law, witness) pairs as the oracle's
     scan, with the same counts, on every table mutant of the pin tests,
     on the act of extend M2D2, on that act's fragment mutant, on the act
-    over the fragment of multiplicity 2, where instances leave it, and on
+    over the fragment of multiplicity 2, where instances leave it, on
     the evaluation action of c2's monotone self-maps, whose scalars do not
-    commute, so the order of composition shows."""
+    commute, so the order of composition shows, and on an act of M2 on a
+    quantale whose + does not commute, so the order of each sum shows."""
     aa, small = (extend_poset_action_to_dm(m2_on_d2, k) for k in (4, 2))
     pom, maps = selfmap_pomonoid(c2)
     evaluation = ActionMap(POSET, pom, c2, lambda f, x: maps[f].apply(x),
                            name="evaluation")
+    on_sums = ActionMap(ACT, m2, chain4_nc,
+                        lambda a, x: x if a == "e" else "0", name="on-sums")
     actions = [*_table_mutants(m2_on_d2, POSET),
                *_table_mutants(restrict_module_to_act(a3_self), ACT),
-               aa, _fragment_mutant(aa), small, evaluation]
+               aa, _fragment_mutant(aa), small, evaluation, on_sums]
     failing = 0
     for am in actions:
         failures, counts = brute_check_poset_act(am)
@@ -58,7 +62,8 @@ def test_poset_and_act_scans_match_oracle(m2_on_d2, a3_self, c2):
     assert brute_check_poset_act(aa) == (set(), (684, 0))
     assert brute_check_poset_act(small) == (set(), (460, 224))
     assert brute_check_poset_act(evaluation) == (set(), (41, 0))
-    assert (len(actions), failing) == (39, 21)
+    assert brute_check_poset_act(on_sums) == (set(), (100, 0))
+    assert (len(actions), failing) == (40, 21)
 
 
 def test_constant_action_violates_unit(m2, d2):

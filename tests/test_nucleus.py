@@ -7,6 +7,7 @@ from oracles import (
     brute_consequences,
     brute_nuclei,
     congruence_failures,
+    scan_consequences,
     set_partitions,
 )
 from squanta.aqm import exp_end, make_quantale
@@ -84,6 +85,29 @@ def test_counts_match_brute_force_oracles(n2q):
     assert sorted(c.classes for c in enumerate_congruences(n2q)) == sorted(
         oracle_congs
     )
+
+
+def test_presentations_of_a_noncommutative_sum_match_the_oracles(chain4_nc):
+    """On a quantale whose + does not commute, so that the order of the
+    summands in each sum law shows: the three enumerations against the
+    oracles, and every partition's congruence failures, in order."""
+    q = chain4_nc
+    els, leq, plus = q.elements, q.leq, q.plus
+    join = lambda x, y: q.join([x, y])
+    nucs = enumerate_nuclei(q)
+    assert sorted(n.table for n in nucs) == sorted(brute_nuclei(els, leq, plus))
+    assert sorted(c.pairs for c in enumerate_consequences(q)) == sorted(
+        scan_consequences(els, leq, plus, join))
+    assert sorted(c.classes for c in enumerate_congruences(q)) == sorted(
+        brute_congruences(els, leq, plus, join))
+    failing = 0
+    for part in set_partitions(els):
+        expected = congruence_failures(els, plus, join, part)
+        rep = validate_presentation(congruence(q, part), strict=False)
+        assert rep.lines[:-1] == [f"{law}: FAIL [witness: {w!r}]"
+                                  for law, w in expected]
+        failing += bool(expected)
+    assert (len(nucs), failing) == (5, 10)
 
 
 def test_congruence_scan_witnesses():

@@ -11,7 +11,8 @@ import pytest
 from oracles import brute_check_action, brute_exp_end, brute_residual
 from test_table_scan_pins import _cell_mutants
 from squanta import fixtures as fx
-from squanta.aqm import AQM, check_aqm, exp_end, make_quantale
+from squanta.aqm import (AQM, MODULE_LAWS, check_aqm, exp_end, make_quantale,
+                         scan_module_laws)
 from squanta.errors import (
     LawViolated,
     NoResidual,
@@ -24,6 +25,7 @@ from squanta.errors import (
 from squanta.modact import MODULE, ActionMap, check_action
 from squanta.nucleus import enumerate_nuclei, quotient
 from squanta.order import validate_structure
+from squanta.reporting import LawScan
 from squanta.projective import (
     _iso_between,
     cyclic_projective_check,
@@ -306,20 +308,25 @@ def test_check_action_matches_scan():
     assert count == 187  # 27 self-modules, 77 orbits, 83 quotients
 
 
+def _cell_changes(ma):
+    """Every single-cell change of the module's star table."""
+    cells = {(a, x): ma.star(a, x) for a in ma.scalars.quant.elements
+             for x in ma.space.elements}
+    for (a, x), z in product(cells, ma.space.elements):
+        if cells[a, x] != z:
+            table = dict(cells)
+            table[a, x] = z
+            yield ActionMap(MODULE, ma.scalars, ma.space,
+                            lambda a, x, t=table: t[a, x])
+
+
 def _broken_modules():
     """Every single-cell change of the A3 and N3 self-module tables and of
     a self-module on the four-element lattice 3 < 1, 2 < 0."""
     square = make_quantale(quantale_descriptions(4)[15])
     for ma in (fx.a3_self_module(), fx.n3_self_module(),
                self_module(_commutative_mults(square)[0])):
-        cells = {(a, x): ma.star(a, x) for a in ma.scalars.quant.elements
-                 for x in ma.space.elements}
-        for (a, x), z in product(cells, ma.space.elements):
-            if cells[a, x] != z:
-                table = dict(cells)
-                table[a, x] = z
-                yield ActionMap(MODULE, ma.scalars, ma.space,
-                                lambda a, x, t=table: t[a, x])
+        yield from _cell_changes(ma)
 
 
 def test_check_action_witnesses_on_broken_tables():
@@ -329,6 +336,59 @@ def test_check_action_witnesses_on_broken_tables():
     assert laws == {"unit", "zero-scalar", "compose", "scalar-plus",
                     "scalar-join", "iota-join-dist", "iota-plus-dist",
                     "iota-zero"}
+
+
+def test_modules_on_a_noncommutative_sum(chain4_nc):
+    """The self-modules of the AQMs on a quantale whose + does not commute,
+    so that the order of each sum shows. On them and on every single-cell
+    change of them, scan_module_laws without a table (the runner of
+    fragment modules) fails the laws as the label scan does, in its order.
+    Each self-module's homomorphisms are its right multiplications, and
+    its quotient by every structural nucleus verifies."""
+    q, failing, quotients = chain4_nc, 0, 0
+    selfms = [self_module(a) for a in _commutative_mults(q)]
+    for ma in selfms + [b for m in selfms for b in _cell_changes(m)]:
+        failures, checked = brute_check_action(ma)
+        rep = LawScan("labels", strict=False)
+        scan_module_laws(rep, ma.scalars, q, ma.star, q.elements, q.elements,
+                         [(i, i) for i in ma.iota_scalars()], None,
+                         MODULE_LAWS)
+        assert rep.lines == [f"{law}: FAIL [witness: {w!r}]"
+                             for law, w in failures]
+        assert rep.checked == checked
+        failing += bool(failures)
+    for ma in selfms:
+        mult = ma.scalars.mult
+        homs = [tuple(h.items()) for h in enumerate_module_homs(ma, ma)]
+        assert sorted(homs) == sorted({tuple((x, mult(x, w)) for x in q.elements)
+                                       for w in q.elements})
+        for nuc in enumerate_nuclei(q):
+            try:
+                quotient(ma, nuc)
+            except NotStructural:
+                continue
+            quotients += 1
+    assert (len(selfms), failing, quotients) == (2, 96, 9)
+
+
+def test_quotient_star_matches_its_table():
+    """A quotient module's action on labels agrees with its star table, on
+    the self-module of an endomorphism AQM whose product does not commute,
+    so that the order of scalar and point shows."""
+    a = exp_end(make_quantale(quantale_descriptions(3)[4]))
+    els = a.quant.elements
+    assert any(a.mult(x, y) != a.mult(y, x) for x, y in product(els, repeat=2))
+    quotients = 0
+    for nuc in enumerate_nuclei(a.quant):
+        try:
+            qm = quotient(self_module(a), nuc).module
+        except NotStructural:
+            continue
+        points = qm.space.elements
+        assert [qm.star(s, x) for s in els for x in points] == [
+            points[z] for z in qm.star_table()]
+        quotients += 1
+    assert quotients == 4
 
 
 def test_residual_matches_scan():
