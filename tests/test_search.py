@@ -24,6 +24,7 @@ from squanta.search import (
     _labeled_posets,
     quantale_descriptions,
     suite_leftdist,
+    suite_projective,
 )
 
 
@@ -265,5 +266,16 @@ def test_leftdist_witness_at_size_five():
     assert got["witnesses"][0] == ("(0,0,1,1,4)", "(0,0,0,2,4)", "(0,0,0,3,4)")
 
 
+def test_projective_suite_at_size_four():
+    # every (AQM, nucleus) pair of the 207 quantales of size <= 4, as
+    # canonical JSON: the classification, its counts and its witnesses
+    results = [suite_projective(d) for d in quantale_descriptions(4)]
+    assert sum(r["cyclic_quotients"] for r in results) == 3347
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode())
+    assert digest.hexdigest() == PROJECTIVE_4
+
+
 DESCRIPTIONS_5 = (
     "e30ab6ec982cd000c602cb7192fc40d61847466a99c5cb73d4be9bc41db25fab")
+PROJECTIVE_4 = (
+    "661b828f5eb6e95ad79d18b8845118dd771e9da40c8ea9115c204d23b36128f0")
