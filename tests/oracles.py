@@ -109,6 +109,73 @@ def brute_congruences(els, leq, plus, join):
             if not congruence_failures(els, plus, join, part)]
 
 
+# -- the Galatos-Tsinakis case: presentations of an order alone ----------------
+
+
+def order_joins(els, leq):
+    """{(x, y): x v y}, each the least upper bound found by scanning the
+    order, or None when some pair has none."""
+    joins = {}
+    for x, y in product(els, repeat=2):
+        uppers = [z for z in els if leq(x, z) and leq(y, z)]
+        least = [z for z in uppers if all(leq(z, w) for w in uppers)]
+        if len(least) != 1:
+            return None
+        joins[(x, y)] = least[0]
+    return joins
+
+
+def closure_operators(els, leq):
+    """All monotone, expansive, idempotent self-maps, by scanning every
+    self-map table."""
+    out = []
+    for values in product(els, repeat=len(els)):
+        g = dict(zip(els, values))
+        if all(leq(x, g[x]) and g[g[x]] == g[x] for x in els) and all(
+                leq(g[x], g[y]) for x in els for y in els if leq(x, y)):
+            out.append(tuple(sorted(g.items())))
+    return out
+
+
+def join_closed_preorders(els, leq):
+    """All transitive relations that hold every >=-pair and the join of each
+    successor set, scanning the relations that hold every >=-pair."""
+    joins = order_joins(els, leq)
+    forced = {(x, y) for x in els for y in els if leq(y, x)}
+    free = sorted({(x, y) for x in els for y in els} - forced)
+    out = []
+    for bits in product([False, True], repeat=len(free)):
+        rel = forced | {p for p, b in zip(free, bits) if b}
+        if any((x, z) not in rel
+               for (x, y) in rel for (y2, z) in rel if y == y2):
+            continue
+        if all((x, _fold(joins, [y for y in els if (x, y) in rel])) in rel
+               for x in els):
+            out.append(frozenset(rel))
+    return out
+
+
+def _fold(joins, xs):
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = joins[(acc, x)]
+    return acc
+
+
+def semilattice_congruences(els, leq):
+    """All partitions whose classes the join of the order respects, as
+    sorted tuples of sorted classes."""
+    joins = order_joins(els, leq)
+    out = []
+    for part in set_partitions(list(els)):
+        cls = {x: i for i, c in enumerate(part) for x in c}
+        if all(cls[joins[(a, c)]] == cls[joins[(b, d)]]
+               for a, b, c, d in product(els, repeat=4)
+               if cls[a] == cls[b] and cls[c] == cls[d]):
+            out.append(tuple(sorted(tuple(sorted(c)) for c in part)))
+    return out
+
+
 def presentation_leq(p, r):
     """Whether p lies below r, two presentations of one kind on one space:
     pointwise for nuclei, by inclusion for consequence relations and by

@@ -6,8 +6,12 @@ from oracles import (
     brute_congruences,
     brute_consequences,
     brute_nuclei,
+    closure_operators,
     congruence_failures,
+    join_closed_preorders,
+    order_joins,
     scan_consequences,
+    semilattice_congruences,
     set_partitions,
 )
 from squanta.aqm import exp_end, make_quantale
@@ -108,6 +112,29 @@ def test_presentations_of_a_noncommutative_sum_match_the_oracles(chain4_nc):
                                   for law, w in expected]
         failing += bool(expected)
     assert (len(nucs), failing) == (5, 10)
+
+
+def test_presentations_of_a_join_are_those_of_its_order():
+    """Galatos and Tsinakis's setting as a special case: on a quantale whose
+    + is its join, the nuclei are the closure operators, the consequence
+    relations the transitive, join-closed relations holding >=, and the
+    congruences the join-semilattice congruences, each found by a scan of
+    the order that never evaluates +."""
+    sizes = []
+    for desc in quantale_descriptions(4):
+        q = make_quantale(desc)
+        els, leq = q.elements, q.leq
+        joins = order_joins(els, leq)
+        if any(q.plus(x, y) != joins[(x, y)] for x in els for y in els):
+            continue
+        sizes.append(len(els))
+        assert [n.table for n in enumerate_nuclei(q)] == closure_operators(els, leq)
+        assert sorted(c.pairs for c in enumerate_consequences(q)) == sorted(
+            join_closed_preorders(els, leq))
+        assert sorted(c.classes for c in enumerate_congruences(q)) == sorted(
+            semilattice_congruences(els, leq))
+    # one labeled quantale per labeled lattice
+    assert [sizes.count(n) for n in (1, 2, 3, 4)] == [1, 2, 6, 36]
 
 
 def test_congruence_scan_witnesses():
