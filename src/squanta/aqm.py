@@ -85,16 +85,31 @@ def eval_term(t, env, q):
     return q.join(values)
 
 
-class FinGenQuantale:
+class Derives:
+    """A structure that keeps what is derived from it alone in `derived`,
+    for its lifetime (see `derive`)."""
+
+    def derive(self, key, build):
+        """The structure `key` derived from this one alone: build() on the
+        first call, and the same object on every later one. Nothing is kept
+        when build() raises."""
+        if key not in self.derived:
+            self.derived[key] = build()
+        return self.derived[key]
+
+
+class FinGenQuantale(Derives):
     """Finite-carrier generalized quantale: an additive pomonoid in which all
     non-empty joins exist and distribute over the sum on both sides.
 
     `plus_table` and `join_table` are the flat tables over element positions
-    (see Pomonoid.flat)."""
+    (see Pomonoid.flat). Its quotient and orbit quantales are kept in
+    `derived` (see `Derives.derive`)."""
 
     def __init__(self, pomonoid: Pomonoid, name=""):
         self.pomonoid = pomonoid
         self.name = name
+        self.derived = {}
         poset = pomonoid.poset
         self.elements = els = poset.elements
         up = poset.up_rows
@@ -187,20 +202,21 @@ def make_quantale(raw_or_pomonoid, name=""):
     return FinGenQuantale(pom, name)
 
 
-class AQM:
+class AQM(Derives):
     """Two-sorted additive quantale with multiplication <A_d, A, iota>.
 
     `dist` is the multiplicative pomonoid of distributive elements, `quant`
     the additive quantale sort (a FinGenQuantale or a DmFragment), `mult`
     and `one` the monoid structure on the quantale sort, and `iota` the
-    linking map. The product is a function, a dict {(x, y): x * y}, or,
-    on a finite quantale sort, a flat tuple over element positions (see
-    Pomonoid.flat); on a finite sort it is compiled to that tuple when the
-    AQM is built, a dict through order.flat_from_triples (an incomplete one
-    raises NotAssociative). The linking map is a function or a dict.
+    linking map. On a fragment sort the product is a function (anything
+    else raises TooLarge); on a finite sort it is a function, a dict
+    {(x, y): x * y} or a flat tuple over element positions (see
+    Pomonoid.flat), compiled to that tuple when the AQM is built, a dict
+    through order.flat_from_triples (an incomplete one raises
+    NotAssociative). The linking map is a function or a dict.
 
     Structures derived from the AQM alone (its self-module and what is
-    computed from that) are kept in `derived` (see `derive`).
+    computed from that) are kept in `derived` (see `Derives.derive`).
     """
 
     def __init__(self, dist, quant, mult, one, iota, name=""):
@@ -220,17 +236,13 @@ class AQM:
                 mult = tuple(index_of(mult(x, y)) for x in els for y in els)
             self._mult_table, n = mult, len(els)
             self.mult = lambda x, y: els[mult[index_of(x) * n + index_of(y)]]
-        else:
-            self.mult = mult if callable(mult) else lambda x, y: mult[(x, y)]
+        elif callable(mult):
+            self.mult = mult
+        else:  # a finite table cannot cover a fragment
+            raise TooLarge(f"AQM {name!r}: a product on a fragment sort must "
+                           "be a function", witness=name)
         self.iota = iota if callable(iota) else iota.__getitem__
         self.derived = {}
-
-    def derive(self, key, build):
-        """The structure `key` derived from this AQM alone: build() on the
-        first call, and the same object on every later one."""
-        if key not in self.derived:
-            self.derived[key] = build()
-        return self.derived[key]
 
     def mult_table(self):
         """The product as a flat table over element positions (see

@@ -11,6 +11,7 @@ from itertools import product
 
 from .aqm import FinGenQuantale, check_aqm
 from .errors import (
+    BaseMismatch,
     LawViolated,
     NotDistributivelyGenerated,
     NotStructural,
@@ -458,22 +459,29 @@ class QuotientModule:
 def quotient(ma, nuc, strict=True):
     """The quotient module on the image of a structural nucleus, with the
     inherited operations; verified against the congruence quotient. Needs
-    finite scalars (ActionMap.on_tables), as module homomorphisms do."""
+    finite scalars (ActionMap.on_tables), as module homomorphisms do, and a
+    nucleus on the module's space (BaseMismatch otherwise).
+
+    The nucleus's validation, the quotient quantale and the order and sum
+    half of the isomorphism check depend on the space alone, so the space
+    keeps them (see aqm.Derives); the rest is checked for each module."""
     if not ma.on_tables:
         raise TooLarge("quotients need finite scalars on a finite quantale",
                        witness=ma.name)
-    validate_presentation(nuc)
+    q, g = ma.space, nuc.values
+    if nuc.space != q:
+        raise BaseMismatch("nucleus is not on the module's space",
+                           witness=(nuc.space, q))
+    q.derive(("nucleus", g), lambda: validate_presentation(nuc))
     structural, witness = _structural_over(nuc, ma, ma.scalar_universe())
     if not structural:
         raise NotStructural("nucleus is not structural for this action",
                             witness=witness)
-    q = ma.space
-    g = nuc.values
     image = sorted(set(g))
     plus, n = q.plus_table, len(g)
-    quant = q.restrict(image, lambda i, j: g[plus[i * n + j]],
-                       g[_index(q, q.zero)],
-                       name=f"{q.name}/nucleus" if q.name else "quotient")
+    quant = q.derive(("quotient", g), lambda: q.restrict(
+        image, lambda i, j: g[plus[i * n + j]], g[_index(q, q.zero)],
+        name=f"{q.name}/nucleus" if q.name else "quotient"))
     local = {x: k for k, x in enumerate(image)}
     parent_rows = [ax for _, ax in _star_rows(ma, ma.scalar_universe())]
     # the action on the image, a * x = gamma(a * x), row by row
@@ -492,19 +500,30 @@ def quotient(ma, nuc, strict=True):
     # isomorphic to the quotient by the kernel congruence, on class ids (the
     # least position in each class): the image meets every class once, and
     # x -> its class carries order, sum and action on the image to those on
-    # the classes, computed at their least elements
+    # the classes, computed at their least elements. The order and sum half
+    # is kept with the classes it was checked against.
     cid = convert(nuc, "congruence").reps
     fwd = [cid[x] for x in image]
-    m, join = len(image), q.join_table
-    q_up, q_plus = quant.pomonoid.poset.up_rows, quant.plus_table
-    iso_ok = sorted(fwd) == sorted(set(cid))
-    for i, j in product(range(m), repeat=2):
-        c, d = fwd[i], fwd[j]
-        iso_ok &= bool(q_up[i] >> j & 1) == (cid[join[c * n + d]] == d)
-        iso_ok &= fwd[q_plus[i * m + j]] == cid[plus[c * n + d]]
+    iso_ok = q.derive(("kernel-iso", g, cid),
+                      lambda: _order_and_sum_iso(q, quant, fwd, cid))
     for row, ax in zip(rows, parent_rows):
         iso_ok &= all(fwd[z] == cid[ax[c]] for z, c in zip(row, fwd))
     rep.verdict("isomorphic to the congruence quotient", iso_ok)
     if strict and not rep.ok:
         raise LawViolated("quotient", witness=rep.lines)
     return QuotientModule(ma, nuc, module, rep)
+
+
+def _order_and_sum_iso(q, quant, fwd, cid):
+    """Whether x -> fwd[x], the class ids of the elements of the quotient
+    quantale `quant` of q, is a bijection onto the classes cid that carries
+    the order and the sum of `quant` to those of the classes."""
+    n, m = len(cid), len(fwd)
+    join, plus = q.join_table, q.plus_table
+    q_up, q_plus = quant.pomonoid.poset.up_rows, quant.plus_table
+    iso_ok = sorted(fwd) == sorted(set(cid))
+    for i, j in product(range(m), repeat=2):
+        c, d = fwd[i], fwd[j]
+        iso_ok &= bool(q_up[i] >> j & 1) == (cid[join[c * n + d]] == d)
+        iso_ok &= fwd[q_plus[i * m + j]] == cid[plus[c * n + d]]
+    return iso_ok

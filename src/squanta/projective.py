@@ -120,16 +120,19 @@ def submodule_on_orbit(ma, u, name=None):
     """The submodule on the scalar orbit of u, for a module with finite
     scalars on a finite quantale (ActionMap.on_tables). An orbit that is not
     closed under + or the action, or that misses the zero, raises
-    UnknownElement."""
+    UnknownElement. The quantale on the orbit depends on the space and the
+    orbit alone, so the space keeps it (see aqm.Derives)."""
     if not ma.on_tables:
         raise TooLarge("orbit submodules need finite scalars on a finite "
                        "quantale", witness=ma.name)
     q = ma.space
     poset = q.pomonoid.poset
     n, star, plus = len(q.elements), ma.star_table(), q.plus_table
-    orbit = sorted(set(star[poset.index_of(u)::n]))
-    quant = q.restrict(orbit, lambda i, j: plus[i * n + j],
-                       poset.index_of(q.zero), name=f"{ma.name}|orbit({u})")
+    orbit = tuple(sorted(set(star[poset.index_of(u)::n])))
+    quant = q.derive(("orbit", orbit), lambda: q.restrict(
+        orbit, lambda i, j: plus[i * n + j], poset.index_of(q.zero),
+        name=f"{q.name or 'quantale'}|orbit"
+             f"({','.join(q.elements[p] for p in orbit)})"))
     local = {p: k for k, p in enumerate(orbit)}
     table = []
     for a in range(len(ma.scalars.quant.elements)):

@@ -239,6 +239,17 @@ def test_fragment_scan_checks_iota_unit():
     assert rep.data == {"checked": 564, "skipped": 688}  # iota laws uncounted
 
 
+def test_fragment_product_must_be_a_function(m2):
+    # a finite dict cannot cover a fragment: refused when the AQM is built,
+    # where a check_aqm scan once ended in a bare KeyError
+    fa = free_aqm(m2, 2)
+    for mult in ({}, {(fa.one, fa.one): fa.one}):
+        with pytest.raises(TooLarge) as err:
+            AQM(fa.dist, fa.quant, mult, fa.one, fa.iota, name="F")
+        assert err.value.witness == "F"
+        assert "'F'" in str(err.value)
+
+
 def test_fragment_exceeded_on_every_call(m2):
     # results are kept per fragment; a result outside the bound raises
     # again on each later call, not only on the one that computed it

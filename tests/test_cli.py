@@ -156,6 +156,13 @@ def test_quotient_command(capsys):
     assert "isomorphic to the congruence quotient: PASS" in out
 
 
+def test_quotient_by_a_nucleus_on_another_space_is_an_input_error(capsys):
+    assert main(["quotient", "A3.self", "N3.g0133"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: nucleus 'N3.g0133' is not on the space of module "
+        "'A3.self' [witness: ('N3.g0133', 'A3.self')]\n")
+
+
 def test_invalid_nucleus_fixture_exits_1(capsys):
     assert main(["validate", "g112"]) == EXIT_VIOLATION
 

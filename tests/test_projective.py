@@ -1,8 +1,11 @@
 from itertools import product
 
+import sys
+
 import pytest
 
-from squanta.errors import TooLarge
+from squanta.aqm import make_quantale
+from squanta.errors import BaseMismatch, LawViolated, NotStructural, TooLarge
 from squanta.modact import (
     ActionMap,
     extend_act_to_module,
@@ -21,7 +24,10 @@ from squanta.projective import (
     kept_self_module,
     lifting_check,
     residual,
+    self_module,
+    submodule_on_orbit,
 )
+from squanta.search import _commutative_mults
 from squanta import fixtures as fx
 
 
@@ -276,3 +282,88 @@ def test_poset_act_cyclicity_equivalence(m2_on_d2):
         act_cyclic = cyclic_check(
             aa, unit_embed(base, Multiupset(m2_on_d2.space, (u,))))[0]
         assert poset_cyclic == act_cyclic, u
+
+
+# -- what a quantale keeps -----------------------------------------------------
+
+
+def _c3():
+    """A fresh quantale on the chain 2 < 1 < 0 with + its join, the space of
+    B3, and its three commutative AQMs: units 0, 0 and 1, the second B3's
+    product."""
+    els = ["0", "1", "2"]
+    q = make_quantale({
+        "poset": {"elements": els, "leq": [["1", "0"], ["2", "0"], ["2", "1"]]},
+        "monoid": {"op": [[x, y, min(x, y)] for x in els for y in els],
+                   "unit": "2"}}, name="C3")
+    aqms = _commutative_mults(q)
+    assert [a.one for a in aqms] == ["0", "0", "1"]
+    assert aqms[1].mult_table() == fx.b3().mult_table()
+    return q, aqms
+
+
+def test_a_fresh_quantale_keeps_nothing():
+    q, aqms = _c3()
+    assert q.derived == {}
+    qm = quotient(kept_self_module(aqms[0]), nucleus(q, {x: x for x in q.elements}))
+    assert qm.module.space.derived == {}
+
+
+def test_aqms_on_one_quantale_share_its_quotient_and_orbit_quantales(monkeypatch):
+    q, aqms = _c3()
+    validated = []
+    module = sys.modules[quotient.__module__]
+    check = module.validate_presentation
+    monkeypatch.setattr(module, "validate_presentation",
+                        lambda p: validated.append(p) or check(p))
+    g = nucleus(q, {"0": "0", "1": "0", "2": "2"})
+    m0, m2 = self_module(aqms[0], name="M0"), self_module(aqms[2], name="M2")
+    q0, q2 = quotient(m0, g), quotient(m2, g)
+    assert q0.report.ok and q2.report.ok
+    assert q0.module is not q2.module
+    assert q0.module.space is q2.module.space
+    assert q0.module.space.name == "C3/nucleus"
+    assert validated == [g]  # validated once, on the first call
+    # each AQM's orbit of its unit is the whole chain
+    o0, o2 = submodule_on_orbit(m0, "0"), submodule_on_orbit(m2, "1")
+    assert o0 is not o2
+    assert o0.space is o2.space
+    assert (o0.name, o2.name) == ("M0*0", "M2*1")
+    # the shared quantale is named after its space and orbit, not a module
+    assert o0.space.name == "C3|orbit(0,1,2)"
+
+
+def test_a_kept_quotient_still_checks_each_module():
+    # 1 -> 0 is structural for the first AQM and not for B3's product, where
+    # 1 * gamma(1) = 1 is not below gamma(1 * 1) = 2: the same witness with
+    # the quotient kept as on a fresh quantale
+    for keep in (True, False):
+        q, aqms = _c3()
+        g = nucleus(q, {"0": "0", "1": "0", "2": "2"})
+        if keep:
+            quotient(kept_self_module(aqms[0]), g)
+        with pytest.raises(NotStructural) as err:
+            quotient(kept_self_module(aqms[1]), g)
+        assert err.value.witness == ("1", "1")
+
+
+def test_an_invalid_nucleus_raises_on_every_call():
+    q, aqms = _c3()
+    g = nucleus(q, {"0": "0", "1": "2", "2": "2"})  # 1 -> 2 is below 1
+    for aqm in aqms + aqms:
+        with pytest.raises(LawViolated) as err:
+            quotient(kept_self_module(aqm), g)
+        assert (err.value.law, err.value.witness) == ("nucleus-expansive", "1")
+    assert q.derived == {}
+
+
+def test_quotient_refuses_a_nucleus_on_another_space():
+    # on A3, whose space is N2, B3's constant nucleus once gave a
+    # one-element quotient and N3's nuclei a bare IndexError; an invalid
+    # nucleus on another space is refused before it is validated
+    ma = kept_self_module(fx.a3())
+    others = enumerate_nuclei(fx.b3().quant) + enumerate_nuclei(fx.n3_quantale())
+    others.append(nucleus(fx.b3().quant, {"0": "1", "1": "1", "2": "2"}))
+    for g in others:
+        with pytest.raises(BaseMismatch):
+            quotient(ma, g)
