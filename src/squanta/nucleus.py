@@ -463,8 +463,9 @@ def quotient(ma, nuc, strict=True):
     nucleus on the module's space (BaseMismatch otherwise).
 
     The nucleus's validation, the quotient quantale and the order and sum
-    half of the isomorphism check depend on the space alone, so the space
-    keeps them (see aqm.Derives); the rest is checked for each module."""
+    half of the isomorphism check depend on the space and the nucleus alone,
+    so the space keeps them (see aqm.Derives); the rest is checked for each
+    module."""
     if not ma.on_tables:
         raise TooLarge("quotients need finite scalars on a finite quantale",
                        witness=ma.name)

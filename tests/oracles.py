@@ -113,15 +113,13 @@ def brute_congruences(els, leq, plus, join):
 
 
 def order_joins(els, leq):
-    """{(x, y): x v y}, each the least upper bound found by scanning the
-    order, or None when some pair has none."""
+    """{(x, y): x v y} on a lattice, each the least upper bound found by
+    scanning the order."""
     joins = {}
     for x, y in product(els, repeat=2):
         uppers = [z for z in els if leq(x, z) and leq(y, z)]
-        least = [z for z in uppers if all(leq(z, w) for w in uppers)]
-        if len(least) != 1:
-            return None
-        joins[(x, y)] = least[0]
+        joins[(x, y)] = next(z for z in uppers
+                             if all(leq(z, w) for w in uppers))
     return joins
 
 
