@@ -78,6 +78,22 @@ def test_exp_end_matches_scan():
         assert a.quant.elements == tuple(sorted(gen_tables))
 
 
+def test_gen_quantales_as_pinned():
+    """Gen's elements, order rows, + table, product table and distributive
+    elements, for all 207 quantales of size <= 4 and every 20th of size 5
+    (Gen has up to 70 elements there), as one SHA-256."""
+    lines = []
+    for desc in quantale_descriptions(4) + quantale_descriptions(5)[::20]:
+        a = exp_end(make_quantale(desc))
+        g = a.quant
+        lines.append(repr((g.elements, g.pomonoid.poset.up_rows,
+                           tuple(g.plus_table), tuple(a.mult_table()),
+                           a.dist.elements)))
+    assert len(lines) == 520
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "dbf9aadd64776178b106c67858d3355ca05f47b19e1c58fd9bfb5e6109e4d398")
+
+
 # -- order.py: posets and pomonoids -------------------------------------------
 
 
