@@ -5,8 +5,9 @@ multiplicative pomonoid.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, product
+from operator import and_
 
 from .downset import (
     MultiBase,
@@ -25,6 +26,7 @@ from .errors import (
     TooLarge,
     UnboundVariable,
     UnitNotNeutral,
+    UnknownElement,
 )
 from .multiupset import Multiupset, enumerate_fragment
 from .order import (
@@ -454,66 +456,82 @@ def exp_end(q):
     """The two-sorted endomorphism object of a finite generalized quantale:
     endomorphisms as the distributive sort, their closure under pointwise
     sums and joins as the quantale sort, composition as the product; on at
-    most 5 elements (more raise TooLarge).
+    most 5 elements (more raise TooLarge). Every map of the closure fixes
+    the bottom, so when the zero is not the bottom, Gen has no zero (the
+    constant zero map), and UnknownElement names that map.
 
-    Maps are tuples over element positions until the structures are built;
-    a map's name lists its values in element order, as in "(0,1,2)"."""
+    Maps are bytes over element positions, byte x the value at x, until the
+    structures are built; a map's name lists its values in element order,
+    as in "(0,1,2)"."""
     els = q.elements
     n = len(els)
     if n > 5:
         raise TooLarge(f"quantale has {n} > 5 elements", witness=n)
-    poset, plus, join = q.pomonoid.poset, q.plus_table, q.join_table
-    up, zero = poset.up_rows, poset.index[q.zero]
-    pts = range(n)
-    pairs = list(product(pts, repeat=2))
+    poset = q.pomonoid.poset
+    up, zero, pts = poset.up_rows, poset.index[q.zero], range(n)
+    zero_map = bytes([zero]) * n
+    join, plus = ByteTable(q.join_table, n), ByteTable(q.plus_table, n)
+
+    def name(f):
+        return "(" + ",".join(els[v] for v in f) + ")"
+
+    def split(block):  # the maps of a block, in its order
+        return [block[i:i + n] for i in range(0, len(block), n)]
+
+    def pointwise(block, f, maps):
+        """The maps x -> maps[f[x]][g[x]], for the maps g of the block."""
+        out = bytearray(len(block))
+        for x in pts:
+            out[x::n] = block[x::n].translate(maps[f[x]])
+        return split(bytes(out))
+
     # an endomorphism fixes the zero and the bottom (and, as it preserves
     # joins, is monotone)
     fixed = {zero} | ({poset.index[q.bottom]} if q.complete else set())
-    endos = [
-        f for f in product(*([x] if x in fixed else pts for x in pts))
-        if all(f[join[x * n + y]] == join[f[x] * n + f[y]] for x, y in pairs)
-        and all(f[plus[x * n + y]] == plus[f[x] * n + f[y]] for x, y in pairs)
-    ]
+    endos = [f for f in map(bytes, product(*([x] if x in fixed else pts
+                                             for x in pts)))
+             if join.after(f) == join.pairs(f)
+             and plus.after(f) == plus.pairs(f)]
 
-    # close under pointwise + and binary join, combining only the maps found
-    # in the last round with all maps found so far
-    known, seen, fresh = list(endos), set(endos), endos
+    # close under f+g and f v g for f found in the last round and every g
+    # found so far. This reaches g+f too: Gen's maps are the joins of sums
+    # e1+...+ek of endomorphisms (+ is associative and distributes over v),
+    # and each such sum is a map found earlier plus an endomorphism.
+    seen, fresh = set(endos), endos
     while fresh:
-        found = []
-        for f in fresh:
-            for g in known:
-                for h in (tuple(plus[f[x] * n + g[x]] for x in pts),
-                          tuple(plus[g[x] * n + f[x]] for x in pts),
-                          tuple(join[f[x] * n + g[x]] for x in pts)):
-                    if h not in seen:
-                        seen.add(h)
-                        found.append(h)
-        known.extend(found)
-        fresh = found
+        known = b"".join(seen)
+        fresh = {h for f in fresh for maps in (plus.maps, join.maps)
+                 for h in pointwise(known, f, maps)} - seen
+        seen |= fresh
+    if zero_map not in seen:
+        raise UnknownElement("Gen has no zero map", witness=name(zero_map))
 
-    # Gen's elements in label order, each map at its position
-    name_of = {f: "(" + ",".join(els[v] for v in f) + ")" for f in seen}
-    gen = sorted(seen, key=name_of.__getitem__)
-    names = tuple(name_of[f] for f in gen)
+    # Gen's elements in label order, each map at its position; f <= g when
+    # g is in above[x][f[x]], the maps whose value at x is above f[x], at
+    # every x
+    gen = sorted(seen, key=name)
+    names = tuple(map(name, gen))
     pos = {f: i for i, f in enumerate(gen)}
-    rows = [sum(1 << j for j, g in enumerate(gen)
-                if all(up[f[x]] >> g[x] & 1 for x in pts)) for f in gen]
-    plus_flat = [pos[tuple(plus[f[x] * n + g[x]] for x in pts)]
-                 for f in gen for g in gen]
+    block = b"".join(gen)
+    above = [[sum(1 << j for j, g in enumerate(gen) if up[v] >> g[x] & 1)
+              for v in pts] for x in pts]
+    rows = [reduce(and_, map(list.__getitem__, above, f)) for f in gen]
+    plus_flat = [pos[h] for f in gen for h in pointwise(block, f, plus.maps)]
     quant = FinGenQuantale(
         pomonoid_from_flat(poset_from_rows(names, rows), plus_flat,
-                           pos[(zero,) * n]),
+                           pos[zero_map]),
         name=f"Gen({q.name})" if q.name else "Gen",
     )
     size = len(gen)
-    mult = tuple(pos[tuple(f[g[x]] for x in pts)] for f in gen for g in gen)
+    mult = tuple(pos[h] for f in gen  # f after g is g's block through f
+                 for h in split(block.translate(f.ljust(256, b"\0"))))
     dist = restrict_pomonoid(quant.pomonoid.poset, sorted(pos[f] for f in endos),
-                             lambda i, j: mult[i * size + j], pos[tuple(pts)],
+                             lambda i, j: mult[i * size + j], pos[bytes(pts)],
                              "multiplicative")
     a = AQM(dist, quant, mult, dist.unit, {e: e for e in dist.elements},
             name=f"ExpEnd({q.name})" if q.name else "ExpEnd")
     check_aqm(a)
-    a.gen_tables = {name_of[f]: dict(zip(els, (els[v] for v in f)))
+    a.gen_tables = {name(f): dict(zip(els, (els[v] for v in f)))
                     for f in sorted(seen)}
     a.endo_tables = {e: dict(a.gen_tables[e]) for e in dist.elements}
     return a

@@ -102,6 +102,20 @@ def test_exp_end_too_large():
         exp_end(chain6)
 
 
+def test_exp_end_without_a_zero():
+    # the chain 0 < 1 under min, with unit 1: its zero is not its bottom,
+    # which every endomorphism fixes, so the closure misses Gen's zero, the
+    # constant map (1,1)
+    chain2 = make_quantale({
+        "poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+        "monoid": {"op": [[x, y, min(x, y)] for x in "01" for y in "01"],
+                   "unit": "1"}})
+    assert (chain2.zero, chain2.bottom) == ("1", "0")
+    with pytest.raises(UnknownElement) as err:
+        exp_end(chain2)
+    assert err.value.witness == "(1,1)"
+
+
 def test_dg_closure_lemma(a3, n2q):
     # the closure of the iota-image under {0, +, finite joins} is closed
     # under products and contains the multiplicative unit

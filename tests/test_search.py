@@ -6,6 +6,7 @@ import hashlib
 import json
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +240,21 @@ def test_leftdist_blocks_are_decided_by_one_comparison(monkeypatch):
     assert not any(suite_leftdist(d)["found"] for d in descs)
     assert set(compared) == {(bytes, bytes)}
     assert walked == []
+
+
+def test_leftdist_matches_the_bench_pins():
+    """The Gen sizes that the benchmark's leftdist-4 gate pins
+    (perfbench/pins.json, keyed by the SHA-256 of each description's sorted
+    JSON), and no witness, on every quantale of size <= 4."""
+    pins = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "pins.json").read_text())["leftdist-4"]
+    got = {}
+    for d in quantale_descriptions(4):
+        r = suite_leftdist(d)
+        assert not r["found"]
+        key = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        got[hashlib.sha256(key.encode()).hexdigest()[:16]] = r["gen_size"]
+    assert got == pins
 
 
 def test_leftdist_witness_at_size_five():

@@ -65,17 +65,29 @@ def _name(values):
 # -- exp_end against the scan --------------------------------------------------
 
 
-def test_exp_end_matches_scan():
-    for desc in quantale_descriptions(3):
-        q = make_quantale(desc)
+def test_exp_end_matches_scan(chain4_nc):
+    """exp_end against the label scan, on every quantale of size <= 4 and on
+    a 4-chain whose + does not commute: the endomorphisms, Gen's elements,
+    and Gen's order, +, join and product (f after g) over every pair."""
+    for q in [make_quantale(d) for d in quantale_descriptions(4)] + [chain4_nc]:
         a = exp_end(q)
-        els = q.elements
+        els, g = q.elements, a.quant
         endos, gen = brute_exp_end(els, q.leq, q.plus,
                                    lambda x, y: q.join([x, y]), q.zero, q.bottom)
         assert a.endo_tables == {_name(v): dict(zip(els, v)) for v in endos}
         gen_tables = {_name(v): dict(zip(els, v)) for v in sorted(gen)}
         assert list(a.gen_tables.items()) == list(gen_tables.items())
-        assert a.quant.elements == tuple(sorted(gen_tables))
+        assert g.elements == tuple(sorted(gen_tables))
+        for f, h in product(sorted(gen), repeat=2):
+            pair = _name(f), _name(h)
+            assert g.leq(*pair) == all(map(q.leq, f, h))
+            assert g.plus(*pair) == _name(map(q.plus, f, h))
+            assert g.join(pair) == _name(q.join(xy) for xy in zip(f, h))
+            assert a.mult(*pair) == _name(f[els.index(x)] for x in h)
+    # the last Gen has a + that does not commute
+    assert len(g.elements) == 7
+    assert sum(g.plus(f, h) != g.plus(h, f)
+               for f, h in product(g.elements, repeat=2)) == 4
 
 
 def test_gen_quantales_as_pinned():
