@@ -52,6 +52,7 @@ __all__ = [
     "check_aqm",
     "scan_module_laws",
     "exp_end",
+    "EXP_END_MAX_SIZE",
     "DmFragment",
     "free_aqm",
     "lift_to_downsets",
@@ -451,22 +452,25 @@ def check_aqm(a, strict=True):
 
 # -- the endomorphism construction --------------------------------------------
 
+EXP_END_MAX_SIZE = 5  # exp_end's guard, which `search --suite leftdist` reads
+
 
 def exp_end(q):
     """The two-sorted endomorphism object of a finite generalized quantale:
     endomorphisms as the distributive sort, their closure under pointwise
     sums and joins as the quantale sort, composition as the product; on at
-    most 5 elements (more raise TooLarge). Every map of the closure fixes
-    the bottom, so when the zero is not the bottom, Gen has no zero (the
-    constant zero map), and UnknownElement names that map.
+    most EXP_END_MAX_SIZE elements (more raise TooLarge). Every map of the
+    closure fixes the bottom, so when the zero is not the bottom, Gen has no
+    zero (the constant zero map), and UnknownElement names that map.
 
     Maps are bytes over element positions, byte x the value at x, until the
     structures are built; a map's name lists its values in element order,
     as in "(0,1,2)"."""
     els = q.elements
     n = len(els)
-    if n > 5:
-        raise TooLarge(f"quantale has {n} > 5 elements", witness=n)
+    if n > EXP_END_MAX_SIZE:
+        raise TooLarge(f"quantale has {n} > {EXP_END_MAX_SIZE} elements",
+                       witness=n)
     poset = q.pomonoid.poset
     up, zero, pts = poset.up_rows, poset.index[q.zero], range(n)
     zero_map = bytes([zero]) * n

@@ -13,8 +13,8 @@ import sys
 from multiprocessing import get_context
 
 from . import fixtures as fx
-from .aqm import (AQM, DmFragment, FinGenQuantale, check_aqm, free_aqm,
-                  make_quantale, table_aqm)
+from .aqm import (AQM, EXP_END_MAX_SIZE, DmFragment, FinGenQuantale,
+                  check_aqm, free_aqm, make_quantale, table_aqm)
 from .errors import (
     DanglingReference,
     DuplicateName,
@@ -474,8 +474,12 @@ def _search_worker(packed):
 
 
 def cmd_search(ws, args):
-    descs = quantale_descriptions(args.size)
     suite = args.suite
+    if suite == "leftdist" and args.size > EXP_END_MAX_SIZE:
+        raise ParseError(f"--suite leftdist needs --size at most "
+                         f"{EXP_END_MAX_SIZE}, the endomorphism "
+                         f"construction's bound", witness=args.size)
+    descs = quantale_descriptions(args.size)
     rep = Report(f"search size<={args.size} suite={suite}")
     jobs = [(suite, d) for d in descs]
     workers = ws.config["workers"]

@@ -3,7 +3,6 @@ the CLI `search` command runs over them: the correspondence counts, the
 left-distributivity counterexample hunt inside the endomorphism closure,
 and the classification of cyclic quotients by projectivity."""
 
-import gc
 from itertools import combinations_with_replacement, permutations, product
 
 from .aqm import exp_end, make_quantale, table_aqm
@@ -179,39 +178,25 @@ def quantale_descriptions(size):
     most `size` labeled elements (no isomorphism pruning), in the order of
     their poset's strict-pair bit vector and then of their + table.
 
-    The cyclic garbage collector is paused while the list is built: the
-    lists and dicts it allocates (about 250,000 at size 5) are acyclic and
-    stay reachable, yet each collection rescans all of them, which was most
-    of the build's time. The pause is process-wide; the collector's state
-    is restored before the function returns or raises."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        out = []
-        for n in range(1, size + 1):
-            names = [str(i) for i in range(n)]
-            label_pairs = [(a, b) for a in names for b in names]
-            for up, zero, tables in _lattice_tables(n):
-                leq_pairs = [[names[i], names[j]] for i in range(n)
-                             for j in range(n) if i != j and up[i] >> j & 1]
-                for t in tables:
-                    out.append(
-                        {
-                            "poset": {
-                                "elements": list(names),
-                                "leq": [list(p) for p in leq_pairs],
-                            },
-                            "monoid": {
-                                "op": [[a, b, names[z]]
-                                       for (a, b), z in zip(label_pairs, t)],
-                                "unit": names[zero],
-                            },
-                        }
-                    )
-        return out
-    finally:
-        if enabled:
-            gc.enable()
+    Each description has its own three dicts, and every value in them is a
+    tuple shared with other descriptions: one `elements` tuple per size, one
+    `leq` tuple per labeled lattice, and `op` tuples made of one (x, y, x+y)
+    triple per cell and value. CPython's collector stops tracking a tuple of
+    strings after its first pass over it, so a long list of descriptions is
+    not rescanned."""
+    out = []
+    for n in range(1, size + 1):
+        names = tuple(str(i) for i in range(n))
+        cells = [(a, b) for a in names for b in names]
+        triples = [[(a, b, z) for z in names] for a, b in cells]
+        for up, zero, tables in _lattice_tables(n):
+            leq = tuple(cells[i * n + j] for i in range(n) for j in range(n)
+                        if i != j and up[i] >> j & 1)
+            for t in tables:
+                op = tuple(map(list.__getitem__, triples, t))
+                out.append({"poset": {"elements": names, "leq": leq},
+                            "monoid": {"op": op, "unit": names[zero]}})
+    return out
 
 
 def _order_rows(ps):

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from squanta import cli
+from squanta.aqm import EXP_END_MAX_SIZE
 from squanta.cli import EXIT_INPUT, _builtin_prelude, main
 
 N2 = {
@@ -171,6 +173,23 @@ def test_carrier_above_256_elements_is_an_input_error(capsys):
     assert code == EXIT_INPUT
     assert captured.err == ("input error: carrier has 257 > 256 elements "
                             "[witness: 257]\n")
+
+
+def test_leftdist_search_above_the_exp_end_bound_is_an_input_error(
+        capsys, monkeypatch):
+    """`search --suite leftdist` past exp_end's size guard exits 2 before it
+    enumerates anything, rather than ending in TooLarge as a violation."""
+    def enumerate_nothing(size):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr(cli, "quantale_descriptions", enumerate_nothing)
+    size = EXP_END_MAX_SIZE + 1
+    code = main(["search", "--size", str(size), "--suite", "leftdist"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(
+        f"input error: --suite leftdist needs --size at most "
+        f"{EXP_END_MAX_SIZE}, the endomorphism construction's bound "
+        f"[witness: {size}]\n")
 
 
 BUILTINS = sorted(_builtin_prelude())

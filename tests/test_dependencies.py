@@ -43,6 +43,13 @@ def test_sources_import_only_the_standard_library():
             assert top in sys.stdlib_module_names, (path.name, name)
 
 
+def test_sources_leave_the_collector_alone():
+    # the collector's state belongs to the whole interpreter, not the library
+    found = [(path.name, name) for path in _sources()
+             for name in _absolute_imports(path) if name.split(".")[0] == "gc"]
+    assert found == []
+
+
 def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
