@@ -105,9 +105,9 @@ class FinGenQuantale(Derives):
     """Finite-carrier generalized quantale: an additive pomonoid in which all
     non-empty joins exist and distribute over the sum on both sides.
 
-    `plus_table` and `join_table` are the flat tables over element positions
-    (see Pomonoid.flat). Its quotient and orbit quantales are kept in
-    `derived` (see `Derives.derive`)."""
+    `plus_op` (the pomonoid's table) and `join_op` hold + and join as
+    ByteTables, `plus_table` and `join_table` their bytes (Pomonoid.flat);
+    its quotient and orbit quantales are kept in `derived` (Derives.derive)."""
 
     def __init__(self, pomonoid: Pomonoid, name=""):
         self.pomonoid = pomonoid
@@ -117,15 +117,14 @@ class FinGenQuantale(Derives):
         self.elements = els = poset.elements
         up = poset.up_rows
         n = len(els)
-        p = ByteTable(pomonoid.flat, n)
         # the join of x and y is the element whose up-set is up[x] & up[y]
         by_up = {row: i for i, row in enumerate(up)}
         join = [by_up.get(up[x] & up[y]) for x in range(n) for y in range(n)]
         if None in join:
             x, y = divmod(join.index(None), n)
             raise LawViolated("join-exists", witness=(els[x], els[y]))
-        self.plus_table, self.join_table = pomonoid.flat, tuple(join)
-        j = ByteTable(join, n)
+        self.plus_op, self.join_op = p, j = pomonoid.table, ByteTable(join, n)
+        self.plus_table, self.join_table = p.flat, j.flat
         for x, (px, cx) in enumerate(zip(p.rows, p.transposed().rows)):
             bad = row_mismatches([  # instance (x, y, z) at y * n + z
                 ("join-dist-left", j.after(px), j.pairs(px)),
@@ -213,10 +212,10 @@ class AQM(Derives):
     and `one` the monoid structure on the quantale sort, and `iota` the
     linking map. On a fragment sort the product is a function (anything
     else raises TooLarge); on a finite sort it is a function, a dict
-    {(x, y): x * y} or a flat tuple over element positions (see
-    Pomonoid.flat), compiled to that tuple when the AQM is built, a dict
-    through order.flat_from_triples (an incomplete one raises
-    NotAssociative). The linking map is a function or a dict.
+    {(x, y): x * y}, a flat tuple over element positions (see
+    Pomonoid.flat) or a ByteTable, held as `mult_op` when the AQM is built,
+    a dict compiled through order.flat_from_triples (an incomplete one
+    raises NotAssociative). The linking map is a function or a dict.
 
     Structures derived from the AQM alone (its self-module and what is
     computed from that) are kept in `derived` (see `Derives.derive`).
@@ -236,9 +235,10 @@ class AQM(Derives):
                 mult = flat_from_triples(quant.pomonoid.poset,
                                          [(x, y, z) for (x, y), z in mult.items()])
             elif callable(mult):
-                mult = tuple(index_of(mult(x, y)) for x in els for y in els)
-            self._mult_table, n = mult, len(els)
-            self.mult = lambda x, y: els[mult[index_of(x) * n + index_of(y)]]
+                mult = [index_of(mult(x, y)) for x in els for y in els]
+            n = len(els)
+            self.mult_op = op = mult if isinstance(mult, ByteTable) else ByteTable(mult, n)
+            self.mult = lambda x, y: els[op.flat[index_of(x) * n + index_of(y)]]
         elif callable(mult):
             self.mult = mult
         else:  # a finite table cannot cover a fragment
@@ -248,9 +248,9 @@ class AQM(Derives):
         self.derived = {}
 
     def mult_table(self):
-        """The product as a flat table over element positions (see
+        """The bytes of mult_op, the product over element positions (see
         Pomonoid.flat); finite quantale sort only."""
-        return self._mult_table
+        return self.mult_op.flat
 
     @property
     def is_finite(self):
@@ -282,7 +282,7 @@ def table_aqm(quant, mult, one, name=""):
         raise LawViolated("assoc", witness=exc.witness) from exc
     except NotMonotone as exc:
         raise LawViolated("mult-monotone", witness=exc.witness) from exc
-    return AQM(dist, quant, dist.flat, one, {d: d for d in quant.elements},
+    return AQM(dist, quant, dist.table, one, {d: d for d in quant.elements},
                name)
 
 
@@ -295,10 +295,9 @@ def term_closure(q, seed):
     if not isinstance(q, FinGenQuantale):
         return _closure(q.zero, seed, lambda xs: sorted(xs, key=q.sort_key),
                         lambda x, y: (q.plus(x, y), q.join([x, y])))
-    n, at = len(q.elements), q.pomonoid.poset.index_of
-    plus, join = q.plus_table, q.join_table
+    at, plus, join = q.pomonoid.poset.index_of, q.plus_op.rows, q.join_op.rows
     closed = _closure(at(q.zero), ((at(x), how) for x, how in seed), sorted,
-                      lambda x, y: (plus[x * n + y], join[x * n + y]))
+                      lambda x, y: (plus[x][y], join[x][y]))
     return {q.elements[x]: how for x, how in closed.items()}
 
 
@@ -337,7 +336,7 @@ def scan_module_laws(rep, a, space, star, scalars, points, dist, table, laws):
     then, per distributive scalar i given as (witness label, i) in `dist`,
     iota-join-dist and iota-plus-dist per (x, y), and iota-zero.
 
-    `table` is the flat star table (see modact.ActionMap.star_table) of an
+    `table` is the held star table (see modact.ActionMap.star_op) of an
     action between finite carriers, or None. On a table each law is checked
     in blocks of instances, as two byte rows (order.ByteTable), so only a
     failing block is walked, in the order above."""
@@ -369,12 +368,9 @@ def scan_module_laws(rep, a, space, star, scalars, points, dist, table, laws):
             check(iota_zero, label, lambda: (star(i, space.zero), space.zero))
         return
     m, n = len(scalars), len(points)
-    acts = ByteTable(table, n)
-    st, by_x = acts.rows, acts.transposed()  # by_x[x, t] = t * x
-    mult, splus, sjoin = (ByteTable(t, m).rows for t in (
-        a.mult_table(), q.plus_table, q.join_table))
-    pplus, pjoin = (ByteTable(t, n) for t in (space.plus_table,
-                                              space.join_table))
+    st, by_x = table.rows, table.transposed()  # by_x[x, t] = t * x
+    mult, splus, sjoin = a.mult_op.rows, q.plus_op.rows, q.join_op.rows
+    pplus, pjoin = space.plus_op, space.join_op
     s_index = q.pomonoid.poset.index_of
     pzero = space.pomonoid.poset.index_of(space.zero)
     # an iota value outside the carrier raises before any law is scanned
@@ -415,7 +411,7 @@ def check_aqm(a, strict=True):
     finite, dels = a.is_finite, dist.elements
     at = [a.iota(d) for d in dels]  # the iota of each distributive element
     if finite:
-        els, table = list(q.elements), a.mult_table()
+        els, table = list(q.elements), a.mult_op
     else:
         k, width = q.scan_bounds()
         els, table = q.enumerate((k, width)), None
@@ -474,7 +470,7 @@ def exp_end(q):
     poset = q.pomonoid.poset
     up, zero, pts = poset.up_rows, poset.index[q.zero], range(n)
     zero_map = bytes([zero]) * n
-    join, plus = ByteTable(q.join_table, n), ByteTable(q.plus_table, n)
+    join, plus = q.join_op, q.plus_op
 
     def name(f):
         return "(" + ",".join(els[v] for v in f) + ")"

@@ -370,7 +370,7 @@ def cmd_validate(ws, args):
             detail += " [" + ",".join(flags) + "]"
         if isinstance(obj, ActionMap):
             check_action(obj)
-        if hasattr(obj, "mult") and hasattr(obj, "iota"):
+        if isinstance(obj, AQM):
             check_aqm(obj)
             detail += (" [distributively generated]"
                        if obj.distributively_generated else "")
@@ -484,7 +484,8 @@ def cmd_search(ws, args):
     jobs = [(suite, d) for d in descs]
     workers = ws.config["workers"]
     if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
+        size = min(workers, len(jobs), os.cpu_count() or 1)
+        with get_context("fork").Pool(size) as pool:
             results = pool.map(_search_worker, jobs, chunksize=8)
     else:
         results = [_search_worker(j) for j in jobs]

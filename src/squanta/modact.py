@@ -13,6 +13,7 @@ from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_aqm,
 from .downset import MultiBase
 from .errors import FragmentExceeded, TooLarge, UnitNotEmbedding, UnknownElement
 from .multiupset import generator_embed, mleq
+from .order import ByteTable
 from .reporting import LawScan
 
 __all__ = [
@@ -35,7 +36,7 @@ class ActionMap:
     space:   FinPoset (poset level) or FinGenQuantale / DmFragment.
     Universes for law scans default to full carriers; fragment spaces use
     their bounded enumerations. `table`, when given, is the star table (see
-    `star_table`) of `star`, as a structure derived from tables passes it.
+    `star_op`) of `star`, as a structure derived from tables passes it.
     """
 
     level: str
@@ -43,27 +44,30 @@ class ActionMap:
     space: object
     star: object
     name: str = ""
-    table: tuple = field(default=None, compare=False, repr=False)
+    table: object = field(default=None, compare=False, repr=False)
 
     @property
     def on_tables(self):
         """Whether this is a module action with finite scalars on a finite
-        quantale, the kind of action `star_table` compiles."""
+        quantale, the kind of action `star_op` compiles."""
         return (self.level == MODULE and self.scalars.is_finite
                 and isinstance(self.space, FinGenQuantale))
 
-    def star_table(self):
-        """The action as a flat table over element positions: a * x = z when
-        table[i * n + j] = k for the positions i of a among the scalars and
-        j, k of x, z among the n points. Built on the first call, unless
-        given; module actions with finite scalars on a finite quantale
-        only."""
+    def star_op(self):
+        """The action as a ByteTable: a * x = z when star_table()[i * n + j]
+        = k for the positions i of a among the scalars and j, k of x, z among
+        the n points. Compiled on first use, from `table` when given."""
         if self.table is None:
             index_of = self.space.pomonoid.poset.index_of
-            self.table = tuple(index_of(self.star(a, x))
-                               for a in self.scalars.quant.elements
-                               for x in self.space.elements)
+            self.table = [index_of(self.star(a, x))
+                          for a in self.scalars.quant.elements
+                          for x in self.space.elements]
+        if not isinstance(self.table, ByteTable):
+            self.table = ByteTable(self.table, len(self.space.elements))
         return self.table
+
+    def star_table(self):  # the bytes of star_op
+        return self.star_op().flat
 
     def scalar_universe(self):
         if self.level == MODULE:
@@ -96,7 +100,7 @@ def check_action(am, strict=True):
     if am.level == MODULE:
         scan_module_laws(rep, am.scalars, am.space, star, scalars, points,
                          [(i, i) for i in am.iota_scalars()],
-                         am.star_table() if am.on_tables else None,
+                         am.star_op() if am.on_tables else None,
                          MODULE_LAWS)
     elif am.level in (POSET, ACT):
         mon, sp = am.scalars, am.space
@@ -227,18 +231,12 @@ def is_module_hom(h, src, dst):
         return False
     index_of = r.pomonoid.poset.index_of
     try:
-        hv = [index_of(h[x]) for x in els]
-        src_star, dst_star = src.star_table(), dst.star_table()
+        hv = bytes(index_of(h[x]) for x in els)
+        src_star, dst_star = src.star_op(), dst.star_op()
     except UnknownElement:
         return False
-    k = len(r.elements)
-    for p_op, r_op in ((p.join_table, r.join_table),
-                       (p.plus_table, r.plus_table)):
-        # h(x op y) against h(x) op h(y), for every x, y
-        if [hv[z] for z in p_op] != [r_op[a * k + b] for a in hv for b in hv]:
-            return False
-    if hv[p.pomonoid.poset.index_of(p.zero)] != index_of(r.zero):
-        return False
-    rows = range(len(src.scalars.quant.elements))
-    return [hv[z] for z in src_star] == \
-        [dst_star[a * k + b] for a in rows for b in hv]
+    # h carries join, + and zero to those of dst, and a * x to a * h(x)
+    return (p.join_op.after(hv) == r.join_op.pairs(hv)
+            and p.plus_op.after(hv) == r.plus_op.pairs(hv)
+            and hv[p.pomonoid.poset.index_of(p.zero)] == index_of(r.zero)
+            and src_star.after(hv) == dst_star.each(hv))

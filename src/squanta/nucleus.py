@@ -18,7 +18,7 @@ from .errors import (
     TooLarge,
 )
 from .modact import MODULE, ActionMap, check_action, is_module_hom
-from .order import ByteTable, _bits
+from .order import _bits
 from .reporting import LawScan, Report
 
 __all__ = [
@@ -117,14 +117,6 @@ def _class_masks(c):
     for y, r in enumerate(c.reps):
         masks[r] |= 1 << y
     return [masks[r] for r in c.reps]
-
-
-def _down_rows(q):
-    """For each position, the bitmask of the positions of the elements
-    below it."""
-    up = q.pomonoid.poset.up_rows
-    return [sum(1 << y for y, row in enumerate(up) if row >> x & 1)
-            for x in range(len(up))]
 
 
 def nucleus(space, mapping):
@@ -238,7 +230,7 @@ def convert(p, target):
         return p
     if isinstance(p, Nucleus):
         if target == "consequence":  # x |- y when y <= gamma(x)
-            down = _down_rows(q)
+            down = q.pomonoid.poset.down_rows
             return AddConsequence(q, tuple(down[v] for v in p.values))
         first = {}  # the kernel: x ~ y when gamma(x) = gamma(y)
         return QuantCongruence(q, tuple(first.setdefault(v, x)
@@ -259,15 +251,13 @@ def _star_rows(am, scalars):
     scalar a: a row of the star table, or, for fragment scalars, a * x by
     the action. The points form a finite quantale, so no value leaves a
     fragment."""
-    els = am.space.elements
-    n = len(els)
     if am.on_tables:
-        star, s_index = am.star_table(), am.scalars.quant.pomonoid.poset.index_of
+        rows = am.star_op().rows
         for a in scalars:
-            yield a, star[s_index(a) * n:(s_index(a) + 1) * n]
+            yield a, rows[_index(am.scalars.quant, a)]
     else:
         for a in scalars:
-            yield a, [_index(am.space, am.star(a, x)) for x in els]
+            yield a, [_index(am.space, am.star(a, x)) for x in am.space.elements]
 
 
 def _structural_over(p, am, scalars):
@@ -360,7 +350,7 @@ def enumerate_consequences(q):
     (the lectic order), with the relation held as one bitmask row of
     successors per element."""
     n = len(q.elements)
-    plus = ByteTable(q.plus_table, n).rows
+    plus = q.plus_op.rows
     members = [list(_bits(s)) for s in range(1 << n)]
     # for every nonempty set of elements: its join, and its images under + z
     # on either side
@@ -369,7 +359,7 @@ def enumerate_consequences(q):
              for z in range(n)]
     left = [[sum({1 << plus[z][y] for y in ys}) for ys in members]
             for z in range(n)]
-    ge = _down_rows(q)
+    ge = q.pomonoid.poset.down_rows
     free = [(x, y) for x in range(n) for y in range(n) if not ge[x] >> y & 1]
     m = len(free)
 
@@ -519,12 +509,10 @@ def _order_and_sum_iso(q, quant, fwd, cid):
     """Whether x -> fwd[x], the class ids of the elements of the quotient
     quantale `quant` of q, is a bijection onto the classes cid that carries
     the order and the sum of `quant` to those of the classes."""
-    n, m = len(cid), len(fwd)
-    join, plus = q.join_table, q.plus_table
-    q_up, q_plus = quant.pomonoid.poset.up_rows, quant.plus_table
-    iso_ok = sorted(fwd) == sorted(set(cid))
-    for i, j in product(range(m), repeat=2):
-        c, d = fwd[i], fwd[j]
-        iso_ok &= bool(q_up[i] >> j & 1) == (cid[join[c * n + d]] == d)
-        iso_ok &= fwd[q_plus[i * m + j]] == cid[plus[c * n + d]]
-    return iso_ok
+    f = bytes(fwd)  # byte i * len(f) + j of each row below is for (i, j)
+    joins = map(cid.__getitem__, q.join_op.pairs(f))  # class of fwd[i] v fwd[j]
+    return (sorted(fwd) == sorted(set(cid))  # i <= j: that class is fwd[j]
+            and quant.pomonoid.poset.leq_table.flat
+            == bytes(c == d for c, d in zip(joins, f * len(f)))
+            and quant.plus_op.after(f)
+            == bytes(map(cid.__getitem__, q.plus_op.pairs(f))))

@@ -7,6 +7,7 @@ equality of tables; label operations look their arguments up by position.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -37,11 +38,24 @@ __all__ = [
 class FinPoset:
     """Finite partial order on the sorted tuple `elements`: bit j of
     `up_rows[i]` is set when elements[i] <= elements[j], and `index` maps
-    each element to its position. Equality compares the up-set rows."""
+    each element to its position. Equality compares the up-set rows; the
+    order's `down_rows` and `leq_table` are built on first use."""
 
     elements: tuple
     up_rows: tuple
     index: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def down_rows(self):  # bit j of down_rows[i]: elements[j] <= elements[i]
+        up = self.up_rows
+        return tuple(sum(1 << y for y, row in enumerate(up) if row >> x & 1)
+                     for x in range(len(up)))
+
+    @cached_property
+    def leq_table(self):  # 0/1: 1 at i, j when elements[i] <= elements[j]
+        n = len(self.elements)
+        return ByteTable(b"".join(bytes(row >> j & 1 for j in range(n))
+                                  for row in self.up_rows), n)
 
     @property
     def pairs(self):  # the <= relation as a set of (x, y) label pairs
@@ -95,15 +109,26 @@ def _check_carrier_size(n):  # a ByteTable's carrier: at most 256 elements
 class ByteTable:
     """A flat table over element positions, n columns wide, held as bytes:
     `flat`, its `rows` (t[i, j] = rows[i][j] = flat[i * n + j]) and `maps`,
-    each row as a bytes.translate table. The methods build one side of a
-    law as one byte row over a block of instances. A table on more than 256
-    elements raises TooLarge, with its size as witness."""
+    each row as a bytes.translate table, from their first use. The methods
+    build one side of a law as one byte row over a block of instances. A
+    table on more than 256 elements raises TooLarge, with its size as
+    witness. Tables compare by `flat`; a held table is compiled once, by
+    the structure that holds it."""
 
     def __init__(self, flat, n):
         _check_carrier_size(n)
         self.flat = t = bytes(flat)
         self.rows = [t[i:i + n] for i in range(0, len(t), n or 1)]
-        self.maps = [r.ljust(256, b"\0") for r in self.rows]
+
+    @cached_property
+    def maps(self):  # 256 bytes a row: built only for tables that need them
+        return [r.ljust(256, b"\0") for r in self.rows]
+
+    def __eq__(self, other):
+        return isinstance(other, ByteTable) and self.flat == other.flat
+
+    def __hash__(self):
+        return hash(self.flat)
 
     def transposed(self):
         """The table t' with t'[j, i] = t[i, j]."""
@@ -191,12 +216,12 @@ class Pomonoid:
     `notation` records whether the structure is being read additively (+ / 0)
     or multiplicatively (* / 1); it is presentation-only. The three flags are
     always derived from the table, never taken from input. `flat` is the
-    table over element positions: x.y = z when flat[i * n + j] = k for the
-    positions i, j, k of x, y, z in the poset's elements.
+    bytes of `table`, over element positions: x.y = z when flat[i * n + j]
+    = k for the positions i, j, k of x, y, z in the poset's elements.
     """
 
     poset: FinPoset
-    flat: tuple
+    table: ByteTable = field(repr=False)
     unit: str
     notation: str = "additive"
     commutative: bool = field(default=False, compare=False)
@@ -206,6 +231,10 @@ class Pomonoid:
     @property
     def elements(self):
         return self.poset.elements
+
+    @property
+    def flat(self):
+        return self.table.flat
 
     def apply(self, x, y):
         els, index_of = self.poset.elements, self.poset.index_of
@@ -243,15 +272,14 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
                                  witness=(els[unit], els[x]))
     for x in range(n):  # (x.y).z against x.(y.z) at position y * n + z
         bad = row_mismatches([(None, b"".join(map(rows.__getitem__, rows[x])),
-                               t.translate(tab.maps[x]))])
+                               tab.after(rows[x]))])
         if bad:
             y, z = divmod(bad[0][0], n)
             raise NotAssociative("associativity fails",
                                  witness=(els[x], els[y], els[z]))
     # byte z * n + y of by_z is 1 when x.z <= y.z (right translation) or
     # z.x <= z.y (left), and must be wherever that byte of `above` (x <= y) is
-    leq = ByteTable(b"".join(bytes(map(int, f"{row:0{n}b}"[::-1]))
-                             for row in up), n)
+    leq = poset.leq_table
     for x in range(n):
         above, bad = int.from_bytes(leq.rows[x] * n, "little"), []
         for law, by_z in (("right", leq.at(rows[x], cols.rows)),
@@ -264,7 +292,7 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
                               witness=(els[x], els[y], els[z]))
     return Pomonoid(
         poset,
-        tuple(t),
+        tab,
         els[unit],
         notation,
         commutative=t == cols.flat,
@@ -286,16 +314,11 @@ def restrict_pomonoid(poset, positions, op_of, unit, notation="additive"):
     rows = [sum(1 << local[j] for j in _bits(up[p]) if j in local)
             for p in positions]
     sub = poset_from_rows(tuple(els[p] for p in positions), rows)
-    flat = []
-    for i in positions:
-        for j in positions:
-            k = op_of(i, j)
-            if k not in local:
-                sub.index_of(els[k])  # not in sub: raises UnknownElement
-            flat.append(local[k])
-    if unit not in local:
-        sub.index_of(els[unit])
-    return pomonoid_from_flat(sub, flat, local[unit], notation)
+    flat = [op_of(i, j) for i in positions for j in positions]
+    for k in flat + [unit]:
+        if k not in local:
+            sub.index_of(els[k])  # not in sub: raises UnknownElement
+    return pomonoid_from_flat(sub, [local[k] for k in flat], local[unit], notation)
 
 
 def flat_from_triples(poset, op_triples):

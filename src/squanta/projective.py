@@ -18,7 +18,6 @@ from .errors import (
 )
 from .modact import ACT, MODULE, POSET, ActionMap, check_action, is_module_hom
 from .nucleus import nucleus, quotient
-from .order import ByteTable
 from .reporting import Report
 
 __all__ = [
@@ -106,7 +105,7 @@ def self_module(aqm, name=None):
     """The AQM acting on its own quantale sort by multiplication."""
     return ActionMap(MODULE, aqm, aqm.quant, aqm.mult,
                      name=name or f"{aqm.name}-self",
-                     table=aqm.mult_table() if aqm.is_finite else None)
+                     table=aqm.mult_op if aqm.is_finite else None)
 
 
 def kept_self_module(aqm):
@@ -134,16 +133,13 @@ def submodule_on_orbit(ma, u, name=None):
         name=f"{q.name or 'quantale'}|orbit"
              f"({','.join(q.elements[p] for p in orbit)})"))
     local = {p: k for k, p in enumerate(orbit)}
-    table = []
-    for a in range(len(ma.scalars.quant.elements)):
-        for x in orbit:
-            z = star[a * n + x]
-            if z not in local:
-                # outside the orbit: raises UnknownElement
-                quant.pomonoid.poset.index_of(q.elements[z])
-            table.append(local[z])
+    table = [row[x] for row in ma.star_op().rows for x in orbit]
+    for z in table:
+        if z not in local:  # outside the orbit: raises UnknownElement
+            quant.pomonoid.poset.index_of(q.elements[z])
     sub = ActionMap(MODULE, ma.scalars, quant, ma.star,
-                    name=name or f"{ma.name}*{u}", table=tuple(table))
+                    name=name or f"{ma.name}*{u}",
+                    table=tuple(map(local.__getitem__, table)))
     check_action(sub)
     return sub
 
@@ -264,8 +260,7 @@ def cyclic_projective_check(ma, lifting_family=None):
     selfm = kept_self_module(aqm)
     els, index_of = q.elements, ma.space.pomonoid.poset.index_of
     m, n = len(els), len(ma.space.elements)
-    mult = ByteTable(aqm.mult_table(), m).rows
-    star = ma.star_table()
+    mult, star = aqm.mult_op.rows, ma.star_table()
     one = q.pomonoid.poset.index_of(aqm.one)
 
     idempotents = [u for u in range(m) if mult[u][u] == u]

@@ -12,14 +12,13 @@ from .nucleus import (
     AddConsequence,
     Nucleus,
     _class_masks,
-    _down_rows,
     convert,
     enumerate_congruences,
     enumerate_consequences,
     enumerate_nuclei,
     quotient,
 )
-from .order import ByteTable, row_mismatches
+from .order import row_mismatches
 from .projective import cyclic_check, cyclic_projective_check, kept_self_module
 
 __all__ = [
@@ -205,7 +204,7 @@ def _order_rows(ps):
     one mask with bit x*n + y: y <= gamma(x) for a nucleus, x |- y for a
     consequence relation, x ~ y for a congruence. The pointwise order,
     inclusion and refinement are each the inclusion of these sets."""
-    down = _down_rows(ps[0].space)
+    down = ps[0].space.pomonoid.poset.down_rows
     masks = []
     for p in ps:
         if isinstance(p, Nucleus):
@@ -258,9 +257,9 @@ def suite_leftdist(desc):
     a = exp_end(q)
     gen = a.quant.elements
     n = len(gen)
-    join = ByteTable(a.quant.join_table, n)
+    join = a.quant.join_op
     witnesses = []
-    for g, mg in enumerate(ByteTable(a.mult_table(), n).rows):
+    for g, mg in enumerate(a.mult_op.rows):
         # instance (g, h1, h2) at h1 * n + h2
         for j, _ in row_mismatches([(None, join.after(mg), join.pairs(mg))]):
             witnesses.append((gen[g], gen[j // n], gen[j % n]))
@@ -277,12 +276,11 @@ def _commutative_mults(q):
     """The AQMs of q's commutative, monotone, unital multiplications that
     distribute over + and binary joins and that 0 annihilates, for each unit
     in element order."""
-    els, up = q.elements, q.pomonoid.poset.up_rows
-    n, zero = len(els), q.pomonoid.poset.index_of(q.zero)
-    leq = [[up[x] >> y & 1 for y in range(n)] for x in range(n)]
+    els, poset = q.elements, q.pomonoid.poset
+    n, zero = len(els), poset.index_of(q.zero)
     over = [q.plus_table, q.join_table]
     return [table_aqm(q, t, els[one]) for one in range(n)
-            for t in _commutative_tables(n, leq, one, over)
+            for t in _commutative_tables(n, poset.leq_table.rows, one, over)
             if all(t[zero * n + x] == zero for x in range(n))]
 
 

@@ -18,6 +18,7 @@ from squanta.downset import djoin, unit_embed
 from squanta.errors import (FragmentExceeded, LawViolated, NotAssociative,
                             TooLarge, UnboundVariable, UnknownElement)
 from squanta.multiupset import Multiupset
+from squanta.order import ByteTable
 
 
 def test_eval_term(n2q):
@@ -45,6 +46,21 @@ def test_a3_valid_and_distributively_generated(a3):
     rep = check_aqm(a3)
     assert rep.ok
     assert a3.distributively_generated  # iota is onto
+
+
+def test_check_aqm_reads_the_tables_it_holds(a3, n3, monkeypatch):
+    """check_aqm on a built finite AQM compiles one ByteTable, the
+    transposed product; every other table is held by the structures."""
+    by_function = AQM(a3.dist, a3.quant, a3.mult, a3.one,
+                      {d: d for d in a3.dist.elements}, name="A3-again")
+    built = []
+    real = ByteTable.__init__
+    monkeypatch.setattr(ByteTable, "__init__", lambda self, flat, n: (
+        built.append(n), real(self, flat, n))[1])
+    for a in (a3, n3, by_function):
+        built.clear()
+        assert check_aqm(a).ok
+        assert built == [len(a.quant.elements)], a
 
 
 def test_a3_broken_unit(n2q):

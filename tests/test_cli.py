@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from squanta import cli, projective
 from squanta.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, load, main
 from squanta.errors import DanglingReference, DuplicateName, ParseError
+from squanta.search import quantale_descriptions
 
 
 FIXTURE_CONFIG = {
@@ -294,6 +296,48 @@ def test_workers_output_identical(capsys):
     main(["search", "--size", "3", "--suite", "correspond", "--workers", "2"])
     two = capsys.readouterr().out
     assert one == two
+
+
+class _SerialContext:
+    """A multiprocessing context whose pools record their size and map in
+    this process."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return list(map(fn, jobs))
+
+
+def test_workers_are_capped_by_jobs_and_cpus(monkeypatch, capsys):
+    """The pool has min(N, jobs, CPUs) processes, whether N comes from the
+    flag or from SQUANTA_WORKERS, and still opens for every N > 1."""
+    argv = ["search", "--size", "2", "--suite", "correspond"]
+    main(argv)
+    serial = capsys.readouterr().out
+    jobs = len(quantale_descriptions(2))
+    assert jobs > 2
+    sizes = []
+    monkeypatch.setattr(cli, "get_context", lambda method: _SerialContext(sizes))
+    for cpus, workers, want in ((64, 100000, jobs), (64, 2, 2), (2, 100000, 2),
+                                (None, 100000, 1), (1, 2, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("SQUANTA_WORKERS", str(workers))
+        for extra in ([], ["--workers", str(workers)]):
+            sizes.clear()
+            assert main(argv + extra) == EXIT_OK
+            assert sizes == [want], (cpus, workers, extra)
+            assert capsys.readouterr().out == serial
 
 
 def test_config_workers_open_a_pool(tmp_path, capsys, monkeypatch):

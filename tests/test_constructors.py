@@ -265,7 +265,7 @@ def test_table_aqm_matches_label_description():
                     continue
                 a, b = by_flat[1], by_dict[1]
                 assert a.dist == b.dist == by_labels[1]
-                assert a.mult_table() == b.mult_table() == t
+                assert tuple(a.mult_table()) == tuple(b.mult_table()) == t
                 assert all(a.mult(x, y) == mult[x, y] for x, y in mult)
                 ra, rb = check_aqm(a, strict=False), check_aqm(b, strict=False)
                 assert (ra.lines, ra.data) == (rb.lines, rb.data)

@@ -2,7 +2,8 @@
 `src/squanta` imports only the standard library and the package itself,
 and `pyproject.toml` declares no dependency. Its imports sit at module
 level, where an import cycle shows, and each one is used, as is each
-module-level import of the tests."""
+module-level import of the tests. A finite table is compiled only by the
+structure that holds it."""
 
 import ast
 import importlib
@@ -48,6 +49,43 @@ def test_sources_leave_the_collector_alone():
     found = [(path.name, name) for path in _sources()
              for name in _absolute_imports(path) if name.split(".")[0] == "gc"]
     assert found == []
+
+
+# outside order.py, the (module, class, function) that may call ByteTable:
+# the constructors of the structures that hold one
+TABLE_COMPILERS = {("aqm.py", "FinGenQuantale", "__init__"),
+                   ("aqm.py", "AQM", "__init__"),
+                   ("modact.py", "ActionMap", "star_op")}
+
+
+def _calls(path, name):
+    """(file, class, function) of the innermost class and function around
+    each call of `name` in the module, None where there is none."""
+    def visit(node, cls, fn):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                   getattr(func, "attr", None)):
+            yield path.name, cls, fn
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, cls, fn)
+    return visit(ast.parse(path.read_text(), str(path)), None, None)
+
+
+def test_tables_are_compiled_where_they_are_held():
+    found = {call for path in _sources() if path.name != "order.py"
+             for call in _calls(path, "ByteTable")}
+    assert found <= TABLE_COMPILERS, found - TABLE_COMPILERS
+
+
+def test_down_rows_are_read_from_the_poset():
+    names = {getattr(node, attr, None) for path in _sources()
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for attr in ("name", "id", "attr")}
+    assert "_down_rows" not in names
 
 
 def test_pyproject_declares_no_dependencies():

@@ -19,6 +19,7 @@ from squanta.errors import LawViolated, NotStructural, TooLarge, UnknownElement
 from squanta.modact import ACT, MODULE, ActionMap, check_action, extend_act_to_module
 from squanta.nucleus import (
     QuantCongruence,
+    _order_and_sum_iso,
     congruence,
     consequence,
     convert,
@@ -316,3 +317,18 @@ def test_quotient_joins_of_arbitrary_subsets(n2q, a3_self):
     for r in range(1, len(quant.elements) + 1):
         for subset in combinations(quant.elements, r):
             assert quant.join(list(subset)) == g[n2q.join(list(subset))]
+
+
+def test_kernel_iso_checks_the_sum(n2q):
+    """The identity onto the classes of the identity congruence carries
+    N2's order and sum to themselves, but not the sum of max on the same
+    chain (1 + 1 = 2 in N2, max(1, 1) = 1)."""
+    ident = tuple(range(len(n2q.elements)))
+    assert _order_and_sum_iso(n2q, n2q, ident, ident)
+    by_max = make_quantale({"poset": {"elements": list(n2q.elements),
+                                      "leq": sorted(n2q.pomonoid.poset.pairs)},
+                            "monoid": {"op": [[x, y, max(x, y)]
+                                              for x in n2q.elements
+                                              for y in n2q.elements],
+                                       "unit": "0"}})
+    assert not _order_and_sum_iso(n2q, by_max, ident, ident)

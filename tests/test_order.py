@@ -10,7 +10,9 @@ from squanta.errors import (
     UnknownElement,
 )
 from squanta.aqm import FinGenQuantale
+from squanta.search import _labeled_posets
 from squanta.order import (
+    ByteTable,
     MonotoneMap,
     Pomonoid,
     antichain_ops,
@@ -149,13 +151,30 @@ def _max_chain(n):
     return chain, tuple(max(i, j) for i in range(n) for j in range(n))
 
 
+def test_posets_hold_their_down_and_order_rows():
+    """Every labeled poset on at most 4 elements holds the down rows and
+    the 0/1 order rows computed from its up rows, built once."""
+    for n in range(5):
+        for up in _labeled_posets(n):
+            poset = poset_from_rows(tuple(map(str, range(n))), up)
+            up = poset.up_rows
+            assert poset.down_rows == tuple(
+                sum(1 << y for y, row in enumerate(up) if row >> x & 1)
+                for x in range(n))
+            assert poset.leq_table.flat == b"".join(
+                bytes(map(int, f"{row:0{n}b}"[::-1])) for row in up)
+            assert poset.down_rows is poset.down_rows
+            assert poset.leq_table is poset.leq_table
+
+
 def test_tables_hold_at_most_256_elements():
     chain, flat = _max_chain(256)
     q = FinGenQuantale(pomonoid_from_flat(chain, flat, 0))
-    assert q.join_table == flat and q.bottom == "000"
+    assert tuple(q.join_table) == flat and q.bottom == "000"
     chain, flat = _max_chain(257)
     for build in (lambda: pomonoid_from_flat(chain, flat, 0),
-                  lambda: FinGenQuantale(Pomonoid(chain, flat, "000"))):
+                  lambda: FinGenQuantale(Pomonoid(chain, ByteTable(flat, 257),
+                                                   "000"))):
         with pytest.raises(TooLarge) as info:
             build()
         assert info.value.witness == 257

@@ -215,7 +215,7 @@ def test_commutative_mults_keep_what_check_aqm_accepts():
                   for t in search._commutative_tables(n, leq, one)]
         want = [(one, t) for one, t in tables
                 if aqm.check_aqm(aqm.table_aqm(q, t, one), strict=False).ok]
-        assert [(a.one, a.mult_table())
+        assert [(a.one, tuple(a.mult_table()))
                 for a in _commutative_mults(q)] == want
         candidates += len(tables)
         kept += len(want)

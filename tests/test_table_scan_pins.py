@@ -16,7 +16,8 @@ from squanta import fixtures as fx
 from squanta.aqm import AQM, FinGenQuantale, check_aqm, exp_end, make_quantale
 from squanta.errors import LawViolated, SquantaError
 from squanta.modact import ActionMap, check_action
-from squanta.order import Pomonoid, pomonoid_from_flat, poset_from_rows
+from squanta.order import (ByteTable, Pomonoid, pomonoid_from_flat,
+                           poset_from_rows)
 from squanta.search import _labeled_posets, quantale_descriptions
 
 
@@ -80,7 +81,7 @@ def _plus_mutant_lines(k):
             lines.append(_first_error(
                 lambda: pomonoid_from_flat(poset, t, unit)))
             lines.append(_first_error(
-                lambda: FinGenQuantale(Pomonoid(poset, t, q.zero))))
+                lambda: FinGenQuantale(Pomonoid(poset, ByteTable(t, n), q.zero))))
     return lines
 
 
