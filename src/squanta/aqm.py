@@ -217,8 +217,8 @@ class AQM(Derives):
     a dict compiled through order.flat_from_triples (an incomplete one
     raises NotAssociative). The linking map is a function or a dict.
 
-    Structures derived from the AQM alone (its self-module and what is
-    computed from that) are kept in `derived` (see `Derives.derive`).
+    The gammas of its self-module, computed from the AQM alone, are kept in
+    `derived` (see `Derives.derive`), which refers to no module.
     """
 
     def __init__(self, dist, quant, mult, one, iota, name=""):

@@ -7,7 +7,7 @@ from itertools import product
 
 from .errors import IllDefined, NoLift, NotProjective
 from .nucleus import Nucleus
-from .modact import is_module_hom
+from .modact import hom_from_generator_image, is_module_hom
 from .projective import cyclic_projective_check, find_lift
 from .reporting import Report
 
@@ -51,29 +51,6 @@ def _check_on(nuc, mod, label):
     if nuc.space != mod.space:
         raise IllDefined(f"{label} is not a nucleus on its module's space",
                          witness=label)
-
-
-def hom_from_generator_image(p_mod, u, q_mod, w):
-    """The module homomorphism from a u-cyclic module determined by sending
-    the generator to w, when well-defined: a*u = b*u must force a*w = b*w."""
-    images = {}
-    for a in p_mod.scalar_universe():
-        x = p_mod.star(a, u)
-        y = q_mod.star(a, w)
-        if x in images and images[x] != y:
-            prev = next(b for b in p_mod.scalar_universe()
-                        if p_mod.star(b, u) == x and q_mod.star(b, w) == images[x])
-            raise IllDefined(
-                "generator image does not induce a map", witness=(prev, a)
-            )
-        images[x] = y
-    missing = [x for x in p_mod.space.elements if x not in images]
-    if missing:
-        raise IllDefined("module is not u-cyclic", witness=missing[0])
-    if not is_module_hom(images, p_mod, q_mod):
-        raise IllDefined("induced map is not a module homomorphism",
-                         witness=sorted(images.items()))
-    return images
 
 
 def induced_embedding_check(f, gamma, delta, tau, p_mod):

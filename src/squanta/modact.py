@@ -1,7 +1,7 @@
 """Actions at the three levels of the hierarchy: pomonoids on posets,
 pomonoids on quantales (acts), and additive quantales with multiplication on
 quantales (modules), together with the extension and restriction functors
-between them and the test for module homomorphisms.
+between them, module homomorphisms and those that generator images induce.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +11,8 @@ from itertools import product
 from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_aqm,
                   lift_to_downsets, scan_module_laws)
 from .downset import MultiBase
-from .errors import FragmentExceeded, TooLarge, UnitNotEmbedding, UnknownElement
+from .errors import (FragmentExceeded, IllDefined, TooLarge, UnitNotEmbedding,
+                     UnknownElement)
 from .multiupset import generator_embed, mleq
 from .order import ByteTable
 from .reporting import LawScan
@@ -23,6 +24,8 @@ __all__ = [
     "extend_act_to_module",
     "restrict_module_to_act",
     "is_module_hom",
+    "generator_image",
+    "hom_from_generator_image",
 ]
 
 POSET, ACT, MODULE = "poset", "act", "module"
@@ -240,3 +243,45 @@ def is_module_hom(h, src, dst):
             and p.plus_op.after(hv) == r.plus_op.pairs(hv)
             and hv[p.pomonoid.poset.index_of(p.zero)] == index_of(r.zero)
             and src_star.after(hv) == dst_star.each(hv))
+
+
+def generator_image(src, u, dst, w):
+    """The map a * u -> a * w from column u of src's star table to column w
+    of dst's, for modules on tables over one scalar carrier: the position
+    in dst of each point's image, as bytes. None when it is not well
+    defined or a point of src is not a * u for any scalar a."""
+    n = len(src.space.elements)
+    pairs = set(zip(src.star_table()[u::n],
+                    dst.star_table()[w::len(dst.space.elements)]))
+    h = dict(pairs)
+    return bytes(map(h.get, range(n))) if len(h) == len(pairs) == n else None
+
+
+def hom_from_generator_image(p_mod, u, q_mod, w):
+    """The module homomorphism a * u -> a * w (generator_image, on labels).
+    IllDefined gives the first scalars (b, a) with b * u = a * u, b * w !=
+    a * w, or the first point not a * u, or the map if it is no hom."""
+    if not (p_mod.on_tables and q_mod.on_tables):
+        raise TooLarge("module homomorphisms need finite scalars on finite "
+                       "quantales", witness=(p_mod.name, q_mod.name))
+    p, q, scalars = p_mod.space, q_mod.space, p_mod.scalars.quant.elements
+    if scalars != q_mod.scalars.quant.elements:
+        raise IllDefined("modules over different scalar carriers",
+                         witness=(p_mod.name, q_mod.name))
+    ui, wi = p.pomonoid.poset.index_of(u), q.pomonoid.poset.index_of(w)
+    h = generator_image(p_mod, ui, q_mod, wi)
+    if h is None:
+        times_u = p_mod.star_table()[ui::len(p.elements)]
+        times_w = q_mod.star_table()[wi::len(q.elements)]
+        for a, x in enumerate(times_u):
+            b = times_u.index(x)
+            if times_w[b] != times_w[a]:
+                raise IllDefined("generator image does not induce a map",
+                                 witness=(scalars[b], scalars[a]))
+        raise IllDefined("module is not u-cyclic", witness=next(
+            x for i, x in enumerate(p.elements) if i not in times_u))
+    images = dict(zip(p.elements, map(q.elements.__getitem__, h)))
+    if not is_module_hom(images, p_mod, q_mod):
+        raise IllDefined("induced map is not a module homomorphism",
+                         witness=sorted(images.items()))
+    return images

@@ -4,7 +4,7 @@ idempotent characterization of cyclic projective modules, including direct
 lifting checks."""
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .aqm import term_closure
 from .errors import (
@@ -16,7 +16,8 @@ from .errors import (
     NotStructural,
     TooLarge,
 )
-from .modact import ACT, MODULE, POSET, ActionMap, check_action, is_module_hom
+from .modact import (ACT, MODULE, POSET, ActionMap, check_action,
+                     generator_image, is_module_hom)
 from .nucleus import nucleus, quotient
 from .reporting import Report
 
@@ -29,7 +30,6 @@ __all__ = [
     "lifting_check",
     "find_lift",
     "self_module",
-    "kept_self_module",
     "submodule_on_orbit",
     "is_module_hom",
     "enumerate_module_homs",
@@ -108,13 +108,6 @@ def self_module(aqm, name=None):
                      table=aqm.mult_op if aqm.is_finite else None)
 
 
-def kept_self_module(aqm):
-    """The self-module (see self_module) that the AQM keeps: built on the
-    first call and the same on every later one, so that its star table is
-    compiled once per AQM."""
-    return aqm.derive("self-module", lambda: self_module(aqm))
-
-
 def submodule_on_orbit(ma, u, name=None):
     """The submodule on the scalar orbit of u, for a module with finite
     scalars on a finite quantale (ActionMap.on_tables). An orbit that is not
@@ -168,7 +161,7 @@ def gamma_u(u, ma):
     table = {a: residual(ma.star(a, u), u, ma).value for a in q.elements}
     nuc = nucleus(q, table)
     try:
-        qm = quotient(kept_self_module(aqm), nuc)
+        qm = quotient(self_module(aqm), nuc)
     except NotStructural:
         rep.failed("gamma_u structural on the scalar quantale")
         return nuc, rep
@@ -230,21 +223,6 @@ def cyclic_check(am, u):
     return (not missing, missing[0] if missing else None)
 
 
-def _iso_between(m1, m2):
-    """Some module isomorphism m1 -> m2, or None: the first bijection, in
-    the order of a scan over all maps, that is a homomorphism both ways."""
-    els = m1.space.elements
-    targets = sorted(m2.space.elements)
-    if len(els) != len(targets):
-        return None
-    for values in permutations(targets):
-        h = dict(zip(els, values))
-        if is_module_hom(h, m1, m2) and \
-                is_module_hom(dict(zip(values, els)), m2, m1):
-            return h
-    return None
-
-
 def cyclic_projective_check(ma, lifting_family=None):
     """Evaluate conditions (ii)-(v) of the dividing-idempotent
     characterization independently, assert their mutual equivalence, and
@@ -257,24 +235,21 @@ def cyclic_projective_check(ma, lifting_family=None):
         raise TooLarge("characterization check needs finite scalars")
     q = aqm.quant
     rep = Report(f"cyclic-projective {ma.name or 'module'}")
-    selfm = kept_self_module(aqm)
-    els, index_of = q.elements, ma.space.pomonoid.poset.index_of
-    m, n = len(els), len(ma.space.elements)
+    selfm = self_module(aqm)  # a view on aqm.mult_op: nothing is compiled
+    els, pels = q.elements, ma.space.elements
+    m, n = len(els), len(pels)
     mult, star = aqm.mult_op.rows, ma.star_table()
     one = q.pomonoid.poset.index_of(aqm.one)
 
     idempotents = [u for u in range(m) if mult[u][u] == u]
-    cyclic_gens = [v for v in ma.space.elements if cyclic_check(ma, v)[0]]
+    gens = [w for w in range(n) if cyclic_check(ma, pels[w])[0]]
     rep.note(f"idempotent scalars: {[els[u] for u in idempotents]}")
-    rep.note(f"cyclic generators: {cyclic_gens}")
-    gammas = []  # (v, its position, gamma_v) for every dividing cyclic v
-    for v in cyclic_gens:
-        gv = _gamma_index(ma, index_of(v))
-        if gv is not None:
-            gammas.append((v, index_of(v), gv))
+    rep.note(f"cyclic generators: {[pels[w] for w in gens]}")
+    # (v, its position, gamma_v) for every dividing cyclic v
+    gammas = [(pels[vi], vi, gv) for vi in gens
+              if (gv := _gamma_index(ma, vi)) is not None]
 
-    # the gammas and orbit submodules of the self-module depend on the AQM
-    # alone, so the AQM keeps them
+    # the self-module's gammas depend on the AQM alone, so the AQM keeps them
     self_gammas = aqm.derive("self-gammas", lambda: [
         _gamma_index(selfm, u) for u in range(m)])
     w2, w3, w4, w5 = [], [], [], []
@@ -282,11 +257,13 @@ def cyclic_projective_check(ma, lifting_family=None):
         gu = self_gammas[u]
         if gu is None:  # every condition needs u dividing in the self-module
             continue
-        if u in idempotents:
-            orbit_mod = aqm.derive(("self-orbit", u), lambda: submodule_on_orbit(
-                selfm, els[u]))
-            if _iso_between(ma, orbit_mod) is not None:
+        for w in gens if u in idempotents else ():
+            # (ii): a * w -> a * u is an isomorphism onto A*u (see README)
+            h = generator_image(ma, w, selfm, u)
+            if h is not None and len(set(h)) == n and is_module_hom(
+                    dict(zip(pels, map(els.__getitem__, h))), ma, selfm):
                 w2.append(els[u])
+                break
         times_u = [row[u] for row in mult]  # a * u for every scalar a
         for v, vi, gv in gammas:
             if u in idempotents and gu == gv:

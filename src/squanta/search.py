@@ -19,7 +19,7 @@ from .nucleus import (
     quotient,
 )
 from .order import row_mismatches
-from .projective import cyclic_check, cyclic_projective_check, kept_self_module
+from .projective import cyclic_check, cyclic_projective_check, self_module
 
 __all__ = [
     "quantale_descriptions",
@@ -294,7 +294,7 @@ def suite_projective(desc):
     nucs = enumerate_nuclei(q)
     for aqm in _commutative_mults(q):
         n_aqms += 1
-        selfm = kept_self_module(aqm)
+        selfm = self_module(aqm)
         for nuc in nucs:
             try:
                 qm = quotient(selfm, nuc)

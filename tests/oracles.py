@@ -5,10 +5,12 @@ expected values are computed by a second route."""
 from itertools import combinations_with_replacement, product
 
 from squanta.downset import normalize
-from squanta.errors import FragmentExceeded
-from squanta.modact import POSET
+from squanta.errors import FragmentExceeded, IllDefined
+from squanta.modact import POSET, is_module_hom
 from squanta.multiupset import Multiupset
 from squanta.nucleus import AddConsequence, Nucleus
+from squanta.projective import (enumerate_module_homs, self_module,
+                                submodule_on_orbit)
 
 
 # -- presentations on a finite quantale table ----------------------------------
@@ -458,6 +460,56 @@ def brute_residual(y, x, ma):
         if q.leq(a, value) != sp.leq(star(a, x), y):
             return "adjunction fails", (a, value, x, y)
     return value, certificate
+
+
+# -- module homomorphisms over labels -------------------------------------------
+
+
+def scan_iso(m1, m2):
+    """The first module isomorphism m1 -> m2 among all homomorphisms, in
+    enumeration order."""
+    for h in enumerate_module_homs(m1, m2):
+        if sorted(h.values()) == sorted(m2.space.elements):
+            if is_module_hom({v: k for k, v in h.items()}, m2, m1):
+                return h
+    return None
+
+
+def brute_condition_ii(ma):
+    """The scalars u, sorted, that are idempotent, dividing in the
+    self-module (every residual y/u exists, by brute_residual), and whose
+    orbit submodule of the self-module scan_iso finds isomorphic to ma."""
+    aqm = ma.scalars
+    selfm, els = self_module(aqm), aqm.quant.elements
+    return sorted(
+        u for u in els if aqm.mult(u, u) == u
+        and all(brute_residual(y, u, selfm)[0] in els for y in els)
+        and scan_iso(ma, submodule_on_orbit(selfm, u)) is not None)
+
+
+def label_hom_from_generator_image(p_mod, u, q_mod, w):
+    """The module homomorphism from a u-cyclic module determined by sending
+    the generator to w, by a scan over the scalar labels: a*u = b*u must
+    force a*w = b*w. Raises IllDefined as
+    modact.hom_from_generator_image does."""
+    images = {}
+    for a in p_mod.scalar_universe():
+        x = p_mod.star(a, u)
+        y = q_mod.star(a, w)
+        if x in images and images[x] != y:
+            prev = next(b for b in p_mod.scalar_universe()
+                        if p_mod.star(b, u) == x and q_mod.star(b, w) == images[x])
+            raise IllDefined(
+                "generator image does not induce a map", witness=(prev, a)
+            )
+        images[x] = y
+    missing = [x for x in p_mod.space.elements if x not in images]
+    if missing:
+        raise IllDefined("module is not u-cyclic", witness=missing[0])
+    if not is_module_hom(images, p_mod, q_mod):
+        raise IllDefined("induced map is not a module homomorphism",
+                         witness=sorted(images.items()))
+    return images
 
 
 # -- multiupsets as raw count tables -------------------------------------------

@@ -381,7 +381,7 @@ def test_non_complete_generalized_quantale():
 from hypothesis import given, settings, strategies as st
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_free_product_laws_hypothesis(data):
     from squanta.fixtures import m2 as mk

@@ -121,7 +121,7 @@ def _run(cfg, capsys):
     return code, captured
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(cfg=configs())

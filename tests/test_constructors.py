@@ -397,11 +397,9 @@ def test_suites_validate_only_their_input(monkeypatch, suite):
         assert calls == [(desc,)]
 
 
-def test_orbit_submodules_built_once_per_aqm(monkeypatch):
+def test_suite_projective_builds_no_orbit_submodule(monkeypatch):
+    # condition (ii) is decided from generator images on the star tables
     calls = _count_calls(monkeypatch, projective, "submodule_on_orbit")
     for desc in quantale_descriptions(4)[-3:]:
-        calls.clear()
-        out = suite_projective(desc)
-        built = Counter((id(ma.scalars), u) for ma, u in calls)
-        assert out["cyclic_quotients"] and built
-        assert set(built.values()) == {1}
+        assert suite_projective(desc)["cyclic_quotients"]
+    assert calls == []

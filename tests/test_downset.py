@@ -202,7 +202,7 @@ def test_dleq_is_partial_order_and_djoin_is_lub(d2):
                     assert dleq(p, r)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None)
 @given(st.data())
 def test_downset_laws_hypothesis(data):
     from squanta.fixtures import d2 as mk

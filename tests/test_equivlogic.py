@@ -7,7 +7,8 @@ from squanta.equivlogic import (
     induced_embedding_check,
     recover_translations,
 )
-from squanta.errors import IllDefined, NotProjective
+from squanta.errors import IllDefined, NotProjective, TooLarge
+from squanta.modact import extend_act_to_module, extend_poset_action_to_dm
 from squanta.nucleus import enumerate_nuclei, nucleus, quotient, structural_check
 from squanta.projective import enumerate_module_homs
 
@@ -20,7 +21,8 @@ def mul_by(a3, w):
     return {a: a3.mult(a, w) for a in a3.quant.elements}
 
 
-def test_hom_from_generator_image_examples(a3, a3_self, a3_sub2):
+def test_hom_from_generator_image_examples(a3, a3_self, a3_sub2, n3_self,
+                                           m2_on_d2):
     tau = hom_from_generator_image(a3_self, "1", a3_self, "2")
     assert tau == {"0": "0", "1": "2", "2": "2"}
     ident = hom_from_generator_image(a3_self, "1", a3_self, "1")
@@ -28,6 +30,13 @@ def test_hom_from_generator_image_examples(a3, a3_self, a3_sub2):
     with pytest.raises(IllDefined) as err:
         hom_from_generator_image(a3_sub2, "2", a3_self, "1")
     assert set(err.value.witness) == {"1", "2"}
+    # the star tables of both modules are read over one scalar carrier
+    with pytest.raises(IllDefined) as err:
+        hom_from_generator_image(a3_self, "1", n3_self, "1")
+    assert err.value.args[0] == "modules over different scalar carriers"
+    free = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
+    with pytest.raises(TooLarge):  # fragment scalars have no star table
+        hom_from_generator_image(free, free.space.zero, free, free.space.zero)
 
 
 def test_induced_embedding_examples(n2q, a3, a3_self):

@@ -154,7 +154,6 @@ def test_restrict_a3_self_is_multiplicative_action(a3, a3_self):
 def test_unit_not_embedding_rejected(n2, d2):
     # a chain-ordered scalar monoid: the principal-multiset unit map flips
     # the order, so the extension hypothesis fails
-    mon = monotone_map(d2, d2, {"p": "p", "q": "q"})  # placeholder, unused
     chain_monoid = n2  # additive N2 read as a multiplicative scalar monoid
     frag_space = extend_poset_action_to_dm(
         ActionMap(POSET, chain_monoid, d2, lambda a, x: x, name="trivial")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import eval_gens, multiupset_universe
 from squanta.errors import BaseMismatch, NotCDI, UnknownElement
@@ -171,6 +171,7 @@ def test_fragment_enumeration_complete(d2, c2):
         assert keys == multiupset_universe(base.elements, base.leq, 4)
 
 
+@settings(derandomize=True, database=None)
 @given(st.data())
 def test_msum_laws_hypothesis(data):
     from squanta.fixtures import c2 as mk

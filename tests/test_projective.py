@@ -1,6 +1,7 @@
-from itertools import product
-
+import gc
 import sys
+import weakref
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,6 @@ from squanta.projective import (
     find_lift,
     gamma_u,
     is_module_hom,
-    kept_self_module,
     lifting_check,
     residual,
     self_module,
@@ -169,7 +169,7 @@ def test_find_lift_is_the_first_lift(n2q, a3_self, a3_sub2, n3_self):
 
 def test_self_module_star_table_is_the_product_table():
     a = fx.a3()
-    assert kept_self_module(a).star_table() is a.mult_table()
+    assert self_module(a).star_table() is a.mult_table()
 
 
 def test_nonprojective_fixture_yields_nolift(n3_self):
@@ -305,7 +305,7 @@ def _c3():
 def test_a_fresh_quantale_keeps_nothing():
     q, aqms = _c3()
     assert q.derived == {}
-    qm = quotient(kept_self_module(aqms[0]), nucleus(q, {x: x for x in q.elements}))
+    qm = quotient(self_module(aqms[0]), nucleus(q, {x: x for x in q.elements}))
     assert qm.module.space.derived == {}
 
 
@@ -333,6 +333,22 @@ def test_aqms_on_one_quantale_share_its_quotient_and_orbit_quantales(monkeypatch
     assert o0.space.name == "C3|orbit(0,1,2)"
 
 
+def test_a_checked_aqm_is_freed_without_a_collection():
+    # the AQM keeps only its self-module's gammas, which point away from
+    # it, so reference counting frees it once the check is done
+    q, aqms = _c3()
+    qm = quotient(self_module(aqms[0]), nucleus(q, {x: x for x in q.elements}))
+    assert cyclic_projective_check(qm.module).data["conditions"]["ii"]
+    assert list(aqms[0].derived) == ["self-gammas"]
+    freed = weakref.ref(aqms[0])
+    gc.disable()
+    try:
+        del aqms, qm
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_a_kept_quotient_still_checks_each_module():
     # 1 -> 0 is structural for the first AQM and not for B3's product, where
     # 1 * gamma(1) = 1 is not below gamma(1 * 1) = 2: the same witness with
@@ -341,9 +357,9 @@ def test_a_kept_quotient_still_checks_each_module():
         q, aqms = _c3()
         g = nucleus(q, {"0": "0", "1": "0", "2": "2"})
         if keep:
-            quotient(kept_self_module(aqms[0]), g)
+            quotient(self_module(aqms[0]), g)
         with pytest.raises(NotStructural) as err:
-            quotient(kept_self_module(aqms[1]), g)
+            quotient(self_module(aqms[1]), g)
         assert err.value.witness == ("1", "1")
 
 
@@ -352,7 +368,7 @@ def test_an_invalid_nucleus_raises_on_every_call():
     g = nucleus(q, {"0": "0", "1": "2", "2": "2"})  # 1 -> 2 is below 1
     for aqm in aqms + aqms:
         with pytest.raises(LawViolated) as err:
-            quotient(kept_self_module(aqm), g)
+            quotient(self_module(aqm), g)
         assert (err.value.law, err.value.witness) == ("nucleus-expansive", "1")
     assert q.derived == {}
 
@@ -361,7 +377,7 @@ def test_quotient_refuses_a_nucleus_on_another_space():
     # on A3, whose space is N2, B3's constant nucleus once gave a
     # one-element quotient and N3's nuclei a bare IndexError; an invalid
     # nucleus on another space is refused before it is validated
-    ma = kept_self_module(fx.a3())
+    ma = self_module(fx.a3())
     others = enumerate_nuclei(fx.b3().quant) + enumerate_nuclei(fx.n3_quantale())
     others.append(nucleus(fx.b3().quant, {"0": "1", "1": "1", "2": "2"}))
     for g in others:

@@ -4,16 +4,19 @@ witness of every rejection path, pinned."""
 
 import hashlib
 import json
-from itertools import permutations, product
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from oracles import brute_check_action, brute_exp_end, brute_residual
+from oracles import (brute_check_action, brute_condition_ii, brute_exp_end,
+                     brute_residual, label_hom_from_generator_image)
 from test_table_scan_pins import _cell_mutants
 from squanta import fixtures as fx
 from squanta.aqm import (AQM, MODULE_LAWS, check_aqm, exp_end, make_quantale,
                          scan_module_laws)
 from squanta.errors import (
+    IllDefined,
     LawViolated,
     NoResidual,
     NotAPartialOrder,
@@ -22,15 +25,14 @@ from squanta.errors import (
     NotStructural,
     UnitNotNeutral,
 )
-from squanta.modact import MODULE, ActionMap, check_action
+from squanta.modact import (MODULE, ActionMap, check_action,
+                            hom_from_generator_image)
 from squanta.nucleus import enumerate_nuclei, quotient
 from squanta.order import validate_structure
 from squanta.reporting import LawScan
 from squanta.projective import (
-    _iso_between,
     cyclic_projective_check,
     enumerate_module_homs,
-    is_module_hom,
     residual,
     self_module,
     submodule_on_orbit,
@@ -439,36 +441,48 @@ def test_residual_matches_scan():
                         "adjunction fails"}
 
 
-def _scan_iso(m1, m2):
-    """The first module isomorphism m1 -> m2 among all homomorphisms, in
-    enumeration order."""
-    for h in enumerate_module_homs(m1, m2):
-        if sorted(h.values()) == sorted(m2.space.elements):
-            if is_module_hom({v: k for k, v in h.items()}, m2, m1):
-                return h
-    return None
-
-
-def test_iso_between_matches_scan():
-    found = 0
-    for mods in _small_modules():
-        for m1, m2 in product(mods, repeat=2):
-            iso = _iso_between(m1, m2)
-            assert iso == _scan_iso(m1, m2)
-            found += iso is not None
-    assert found == 449
-    # the self-modules of size 4, some of which have more than one
-    # automorphism, so that the first one found is the one pinned
-    several = 0
+def test_condition_ii_matches_scan():
+    """Condition (ii), decided from generator images, against the
+    isomorphism scan onto each orbit module: on every module of
+    _small_modules() and every self-module of size 4."""
+    mods = [m for mods in _small_modules() for m in mods]
     for desc in quantale_descriptions(4)[15:]:
-        for aqm in _commutative_mults(make_quantale(desc)):
-            m = self_module(aqm)
-            els = m.space.elements
-            if sum(is_module_hom(dict(zip(els, p)), m, m)
-                   for p in permutations(els)) > 1:
-                assert _iso_between(m, m) == _scan_iso(m, m)
-                several += 1
-    assert several == 48
+        mods += [self_module(a) for a in _commutative_mults(make_quantale(desc))]
+    found = 0
+    for ma in mods:
+        ii = cyclic_projective_check(ma).data["witnesses"]["ii"]
+        assert ii == brute_condition_ii(ma)
+        found += bool(ii)
+    assert (len(mods), found) == (871, 853)
+
+
+def _hom_outcome(build, *args):
+    try:
+        return "map", build(*args)
+    except IllDefined as exc:
+        return exc.args[0], exc.witness
+
+
+def test_generator_images_match_the_label_scan():
+    """hom_from_generator_image on the star tables against the scan over
+    labels: the same map, or the same message and witness, for every pair
+    of points of the modules over one AQM, and from each broken module to
+    itself, where the induced map can fail to be a homomorphism."""
+    groups = [[(m, x) for m in mods for x in m.space.elements]
+              for mods in _small_modules()]
+    pairs = [pair for points in groups for pair in product(points, repeat=2)]
+    pairs += [((b, u), (b, w)) for b in _broken_modules()
+              for u, w in product(b.space.elements, repeat=2)]
+    outcomes = Counter()
+    for (m1, u), (m2, w) in pairs:
+        got = _hom_outcome(hom_from_generator_image, m1, u, m2, w)
+        assert got == _hom_outcome(label_hom_from_generator_image,
+                                   m1, u, m2, w)
+        outcomes[got[0]] += 1
+    assert outcomes == {"map": 2375,
+                        "generator image does not induce a map": 2601,
+                        "module is not u-cyclic": 2489,
+                        "induced map is not a module homomorphism": 154}
 
 
 def _digest(obj):
