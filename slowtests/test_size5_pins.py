@@ -1,6 +1,6 @@
 """The slow gate: `search --size 5 --json` for each suite, pinned by the
 SHA-256 of its stdout and by its exit status. It sits outside tier-1's
-`testpaths` and takes about four minutes on two cores; run it with
+`testpaths` and takes about three minutes; run it with
 
     PYTHONPATH=src python -m pytest slowtests -q
 
