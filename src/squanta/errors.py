@@ -71,6 +71,10 @@ class LawViolated(SquantaError):
         self.law = law
 
 
+class NoProgress(SquantaError):  # an enumeration step did not advance
+    pass
+
+
 class FragmentExceeded(SquantaError):
     pass
 

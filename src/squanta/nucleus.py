@@ -13,6 +13,7 @@ from .aqm import FinGenQuantale, check_aqm
 from .errors import (
     BaseMismatch,
     LawViolated,
+    NoProgress,
     NotDistributivelyGenerated,
     NotStructural,
     TooLarge,
@@ -119,6 +120,14 @@ def _class_masks(c):
     return [masks[r] for r in c.reps]
 
 
+def _joins(q, masks):
+    """The position of the join of the elements whose bits are set in each
+    of `masks`; the quantale keeps each join it is asked for."""
+    known = q.derive("mask-joins", dict)
+    return [known[s] if s in known else known.setdefault(s, q.join_of(_bits(s)))
+            for s in masks]
+
+
 def nucleus(space, mapping):
     """The nucleus {x: gamma(x)} of labels, a dict or pairs; an element
     outside the space raises UnknownElement, one without a value is None."""
@@ -183,8 +192,8 @@ def _failures(p):
             for y in _bits(rows[x]):
                 for z in _bits(rows[y] & ~rows[x]):
                     yield "consequence-transitive", (els[x], els[y], els[z])
-        for x in range(n):
-            if not rows[x] >> q.join_of(_bits(rows[x])) & 1:
+        for x, j in enumerate(_joins(q, rows)):
+            if not rows[x] >> j & 1:
                 yield "consequence-join-closed", els[x]
         for x in range(n):
             for y in _bits(rows[x]):
@@ -209,10 +218,45 @@ def _failures(p):
         raise TypeError(f"not a presentation: {p!r}")
 
 
+def _holds(p):
+    """Whether p satisfies every law that _failures scans, decided on rows
+    and masks without naming an instance."""
+    q, n = p.space, len(p.space.elements)
+    up, plus = q.pomonoid.poset.up_rows, q.plus_table
+    if isinstance(p, Nucleus):
+        g = p.values
+        return None not in g and all(
+            up[x] >> v & 1 and g[v] == v
+            and all(up[v] >> g[y] & 1 for y in _bits(up[x]))
+            for x, v in enumerate(g)) and all(
+            up[plus[g[x] * n + g[y]]] >> g[plus[x * n + y]] & 1
+            for x in range(n) for y in range(n))
+    if isinstance(p, QuantCongruence):  # a ~ b, c ~ d: a+c ~ b+c ~ b+d, so
+        # x and its class's least element r agree in class ids on the rows
+        # of + and v and the columns of + (each translation keeps ~)
+        ids = bytes(p.reps).ljust(256, b"\0")
+        s, j = plus.translate(ids), q.join_table.translate(ids)
+        return all(t[x * n:x * n + n] == t[r * n:r * n + n] and s[x::n] == s[r::n]
+                   for x, r in enumerate(p.reps) if r != x for t in (s, j))
+    if not isinstance(p, AddConsequence):
+        return False
+    # reflexive, transitive and join-closed rows are the down-sets of their
+    # joins j, so + z keeps the rows when it keeps each j
+    rows, down = p.rows, q.pomonoid.poset.down_rows
+    tops = _joins(q, rows)
+    return not any(down[x] & ~r or not r >> j & 1
+                   or any(rows[y] & ~r for y in _bits(r))
+                   for x, (r, j) in enumerate(zip(rows, tops))) and all(
+        rows[plus[x * n + z]] >> plus[j * n + z] & 1
+        and rows[plus[z * n + x]] >> plus[z * n + j] & 1
+        for x, j in enumerate(tops) for z in range(n))
+
+
 def validate_presentation(p, strict=True):
-    """Scan every defining invariant of the presentation; witness on failure."""
+    """Scan every defining invariant of the presentation; witness on failure.
+    A presentation is walked through _failures only when _holds fails it."""
     rep = LawScan(f"presentation {type(p).__name__}", strict=strict)
-    for law, witness in _failures(p):
+    for law, witness in () if _holds(p) else _failures(p):
         rep.fail(law, witness)
     rep.note("all invariants hold" if rep.ok else "violations found")
     return rep
@@ -236,10 +280,10 @@ def convert(p, target):
         return QuantCongruence(q, tuple(first.setdefault(v, x)
                                         for x, v in enumerate(p.values)))
     if isinstance(p, AddConsequence):
-        g = Nucleus(q, tuple(q.join_of(_bits(row)) for row in p.rows))
+        g = Nucleus(q, tuple(_joins(q, p.rows)))
         return g if target == "nucleus" else convert(g, target)
     if target == "nucleus":  # gamma(x) is the join of the class of x
-        return Nucleus(q, tuple(q.join_of(_bits(m)) for m in _class_masks(p)))
+        return Nucleus(q, tuple(_joins(q, _class_masks(p))))
     cid, join = p.reps, q.join_table  # x |- y when x v y ~ x
     return AddConsequence(q, tuple(
         sum(1 << y for y in range(n) if cid[join[x * n + y]] == cid[x])
@@ -325,17 +369,30 @@ def structural_check(p, am, scope="all"):
     return rep
 
 
-# -- enumeration oracles -------------------------------------------------------
+# -- enumeration ---------------------------------------------------------------
 
 
 def enumerate_nuclei(q):
-    """All nuclei by lexicographic scan over expansive maps."""
-    up = q.pomonoid.poset.up_rows
-    out = []
-    for values in product(*[list(_bits(row)) for row in up]):
-        g = Nucleus(q, values)
-        if next(_failures(g), None) is None:
-            out.append(g)
+    """All nuclei, in the lexicographic order of their value tuples: the
+    cells are set in element order, each to the elements above it in turn,
+    a branch ends when a monotone or idempotent instance among the cells set
+    fails, and the sum law is decided on complete rows."""
+    up, down = q.pomonoid.poset.up_rows, q.pomonoid.poset.down_rows
+    n, g, out = len(up), [], []
+
+    def fill(x, fixed):  # g holds the cells before x; fixed, those g fixes
+        if x == n:
+            return _holds(c := Nucleus(q, tuple(g))) and out.append(c)
+        allowed = up[x] & (fixed | -1 << x) & (1 << x if x in g else -1)
+        for w, v in enumerate(g):
+            allowed &= ((up[v] if down[x] >> w & 1 else -1)
+                        & (down[v] if up[x] >> w & 1 else -1))
+        for v in _bits(allowed):
+            g.append(v)
+            fill(x + 1, fixed | (v == x) << x)
+            g.pop()
+
+    fill(0, 0)
     return out
 
 
@@ -350,44 +407,50 @@ def enumerate_consequences(q):
     (the lectic order), with the relation held as one bitmask row of
     successors per element."""
     n = len(q.elements)
-    plus = q.plus_op.rows
+    # sums[x]: x + z, then z + x, for z in element order
+    sums = [r + c for r, c in zip(q.plus_op.rows, q.plus_op.transposed().rows)]
     members = [list(_bits(s)) for s in range(1 << n)]
-    # for every nonempty set of elements: its join, and its images under + z
-    # on either side
-    join_of = [None] + [q.join_of(_bits(s)) for s in range(1, 1 << n)]
-    right = [[sum({1 << plus[y][z] for y in ys}) for ys in members]
-             for z in range(n)]
-    left = [[sum({1 << plus[z][y] for y in ys}) for ys in members]
-            for z in range(n)]
+    joins = [None] + _joins(q, range(1, 1 << n))
     ge = q.pomonoid.poset.down_rows
     free = [(x, y) for x in range(n) for y in range(n) if not ge[x] >> y & 1]
     m = len(free)
+    # (x, bit y, bit of (x, y) in a closed set's lectic weight), for each
+    # free pair (x, y) from the least significant
+    weights = [(x, 1 << y, 1 << m - 1 - i) for i, (x, y) in enumerate(free)][::-1]
 
     def close(a):
         """The least consequence relation containing the free pairs whose
-        bits are set in a (free[i] at bit m-1-i), as successor rows."""
-        rows = list(ge)
-        for i, (x, y) in enumerate(free):
-            if a >> (m - 1 - i) & 1:
-                rows[x] |= 1 << y
-        while True:
-            before = list(rows)
-            for x in range(n):
-                s = rows[x] | rows[join_of[rows[x]]]
-                for y in members[s]:
-                    s |= rows[y]
-                rows[x] = s
-            for x in range(n):
-                s = rows[x]
-                for z in range(n):
-                    rows[plus[x][z]] |= right[z][s]
-                    rows[plus[z][x]] |= left[z][s]
-            if rows == before:
-                return rows
+        bits are set in a (free[i] at bit m-1-i), as successor rows. From
+        the closed rows of >=, a worklist holds the rows that grew: each
+        pulls the rows of its new successors and of its join j, then pushes
+        itself to the rows that hold x and, being the down-set of j, j + z
+        and z + j to the rows of x + z and z + x."""
+        rows, done = list(ge), list(ge)
+        for i in _bits(a):
+            x, y, _ = weights[i]
+            rows[x] |= y
+        work = {x for x in range(n) if rows[x] != ge[x]}
+        while work:
+            x = work.pop()
+            s, t = done[x], rows[x]
+            while t != s:
+                new, s = t & ~s, t
+                for y in members[new]:
+                    t |= rows[y]
+                t |= rows[joins[t]]
+            rows[x] = done[x] = t
+            for w in range(n):
+                if rows[w] >> x & 1 and t & ~rows[w]:
+                    rows[w] |= t
+                    work.add(w)
+            for w, v in zip(sums[x], sums[joins[t]]):
+                if not rows[w] >> v & 1:
+                    rows[w] |= 1 << v
+                    work.add(w)
+        return rows
 
     def bits(rows):
-        return sum(1 << (m - 1 - i) for i, (x, y) in enumerate(free)
-                   if rows[x] >> y & 1)
+        return sum(w for x, y, w in weights if rows[x] & y)
 
     out = []
     rows = close(0)
@@ -404,34 +467,29 @@ def enumerate_consequences(q):
             rows = close((a >> p + 1 << p + 1) | 1 << p)
             b = bits(rows)
             if (b & ~a) >> p + 1 == 0:
+                if b <= a:  # each closed set is lectically above the last
+                    raise NoProgress("NextClosure did not advance", witness=(a, b))
                 a = b
                 break
         else:
             return out
 
 
-def _partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def enumerate_congruences(q):
-    out = []
-    for part in _partitions(range(len(q.elements))):
-        reps = [0] * len(q.elements)
-        for block in part:  # ascending: block[0] is its least position
-            for x in block:
-                reps[x] = block[0]
-        c = QuantCongruence(q, tuple(reps))
-        if next(_failures(c), None) is None:
-            out.append(c)
+    """All congruences (decided by `_holds`), in the order of a scan over the
+    partitions that places the last element first, then each earlier one
+    into each block so far (newest first) and then alone."""
+    n, out = len(q.elements), []
+
+    def place(x, blocks):  # blocks: the classes of the elements above x
+        if x < 0:
+            reps = tuple(r for _, r in sorted((y, b[0]) for b in blocks for y in b))
+            return _holds(c := QuantCongruence(q, reps)) and out.append(c)
+        for i, b in enumerate(blocks):
+            place(x - 1, blocks[:i] + [[x] + b] + blocks[i + 1:])
+        place(x - 1, [[x]] + blocks)
+
+    place(n - 1, [])
     return out
 
 

@@ -8,7 +8,8 @@ from squanta.downset import normalize
 from squanta.errors import FragmentExceeded, IllDefined
 from squanta.modact import POSET, is_module_hom
 from squanta.multiupset import Multiupset
-from squanta.nucleus import AddConsequence, Nucleus
+from squanta.nucleus import AddConsequence, Nucleus, QuantCongruence, _failures
+from squanta.order import _bits
 from squanta.projective import (enumerate_module_homs, self_module,
                                 submodule_on_orbit)
 
@@ -109,6 +110,96 @@ def brute_congruences(els, leq, plus, join):
     return [tuple(sorted(tuple(sorted(c)) for c in part))
             for part in set_partitions(list(els))
             if not congruence_failures(els, plus, join, part)]
+
+
+# -- the presentation enumerators as scans of every candidate -----------------
+#
+# The package's enumerators before they pruned their candidates: each
+# candidate is walked through nucleus._failures, and the three lists come in
+# the order the package's enumerators must keep.
+
+
+def product_nuclei(q):
+    """All nuclei by the lexicographic scan over every expansive map."""
+    up = q.pomonoid.poset.up_rows
+    candidates = (Nucleus(q, values)
+                  for values in product(*[list(_bits(row)) for row in up]))
+    return [g for g in candidates if next(_failures(g), None) is None]
+
+
+def partition_congruences(q):
+    """All congruences by the scan over set_partitions, each partition held
+    by the least position of each class."""
+    out = []
+    for part in set_partitions(range(len(q.elements))):
+        reps = [0] * len(q.elements)
+        for block in part:  # ascending: block[0] is its least position
+            for x in block:
+                reps[x] = block[0]
+        c = QuantCongruence(q, tuple(reps))
+        if next(_failures(c), None) is None:
+            out.append(c)
+    return out
+
+
+def round_robin_consequences(q):
+    """All additive consequence relations by NextClosure over the free pairs
+    (the first one most significant), each closure computed by sweeping
+    every row until a sweep changes nothing: the rows' own joins and
+    successors, then + z on either side of every row's whole set."""
+    n = len(q.elements)
+    plus = q.plus_op.rows
+    members = [list(_bits(s)) for s in range(1 << n)]
+    join_of = [None] + [q.join_of(_bits(s)) for s in range(1, 1 << n)]
+    right = [[sum({1 << plus[y][z] for y in ys}) for ys in members]
+             for z in range(n)]
+    left = [[sum({1 << plus[z][y] for y in ys}) for ys in members]
+            for z in range(n)]
+    ge = q.pomonoid.poset.down_rows
+    free = [(x, y) for x in range(n) for y in range(n) if not ge[x] >> y & 1]
+    m = len(free)
+
+    def close(a):
+        rows = list(ge)
+        for i, (x, y) in enumerate(free):
+            if a >> (m - 1 - i) & 1:
+                rows[x] |= 1 << y
+        while True:
+            before = list(rows)
+            for x in range(n):
+                s = rows[x] | rows[join_of[rows[x]]]
+                for y in members[s]:
+                    s |= rows[y]
+                rows[x] = s
+            for x in range(n):
+                s = rows[x]
+                for z in range(n):
+                    rows[plus[x][z]] |= right[z][s]
+                    rows[plus[z][x]] |= left[z][s]
+            if rows == before:
+                return rows
+
+    def bits(rows):
+        return sum(1 << (m - 1 - i) for i, (x, y) in enumerate(free)
+                   if rows[x] >> y & 1)
+
+    out = []
+    rows = close(0)
+    a = bits(rows)
+    while True:
+        c = AddConsequence(q, tuple(rows))
+        assert next(_failures(c), None) is None, c
+        out.append(c)
+        for p in range(m):
+            if a >> p & 1:
+                continue
+            rows = close((a >> p + 1 << p + 1) | 1 << p)
+            b = bits(rows)
+            if (b & ~a) >> p + 1 == 0:
+                a = b
+                break
+        else:
+            return out
 
 
 # -- the Galatos-Tsinakis case: presentations of an order alone ----------------

@@ -3,12 +3,18 @@ repr, the three conversions and the validation report of every enumerated
 presentation of every quantale of size <= 4, and the non-strict report of
 every single-cell mutant of every nucleus and consequence relation of size
 <= 3. A change that alters any of them has changed what a presentation
-says about itself."""
+says about itself. The row decision that validation runs first agrees with
+the scan of failing instances on those mutants and on every partition."""
 
 import hashlib
+from collections import Counter
 
+from oracles import set_partitions
 from squanta.aqm import make_quantale
 from squanta.nucleus import (
+    _failures,
+    _holds,
+    congruence,
     consequence,
     convert,
     enumerate_congruences,
@@ -62,6 +68,25 @@ def test_mutant_reports_as_pinned():
             lines.extend(validate_presentation(p, strict=False).lines)
     assert count == 790
     assert _sha(lines) == MUTANTS_3
+
+
+def test_row_decision_agrees_with_the_failure_scan(chain4_nc):
+    """_holds(p) exactly when _failures(p) yields nothing, on the mutants
+    above, on those of a quantale whose + does not commute, and on every
+    partition of each of these quantales and of every one of size 4."""
+    verdicts = Counter()
+    quantales = [make_quantale(d) for d in quantale_descriptions(4)]
+    for q in quantales + [chain4_nc]:
+        small = len(q.elements) <= 3 or q is chain4_nc
+        for p in (list(_mutants(q)) if small else []) + [
+                congruence(q, part) for part in set_partitions(q.elements)]:
+            holds = _holds(p)
+            assert holds == (next(_failures(p), None) is None), p
+            verdicts[type(p).__name__, holds] += 1
+    assert verdicts == {
+        ("Nucleus", True): 227, ("Nucleus", False): 248,
+        ("AddConsequence", True): 44, ("AddConsequence", False): 431,
+        ("QuantCongruence", True): 1156, ("QuantCongruence", False): 1804}
 
 
 PRESENTATIONS_4 = (
