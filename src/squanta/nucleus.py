@@ -412,22 +412,20 @@ def enumerate_consequences(q):
     members = [list(_bits(s)) for s in range(1 << n)]
     joins = [None] + _joins(q, range(1, 1 << n))
     ge = q.pomonoid.poset.down_rows
-    free = [(x, y) for x in range(n) for y in range(n) if not ge[x] >> y & 1]
+    # (x, bit y) for the pair (x, y) at bit i of a set of free pairs
+    free = [(x, 1 << y) for x in range(n) for y in range(n)
+            if not ge[x] >> y & 1][::-1]
     m = len(free)
-    # (x, bit y, bit of (x, y) in a closed set's lectic weight), for each
-    # free pair (x, y) from the least significant
-    weights = [(x, 1 << y, 1 << m - 1 - i) for i, (x, y) in enumerate(free)][::-1]
 
     def close(a):
-        """The least consequence relation containing the free pairs whose
-        bits are set in a (free[i] at bit m-1-i), as successor rows. From
-        the closed rows of >=, a worklist holds the rows that grew: each
-        pulls the rows of its new successors and of its join j, then pushes
-        itself to the rows that hold x and, being the down-set of j, j + z
-        and z + j to the rows of x + z and z + x."""
+        """The least consequence relation containing the free pairs set in
+        a, as successor rows. From the closed rows of >=, a worklist holds
+        the rows that grew: each pulls the rows of its new successors and of
+        its join j, then pushes itself to the rows that hold it and, being
+        the down-set of j, j + z and z + j to the rows of x + z and z + x."""
         rows, done = list(ge), list(ge)
         for i in _bits(a):
-            x, y, _ = weights[i]
+            x, y = free[i]
             rows[x] |= y
         work = {x for x in range(n) if rows[x] != ge[x]}
         while work:
@@ -450,7 +448,7 @@ def enumerate_consequences(q):
         return rows
 
     def bits(rows):
-        return sum(w for x, y, w in weights if rows[x] & y)
+        return sum(1 << i for i, (x, y) in enumerate(free) if rows[x] & y)
 
     out = []
     rows = close(0)
@@ -483,8 +481,11 @@ def enumerate_congruences(q):
 
     def place(x, blocks):  # blocks: the classes of the elements above x
         if x < 0:
-            reps = tuple(r for _, r in sorted((y, b[0]) for b in blocks for y in b))
-            return _holds(c := QuantCongruence(q, reps)) and out.append(c)
+            reps = [0] * n
+            for b in blocks:
+                for y in b:
+                    reps[y] = b[0]
+            return _holds(c := QuantCongruence(q, tuple(reps))) and out.append(c)
         for i, b in enumerate(blocks):
             place(x - 1, blocks[:i] + [[x] + b] + blocks[i + 1:])
         place(x - 1, [[x]] + blocks)
