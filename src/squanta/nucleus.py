@@ -218,38 +218,47 @@ def _failures(p):
         raise TypeError(f"not a presentation: {p!r}")
 
 
+def _closure(q, g):
+    """Whether the values g (bytes) are a closure operator on q's order:
+    expansive, idempotent, and monotone (no x <= y without g(x) <= g(y))."""
+    up, leq = q.pomonoid.poset.up_rows, q.pomonoid.poset.leq_table
+    return (all(up[x] >> v & 1 for x, v in enumerate(g))
+            and g.translate(g.ljust(256, b"\0")) == g
+            and not int.from_bytes(leq.flat, "big")
+            & ~int.from_bytes(leq.pairs(g), "big"))
+
+
 def _holds(p):
     """Whether p satisfies every law that _failures scans, decided on rows
-    and masks without naming an instance."""
-    q, n = p.space, len(p.space.elements)
-    up, plus = q.pomonoid.poset.up_rows, q.plus_table
-    if isinstance(p, Nucleus):
-        g = p.values
-        return None not in g and all(
-            up[x] >> v & 1 and g[v] == v
-            and all(up[v] >> g[y] & 1 for y in _bits(up[x]))
-            for x, v in enumerate(g)) and all(
-            up[plus[g[x] * n + g[y]]] >> g[plus[x * n + y]] & 1
-            for x in range(n) for y in range(n))
+    and byte tables without naming an instance."""
+    q, plus = p.space, p.space.plus_op
     if isinstance(p, QuantCongruence):  # a ~ b, c ~ d: a+c ~ b+c ~ b+d, so
         # x and its class's least element r agree in class ids on the rows
         # of + and v and the columns of + (each translation keeps ~)
-        ids = bytes(p.reps).ljust(256, b"\0")
-        s, j = plus.translate(ids), q.join_table.translate(ids)
+        n, ids = len(p.reps), bytes(p.reps).ljust(256, b"\0")
+        s, j = plus.flat.translate(ids), q.join_table.translate(ids)
         return all(t[x * n:x * n + n] == t[r * n:r * n + n] and s[x::n] == s[r::n]
                    for x, r in enumerate(p.reps) if r != x for t in (s, j))
+    if isinstance(p, Nucleus):  # a closure operator g keeps + exactly when
+        # g(g(x) + g(y)) = g(x + y)
+        if None in p.values:
+            return False
+        g = bytes(p.values)
+        return _closure(q, g) and (
+            plus.pairs(g).translate(g.ljust(256, b"\0")) == plus.after(g))
     if not isinstance(p, AddConsequence):
         return False
     # reflexive, transitive and join-closed rows are the down-sets of their
-    # joins j, so + z keeps the rows when it keeps each j
-    rows, down = p.rows, q.pomonoid.poset.down_rows
-    tops = _joins(q, rows)
-    return not any(down[x] & ~r or not r >> j & 1
-                   or any(rows[y] & ~r for y in _bits(r))
-                   for x, (r, j) in enumerate(zip(rows, tops))) and all(
-        rows[plus[x * n + z]] >> plus[j * n + z] & 1
-        and rows[plus[z * n + x]] >> plus[z * n + j] & 1
-        for x, j in enumerate(tops) for z in range(n))
+    # joins t, which are a closure operator; then + z keeps them on the
+    # right when t(t(x) + z) = t(x + z), and likewise on the left
+    rows, down = tuple(p.rows), q.pomonoid.poset.down_rows
+    if any(d & ~r for d, r in zip(down, rows)):
+        return False
+    t = bytes(_joins(q, rows))
+    to_t = t.ljust(256, b"\0")
+    return (rows == tuple(down[v] for v in t) and _closure(q, t)
+            and b"".join(map(plus.rows.__getitem__, t)).translate(to_t)
+            == plus.after(t) == plus.each(t).translate(to_t))
 
 
 def validate_presentation(p, strict=True):
