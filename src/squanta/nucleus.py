@@ -385,24 +385,22 @@ def enumerate_nuclei(q):
     """All nuclei, in the lexicographic order of their value tuples: the
     cells are set in element order, each to the elements above it in turn,
     a branch ends when a monotone or idempotent instance among the cells set
-    fails, and the sum law is decided on complete rows."""
+    fails, and the sum law is decided on complete rows (`_holds`)."""
     up, down = q.pomonoid.poset.up_rows, q.pomonoid.poset.down_rows
-    n, g, out = len(up), [], []
 
-    def fill(x, fixed):  # g holds the cells before x; fixed, those g fixes
-        if x == n:
-            return _holds(c := Nucleus(q, tuple(g))) and out.append(c)
-        allowed = up[x] & (fixed | -1 << x) & (1 << x if x in g else -1)
+    def allowed(g):  # the values of cell x that the cells g before it allow
+        x = len(g)
+        mask = up[x] & (1 << x if x in g else -1)
         for w, v in enumerate(g):
-            allowed &= ((up[v] if down[x] >> w & 1 else -1)
-                        & (down[v] if up[x] >> w & 1 else -1))
-        for v in _bits(allowed):
-            g.append(v)
-            fill(x + 1, fixed | (v == x) << x)
-            g.pop()
+            mask &= ((up[v] if down[x] >> w & 1 else -1)
+                     & (down[v] if up[x] >> w & 1 else -1)
+                     & (-1 if v == w else ~(1 << w)))
+        return mask
 
-    fill(0, 0)
-    return out
+    maps = [()]
+    for _ in up:
+        maps = [g + (v,) for g in maps for v in _bits(allowed(g))]
+    return [g for g in (Nucleus(q, values) for values in maps) if _holds(g)]
 
 
 def enumerate_consequences(q):
@@ -483,23 +481,20 @@ def enumerate_consequences(q):
 
 
 def enumerate_congruences(q):
-    """All congruences (decided by `_holds`), in the order of a scan over the
-    partitions that places the last element first, then each earlier one
-    into each block so far (newest first) and then alone."""
-    n, out = len(q.elements), []
-
-    def place(x, blocks):  # blocks: the classes of the elements above x
-        if x < 0:
-            reps = [0] * n
-            for b in blocks:
-                for y in b:
-                    reps[y] = b[0]
-            return _holds(c := QuantCongruence(q, tuple(reps))) and out.append(c)
-        for i, b in enumerate(blocks):
-            place(x - 1, blocks[:i] + [[x] + b] + blocks[i + 1:])
-        place(x - 1, [[x]] + blocks)
-
-    place(n - 1, [])
+    """All congruences (decided by `_holds`), in the order of a scan over
+    the partitions that places the last element first, then each earlier
+    one into each class so far (newest first) and then alone."""
+    n, parts, out = len(q.elements), [[]], []
+    for x in reversed(range(n)):  # the partitions of the elements from x on
+        parts = [r for p in parts for r in [
+            *(p[:i] + [[x] + k] + p[i + 1:] for i, k in enumerate(p)), [[x]] + p]]
+    for p in parts:
+        reps = [0] * n
+        for k in p:  # k[0] is the least element of the class k
+            for y in k:
+                reps[y] = k[0]
+        if _holds(c := QuantCongruence(q, tuple(reps))):
+            out.append(c)
     return out
 
 
