@@ -384,11 +384,15 @@ def structural_check(p, am, scope="all"):
 def enumerate_nuclei(q):
     """All nuclei, in the lexicographic order of their value tuples: the
     cells are set in element order, each to the elements above it in turn,
-    a branch ends when a monotone or idempotent instance among the cells set
-    fails, and the sum law is decided on complete rows (`_holds`)."""
+    a partial map is dropped as soon as a monotone or idempotent instance
+    among its cells fails, and the sum law is decided on complete maps
+    (`_holds`)."""
     up, down = q.pomonoid.poset.up_rows, q.pomonoid.poset.down_rows
 
-    def allowed(g):  # the values of cell x that the cells g before it allow
+    def allowed(g):
+        """The values above x = len(g) that the cells g before it allow: x
+        alone when a cell maps to x; above g(w) for each w <= x and below
+        it for each w >= x; and w only when g fixes w."""
         x = len(g)
         mask = up[x] & (1 << x if x in g else -1)
         for w, v in enumerate(g):
