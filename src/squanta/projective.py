@@ -90,15 +90,31 @@ def _residual_index(ma, y, x):
     return value, certificate
 
 
-def _gamma_index(ma, u):
-    """a -> (a * u)/u over element positions, for the point at position u
-    of a module on tables; None when u is not dividing."""
-    n = len(ma.space.elements)
+def _residual_row(ma, u, n):
+    """Positions of y/u for the n points y, or None when u is not dividing."""
     try:
-        divided = [_residual_index(ma, y, u)[0] for y in range(n)]
+        return [_residual_index(ma, y, u)[0] for y in range(n)]
     except NoResidual:
         return None
-    return [divided[z] for z in ma.star_table()[u::n]]
+
+
+def _cyclic_row(ma, u):
+    """(the points off the scalar orbit of the point at position u, its
+    residual row when there are none) for a module on tables."""
+    pels, n = ma.space.elements, len(ma.space.elements)
+    times_u = ma.star_table()[u::n]  # a * u for every scalar a
+    missing = [pels[x] for x in range(n) if x not in times_u]
+    divided = None if missing else _residual_row(ma, u, n)
+    # (x/u)*u = x on a full orbit; no (x/u)*u is a point off the orbit
+    if not missing and [times_u[d] for d in divided or ()] != list(range(n)):
+        raise ArithmeticError("orbit and residual characterizations of "
+                              f"cyclicity disagree at u={pels[u]!r}")
+    return missing, divided
+
+
+def _gamma_index(ma, u, divided):
+    """a -> (a * u)/u on positions, from u's residual row (None: None)."""
+    return divided and [divided[z] for z in ma.star_table()[u::len(divided)]]
 
 
 def self_module(aqm, name=None):
@@ -187,29 +203,14 @@ def cyclic_check(am, u):
 
     Returns (bool, witness): the witness is an element outside the generated
     part when the answer is no. At module level over finite scalars the
-    residual characterization (x/u)*u = x is cross-checked when u divides.
+    residual characterization (x/u)*u = x is cross-checked on a full orbit.
     """
     if am.level == ACT:
         closed = term_closure(am.space, ((am.star(a, u), f"{a}*u")
                                          for a in am.scalars.elements))
         missing = [x for x in am.space_universe() if x not in closed]
     elif am.on_tables:
-        n = len(am.space.elements)
-        ui = am.space.pomonoid.poset.index_of(u)
-        times_u = am.star_table()[ui::n]  # a * u for every scalar a
-        missing = [x for i, x in enumerate(am.space.elements)
-                   if i not in times_u]
-        try:
-            ok = all(times_u[_residual_index(am, x, ui)[0]] == x
-                     for x in range(n))
-        except NoResidual:
-            ok = False
-        # the orbit against the residual characterization (x/u)*u = x
-        if ok != (not missing):
-            raise ArithmeticError(
-                f"orbit and residual characterizations of cyclicity "
-                f"disagree at u={u!r}"
-            )
+        missing = _cyclic_row(am, am.space.pomonoid.poset.index_of(u))[0]
     elif am.level in (POSET, MODULE):  # the orbit scan
         orbit = set()
         for a in am.scalar_universe():
@@ -242,16 +243,15 @@ def cyclic_projective_check(ma, lifting_family=None):
     one = q.pomonoid.poset.index_of(aqm.one)
 
     idempotents = [u for u in range(m) if mult[u][u] == u]
-    gens = [w for w in range(n) if cyclic_check(ma, pels[w])[0]]
+    # cyclic points -> their residual rows, and (v, its position, gamma_v)
+    gens = {w: row for w in range(n) if (row := _cyclic_row(ma, w)[1])}
+    gammas = [(pels[vi], vi, _gamma_index(ma, vi, gens[vi])) for vi in gens]
     rep.note(f"idempotent scalars: {[els[u] for u in idempotents]}")
     rep.note(f"cyclic generators: {[pels[w] for w in gens]}")
-    # (v, its position, gamma_v) for every dividing cyclic v
-    gammas = [(pels[vi], vi, gv) for vi in gens
-              if (gv := _gamma_index(ma, vi)) is not None]
 
     # the self-module's gammas depend on the AQM alone, so the AQM keeps them
     self_gammas = aqm.derive("self-gammas", lambda: [
-        _gamma_index(selfm, u) for u in range(m)])
+        _gamma_index(selfm, u, _residual_row(selfm, u, m)) for u in range(m)])
     w2, w3, w4, w5 = [], [], [], []
     for u in range(m):  # ascending carrier order: minimal witnesses first
         gu = self_gammas[u]

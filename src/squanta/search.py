@@ -66,26 +66,25 @@ def _labeled_posets(n):
     return sorted(posets, key=lambda up: sum(w for i, m, w in weights if up[i] & m))
 
 
-def _commutative_tables(n, leq, unit, over=()):
+def _commutative_tables(n, leq, unit, over=(), zero=None):
     """Every commutative, associative table t on 0..n-1 (x*y = t[x*n + y])
-    with `unit` neutral, both translations monotone for the 0/1 matrix
-    `leq`, and distributing over each flat table op in `over`:
-    a*op(b, c) = op(a*b, a*c), one side being enough as t is commutative.
+    with `unit` neutral and `zero` (if given) absorbing, both translations
+    monotone for the 0/1 matrix `leq`, and distributing over each flat
+    table op in `over`: a*op(b, c) = op(a*b, a*c), one side being enough as
+    t is commutative.
 
-    The cells off the unit's row are filled one at a time in
-    `combinations_with_replacement` order, trying values in ascending order,
-    so the tables come out in the order of `product(range(n), repeat=...)`
-    over those cells. A value is rejected as soon as it breaks monotonicity
-    against an assigned cell, or associativity on a triple whose four cells
-    are all assigned. Distributivity is decided on each complete table."""
+    The unit's and the zero's rows are preset and decided once. The other
+    cells are filled in `combinations_with_replacement` order, trying values
+    in ascending order, so the tables come out in `product` order over those
+    cells. A value is cut as soon as it breaks monotonicity against an
+    assigned cell, associativity on a triple whose four cells are assigned,
+    or distributivity on the row it completes."""
     t = [-1] * (n * n)
-    for x in range(n):
-        t[unit * n + x] = t[x * n + unit] = x
-    cells = list(combinations_with_replacement(
-        [x for x in range(n) if x != unit], 2))
-    # flat-table cells of a*op(b, c) = op(a*b, a*c)
-    dist = [(op, [(a * n + op[b * n + c], a * n + b, a * n + c)
-                  for a, b, c in product(range(n), repeat=3)]) for op in over]
+    preset = [unit] if zero is None else [unit, zero]
+    for p, x in product(preset, range(n)):
+        t[p * n + x] = t[x * n + p] = zero if p == zero else x
+    free = [x for x in range(n) if x not in preset]
+    cells = list(combinations_with_replacement(free, 2))
 
     def assoc(a, b, c):
         ab, bc = t[a * n + b], t[b * n + c]
@@ -114,21 +113,30 @@ def _commutative_tables(n, leq, unit, over=()):
                     return False
         return True
 
+    def distributes(a):  # row a, complete: a*op(b, c) = op(a*b, a*c)
+        row = t[a * n:a * n + n]
+        return all(row[bc] == op[row[i // n] * n + row[i % n]]
+                   for op in over for i, bc in enumerate(op))
+
+    # the preset cells, decided as searched ones (zero = unit clashes, n > 1)
+    if any(t[unit * n + x] != x or not fits(p, x, t[p * n + x])
+           for p in preset for x in range(n)) \
+            or not all(map(distributes, preset)):
+        return
     # depth-first without recursion: a nested generator calling itself
     # would hold itself through its closure cell, a cycle left per call
     tried = [-1] * len(cells)  # the value of each assigned cell
     k = 0
     while k >= 0:
         if k == len(cells):
-            if all(t[u] == op[t[v] * n + t[w]]
-                   for op, uvw in dist for u, v, w in uvw):
-                yield tuple(t)
+            yield tuple(t)
             k -= 1
             continue
         x, y = cells[k]
         for z in range(tried[k] + 1, n):
             t[x * n + y] = t[y * n + x] = z
-            if fits(x, y, z):
+            # row x is complete once its last free cell is set
+            if fits(x, y, z) and (y != free[-1] or distributes(x)):
                 tried[k] = z
                 k += 1
                 break
@@ -280,8 +288,8 @@ def _commutative_mults(q):
     n, zero = len(els), poset.index_of(q.zero)
     over = [q.plus_table, q.join_table]
     return [table_aqm(q, t, els[one]) for one in range(n)
-            for t in _commutative_tables(n, poset.leq_table.rows, one, over)
-            if all(t[zero * n + x] == zero for x in range(n))]
+            for t in _commutative_tables(n, poset.leq_table.rows, one, over,
+                                         zero)]
 
 
 def suite_projective(desc):

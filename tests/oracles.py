@@ -394,6 +394,79 @@ def brute_commutative_mults(els, leq, plus, join, zero):
     return out
 
 
+def unit_row_tables(n, leq, unit, over=()):
+    """The table search before the zero was preset and distributivity was
+    decided per row: every cell off the unit's row is searched in
+    `combinations_with_replacement` order, values ascending, cutting on
+    monotonicity and on associativity of fully assigned triples, and each
+    complete table is then kept when it distributes over every op in
+    `over`. Its tables come in `product` order over those cells."""
+    t = [-1] * (n * n)
+    for x in range(n):
+        t[unit * n + x] = t[x * n + unit] = x
+    cells = list(combinations_with_replacement(
+        [x for x in range(n) if x != unit], 2))
+    # flat-table cells of a*op(b, c) = op(a*b, a*c)
+    dist = [(op, [(a * n + op[b * n + c], a * n + b, a * n + c)
+                  for a, b, c in product(range(n), repeat=3)]) for op in over]
+
+    def assoc(a, b, c):
+        ab, bc = t[a * n + b], t[b * n + c]
+        if ab < 0 or bc < 0:
+            return True
+        lhs, rhs = t[ab * n + c], t[a * n + bc]
+        return lhs < 0 or rhs < 0 or lhs == rhs
+
+    def fits(x, y, z):
+        for a in range(n):
+            for other, w in ((x, t[a * n + y]), (y, t[a * n + x])):
+                if w >= 0 and (leq[a][other] and not leq[w][z]
+                               or leq[other][a] and not leq[z][w]):
+                    return False
+        for a in range(n):
+            if not (assoc(x, y, a) and assoc(y, x, a)):
+                return False
+        for p in range(n):
+            for q in range(n):
+                v = t[p * n + q]
+                if (v == x and not assoc(p, q, y)
+                        or v == y and not assoc(p, q, x)):
+                    return False
+        return True
+
+    tried = [-1] * len(cells)
+    k = 0
+    while k >= 0:
+        if k == len(cells):
+            if all(t[u] == op[t[v] * n + t[w]]
+                   for op, uvw in dist for u, v, w in uvw):
+                yield tuple(t)
+            k -= 1
+            continue
+        x, y = cells[k]
+        for z in range(tried[k] + 1, n):
+            t[x * n + y] = t[y * n + x] = z
+            if fits(x, y, z):
+                tried[k] = z
+                k += 1
+                break
+        else:
+            t[x * n + y] = t[y * n + x] = tried[k] = -1
+            k -= 1
+
+
+def unit_row_commutative_mults(q):
+    """(unit, table) for each multiplication search._commutative_mults
+    keeps, by the route before the zero was preset: unit_row_tables over +
+    and binary joins, then the tables whose zero row is all zero."""
+    els, poset = q.elements, q.pomonoid.poset
+    n, zero = len(els), poset.index_of(q.zero)
+    over = [q.plus_table, q.join_table]
+    return [(els[one], t) for one in range(n)
+            for t in unit_row_tables(n, poset.leq_table.rows, one, over)
+            if all(t[zero * n + x] == zero for x in range(n))]
+
+
 # -- the endomorphism construction, over label tables ---------------------------
 
 

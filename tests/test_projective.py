@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 from squanta.aqm import make_quantale
-from squanta.errors import BaseMismatch, LawViolated, NotStructural, TooLarge
+from squanta.errors import (BaseMismatch, LawViolated, NoResidual,
+                            NotStructural, TooLarge)
 from squanta.modact import (
     ActionMap,
     extend_act_to_module,
@@ -27,8 +28,9 @@ from squanta.projective import (
     self_module,
     submodule_on_orbit,
 )
-from squanta.search import _commutative_mults
-from squanta import fixtures as fx
+from squanta.search import (_commutative_mults, quantale_descriptions,
+                            suite_projective)
+from squanta import fixtures as fx, projective, search
 
 
 def test_residual_examples(a3_self):
@@ -135,6 +137,56 @@ def test_cyclic_projective_one_element_module():
     rep = cyclic_projective_check(triv)
     assert rep.ok
     assert rep.data["witnesses"]["ii"][0] == "0"  # minimal witness first
+
+
+def test_each_residual_is_computed_once_per_check(monkeypatch):
+    """Within one cyclic_projective_check, on the cyclic quotients of every
+    5th quantale of size 4, no residual y/x on one module is computed twice:
+    a cyclic point's gamma is read off the residual row its cyclicity test
+    computed."""
+    seen, held = set(), []
+    counts = {"checks": 0, "residuals": 0}
+    residual_index, check = projective._residual_index, cyclic_projective_check
+
+    def spy(ma, y, x):
+        assert (id(ma), y, x) not in seen, (ma.name, y, x)
+        seen.add((id(ma), y, x))
+        held.append(ma)  # no id is reused while it is in `seen`
+        counts["residuals"] += 1
+        return residual_index(ma, y, x)
+
+    def one_check(ma, *args):
+        seen.clear()
+        counts["checks"] += 1
+        return check(ma, *args)
+
+    monkeypatch.setattr(projective, "_residual_index", spy)
+    monkeypatch.setattr(search, "cyclic_projective_check", one_check)
+    for desc in quantale_descriptions(4)[::5]:
+        suite_projective(desc)
+    assert counts == {"checks": 681, "residuals": 5711}
+
+
+@pytest.mark.parametrize("planted", ["wrong value", "no residual"])
+def test_a_wrong_residual_at_a_cyclic_point_raises(monkeypatch, a3_self,
+                                                   planted):
+    """A residual that breaks (x/u)*u = x on the full orbit of the unit is
+    caught by both cyclicity routes: 2/1 read as 0, or as missing."""
+    residual_index = projective._residual_index
+
+    def planted_at_the_unit(ma, y, x):
+        if ma is a3_self and (y, x) == (2, 1):
+            if planted == "no residual":
+                raise NoResidual("planted", witness=(y, x))
+            return 0, [0]
+        return residual_index(ma, y, x)
+
+    monkeypatch.setattr(projective, "_residual_index", planted_at_the_unit)
+    with pytest.raises(ArithmeticError, match="disagree at u='1'"):
+        cyclic_check(a3_self, "1")
+    with pytest.raises(ArithmeticError, match="disagree at u='1'"):
+        cyclic_projective_check(a3_self)
+    assert cyclic_check(a3_self, "2") == (False, "1")  # off the orbit
 
 
 def test_exhaustive_lifting_confirms_projectivity(a3_sub2):

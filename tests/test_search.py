@@ -17,6 +17,7 @@ from oracles import (
     brute_labeled_posets,
     brute_quantale_descriptions,
     scan_consequences,
+    unit_row_commutative_mults,
 )
 from squanta.aqm import make_quantale
 from squanta.nucleus import enumerate_consequences
@@ -220,6 +221,48 @@ def test_commutative_mults_keep_what_check_aqm_accepts():
         candidates += len(tables)
         kept += len(want)
     assert (candidates, kept) == (4685, 711)
+
+
+def test_commutative_mults_match_the_unit_row_search():
+    """The preset zero and the per-row distributivity cut keep exactly the
+    tables, in order, of the search over every cell off the unit's row
+    filtered on complete tables: on every quantale of size <= 4 and on
+    every 50th description of size <= 5."""
+    descs = quantale_descriptions(4) + quantale_descriptions(5)[::50]
+    kept = 0
+    for desc in descs:
+        q = make_quantale(desc)
+        got = [(a.one, tuple(a.mult_table())) for a in _commutative_mults(q)]
+        assert got == unit_row_commutative_mults(q)
+        kept += len(got)
+    assert (len(descs), kept) == (332, 1366)
+
+
+def test_preset_zero_keeps_the_tables_with_that_zero_row():
+    """_commutative_tables with a zero gives, in order, the tables without
+    one whose zero row is all zero: for every labeled order on at most 3
+    points, every unit and every other zero, which need not be the bottom;
+    then only the preset cells' own monotonicity test keeps tables such as
+    1*0 = 1 > 0 = 2*0 on the chain 0 < 1 < 2 (unit 2, zero 1) out. A zero
+    that is the unit clashes with the unit's row unless n = 1."""
+    runs = kept = 0
+    for n in range(1, 4):
+        for up in _labeled_posets(n):
+            leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
+            for unit in range(n):
+                every = list(search._commutative_tables(n, leq, unit))
+                assert list(search._commutative_tables(
+                    n, leq, unit, zero=unit)) == ([] if n > 1 else [(0,)])
+                for zero in set(range(n)) - {unit}:
+                    got = list(search._commutative_tables(n, leq, unit,
+                                                          zero=zero))
+                    assert got == [t for t in every if all(
+                        t[zero * n + x] == zero for x in range(n))]
+                    runs += 1
+                    kept += len(got)
+    assert (runs, kept) == (120, 144)
+    chain3 = [[int(a <= b) for b in range(3)] for a in range(3)]
+    assert list(search._commutative_tables(3, chain3, 2, zero=1)) == []
 
 
 def test_consequences_match_scans(small_quantales):
