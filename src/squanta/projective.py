@@ -113,7 +113,7 @@ def _cyclic_row(ma, u):
 
 
 def _gamma_index(ma, u, divided):
-    """a -> (a * u)/u on positions, from u's residual row (None: None)."""
+    """a -> (a * u)/u on positions from u's residual row; None without one."""
     return divided and [divided[z] for z in ma.star_table()[u::len(divided)]]
 
 
