@@ -33,6 +33,7 @@ from .order import (
     ByteTable,
     Pomonoid,
     flat_from_triples,
+    join_positions,
     pomonoid_from_flat,
     poset_from_rows,
     restrict_pomonoid,
@@ -117,9 +118,7 @@ class FinGenQuantale(Derives):
         self.elements = els = poset.elements
         up = poset.up_rows
         n = len(els)
-        # the join of x and y is the element whose up-set is up[x] & up[y]
-        by_up = {row: i for i, row in enumerate(up)}
-        join = [by_up.get(up[x] & up[y]) for x in range(n) for y in range(n)]
+        join = join_positions(up)
         if None in join:
             x, y = divmod(join.index(None), n)
             raise LawViolated("join-exists", witness=(els[x], els[y]))
@@ -133,8 +132,8 @@ class FinGenQuantale(Derives):
             if bad:
                 (y, z), law = divmod(bad[0][0], n), bad[0][1]
                 raise LawViolated(law, witness=(els[x], els[y], els[z]))
-        bottom = by_up.get((1 << n) - 1)
-        self.bottom = None if bottom is None else els[bottom]
+        full = (1 << n) - 1  # the bottom's up-set
+        self.bottom = els[up.index(full)] if full in up else None
         self.complete = self.bottom is not None
 
     @property
@@ -165,16 +164,6 @@ class FinGenQuantale(Derives):
         if not self.complete:
             raise LawViolated("empty-join", witness=())
         return self.pomonoid.poset.index[self.bottom]
-
-    def restrict(self, positions, plus_of, zero, name=""):
-        """The quantale on the elements at the ascending `positions`, ordered
-        as here, whose sum of the elements at positions i and j is the
-        element at position plus_of(i, j) and whose zero is at position
-        `zero` (positions here). A sum or zero outside the positions raises
-        UnknownElement (see order.restrict_pomonoid)."""
-        return FinGenQuantale(
-            restrict_pomonoid(self.pomonoid.poset, positions, plus_of, zero),
-            name)
 
     @property
     def is_cdi(self):
@@ -522,12 +511,10 @@ def exp_end(q):
                            pos[zero_map]),
         name=f"Gen({q.name})" if q.name else "Gen",
     )
-    size = len(gen)
-    mult = tuple(pos[h] for f in gen  # f after g is g's block through f
+    mult = bytes(pos[h] for f in gen  # f after g is g's block through f
                  for h in split(block.translate(f.ljust(256, b"\0"))))
     dist = restrict_pomonoid(quant.pomonoid.poset, sorted(pos[f] for f in endos),
-                             lambda i, j: mult[i * size + j], pos[bytes(pts)],
-                             "multiplicative")
+                             mult, pos[bytes(pts)], "multiplicative")
     a = AQM(dist, quant, mult, dist.unit, {e: e for e in dist.elements},
             name=f"ExpEnd({q.name})" if q.name else "ExpEnd")
     check_aqm(a)

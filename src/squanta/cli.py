@@ -50,7 +50,7 @@ from .projective import (
 )
 from .equivlogic import TranslationPair, equivalence_check, recover_translations
 from .reporting import Report
-from .search import SUITES, correspondence, quantale_descriptions
+from .search import SEARCH_MAX_SIZE, SUITES, correspondence, quantale_descriptions
 
 EXIT_OK, EXIT_VIOLATION, EXIT_INPUT = 0, 1, 2
 DEFAULT_CONFIG = {"fragment": DmFragment.k, "workers": 1}
@@ -475,6 +475,9 @@ def _search_worker(packed):
 
 def cmd_search(ws, args):
     suite = args.suite
+    if args.size > SEARCH_MAX_SIZE:
+        raise ParseError(f"--size must be at most {SEARCH_MAX_SIZE}, the "
+                         f"labeled enumeration's bound", witness=args.size)
     if suite == "leftdist" and args.size > EXP_END_MAX_SIZE:
         raise ParseError(f"--suite leftdist needs --size at most "
                          f"{EXP_END_MAX_SIZE}, the endomorphism "

@@ -14,7 +14,7 @@ from .downset import MultiBase
 from .errors import (FragmentExceeded, IllDefined, TooLarge, UnitNotEmbedding,
                      UnknownElement)
 from .multiupset import generator_embed, mleq
-from .order import ByteTable
+from .order import ByteTable, restrict_pomonoid
 from .reporting import LawScan
 
 __all__ = [
@@ -215,6 +215,29 @@ def restrict_module_to_act(ma):
 
     return ActionMap(ACT, aqm.dist, ma.space, star,
                      name=f"restrict({ma.name})" if ma.name else "restricted-act")
+
+
+def cut_module(ma, key, positions, through, names):
+    """The module on the points at the ascending `positions` of a module on
+    tables, with a * x = through[a * x] and x + y = through[x + y] for the
+    bytes `through` over the points (the identity for a submodule). The
+    space keeps the quantale under `key` (aqm.Derives); `names` are the
+    quantale's and the module's. A value outside the positions raises
+    UnknownElement, a sum or the zero as in order.restrict_pomonoid."""
+    q = ma.space
+    els, index_of = q.elements, q.pomonoid.poset.index_of
+    quant = q.derive(key, lambda: FinGenQuantale(restrict_pomonoid(
+        q.pomonoid.poset, positions, q.plus_op.after(through),
+        through[index_of(q.zero)]), names[0]))
+    table = bytes(row[x] for row in ma.star_op().rows
+                  for x in positions).translate(through.ljust(256, b"\0"))
+    local = {p: k for k, p in enumerate(positions)}
+    for z in table:
+        if z not in local:  # outside the positions: raises UnknownElement
+            quant.pomonoid.poset.index_of(els[z])
+    return ActionMap(MODULE, ma.scalars, quant,
+                     lambda a, x: els[through[index_of(ma.star(a, x))]],
+                     name=names[1], table=bytes(map(local.__getitem__, table)))
 
 
 def is_module_hom(h, src, dst):

@@ -18,7 +18,7 @@ from .errors import (
     NotStructural,
     TooLarge,
 )
-from .modact import MODULE, ActionMap, check_action, is_module_hom
+from .modact import ActionMap, check_action, cut_module, is_module_hom
 from .order import _bits
 from .reporting import LawScan, Report
 
@@ -536,18 +536,9 @@ def quotient(ma, nuc, strict=True):
         raise NotStructural("nucleus is not structural for this action",
                             witness=witness)
     image = sorted(set(g))
-    plus, n = q.plus_table, len(g)
-    quant = q.derive(("quotient", g), lambda: q.restrict(
-        image, lambda i, j: g[plus[i * n + j]], g[_index(q, q.zero)],
-        name=f"{q.name}/nucleus" if q.name else "quotient"))
-    local = {x: k for k, x in enumerate(image)}
-    parent_rows = [ax for _, ax in _star_rows(ma, ma.scalar_universe())]
-    # the action on the image, a * x = gamma(a * x), row by row
-    rows = [[local[g[ax[x]]] for x in image] for ax in parent_rows]
-    module = ActionMap(MODULE, ma.scalars, quant,
-                       lambda a, x: nuc.apply(ma.star(a, x)),
-                       table=tuple(z for row in rows for z in row),
-                       name=f"{ma.name}/nucleus" if ma.name else "quotient-module")
+    module = cut_module(ma, ("quotient", g), image, bytes(g), (
+        f"{q.name}/nucleus" if q.name else "quotient",
+        f"{ma.name}/nucleus" if ma.name else "quotient-module"))
     rep = Report(f"quotient of {ma.name or 'module'}")
     rep.merge(check_action(module, strict=strict))
 
@@ -563,8 +554,8 @@ def quotient(ma, nuc, strict=True):
     cid = convert(nuc, "congruence").reps
     fwd = [cid[x] for x in image]
     iso_ok = q.derive(("kernel-iso", g, cid),
-                      lambda: _order_and_sum_iso(q, quant, fwd, cid))
-    for row, ax in zip(rows, parent_rows):
+                      lambda: _order_and_sum_iso(q, module.space, fwd, cid))
+    for row, ax in zip(module.star_op().rows, ma.star_op().rows):
         iso_ok &= all(fwd[z] == cid[ax[c]] for z, c in zip(row, fwd))
     rep.verdict("isomorphic to the congruence quotient", iso_ok)
     if strict and not rep.ok:

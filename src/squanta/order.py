@@ -27,6 +27,7 @@ __all__ = [
     "poset_from_rows",
     "pomonoid_from_flat",
     "restrict_pomonoid",
+    "join_positions",
     "flat_from_triples",
     "ByteTable",
     "antichain_ops",
@@ -301,24 +302,31 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
     )
 
 
-def restrict_pomonoid(poset, positions, op_of, unit, notation="additive"):
+def restrict_pomonoid(poset, positions, table, unit, notation="additive"):
     """The pomonoid on the elements of `poset` at the ascending `positions`,
     ordered as in `poset`, in which the product of the elements at positions
-    i and j is the element at position op_of(i, j), and whose unit is at
-    position `unit` (all positions in `poset`).
+    i and j is at table[i * n + j], bytes over the n positions of `poset`,
+    and whose unit is at position `unit`.
 
     A product, and then the unit, outside the positions raises the
     UnknownElement that the label parser raises for it."""
-    els, up = poset.elements, poset.up_rows
+    els, up, n = poset.elements, poset.up_rows, len(poset.elements)
     local = {p: k for k, p in enumerate(positions)}
     rows = [sum(1 << local[j] for j in _bits(up[p]) if j in local)
             for p in positions]
     sub = poset_from_rows(tuple(els[p] for p in positions), rows)
-    flat = [op_of(i, j) for i in positions for j in positions]
-    for k in flat + [unit]:
+    cut = [table[i * n + j] for i in positions for j in positions]
+    for k in cut + [unit]:
         if k not in local:
             sub.index_of(els[k])  # not in sub: raises UnknownElement
-    return pomonoid_from_flat(sub, [local[k] for k in flat], local[unit], notation)
+    return pomonoid_from_flat(sub, [local[k] for k in cut], local[unit], notation)
+
+
+def join_positions(up_rows):
+    """x v y at x * n + y for the order with these up-set rows (FinPoset),
+    None where there is none: the element whose up-set is up[x] & up[y]."""
+    by_up = {row: i for i, row in enumerate(up_rows)}
+    return [by_up.get(x & y) for x in up_rows for y in up_rows]
 
 
 def flat_from_triples(poset, op_triples):

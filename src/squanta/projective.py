@@ -17,7 +17,7 @@ from .errors import (
     TooLarge,
 )
 from .modact import (ACT, MODULE, POSET, ActionMap, check_action,
-                     generator_image, is_module_hom)
+                     cut_module, generator_image, is_module_hom)
 from .nucleus import nucleus, quotient
 from .reporting import Report
 
@@ -133,22 +133,11 @@ def submodule_on_orbit(ma, u, name=None):
     if not ma.on_tables:
         raise TooLarge("orbit submodules need finite scalars on a finite "
                        "quantale", witness=ma.name)
-    q = ma.space
-    poset = q.pomonoid.poset
-    n, star, plus = len(q.elements), ma.star_table(), q.plus_table
-    orbit = tuple(sorted(set(star[poset.index_of(u)::n])))
-    quant = q.derive(("orbit", orbit), lambda: q.restrict(
-        orbit, lambda i, j: plus[i * n + j], poset.index_of(q.zero),
-        name=f"{q.name or 'quantale'}|orbit"
-             f"({','.join(q.elements[p] for p in orbit)})"))
-    local = {p: k for k, p in enumerate(orbit)}
-    table = [row[x] for row in ma.star_op().rows for x in orbit]
-    for z in table:
-        if z not in local:  # outside the orbit: raises UnknownElement
-            quant.pomonoid.poset.index_of(q.elements[z])
-    sub = ActionMap(MODULE, ma.scalars, quant, ma.star,
-                    name=name or f"{ma.name}*{u}",
-                    table=tuple(map(local.__getitem__, table)))
+    q, n = ma.space, len(ma.space.elements)
+    orbit = tuple(sorted(set(ma.star_table()[q.pomonoid.poset.index_of(u)::n])))
+    labels = ",".join(q.elements[p] for p in orbit)
+    sub = cut_module(ma, ("orbit", orbit), orbit, bytes(range(n)), (
+        f"{q.name or 'quantale'}|orbit({labels})", name or f"{ma.name}*{u}"))
     check_action(sub)
     return sub
 
@@ -173,9 +162,8 @@ def gamma_u(u, ma):
     if limited:
         return None, rep
 
-    q = aqm.quant
-    table = {a: residual(ma.star(a, u), u, ma).value for a in q.elements}
-    nuc = nucleus(q, table)
+    q = aqm.quant  # gamma_u(a) is (a * u)/u, one of the residuals above
+    nuc = nucleus(q, {a: results[ma.star(a, u)].value for a in q.elements})
     try:
         qm = quotient(self_module(aqm), nuc)
     except NotStructural:

@@ -18,10 +18,11 @@ from .nucleus import (
     enumerate_nuclei,
     quotient,
 )
-from .order import row_mismatches
-from .projective import cyclic_check, cyclic_projective_check, self_module
+from .order import join_positions, poset_from_rows, row_mismatches
+from .projective import cyclic_projective_check, self_module
 
 __all__ = [
+    "SEARCH_MAX_SIZE",
     "quantale_descriptions",
     "correspondence",
     "suite_correspond",
@@ -157,18 +158,14 @@ def _lattice_tables(n):
     Relabeling keeps every law, so these are all the tables of the copy.
     Two tables first differ on a cell (x, y), x <= y, off the unit's row,
     so sorting puts them in the order _commutative_tables emits them."""
-    full = (1 << n) - 1
+    full = (1 << n) - 1  # the bottom's up-set
     found = {}  # up-rows of a later copy -> (its class's tables, s)
     for up in _labeled_posets(n):
-        by_up = {m: i for i, m in enumerate(up)}
-        if full not in by_up:
+        if full not in up or None in (join := join_positions(up)):
             continue
-        join = [by_up.get(up[a] & up[b]) for a in range(n) for b in range(n)]
-        if None in join:
-            continue
-        zero = by_up[full]
+        zero = up.index(full)
         if up not in found:
-            leq = [[up[a] >> b & 1 for b in range(n)] for a in range(n)]
+            leq = poset_from_rows(tuple(range(n)), up).leq_table.rows
             tables = list(_commutative_tables(n, leq, zero, [join]))
             for s in permutations(range(n)):
                 key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
@@ -308,11 +305,12 @@ def suite_projective(desc):
                 qm = quotient(selfm, nuc)
             except NotStructural:
                 continue
-            gen = nuc.apply(aqm.one)
-            if not cyclic_check(qm.module, gen)[0]:
-                raise ArithmeticError(
-                    "self-module quotient must be cyclic at the unit image"
-                )
+            # the unit image generates: its orbit holds every point
+            points = qm.module.space.pomonoid.poset
+            gen, n = points.index_of(nuc.apply(aqm.one)), len(points.elements)
+            if len(set(qm.module.star_table()[gen::n])) != n:
+                raise ArithmeticError("self-module quotient must be cyclic "
+                                      "at the unit image")
             n_quotients += 1
             rep = cyclic_projective_check(qm.module)
             if not any(rep.data["conditions"].values()):
@@ -335,6 +333,7 @@ def suite_projective(desc):
     }
 
 
+SEARCH_MAX_SIZE = 6  # `search --size`'s bound: 318,487 descriptions at 6
 SUITES = {
     "correspond": suite_correspond,
     "leftdist": suite_leftdist,

@@ -3,6 +3,7 @@ exits 0, 1 or 2 and never through a traceback."""
 
 import copy
 import json
+from itertools import product
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from squanta import cli
 from squanta.aqm import EXP_END_MAX_SIZE
-from squanta.cli import EXIT_INPUT, _builtin_prelude, main
+from squanta.cli import EXIT_INPUT, EXIT_OK, _builtin_prelude, main
+from squanta.search import SEARCH_MAX_SIZE, SUITES
 
 N2 = {
     "poset": {"elements": ["0", "1", "2"],
@@ -190,6 +192,26 @@ def test_leftdist_search_above_the_exp_end_bound_is_an_input_error(
         f"input error: --suite leftdist needs --size at most "
         f"{EXP_END_MAX_SIZE}, the endomorphism construction's bound "
         f"[witness: {size}]\n")
+
+
+def test_search_above_the_size_bound_is_an_input_error(capsys, monkeypatch):
+    """`search --size` past SEARCH_MAX_SIZE exits 2 before it enumerates
+    anything, whatever the suite; at the bound it enumerates."""
+    def enumerate_nothing(size):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr(cli, "quantale_descriptions", enumerate_nothing)
+    for size, suite in product((SEARCH_MAX_SIZE + 1, 10 ** 9), SUITES):
+        code = main(["search", "--size", str(size), "--suite", suite])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.endswith(
+            f"input error: --size must be at most {SEARCH_MAX_SIZE}, the "
+            f"labeled enumeration's bound [witness: {size}]\n")
+    sizes = []
+    monkeypatch.setattr(cli, "quantale_descriptions",
+                        lambda size: sizes.append(size) or [])
+    assert main(["search", "--size", str(SEARCH_MAX_SIZE)]) == EXIT_OK
+    assert sizes == [SEARCH_MAX_SIZE]
 
 
 BUILTINS = sorted(_builtin_prelude())

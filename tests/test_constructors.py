@@ -11,7 +11,8 @@ import pytest
 
 from oracles import brute_structural_over
 from squanta import fixtures as fx, order, projective
-from squanta.aqm import check_aqm, exp_end, make_quantale, table_aqm
+from squanta.aqm import (FinGenQuantale, check_aqm, exp_end, make_quantale,
+                         table_aqm)
 from squanta.errors import LawViolated, NotStructural, SquantaError
 from squanta.modact import (
     ACT,
@@ -166,8 +167,8 @@ def test_restrict_outside_the_positions():
     plus = q.plus_table
     for positions, zero in (([0, 1], 0), ([1, 2], 0), ([0, 2], 0)):
         els = [q.elements[i] for i in positions]
-        by_table = _outcome(lambda: q.restrict(
-            positions, lambda i, j: plus[i * 3 + j], zero))
+        by_table = _outcome(lambda: FinGenQuantale(restrict_pomonoid(
+            q.pomonoid.poset, positions, plus, zero)))
         by_labels = _outcome(lambda: _label_quantale(
             els, q.leq, q.plus, q.elements[zero]))
         assert by_table[:1] == by_labels[:1]
@@ -176,7 +177,7 @@ def test_restrict_outside_the_positions():
         else:
             assert by_table == by_labels
     assert _outcome(lambda: restrict_pomonoid(
-        q.pomonoid.poset, [0, 1], lambda i, j: plus[i * 3 + j], 0)) == \
+        q.pomonoid.poset, [0, 1], plus, 0)) == \
         ("UnknownElement", "element '2' not in poset [witness: '2']", "2")
 
 

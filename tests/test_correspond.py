@@ -8,7 +8,6 @@ from squanta import search
 from squanta.cli import EXIT_VIOLATION, main
 from squanta.nucleus import (
     KINDS,
-    AddConsequence,
     convert,
     enumerate_congruences,
     enumerate_consequences,
@@ -32,19 +31,19 @@ def test_each_presentation_converted_once_per_kind(monkeypatch):
         assert len(calls) <= 3 * sum(result["counts"])
 
 
-def _comparable_pair():
-    """Two distinct nuclei g <= h of N2, with their consequence relations."""
+def _comparable_pair(kind="consequence"):
+    """The presentations of one kind of two distinct nuclei g <= h of N2."""
     q = fx.n2_quantale()
     g, h = next((g, h) for g in enumerate_nuclei(q) for h in enumerate_nuclei(q)
                 if g != h and presentation_leq(g, h))
-    return convert(g, "consequence"), convert(h, "consequence")
+    return convert(g, kind), convert(h, kind)
 
 
-def _trade_consequences(monkeypatch, trade):
-    """Patch search.convert to replace the consequence relations with rows
-    in `trade` by the mapped ones, on the way in and on the way out."""
+def _trade(monkeypatch, trade):
+    """Patch search.convert to replace each presentation a of the (a, b)
+    pairs in `trade` by b, on the way in and on the way out."""
     def swap(p):
-        return trade.get(p.rows, p) if isinstance(p, AddConsequence) else p
+        return next((b for a, b in trade if a == p), p)
 
     monkeypatch.setattr(search, "convert",
                         lambda p, target: swap(convert(swap(p), target)))
@@ -52,7 +51,7 @@ def _trade_consequences(monkeypatch, trade):
 
 def test_broken_round_trip_fails(monkeypatch):
     c, d = _comparable_pair()
-    _trade_consequences(monkeypatch, {c.rows: d})  # c no longer has a preimage
+    _trade(monkeypatch, [(c, d)])  # c no longer has a preimage
     result = suite_correspond(fx.n2())
     assert result["counts"] == (3, 3, 3)
     assert not result["round_trips"]
@@ -63,7 +62,19 @@ def test_bijection_that_reverses_the_order_fails(monkeypatch):
     # trading the images of g <= h keeps every round trip, but sends g to
     # a relation that is not contained in the image of h
     c, d = _comparable_pair()
-    _trade_consequences(monkeypatch, {c.rows: d, d.rows: c})
+    _trade(monkeypatch, [(c, d), (d, c)])
+    result = suite_correspond(fx.n2())
+    assert result["counts_agree"] and result["round_trips"]
+    assert not result["order_preserving"]
+    assert not result["ok"]
+
+
+def test_trading_both_images_fails_on_the_nuclei_order(monkeypatch):
+    # trading the consequence and the congruence images of g <= h together
+    # keeps every round trip, and those two orders agree with each other:
+    # only the nuclei's order shows that the images were permuted
+    (c, d), (r, s) = map(_comparable_pair, ("consequence", "congruence"))
+    _trade(monkeypatch, [(c, d), (d, c), (r, s), (s, r)])
     result = suite_correspond(fx.n2())
     assert result["counts_agree"] and result["round_trips"]
     assert not result["order_preserving"]
@@ -72,7 +83,7 @@ def test_bijection_that_reverses_the_order_fails(monkeypatch):
 
 def test_correspond_command_fails_on_the_reversed_order(monkeypatch, capsys):
     c, d = _comparable_pair()
-    _trade_consequences(monkeypatch, {c.rows: d, d.rows: c})
+    _trade(monkeypatch, [(c, d), (d, c)])
     assert main(["correspond", "N2"]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "round-trips: PASS" in out

@@ -81,6 +81,20 @@ def test_tables_are_compiled_where_they_are_held():
     assert found <= TABLE_COMPILERS, found - TABLE_COMPILERS
 
 
+def test_restrictions_take_tables():
+    # a derived structure is cut from the tables its parent holds, never
+    # through a callable evaluated once per cell
+    found = [(path.name, node.lineno)
+             for path in _sources() + sorted((ROOT / "tests").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("restrict", "restrict_pomonoid")
+             and any(isinstance(arg, ast.Lambda) for arg in
+                     node.args + [k.value for k in node.keywords])]
+    assert found == []
+
+
 def test_down_rows_are_read_from_the_poset():
     names = {getattr(node, attr, None) for path in _sources()
              for node in ast.walk(ast.parse(path.read_text(), str(path)))

@@ -139,13 +139,13 @@ def test_cyclic_projective_one_element_module():
     assert rep.data["witnesses"]["ii"][0] == "0"  # minimal witness first
 
 
-def test_each_residual_is_computed_once_per_check(monkeypatch):
-    """Within one cyclic_projective_check, on the cyclic quotients of every
-    5th quantale of size 4, no residual y/x on one module is computed twice:
-    a cyclic point's gamma is read off the residual row its cyclicity test
-    computed."""
+def test_each_residual_is_computed_once_per_job(monkeypatch):
+    """Within one suite_projective job, on every 5th quantale of size 4, no
+    residual y/x on one module is computed twice: the suite checks the unit
+    image's cyclicity by its orbit alone, and a cyclic point's gamma is read
+    off the residual row its cyclicity test computed."""
     seen, held = set(), []
-    counts = {"checks": 0, "residuals": 0}
+    counts = {"jobs": 0, "checks": 0, "residuals": 0}
     residual_index, check = projective._residual_index, cyclic_projective_check
 
     def spy(ma, y, x):
@@ -155,16 +155,17 @@ def test_each_residual_is_computed_once_per_check(monkeypatch):
         counts["residuals"] += 1
         return residual_index(ma, y, x)
 
-    def one_check(ma, *args):
-        seen.clear()
+    def counted_check(ma, *args):
         counts["checks"] += 1
         return check(ma, *args)
 
     monkeypatch.setattr(projective, "_residual_index", spy)
-    monkeypatch.setattr(search, "cyclic_projective_check", one_check)
+    monkeypatch.setattr(search, "cyclic_projective_check", counted_check)
     for desc in quantale_descriptions(4)[::5]:
+        seen.clear()
+        counts["jobs"] += 1
         suite_projective(desc)
-    assert counts == {"checks": 681, "residuals": 5711}
+    assert counts == {"jobs": 42, "checks": 681, "residuals": 4013}
 
 
 @pytest.mark.parametrize("planted", ["wrong value", "no residual"])
