@@ -68,6 +68,8 @@ def _assert_same_quantale(a, b):
 
 def _assert_same_module(a, b):
     assert a.star_table() == b.star_table()
+    cells = [(s, x) for s in a.scalar_universe() for x in a.space.elements]
+    assert [a.star(*c) for c in cells] == [b.star(*c) for c in cells]
     ra, rb = check_action(a, strict=False), check_action(b, strict=False)
     assert (ra.lines, ra.data) == (rb.lines, rb.data)
 

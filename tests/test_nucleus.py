@@ -231,6 +231,7 @@ def test_transfer_theorem_instances(n2q, a3_self):
 def test_quotient_examples(n2q, a3_self):
     g022 = nucleus(n2q, {"0": "0", "1": "2", "2": "2"})
     qm = quotient(a3_self, g022)
+    assert qm.parent is a3_self and qm.nucleus is g022
     assert qm.module.space.elements == ("0", "2")
     assert qm.module.space.plus("2", "2") == "2"
     assert qm.module.star("2", "2") == "2"
