@@ -315,11 +315,11 @@ def restrict_pomonoid(poset, positions, table, unit, notation="additive"):
     rows = [sum(1 << local[j] for j in _bits(up[p]) if j in local)
             for p in positions]
     sub = poset_from_rows(tuple(els[p] for p in positions), rows)
-    cut = [table[i * n + j] for i in positions for j in positions]
-    for k in cut + [unit]:
+    flat = [table[i * n + j] for i in positions for j in positions]
+    for k in flat + [unit]:
         if k not in local:
             sub.index_of(els[k])  # not in sub: raises UnknownElement
-    return pomonoid_from_flat(sub, [local[k] for k in cut], local[unit], notation)
+    return pomonoid_from_flat(sub, [local[k] for k in flat], local[unit], notation)
 
 
 def join_positions(up_rows):
