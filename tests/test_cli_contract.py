@@ -3,8 +3,8 @@ exits 0, 1 or 2 and never through a traceback."""
 
 import copy
 import json
-from itertools import product
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
