@@ -72,6 +72,17 @@ class ActionMap:
     def star_table(self):  # the bytes of star_op
         return self.star_op().flat
 
+    def column(self, u):
+        """a * x for every scalar a, as bytes: the positions of the products
+        of the point x at position u, in scalar order (see star_op)."""
+        return self.star_table()[u::len(self.space.elements)]
+
+    def require_tables(self):
+        """Raise TooLarge unless the action is on tables (on_tables)."""
+        if not self.on_tables:
+            raise TooLarge("the action needs finite scalars on a finite "
+                           "quantale", witness=self.name)
+
     def scalar_universe(self):
         if self.level == MODULE:
             if self.scalars.is_finite:
@@ -246,9 +257,8 @@ def is_module_hom(h, src, dst):
     TooLarge for any other action. Modules over different scalar carriers,
     a map with a value outside the dst carrier and an action that leaves its
     own carrier give False: there is no homomorphism."""
-    if not (src.on_tables and dst.on_tables):
-        raise TooLarge("module homomorphisms need finite scalars on finite "
-                       "quantales", witness=(src.name, dst.name))
+    src.require_tables()
+    dst.require_tables()
     if src.scalars.quant.elements != dst.scalars.quant.elements:
         return False
     p, r = src.space, dst.space
@@ -274,8 +284,7 @@ def generator_image(src, u, dst, w):
     in dst of each point's image, as bytes. None when it is not well
     defined or a point of src is not a * u for any scalar a."""
     n = len(src.space.elements)
-    pairs = set(zip(src.star_table()[u::n],
-                    dst.star_table()[w::len(dst.space.elements)]))
+    pairs = set(zip(src.column(u), dst.column(w)))
     h = dict(pairs)
     return bytes(map(h.get, range(n))) if len(h) == len(pairs) == n else None
 
@@ -284,9 +293,8 @@ def hom_from_generator_image(p_mod, u, q_mod, w):
     """The module homomorphism a * u -> a * w (generator_image, on labels).
     IllDefined gives the first scalars (b, a) with b * u = a * u, b * w !=
     a * w, or the first point not a * u, or the map if it is no hom."""
-    if not (p_mod.on_tables and q_mod.on_tables):
-        raise TooLarge("module homomorphisms need finite scalars on finite "
-                       "quantales", witness=(p_mod.name, q_mod.name))
+    p_mod.require_tables()
+    q_mod.require_tables()
     p, q, scalars = p_mod.space, q_mod.space, p_mod.scalars.quant.elements
     if scalars != q_mod.scalars.quant.elements:
         raise IllDefined("modules over different scalar carriers",
@@ -294,8 +302,7 @@ def hom_from_generator_image(p_mod, u, q_mod, w):
     ui, wi = p.pomonoid.poset.index_of(u), q.pomonoid.poset.index_of(w)
     h = generator_image(p_mod, ui, q_mod, wi)
     if h is None:
-        times_u = p_mod.star_table()[ui::len(p.elements)]
-        times_w = q_mod.star_table()[wi::len(q.elements)]
+        times_u, times_w = p_mod.column(ui), q_mod.column(wi)
         for a, x in enumerate(times_u):
             b = times_u.index(x)
             if times_w[b] != times_w[a]:

@@ -3,8 +3,9 @@ finite generalized quantale, with the pairwise conversions between them,
 structurality checks over a module action, and quotient modules.
 
 Each presentation is held on the element positions of its space (see the
-classes); the constructors `nucleus`, `consequence` and `congruence` parse
-labels, and every scan here runs on positions."""
+classes), and gives its cells as `rows`, one successor bitmask per element;
+the constructors `nucleus`, `consequence` and `congruence` parse labels, and
+every scan here runs on positions."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -16,7 +17,6 @@ from .errors import (
     NoProgress,
     NotDistributivelyGenerated,
     NotStructural,
-    TooLarge,
 )
 from .modact import ActionMap, check_action, cut_module, is_module_hom
 from .order import _bits
@@ -47,6 +47,11 @@ class Nucleus:
 
     space: FinGenQuantale
     values: tuple
+
+    @property
+    def rows(self):  # bit y of rows[x] is set when y <= gamma(x)
+        down = self.space.pomonoid.poset.down_rows
+        return tuple(down[v] for v in self.values)
 
     @property
     def table(self):  # ((x, gamma(x)), ...) in element order
@@ -96,9 +101,16 @@ class QuantCongruence:
     reps: tuple
 
     @property
+    def rows(self):  # bit y of rows[x] is set when x ~ y: the class masks
+        masks = [0] * len(self.reps)
+        for y, r in enumerate(self.reps):
+            masks[r] |= 1 << y
+        return tuple(masks[r] for r in self.reps)
+
+    @property
     def classes(self):  # sorted tuple of sorted tuples
-        els, masks = self.space.elements, _class_masks(self)
-        return tuple(tuple(els[y] for y in _bits(masks[r]))
+        els, rows = self.space.elements, self.rows
+        return tuple(tuple(els[y] for y in _bits(rows[r]))
                      for r in sorted(set(self.reps)))
 
     def related(self, x, y):
@@ -110,14 +122,6 @@ class QuantCongruence:
 
 def _index(space, x):
     return space.pomonoid.poset.index_of(x)
-
-
-def _class_masks(c):
-    """For each position, the bitmask of the positions in its class."""
-    masks = [0] * len(c.reps)
-    for y, r in enumerate(c.reps):
-        masks[r] |= 1 << y
-    return [masks[r] for r in c.reps]
 
 
 def _joins(q, masks):
@@ -276,27 +280,22 @@ KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
 
 def convert(p, target):
-    """Convert between the three presentations along the canonical maps."""
+    """Convert between the three presentations along the canonical maps:
+    gamma(x) is the join of the successors or of the class of x, x |- y
+    when y <= gamma(x), and x ~ y when gamma(x) = gamma(y). A congruence's
+    classes are convex and closed under joins, so x v y ~ x exactly when
+    y <= gamma(x)."""
     q = p.space
-    n = len(q.elements)
     if isinstance(p, KINDS[target]):
         return p
-    if isinstance(p, Nucleus):
-        if target == "consequence":  # x |- y when y <= gamma(x)
-            down = q.pomonoid.poset.down_rows
-            return AddConsequence(q, tuple(down[v] for v in p.values))
-        first = {}  # the kernel: x ~ y when gamma(x) = gamma(y)
-        return QuantCongruence(q, tuple(first.setdefault(v, x)
-                                        for x, v in enumerate(p.values)))
-    if isinstance(p, AddConsequence):
+    if not isinstance(p, Nucleus):
         g = Nucleus(q, tuple(_joins(q, p.rows)))
         return g if target == "nucleus" else convert(g, target)
-    if target == "nucleus":  # gamma(x) is the join of the class of x
-        return Nucleus(q, tuple(_joins(q, _class_masks(p))))
-    cid, join = p.reps, q.join_table  # x |- y when x v y ~ x
-    return AddConsequence(q, tuple(
-        sum(1 << y for y in range(n) if cid[join[x * n + y]] == cid[x])
-        for x in range(n)))
+    if target == "consequence":
+        return AddConsequence(q, p.rows)
+    first = {}
+    return QuantCongruence(q, tuple(first.setdefault(v, x)
+                                    for x, v in enumerate(p.values)))
 
 
 def _star_rows(am, scalars):
@@ -326,7 +325,7 @@ def _structural_over(p, am, scalars):
                     return False, (a, els[x])
         return True, None
     # x R y implies a * x R a * y, R the relation or the congruence
-    rel = p.rows if isinstance(p, AddConsequence) else _class_masks(p)
+    rel = p.rows
     for a, ax in _star_rows(am, scalars):
         for x, row in enumerate(rel):
             for y in _bits(row):
@@ -342,10 +341,14 @@ def structural_check(p, am, scope="all"):
     the module's AQM to be distributively generated; scope="all" quantifies
     over the (fragment-bounded, when applicable) full scalar universe. The
     report also cross-validates that the two scopes agree, and that
-    structurality transfers across all conversions.
+    structurality transfers across all conversions. A presentation on
+    another space than the module's raises BaseMismatch before any scan.
     """
-    validate_presentation(p)
     kind = KIND_OF[type(p)]
+    if p.space != am.space:
+        raise BaseMismatch(f"{kind} is not on the module's space",
+                           witness=(p.space, am.space))
+    validate_presentation(p)
     rep = Report(f"structural {kind} / {am.name or 'module'}")
     aqm = am.scalars
     if scope == "generators" and aqm.is_finite:
@@ -523,9 +526,7 @@ def quotient(ma, nuc, strict=True):
     half of the isomorphism check depend on the space and the nucleus alone,
     so the space keeps them (see aqm.Derives); the rest is checked for each
     module."""
-    if not ma.on_tables:
-        raise TooLarge("quotients need finite scalars on a finite quantale",
-                       witness=ma.name)
+    ma.require_tables()
     q, g = ma.space, nuc.values
     if nuc.space != q:
         raise BaseMismatch("nucleus is not on the module's space",

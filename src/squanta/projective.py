@@ -68,12 +68,12 @@ def residual(y, x, ma):
 
 def _residual_index(ma, y, x):
     """y/x over element positions on a module on tables (see
-    ActionMap.star_table): the position of the residual among the scalars
+    ActionMap.column): the position of the residual among the scalars
     and the positions of the scalars b with b * x <= y. Raises NoResidual
     as `residual` does."""
     q, pels = ma.scalars.quant, ma.space.elements
     up = ma.space.pomonoid.poset.up_rows
-    below = [up[z] >> y & 1 for z in ma.star_table()[x::len(pels)]]
+    below = [up[z] >> y & 1 for z in ma.column(x)]
     certificate = [b for b, ok in enumerate(below) if ok]
     if not certificate:
         raise NoResidual("no scalar sends x below y", witness=(pels[y], pels[x]))
@@ -102,7 +102,7 @@ def _cyclic_row(ma, u):
     """(the points off the scalar orbit of the point at position u, its
     residual row when there are none) for a module on tables."""
     pels, n = ma.space.elements, len(ma.space.elements)
-    times_u = ma.star_table()[u::n]  # a * u for every scalar a
+    times_u = ma.column(u)
     missing = [pels[x] for x in range(n) if x not in times_u]
     divided = None if missing else _residual_row(ma, u, n)
     # (x/u)*u = x on a full orbit; no (x/u)*u is a point off the orbit
@@ -114,7 +114,7 @@ def _cyclic_row(ma, u):
 
 def _gamma_index(ma, u, divided):
     """a -> (a * u)/u on positions from u's residual row; None without one."""
-    return divided and [divided[z] for z in ma.star_table()[u::len(divided)]]
+    return divided and [divided[z] for z in ma.column(u)]
 
 
 def self_module(aqm, name=None):
@@ -130,11 +130,9 @@ def submodule_on_orbit(ma, u, name=None):
     closed under + or the action, or that misses the zero, raises
     UnknownElement. The quantale on the orbit depends on the space and the
     orbit alone, so the space keeps it (see aqm.Derives)."""
-    if not ma.on_tables:
-        raise TooLarge("orbit submodules need finite scalars on a finite "
-                       "quantale", witness=ma.name)
+    ma.require_tables()
     q, n = ma.space, len(ma.space.elements)
-    orbit = tuple(sorted(set(ma.star_table()[q.pomonoid.poset.index_of(u)::n])))
+    orbit = tuple(sorted(set(ma.column(q.pomonoid.poset.index_of(u)))))
     labels = ",".join(q.elements[p] for p in orbit)
     sub = cut_module(ma, ("orbit", orbit), orbit, bytes(range(n)), (
         f"{q.name or 'quantale'}|orbit({labels})", name or f"{ma.name}*{u}"))
@@ -219,18 +217,16 @@ def cyclic_projective_check(ma, lifting_family=None):
     directly only when a lifting family is supplied, and a family can only
     refute it: when every lift exists but (ii) fails, the report notes (i)
     as inconclusive."""
+    ma.require_tables()
     aqm = ma.scalars
-    if not aqm.is_finite:
-        raise TooLarge("characterization check needs finite scalars")
     q = aqm.quant
     rep = Report(f"cyclic-projective {ma.name or 'module'}")
     selfm = self_module(aqm)  # a view on aqm.mult_op: nothing is compiled
     els, pels = q.elements, ma.space.elements
     m, n = len(els), len(pels)
-    mult, star = aqm.mult_op.rows, ma.star_table()
     one = q.pomonoid.poset.index_of(aqm.one)
 
-    idempotents = [u for u in range(m) if mult[u][u] == u]
+    idempotents = [u for u in range(m) if selfm.column(u)[u] == u]
     # cyclic points -> their residual rows, and (v, its position, gamma_v)
     gens = {w: row for w in range(n) if (row := _cyclic_row(ma, w)[1])}
     gammas = [(pels[vi], vi, _gamma_index(ma, vi, gens[vi])) for vi in gens]
@@ -252,16 +248,16 @@ def cyclic_projective_check(ma, lifting_family=None):
                     dict(zip(pels, map(els.__getitem__, h))), ma, selfm):
                 w2.append(els[u])
                 break
-        times_u = [row[u] for row in mult]  # a * u for every scalar a
+        times_u = selfm.column(u)
         for v, vi, gv in gammas:
             if u in idempotents and gu == gv:
                 w3.append((els[u], v))
             # (iv) and (v) share (a/v) * u = a * u for every scalar a:
             # gamma_v(a) is (a * v)/v
-            if [mult[g][u] for g in gv] == times_u:
+            if bytes(times_u[g] for g in gv) == times_u:
                 if gv[u] == gv[one]:
                     w4.append((els[u], v))
-                if star[u * n + vi] == vi:
+                if ma.column(vi)[u] == vi:
                     w5.append((els[u], v))
 
     conds = {"ii": sorted(set(w2)), "iii": sorted(set(w3)),

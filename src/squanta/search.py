@@ -7,17 +7,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 from .aqm import exp_end, make_quantale, table_aqm
 from .errors import NotStructural
-from .nucleus import (
-    KINDS,
-    AddConsequence,
-    Nucleus,
-    _class_masks,
-    convert,
-    enumerate_congruences,
-    enumerate_consequences,
-    enumerate_nuclei,
-    quotient,
-)
+from .nucleus import (KINDS, convert, enumerate_congruences,
+                      enumerate_consequences, enumerate_nuclei, quotient)
 from .order import join_positions, poset_from_rows, row_mismatches
 from .projective import cyclic_projective_check, self_module
 
@@ -206,19 +197,11 @@ def quantale_descriptions(size):
 def _order_rows(ps):
     """Row i is the bitmask of the j with ps[i] <= ps[j], for presentations
     of one kind on one space. Each is read as a set of cells (x, y), held as
-    one mask with bit x*n + y: y <= gamma(x) for a nucleus, x |- y for a
-    consequence relation, x ~ y for a congruence. The pointwise order,
-    inclusion and refinement are each the inclusion of these sets."""
-    down = ps[0].space.pomonoid.poset.down_rows
-    masks = []
-    for p in ps:
-        if isinstance(p, Nucleus):
-            rows = [down[v] for v in p.values]
-        elif isinstance(p, AddConsequence):
-            rows = p.rows
-        else:
-            rows = _class_masks(p)
-        masks.append(sum(row << x * len(rows) for x, row in enumerate(rows)))
+    one mask with bit x*n + y of its `rows`: y <= gamma(x) for a nucleus,
+    x |- y for a consequence relation, x ~ y for a congruence. The pointwise
+    order, inclusion and refinement are each the inclusion of these sets."""
+    n = len(ps[0].space.elements)
+    masks = [sum(row << x * n for x, row in enumerate(p.rows)) for p in ps]
     return tuple(sum(1 << j for j, r in enumerate(masks) if not m & ~r)
                  for m in masks)
 
@@ -308,7 +291,7 @@ def suite_projective(desc):
             # the unit image generates: its orbit holds every point
             points = qm.module.space.pomonoid.poset
             gen, n = points.index_of(nuc.apply(aqm.one)), len(points.elements)
-            if len(set(qm.module.star_table()[gen::n])) != n:
+            if len(set(qm.module.column(gen))) != n:
                 raise ArithmeticError("self-module quotient must be cyclic "
                                       "at the unit image")
             n_quotients += 1

@@ -3,7 +3,8 @@
 and `pyproject.toml` declares no dependency. Its imports sit at module
 level, where an import cycle shows, and each one is used, as is each
 module-level import of the tests. A finite table is compiled only by the
-structure that holds it."""
+structure that holds it, and a star table is read only through the action
+that holds it."""
 
 import ast
 import importlib
@@ -92,6 +93,22 @@ def test_restrictions_take_tables():
              in ("restrict", "restrict_pomonoid")
              and any(isinstance(arg, ast.Lambda) for arg in
                      node.args + [k.value for k in node.keywords])]
+    assert found == []
+
+
+def test_star_tables_are_read_through_the_action():
+    # the layout of a star table is known to ActionMap alone: a column
+    # a * u is read through ActionMap.column
+    found = {call for path in _sources() if path.name != "modact.py"
+             for call in _calls(path, "star_table")}
+    assert found == set()
+
+
+def test_search_imports_no_private_name():
+    path = ROOT / "src" / "squanta" / "search.py"
+    found = [alias.name for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if alias.name.startswith("_")]
     assert found == []
 
 

@@ -172,3 +172,5 @@ def test_generator_scope_needs_distributive_generation():
     ident = nucleus(b3.quant, {x: x for x in b3.quant.elements})
     with pytest.raises(NotDistributivelyGenerated):
         structural_check(ident, ma, scope="generators")
+    # the full scalar scope needs no distributive generation
+    assert structural_check(ident, ma, scope="all").data["structural"]

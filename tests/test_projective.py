@@ -9,11 +9,13 @@ from squanta.aqm import make_quantale
 from squanta.errors import (BaseMismatch, LawViolated, NoResidual,
                             NotStructural, TooLarge)
 from squanta.modact import (
+    MODULE,
     ActionMap,
     extend_act_to_module,
     extend_poset_action_to_dm,
 )
-from squanta.nucleus import enumerate_nuclei, nucleus, quotient, structural_check
+from squanta.nucleus import (convert, enumerate_nuclei, nucleus, quotient,
+                             structural_check)
 from squanta.projective import (
     cyclic_check,
     cyclic_projective_check,
@@ -436,3 +438,22 @@ def test_quotient_refuses_a_nucleus_on_another_space():
     for g in others:
         with pytest.raises(BaseMismatch):
             quotient(ma, g)
+
+
+def test_structural_check_refuses_a_presentation_on_another_space():
+    # N3's nucleus on A3 (whose space is N2) and N2's on N3 once ended in a
+    # bare IndexError; each is refused before any scan, for every kind
+    for g, ma in ((enumerate_nuclei(fx.n3_quantale())[0], fx.a3_self_module()),
+                  (enumerate_nuclei(fx.n2_quantale())[0], fx.n3_self_module())):
+        for kind in ("nucleus", "consequence", "congruence"):
+            with pytest.raises(BaseMismatch) as err:
+                structural_check(convert(g, kind), ma)
+            assert err.value.witness == (g.space, ma.space)
+
+
+def test_characterization_needs_an_action_on_tables():
+    # finite scalars on a fragment space once ended in an AttributeError
+    space = extend_poset_action_to_dm(fx.m2_on_d2()).space
+    ma = ActionMap(MODULE, fx.a3(), space, lambda a, x: x)
+    with pytest.raises(TooLarge):
+        cyclic_projective_check(ma)

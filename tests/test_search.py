@@ -287,7 +287,7 @@ def test_leftdist_blocks_are_decided_by_one_comparison(monkeypatch):
                 walked.append(law)
         return row_mismatches(checks)
 
-    for module in (order, aqm, reporting, search):
+    for module in (order, reporting, search):
         monkeypatch.setattr(module, "row_mismatches", spy)
     descs = quantale_descriptions(4)
     assert len(descs) == 207
