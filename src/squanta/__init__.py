@@ -11,7 +11,6 @@ from .order import (
     FinPoset,
     MonotoneMap,
     Pomonoid,
-    antichain_ops,
     enumerate_monotone_selfmaps,
     validate_structure,
 )
@@ -27,8 +26,6 @@ from .multiupset import (
 )
 from .downset import (
     FGDownset,
-    MultiBase,
-    PomonoidBase,
     djoin,
     dleq,
     dsum,
@@ -42,9 +39,7 @@ from .aqm import (
     AQM,
     DmFragment,
     FinGenQuantale,
-    QuantaleTerm,
     check_aqm,
-    eval_term,
     exp_end,
     free_aqm,
     make_quantale,
@@ -87,7 +82,6 @@ from .equivlogic import (
     TranslationPair,
     equivalence_check,
     hom_from_generator_image,
-    induced_embedding_check,
     recover_translations,
 )
 

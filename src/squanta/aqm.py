@@ -9,28 +9,20 @@ from functools import cache, reduce
 from itertools import combinations, product
 from operator import and_
 
-from .downset import (
-    MultiBase,
-    djoin,
-    dleq,
-    dsum,
-    dzero,
-    normalize,
-    unit_embed,
-)
+from .downset import djoin, dleq, dsum, dzero, normalize, unit_embed
 from .errors import (
     FragmentExceeded,
     LawViolated,
     NotAssociative,
     NotMonotone,
     TooLarge,
-    UnboundVariable,
     UnitNotNeutral,
     UnknownElement,
 )
-from .multiupset import Multiupset, enumerate_fragment
+from .multiupset import Multiupset, enumerate_fragment, mleq
 from .order import (
     ByteTable,
+    FinPoset,
     Pomonoid,
     flat_from_triples,
     join_positions,
@@ -42,13 +34,10 @@ from .order import (
 from .reporting import LawScan
 
 __all__ = [
-    "QuantaleTerm",
-    "term",
     "FinGenQuantale",
     "make_quantale",
     "AQM",
     "table_aqm",
-    "eval_term",
     "check_aqm",
     "scan_module_laws",
     "exp_end",
@@ -58,34 +47,6 @@ __all__ = [
     "lift_to_downsets",
     "term_closure",
 ]
-
-
-@dataclass(frozen=True)
-class QuantaleTerm:
-    """Formal finite join of additive monoid terms (sums of variables)."""
-
-    joinands: frozenset  # each joinand: tuple of variable names; () is the constant 0
-
-    def __post_init__(self):
-        if not self.joinands:
-            raise LawViolated("term-nonempty", witness=self)
-
-    @property
-    def variables(self):
-        return {v for j in self.joinands for v in j}
-
-
-def term(*joinands):
-    return QuantaleTerm(frozenset(tuple(j) for j in joinands))
-
-
-def eval_term(t, env, q):
-    """Interpret a quantale term in `q` under the variable assignment `env`."""
-    missing = t.variables - set(env)
-    if missing:
-        raise UnboundVariable("unbound variables", witness=sorted(missing))
-    values = [q.fold_plus([env[v] for v in j]) for j in sorted(t.joinands)]
-    return q.join(values)
 
 
 class Derives:
@@ -529,7 +490,7 @@ class DmFragment:
     kept in caches that live as long as the fragment. A sum is kept as
     computed, and its bound is checked on every call."""
 
-    base: MultiBase
+    base: FinPoset
     k: int = 4
 
     def __post_init__(self):
@@ -563,12 +524,12 @@ class DmFragment:
 
     def enumerate(self, bounds):  # bounds as from scan_bounds
         k, width = bounds
-        mus = enumerate_fragment(self.base.poset, k)
+        mus = enumerate_fragment(self.base, k)
         out = []
         for size in range(1, width + 1):
             for combo in combinations(mus, size):
                 ok = all(
-                    not (self.base.leq(a, b) or self.base.leq(b, a))
+                    not (mleq(a, b) or mleq(b, a))
                     for a, b in combinations(combo, 2)
                 )
                 if ok:
@@ -577,15 +538,15 @@ class DmFragment:
 
 
 def lift_to_downsets(base, act):
-    """The action act(a, x) of scalars on the points of a MultiBase's poset,
-    lifted to its downsets: a scalar acts elementwise on each maximal
-    generator multiset, and the results are normalized. Each value is
-    computed once per returned callable."""
+    """The action act(a, x) of scalars on the points of the poset `base`,
+    lifted to the downsets of its multiupsets: a scalar acts elementwise on
+    each maximal generator multiset, and the results are normalized. Each
+    value is computed once per returned callable."""
 
     @cache
     def lifted(a, p):
         return normalize(base, [
-            Multiupset(base.poset, tuple(act(a, x) for x in g.gens))
+            Multiupset(base, tuple(act(a, x) for x in g.gens))
             for g in p.maxgens
         ])
 
@@ -604,9 +565,8 @@ def free_aqm(m, k=DmFragment.k):
     maximal generator multisets. Each action and each product is computed
     once per AQM; a product's bound is checked on every call.
     """
-    frag = DmFragment(MultiBase(m.poset), k)
-    base = frag.base
-    scalar_act = lift_to_downsets(base, m.apply)
+    frag = DmFragment(m.poset, k)
+    scalar_act = lift_to_downsets(m.poset, m.apply)
 
     @cache
     def multiset_act(sigma, q):
@@ -623,10 +583,9 @@ def free_aqm(m, k=DmFragment.k):
         return frag.check_bound(product_of(p, q))
 
     def iota(a):
-        m.poset.check_element(a)
-        return unit_embed(base, Multiupset(m.poset, (a,)))
+        return unit_embed(m.poset, Multiupset(m.poset, (a,)))
 
-    one = unit_embed(base, Multiupset(m.poset, (m.unit,)))
+    one = iota(m.unit)
     a = AQM(m, frag, mult, one, iota, name=f"Free({','.join(m.elements)})")
     a.distributively_generated = True
     return a

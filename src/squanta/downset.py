@@ -1,20 +1,16 @@
-"""Finitely generated non-empty downsets in antichain normal form.
+"""Finitely generated non-empty downsets of multiupsets over a poset (the DM
+construction), in antichain normal form.
 
-The same representation covers downsets of a c.d.i. pomonoid (Down M) and
-downsets of the multiupset pomonoid over a poset (the DM construction):
-the difference is the base adapter, which supplies order, sum, and zero
-for the underlying elements.
+A downset's `base` is the finite poset its generator multiupsets live on;
+order, sum and zero of the generators are those of `multiupset`.
 """
 
-from dataclasses import dataclass
+import re
 
 from .errors import BaseMismatch, EmptyGeneratorSet, NotAHomomorphism, UnknownElement
-from .multiupset import Multiupset, enumerate_fragment, mleq, msum, parse_multiupset
-from .order import FinPoset, Pomonoid
+from .multiupset import Multiupset, mleq, msum, parse_multiupset
 
 __all__ = [
-    "PomonoidBase",
-    "MultiBase",
     "FGDownset",
     "normalize",
     "djoin",
@@ -27,70 +23,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PomonoidBase:
-    """Downsets of a c.d.i. pomonoid: elements are the pomonoid's own."""
-
-    pomonoid: Pomonoid
-
-    def leq(self, x, y):
-        return self.pomonoid.leq(x, y)
-
-    def add(self, x, y):
-        return self.pomonoid.apply(x, y)
-
-    @property
-    def zero(self):
-        return self.pomonoid.unit
-
-    def sort_key(self, x):
-        return x
-
-    def contains(self, x):
-        return x in self.pomonoid.elements
-
-
-@dataclass(frozen=True)
-class MultiBase:
-    """Downsets of the multiupset pomonoid over a poset."""
-
-    poset: FinPoset
-
-    def leq(self, x, y):
-        return mleq(x, y)
-
-    def add(self, x, y):
-        return msum(x, y)
-
-    @property
-    def zero(self):
-        return Multiupset(self.poset, ())
-
-    def sort_key(self, x):
-        return x.sort_key()
-
-    def contains(self, x):
-        return isinstance(x, Multiupset) and (
-            x.base is self.poset or x.base == self.poset)
-
-    def enumerate(self, bound=4):
-        return enumerate_fragment(self.poset, bound)
-
-
 class FGDownset:
-    """Non-empty downset denoted by its antichain of maximal generators.
+    """Non-empty downset denoted by its antichain of maximal generators,
+    multiupsets over the poset `base`.
 
-    `key` holds the base's sort keys of the generators (their count vectors
-    over a MultiBase), which determine them over one base. Equality compares
-    keys and then bases, the base by identity first; the hash, computed
-    once, is the key's, so hashing never visits the base."""
+    `key` holds the count vectors of the generators, which determine them
+    over one base. Equality compares keys and then bases, the base by
+    identity first; the hash, computed once, is the key's, so hashing never
+    visits the base."""
 
     __slots__ = ("base", "maxgens", "key", "_hash")
 
     def __init__(self, base, maxgens):
         self.base = base
         self.maxgens = tuple(maxgens)
-        self.key = tuple(map(base.sort_key, self.maxgens))
+        self.key = tuple(g._key for g in self.maxgens)
         self._hash = hash(self.key)
 
     def __eq__(self, other):
@@ -110,10 +57,13 @@ class FGDownset:
         return (len(self.key), self.key)
 
     def members(self, universe):
-        """The denoted downset restricted to an explicit universe of elements."""
-        return [
-            x for x in universe if any(self.base.leq(x, g) for g in self.maxgens)
-        ]
+        """The denoted downset restricted to an explicit universe of multiupsets."""
+        return [x for x in universe if any(mleq(x, g) for g in self.maxgens)]
+
+
+def _check_generator(base, g):
+    if not (isinstance(g, Multiupset) and (g.base is base or g.base == base)):
+        raise UnknownElement("generator outside the base", witness=g)
 
 
 def normalize(base, gens):
@@ -122,12 +72,11 @@ def normalize(base, gens):
     if not gens:
         raise EmptyGeneratorSet("downsets are non-empty; no generators given")
     for g in gens:
-        if not base.contains(g):
-            raise UnknownElement("generator outside the base", witness=g)
-    distinct = list({base.sort_key(g): g for g in reversed(gens)}.items())
+        _check_generator(base, g)
+    distinct = list({g._key: g for g in reversed(gens)}.items())
     maximal = [
         (k, g) for k, g in distinct
-        if not any(base.leq(g, h) for k2, h in distinct if k2 != k)
+        if not any(mleq(g, h) for k2, h in distinct if k2 != k)
     ]
     maximal.sort(key=lambda kg: kg[0])
     return FGDownset(base, [g for _, g in maximal])
@@ -153,67 +102,64 @@ def djoin(downsets):
 def dsum(p, q):
     """Sum: downset of pairwise sums, computed on maximal generators."""
     _check_same_base(p, q)
-    return normalize(
-        p.base, [p.base.add(g, h) for g in p.maxgens for h in q.maxgens]
-    )
+    return normalize(p.base, [msum(g, h) for g in p.maxgens for h in q.maxgens])
 
 
 def dleq(p, q):
     """Inclusion order: every generator of p lies below some generator of q."""
     _check_same_base(p, q)
-    return all(any(p.base.leq(g, h) for h in q.maxgens) for g in p.maxgens)
+    return all(any(mleq(g, h) for h in q.maxgens) for g in p.maxgens)
 
 
 def dzero(base):
-    return FGDownset(base, (base.zero,))
+    return FGDownset(base, (Multiupset(base, ()),))
 
 
 def unit_embed(base, a):
-    """Principal downset of a base element."""
-    if not base.contains(a):
-        raise UnknownElement("element outside the base", witness=a)
+    """Principal downset of a multiupset over the base."""
+    _check_generator(base, a)
     return FGDownset(base, (a,))
+
+
+# "v[" then one or more multiupset literals "[...]" split by commas, then "]"
+_MULTIUPSET = r"\[[^\[\]]*\]"
+_DOWNSET = re.compile(rf"v\[\s*{_MULTIUPSET}(\s*,\s*{_MULTIUPSET})*\s*\]")
 
 
 def parse_downset(base, text):
     """Parse the downset literal used in configs and reports:
     "v[[p],[q,q]]" denotes the downset of the listed multiupsets; "v[[]]"
-    is the zero downset. Pomonoid bases use bare element names: "v[1,2]".
+    is the zero downset. Anything else around or between the multiupset
+    literals, brackets that do not pair up included, raises UnknownElement.
     """
     text = text.strip()
-    if not (text.startswith("v[") and text.endswith("]")):
+    if not _DOWNSET.fullmatch(text):
         raise UnknownElement(f"bad downset literal {text!r}", witness=text)
-    body = text[2:-1].strip()
-    if isinstance(base, MultiBase):
-        gens, depth, start = [], 0, None
-        for i, ch in enumerate(body):
-            if ch == "[":
-                if depth == 0:
-                    start = i
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    gens.append(parse_multiupset(base.poset, body[start:i + 1]))
-        return normalize(base, gens)
-    return normalize(base, [g.strip() for g in body.split(",") if g.strip()])
+    return normalize(base, [parse_multiupset(base, g)
+                            for g in re.findall(_MULTIUPSET, text)])
 
 
 def free_extend_quantale(base, h, target, validate_on=None):
-    """Extend a pomonoid homomorphism on the base to downsets by taking joins.
+    """Extend a pomonoid homomorphism on the multiupsets over `base` to its
+    downsets by taking joins.
 
-    `h` is a callable base-element -> target-element; `target` is a finite
-    generalized quantale (joins of images of maximal generators therefore
-    exist). When `validate_on` is given (a finite list of base elements), the
+    This states the freeness of the DM construction: DM(base) is the free
+    generalized quantale on the multiupset pomonoid over `base`, so every
+    pomonoid homomorphism h into a generalized quantale has exactly one
+    extension preserving joins and sums, p -> join of h(g) over the maximal
+    generators g of p. `h` is a callable multiupset -> target-element;
+    `target` is a finite generalized quantale, so the joins exist. When
+    `validate_on` is given (a finite list of multiupsets over `base`), the
     homomorphism equations of `h` are checked on it first.
     """
     if validate_on is not None:
         for x in validate_on:
             for y in validate_on:
-                if h(base.add(x, y)) != target.plus(h(x), h(y)):
+                if h(msum(x, y)) != target.plus(h(x), h(y)):
                     raise NotAHomomorphism("sum not preserved", witness=(x, y))
-        if h(base.zero) != target.zero:
-            raise NotAHomomorphism("zero not preserved", witness=base.zero)
+        zero = Multiupset(base, ())
+        if h(zero) != target.zero:
+            raise NotAHomomorphism("zero not preserved", witness=zero)
 
     def evaluator(p):
         if p.base is not base and p.base != base:

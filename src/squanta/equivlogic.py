@@ -1,6 +1,7 @@
-"""Induced embeddings between nucleus quotients, translation pairs, the
-four-condition equivalence of consequence relations, and recovery of
-translations from a quotient isomorphism via projectivity lifting."""
+"""Translation pairs, the four-condition equivalence of consequence
+relations with the isomorphism it induces between nucleus quotients, and
+recovery of translations from a quotient isomorphism via projectivity
+lifting."""
 
 from dataclasses import dataclass
 from itertools import product
@@ -14,7 +15,6 @@ from .reporting import Report
 __all__ = [
     "TranslationPair",
     "hom_from_generator_image",
-    "induced_embedding_check",
     "equivalence_check",
     "recover_translations",
 ]
@@ -51,16 +51,6 @@ def _check_on(nuc, mod, label):
     if nuc.space != mod.space:
         raise IllDefined(f"{label} is not a nucleus on its module's space",
                          witness=label)
-
-
-def induced_embedding_check(f, gamma, delta, tau, p_mod):
-    """Pointwise check of f o gamma = delta o tau over the carrier of P."""
-    g = gamma.as_dict()
-    d = delta.as_dict()
-    for x in p_mod.space.elements:
-        if f[g[x]] != d[tau[x]]:
-            return False, x
-    return True, None
 
 
 def _entails(nuc, space, x, y):

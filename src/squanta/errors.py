@@ -61,10 +61,6 @@ class NotAHomomorphism(SquantaError):
 
 # -- quantales / aqm / actions -----------------------------------------------
 
-class UnboundVariable(SquantaError):
-    pass
-
-
 class LawViolated(SquantaError):
     def __init__(self, law, witness=None):
         super().__init__(f"law violated: {law}", witness)

@@ -10,7 +10,6 @@ from itertools import product
 
 from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_aqm,
                   lift_to_downsets, scan_module_laws)
-from .downset import MultiBase
 from .errors import (FragmentExceeded, IllDefined, TooLarge, UnitNotEmbedding,
                      UnknownElement)
 from .multiupset import generator_embed, mleq
@@ -167,8 +166,8 @@ def extend_poset_action_to_dm(pa, k=DmFragment.k):
     generators of a downset, followed by normalization. Each lifted value is
     computed once per fragment."""
     check_action(pa)
-    frag = DmFragment(MultiBase(pa.space), k)
-    star = lift_to_downsets(frag.base, pa.star)
+    frag = DmFragment(pa.space, k)
+    star = lift_to_downsets(pa.space, pa.star)
     return ActionMap(ACT, pa.scalars, frag, star, name=f"DM({pa.name})" if pa.name else "DM-act")
 
 

@@ -16,7 +16,6 @@ from .order import FinPoset, _bits
 __all__ = [
     "Multiupset",
     "generator_embed",
-    "mliteral",
     "msum",
     "mleq",
     "decompose",
@@ -64,9 +63,6 @@ class Multiupset:
     def total_multiplicity(self):
         return len(self.gens)
 
-    def sort_key(self):
-        return self._key
-
     def __eq__(self, other):
         return (
             isinstance(other, Multiupset)
@@ -88,13 +84,7 @@ def _check_same_base(f, g):
 
 def generator_embed(base, a):
     """The principal multiupset of a single generator."""
-    base.check_element(a)
     return Multiupset(base, (a,))
-
-
-def mliteral(base, gens):
-    """Build a multiupset from a generator list, e.g. ["a", "a", "b"]."""
-    return Multiupset(base, gens)
 
 
 def msum(f, g):
@@ -126,27 +116,11 @@ def _multiplicities(base, key):
     return m
 
 
-def _generators(base, m):
-    return tuple(sorted(x for x, c in zip(base.elements, m) for _ in range(c)))
-
-
 def decompose(f):
     """Canonical generator multiset of a multiupset, read off its count
     vector by Moebius inversion; exact on every finite poset."""
-    return _generators(f.base, _multiplicities(f.base, f._key))
-
-
-def from_table(base, table):
-    """Rebuild a multiupset from an evaluation table, if one denotes it.
-
-    Returns None when the table is not the evaluation of any generator
-    multiset over this base, that is, when some inverted multiplicity is
-    negative.
-    """
-    m = _multiplicities(base, [int(table[x]) for x in base.elements])
-    if min(m, default=0) < 0:
-        return None
-    return Multiupset(base, _generators(base, m))
+    m = _multiplicities(f.base, f._key)
+    return tuple(sorted(x for x, c in zip(f.base.elements, m) for _ in range(c)))
 
 
 def free_extend_pomonoid(h, target):
@@ -179,7 +153,7 @@ def enumerate_fragment(base, k):
         for gens in combinations_with_replacement(base.elements, size):
             m = Multiupset(base, gens)
             seen.setdefault(m._key, m)
-    return sorted(seen.values(), key=Multiupset.sort_key)
+    return [m for _, m in sorted(seen.items())]
 
 
 def parse_multiupset(base, text):

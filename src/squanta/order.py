@@ -1,4 +1,4 @@
-"""Finite posets, pomonoids, monotone maps, and antichain utilities.
+"""Finite posets, pomonoids and monotone maps.
 
 All values are immutable after validation. Element identifiers are opaque
 strings kept in sorted order, and a poset or pomonoid holds only tables over
@@ -30,7 +30,6 @@ __all__ = [
     "join_positions",
     "flat_from_triples",
     "ByteTable",
-    "antichain_ops",
     "enumerate_monotone_selfmaps",
 ]
 
@@ -410,21 +409,6 @@ def validate_structure(raw):
 def monotone_map(domain, codomain, mapping):
     """Validate an explicit table as a MonotoneMap between built posets."""
     return _build_monotone_map(domain, codomain, list(mapping.items()))
-
-
-def antichain_ops(poset, subset, mode):
-    """Closure/extremal-antichain operations: mode in up|down|min|max."""
-    for x in subset:
-        poset.check_element(x)
-    if mode == "up":
-        return poset.up(subset)
-    if mode == "down":
-        return poset.down(subset)
-    if mode == "min":
-        return poset.minimal(subset)
-    if mode == "max":
-        return poset.maximal(subset)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def enumerate_monotone_selfmaps(poset):

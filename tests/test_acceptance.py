@@ -18,7 +18,7 @@ from oracles import (
 from squanta import fixtures as fx
 from squanta.aqm import check_aqm, exp_end
 from squanta.cli import EXIT_VIOLATION, main
-from squanta.downset import MultiBase, djoin, dsum, dzero, normalize, unit_embed
+from squanta.downset import djoin, dsum, dzero, normalize, unit_embed
 from squanta.equivlogic import (
     TranslationPair,
     equivalence_check,
@@ -151,15 +151,14 @@ def test_criterion_4_dm_quantale_laws():
         from oracles import downset_sum_oracle, full_downset
 
         for poset in (fx.d2(), fx.c2()):
-            base = MultiBase(poset)
             mus = enumerate_fragment(poset, 4)
             downs = []
             for size in range(1, 4):
                 for combo in combinations(mus, size):
                     if all(not (mleq(a, b) or mleq(b, a))
                            for a, b in combinations(combo, 2)):
-                        downs.append(normalize(base, list(combo)))
-            zero = dzero(base)
+                        downs.append(normalize(poset, list(combo)))
+            zero = dzero(poset)
             for p in downs:
                 assert dsum(p, zero) == p and djoin([p, p]) == p
             small = [p for p in downs

@@ -6,40 +6,17 @@ from oracles import naive_elementwise_product
 from squanta.aqm import (
     AQM,
     check_aqm,
-    eval_term,
     exp_end,
     free_aqm,
     make_quantale,
     table_aqm,
-    term,
     term_closure,
 )
 from squanta.downset import djoin, unit_embed
 from squanta.errors import (FragmentExceeded, LawViolated, NotAssociative,
-                            TooLarge, UnboundVariable, UnknownElement)
+                            TooLarge, UnknownElement)
 from squanta.multiupset import Multiupset
 from squanta.order import ByteTable
-
-
-def test_eval_term(n2q):
-    t = term(("x", "y"))
-    assert eval_term(t, {"x": "1", "y": "1"}, n2q) == "2"
-    u = term(("x",), ("y",))  # formal join
-    assert eval_term(u, {"x": "1", "y": "2"}, n2q) == "2"
-    zero = term(())
-    assert eval_term(zero, {}, n2q) == "0"
-    with pytest.raises(UnboundVariable):
-        eval_term(t, {"x": "1"}, n2q)
-
-
-def test_eval_term_monotone_in_env(n2q):
-    t = term(("x", "x", "y"), ("y",))
-    els = n2q.elements
-    for x1, y1, x2, y2 in product(els, repeat=4):
-        if n2q.leq(x1, x2) and n2q.leq(y1, y2):
-            v1 = eval_term(t, {"x": x1, "y": y1}, n2q)
-            v2 = eval_term(t, {"x": x2, "y": y2}, n2q)
-            assert n2q.leq(v1, v2)
 
 
 def test_a3_valid_and_distributively_generated(a3):
@@ -324,6 +301,9 @@ def test_iota_is_monoid_hom(m2):
         for b in m2.elements:
             assert fa.mult(fa.iota(a), fa.iota(b)) == fa.iota(m2.apply(a, b))
     assert fa.iota(m2.unit) == fa.one
+    with pytest.raises(UnknownElement) as err:
+        fa.iota("zz")
+    assert err.value.witness == "zz"
 
 
 def test_free_aqm_freeness_against_finite_targets(m2, a3):

@@ -4,7 +4,6 @@ from squanta.equivlogic import (
     TranslationPair,
     equivalence_check,
     hom_from_generator_image,
-    induced_embedding_check,
     recover_translations,
 )
 from squanta.errors import IllDefined, NotProjective, TooLarge
@@ -37,19 +36,6 @@ def test_hom_from_generator_image_examples(a3, a3_self, a3_sub2, n3_self,
     free = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
     with pytest.raises(TooLarge):  # fragment scalars have no star table
         hom_from_generator_image(free, free.space.zero, free, free.space.zero)
-
-
-def test_induced_embedding_examples(n2q, a3, a3_self):
-    g = g022_of(n2q)
-    f_id = {x: x for x in g.image()}
-    ident = {x: x for x in n2q.elements}
-    assert induced_embedding_check(f_id, g, g, ident, a3_self) == (True, None)
-    tau = mul_by(a3, "2")
-    assert induced_embedding_check(f_id, g, g, tau, a3_self) == (True, None)
-    # a map that does not intertwine: send everything to 0
-    f_bad = {x: "0" for x in g.image()}
-    ok, witness = induced_embedding_check(f_bad, g, g, ident, a3_self)
-    assert not ok and witness is not None
 
 
 def test_equivalence_check_identity(n2q, a3_self):

@@ -13,7 +13,7 @@ import pytest
 
 from squanta.aqm import make_quantale
 from squanta.errors import SquantaError, UnknownElement
-from squanta.order import antichain_ops, validate_structure
+from squanta.order import validate_structure
 from squanta.search import _labeled_posets, quantale_descriptions
 
 UNKNOWN = "?"
@@ -94,8 +94,8 @@ def test_poset_label_views_as_pinned():
         p = validate_structure({"poset": {"elements": names, "leq": leq}})
         posets.append(p)
         lines.extend(_poset_lines(p))
-        lines.append(repr([sorted(antichain_ops(p, s, mode)) for s in subsets
-                           for mode in ("up", "down", "min", "max")]))
+        lines.append(repr([sorted(op(s)) for s in subsets
+                           for op in (p.up, p.down, p.minimal, p.maximal)]))
     assert len(posets) == 219
     assert _sha(lines) == POSETS_4
     for p, r in combinations(posets, 2):

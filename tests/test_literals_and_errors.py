@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from squanta.aqm import make_quantale, table_aqm
+from squanta.aqm import DmFragment, make_quantale, table_aqm
 from squanta.cli import EXIT_OK, main
-from squanta.downset import MultiBase, PomonoidBase, djoin, normalize, parse_downset, unit_embed
+from squanta.downset import djoin, normalize, parse_downset, unit_embed
 from squanta.errors import (
     EmptyGeneratorSet,
     NoResidual,
@@ -26,24 +26,34 @@ def test_parse_multiupset_literals(d2):
         parse_multiupset(d2, "p,q")
 
 
-def test_parse_downset_literals(d2, n2):
-    base = MultiBase(d2)
-    got = parse_downset(base, "v[[p],[q,q]]")
-    want = djoin([unit_embed(base, Multiupset(d2, ("p",))),
-                  unit_embed(base, Multiupset(d2, ("q", "q")))])
+def test_parse_downset_literals(d2):
+    got = parse_downset(d2, "v[[p],[q,q]]")
+    want = djoin([unit_embed(d2, Multiupset(d2, ("p",))),
+                  unit_embed(d2, Multiupset(d2, ("q", "q")))])
     assert got == want
-    assert parse_downset(base, "v[[]]") == normalize(base, [Multiupset(d2, ())])
-    pbase = PomonoidBase(n2)
-    assert parse_downset(pbase, "v[1,2]") == normalize(pbase, ["1", "2"])
+    assert parse_downset(d2, " v[ [q, q] , [p] ] ") == want
+    assert parse_downset(d2, "v[[]]") == normalize(d2, [Multiupset(d2, ())])
     with pytest.raises(UnknownElement):
-        parse_downset(base, "[[p]]")
+        parse_downset(d2, "[[p]]")
+    with pytest.raises(UnknownElement):
+        parse_downset(d2, "v[[z]]")
 
 
-def test_round_trip_repr_parses_back(d2):
-    base = MultiBase(d2)
-    p = djoin([unit_embed(base, Multiupset(d2, ("p", "p"))),
-               unit_embed(base, Multiupset(d2, ("q",)))])
-    assert parse_downset(base, repr(p)) == p
+@pytest.mark.parametrize("text", [
+    "v[[p]][q]]", "v[[p]x]", "v[[p],[q]]junk]", "v[[p] [q]]", "v[[p],]",
+    "v[,[p]]", "v[p]", "v[]", "v[[[p]]]", "v[[p]", "v[[p],[q]"])
+def test_malformed_downset_literals_are_refused(d2, text):
+    with pytest.raises(UnknownElement) as err:
+        parse_downset(d2, text)
+    assert err.value.args[0] == f"bad downset literal {text!r}"
+
+
+def test_round_trip_repr_parses_back(d2, m2):
+    for poset in (d2, m2.poset):
+        downsets = DmFragment(poset, 2).enumerate((2, 2))
+        assert len(downsets) > 10
+        for p in downsets:
+            assert parse_downset(poset, repr(p)) == p
 
 
 def test_validate_structure_monotone_map(c2, d2):

@@ -14,7 +14,7 @@ from squanta.modact import (
     extend_poset_action_to_dm,
     restrict_module_to_act,
 )
-from squanta.multiupset import Multiupset, free_extend_pomonoid
+from squanta.multiupset import Multiupset, enumerate_fragment, free_extend_pomonoid
 from squanta.order import monotone_map, selfmap_pomonoid
 
 
@@ -178,7 +178,7 @@ def test_scalar_monotonicity_justifies_maxgens_joins(m2_on_d2, m2):
                     assert ma.space.leq(ma.star(s, p), ma.star(t, p))
     # oracle equivalence: join over all in-fragment generators equals the
     # maxgens-only computation
-    universe = ma.scalars.quant.base.enumerate(4)
+    universe = enumerate_fragment(ma.scalars.quant.base, 4)
     for s in scalars:
         members = s.members(universe)
         for p in pts:

@@ -10,7 +10,6 @@ from squanta.multiupset import (
     free_extend_pomonoid,
     generator_embed,
     mleq,
-    mliteral,
     msum,
 )
 from squanta.order import monotone_map
@@ -37,7 +36,7 @@ def test_msum_pointwise(c2, d2):
     assert tuple(table(ab)[x] for x in c2.elements) == eval_gens(
         c2.elements, c2.leq, ("a", "b")
     )
-    f = mliteral(c2, ["a", "b", "b"])
+    f = Multiupset(c2, ["a", "b", "b"])
     assert table(msum(f, Multiupset(c2, ()))) == table(f)
 
 
@@ -68,11 +67,11 @@ def test_mleq_matches_multiset_inclusion_on_discrete_base(d2):
 
 
 def test_decompose_examples(c2, d2):
-    f = mliteral(c2, ["a", "b"])  # eval a->1, b->2
+    f = Multiupset(c2, ["a", "b"])  # eval a->1, b->2
     assert table(f) == {"a": 1, "b": 2}
     assert decompose(f) == ("a", "b")
     assert decompose(Multiupset(c2, ())) == ()
-    assert decompose(mliteral(d2, ["p", "p", "q"])) == ("p", "p", "q")
+    assert decompose(Multiupset(d2, ["p", "p", "q"])) == ("p", "p", "q")
 
 
 def test_decompose_is_normal_form(c2, d2):
@@ -89,11 +88,11 @@ def test_decompose_is_normal_form(c2, d2):
 def test_free_extend_examples(c2, d2, n2):
     h = monotone_map(d2, n2.poset, {"p": "1", "q": "1"})
     ev = free_extend_pomonoid(h, n2)
-    assert ev(mliteral(d2, ["p", "q"])) == "2"
+    assert ev(Multiupset(d2, ["p", "q"])) == "2"
     assert ev(Multiupset(d2, ())) == "0"
     h2 = monotone_map(c2, n2.poset, {"a": "1", "b": "2"})
     ev2 = free_extend_pomonoid(h2, n2)
-    assert ev2(mliteral(c2, ["a", "b"])) == "2"  # 1+2 truncated
+    assert ev2(Multiupset(c2, ["a", "b"])) == "2"  # 1+2 truncated
 
 
 def test_free_extend_requires_cdi(d2, m2):
@@ -197,7 +196,6 @@ NON_FORESTS = {
 
 @pytest.mark.parametrize("shape", sorted(NON_FORESTS))
 def test_decompose_exact_on_non_forest_bases(shape, n2):
-    from squanta.multiupset import from_table
     from squanta.order import validate_structure
     from oracles import all_gen_multisets
 
@@ -205,16 +203,13 @@ def test_decompose_exact_on_non_forest_bases(shape, n2):
     v = validate_structure({"poset": {"elements": els, "leq": leq}})
     tables = set()
     for gens in all_gen_multisets(v.elements, 3):
-        f = mliteral(v, gens)
+        f = Multiupset(v, gens)
         want = eval_gens(v.elements, v.leq, gens)
         assert tuple(table(f)[x] for x in v.elements) == want
         assert decompose(f) == tuple(sorted(gens))
-        assert from_table(v, dict(zip(v.elements, want))) == f
         tables.add(want)
     if shape == "V":
-        assert decompose(mliteral(v, ["p", "q"])) == ("p", "q")
-        # one generator below each point: t would count both p and q
-        assert from_table(v, {"p": 1, "q": 1, "t": 1}) is None
+        assert decompose(Multiupset(v, ["p", "q"])) == ("p", "q")
     # the free extension is defined on every base: minimal points to 1,
     # the others to 2, folded over the generators
     h = monotone_map(v, n2.poset, {
@@ -222,6 +217,6 @@ def test_decompose_exact_on_non_forest_bases(shape, n2):
         for x in v.elements})
     ev = free_extend_pomonoid(h, n2)
     for gens in all_gen_multisets(v.elements, 3):
-        assert ev(mliteral(v, gens)) == n2.fold(h.apply(a) for a in gens)
+        assert ev(Multiupset(v, gens)) == n2.fold(h.apply(a) for a in gens)
     # distinct generator multisets have distinct tables
     assert len(tables) == len(list(all_gen_multisets(v.elements, 3)))

@@ -15,7 +15,6 @@ from squanta.order import (
     ByteTable,
     MonotoneMap,
     Pomonoid,
-    antichain_ops,
     enumerate_monotone_selfmaps,
     pomonoid_from_flat,
     poset_from_rows,
@@ -64,14 +63,7 @@ def test_not_a_partial_order():
 
 def test_unknown_element(c2):
     with pytest.raises(UnknownElement):
-        antichain_ops(c2, {"zz"}, "down")
-
-
-def test_antichain_ops(c2, d2):
-    assert antichain_ops(c2, {"b"}, "down") == {"a", "b"}
-    assert antichain_ops(d2, {"p", "q"}, "min") == {"p", "q"}
-    assert antichain_ops(c2, {"a", "b"}, "min") == {"a"}
-    assert antichain_ops(c2, {"a"}, "up") == {"a", "b"}
+        c2.check_element("zz")
 
 
 def test_min_up_round_trip(c2, d2):
