@@ -6,6 +6,7 @@ order, sum and zero of the generators are those of `multiupset`.
 """
 
 import re
+from itertools import product
 
 from .errors import BaseMismatch, EmptyGeneratorSet, NotAHomomorphism, UnknownElement
 from .multiupset import Multiupset, mleq, msum, parse_multiupset
@@ -150,16 +151,18 @@ def free_extend_quantale(base, h, target, validate_on=None):
     generators g of p. `h` is a callable multiupset -> target-element;
     `target` is a finite generalized quantale, so the joins exist. When
     `validate_on` is given (a finite list of multiupsets over `base`), the
-    homomorphism equations of `h` are checked on it first.
+    sum, zero and order laws of `h` are checked on it first, in that order.
     """
     if validate_on is not None:
-        for x in validate_on:
-            for y in validate_on:
-                if h(msum(x, y)) != target.plus(h(x), h(y)):
-                    raise NotAHomomorphism("sum not preserved", witness=(x, y))
+        for x, y in product(validate_on, repeat=2):
+            if h(msum(x, y)) != target.plus(h(x), h(y)):
+                raise NotAHomomorphism("sum not preserved", witness=(x, y))
         zero = Multiupset(base, ())
         if h(zero) != target.zero:
             raise NotAHomomorphism("zero not preserved", witness=zero)
+        for x, y in product(validate_on, repeat=2):
+            if mleq(x, y) and not target.leq(h(x), h(y)):
+                raise NotAHomomorphism("order not preserved", witness=(x, y))
 
     def evaluator(p):
         if p.base is not base and p.base != base:

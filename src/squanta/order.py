@@ -261,35 +261,42 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
 
     The laws are scanned in this order, each raising with its first failing
     instance: the unit is two-sided neutral, associativity, then the right
-    and left translations are monotone."""
+    and left translations are monotone. Associativity and monotonicity are
+    decided over blocks of x, all (y, z) at once, each side of a block at
+    most 64 KiB of byte rows: one block for n <= 40."""
     els, up = poset.elements, poset.up_rows
     n = len(els)
     tab = ByteTable(flat, n)
     t, rows, cols = tab.flat, tab.rows, tab.transposed()
-    for x in range(n):
-        if t[unit * n + x] != x or t[x * n + unit] != x:
-            raise UnitNotNeutral("unit is not two-sided neutral",
-                                 witness=(els[unit], els[x]))
-    for x in range(n):  # (x.y).z against x.(y.z) at position y * n + z
-        bad = row_mismatches([(None, b"".join(map(rows.__getitem__, rows[x])),
-                               tab.after(rows[x]))])
+    ident = bytes(range(n))
+    bad = row_mismatches([(None, rows[unit], ident), (None, t[unit::n], ident)])
+    if bad:
+        raise UnitNotNeutral("unit is not two-sided neutral",
+                             witness=(els[unit], els[bad[0][0]]))
+    leq, step = poset.leq_table, max(1, min(n, 65536 // n // n))  # x per block
+    for x0 in range(0, n, step):  # (x.y).z against x.(y.z), at (x, y, z)
+        bad = row_mismatches([(None, b"".join(map(rows.__getitem__,
+                                                  t[x0 * n:(x0 + step) * n])),
+                               b"".join(map(tab.after, rows[x0:x0 + step])))])
         if bad:
-            y, z = divmod(bad[0][0], n)
-            raise NotAssociative("associativity fails",
-                                 witness=(els[x], els[y], els[z]))
-    # byte z * n + y of by_z is 1 when x.z <= y.z (right translation) or
+            j = bad[0][0]
+            raise NotAssociative("associativity fails", witness=(
+                els[x0 + j // n // n], els[j // n % n], els[j % n]))
+    # byte (x, z, y) of by_z is 1 when x.z <= y.z (right translation) or
     # z.x <= z.y (left), and must be wherever that byte of `above` (x <= y) is
-    leq = poset.leq_table
-    for x in range(n):
-        above, bad = int.from_bytes(leq.rows[x] * n, "little"), []
-        for law, by_z in (("right", leq.at(rows[x], cols.rows)),
-                          ("left", leq.at(cols.rows[x], rows))):
-            bad += [divmod(b >> 3, n)[::-1] + (law,)
-                    for b in _bits(above & ~int.from_bytes(by_z, "little"))]
-        if bad:  # the first (y, z), and right before left at one (y, z)
-            y, z, law = min(bad, key=lambda b: b[:2])
+    for x0 in range(0, n, step):
+        xz = slice(x0 * n, (x0 + step) * n)
+        above = int.from_bytes(b"".join(r * n for r in leq.rows[x0:x0 + step]),
+                               "little")
+        bad = [(j // n // n, j % n, j // n % n, law) for law, by_z in (
+            ("right", leq.at(t[xz], cols.rows * step)),
+            ("left", leq.at(cols.flat[xz], rows * step)),
+        ) for j in (b >> 3 for b in _bits(
+            above & ~int.from_bytes(by_z, "little")))]
+        if bad:  # the first (x, y, z), and right before left at one (x, y, z)
+            x, y, z, law = min(bad, key=lambda b: b[:3])
             raise NotMonotone(law + " translation not monotone",
-                              witness=(els[x], els[y], els[z]))
+                              witness=(els[x0 + x], els[y], els[z]))
     return Pomonoid(
         poset,
         tab,
@@ -297,7 +304,7 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
         notation,
         commutative=t == cols.flat,
         dually_integral=up[unit] == (1 << n) - 1,
-        idempotent=t[::n + 1] == bytes(range(n)),
+        idempotent=t[::n + 1] == ident,
     )
 
 

@@ -5,11 +5,12 @@ expected values are computed by a second route."""
 from itertools import combinations_with_replacement, product
 
 from squanta.downset import normalize
-from squanta.errors import FragmentExceeded, IllDefined
+from squanta.errors import (FragmentExceeded, IllDefined, NotAssociative,
+                            NotMonotone, UnitNotNeutral)
 from squanta.modact import POSET, is_module_hom
 from squanta.multiupset import Multiupset
 from squanta.nucleus import AddConsequence, Nucleus, QuantCongruence, _failures
-from squanta.order import _bits
+from squanta.order import ByteTable, _bits, row_mismatches
 from squanta.projective import (enumerate_module_homs, self_module,
                                 submodule_on_orbit)
 
@@ -501,6 +502,68 @@ def brute_exp_end(els, leq, plus, join, zero, bottom):
                     gen.add(h)
                     grew = True
     return endos, gen
+
+
+# -- the AQM link laws and the pomonoid laws, instance by instance ------------
+
+
+def brute_link_laws(a):
+    """The link laws of an AQM on a finite sort, one instance at a time over
+    labels: right-unit per x, then per pair (d, e) of distributive elements
+    iota-hom and, where d <= e, iota-monotone, then iota-unit. Every failing
+    (law, witness) in scan order, and the number of instances checked
+    (iota-unit is not counted)."""
+    q, dist, iota, mult = a.quant, a.dist, a.iota, a.mult
+    failures, checked = [], 0
+    for x in q.elements:
+        checked += 1
+        if mult(x, a.one) != x:
+            failures.append(("right-unit", x))
+    for d, e in product(dist.elements, repeat=2):
+        checked += 1
+        if iota(dist.apply(d, e)) != mult(iota(d), iota(e)):
+            failures.append(("iota-hom", (d, e)))
+        if dist.leq(d, e):
+            checked += 1
+            if not q.leq(iota(d), iota(e)):
+                failures.append(("iota-monotone", (d, e)))
+    if iota(dist.unit) != a.one:
+        failures.append(("iota-unit", dist.unit))
+    return failures, checked
+
+
+def per_x_pomonoid_laws(poset, flat, unit):
+    """The pomonoid laws of order.pomonoid_from_flat scanned one x at a
+    time: the unit per x, then associativity and the translations'
+    monotonicity, each over all (y, z) of one x as one pair of byte rows.
+    Raises what pomonoid_from_flat raises, with its first witness."""
+    els, n = poset.elements, len(poset.elements)
+    tab = ByteTable(flat, n)
+    t, rows, cols = tab.flat, tab.rows, tab.transposed()
+    for x in range(n):
+        if t[unit * n + x] != x or t[x * n + unit] != x:
+            raise UnitNotNeutral("unit is not two-sided neutral",
+                                 witness=(els[unit], els[x]))
+    for x in range(n):  # (x.y).z against x.(y.z) at position y * n + z
+        bad = row_mismatches([(None, b"".join(map(rows.__getitem__, rows[x])),
+                               tab.after(rows[x]))])
+        if bad:
+            y, z = divmod(bad[0][0], n)
+            raise NotAssociative("associativity fails",
+                                 witness=(els[x], els[y], els[z]))
+    # byte z * n + y of by_z is 1 when x.z <= y.z (right translation) or
+    # z.x <= z.y (left), and must be wherever that byte of `above` (x <= y) is
+    leq = poset.leq_table
+    for x in range(n):
+        above, bad = int.from_bytes(leq.rows[x] * n, "little"), []
+        for law, by_z in (("right", leq.at(rows[x], cols.rows)),
+                          ("left", leq.at(cols.rows[x], rows))):
+            bad += [divmod(b >> 3, n)[::-1] + (law,)
+                    for b in _bits(above & ~int.from_bytes(by_z, "little"))]
+        if bad:  # the first (y, z), and right before left at one (y, z)
+            y, z, law = min(bad, key=lambda b: b[:2])
+            raise NotMonotone(law + " translation not monotone",
+                              witness=(els[x], els[y], els[z]))
 
 
 # -- module actions, over labels -----------------------------------------------

@@ -246,6 +246,39 @@ def test_fragment_scan_checks_iota_unit():
     assert rep.data == {"checked": 564, "skipped": 688}  # iota laws uncounted
 
 
+def test_fragment_scan_names_the_right_unit():
+    """A product that sends x * 1 to 0 and keeps 1 * x fails right-unit at
+    every other x of the scan universe, in its order, and the report is
+    titled by the AQM's name."""
+    from squanta.order import validate_structure
+
+    fa = free_aqm(validate_structure(CHAIN2), k=2)
+    zero = fa.quant.zero
+
+    def mult(p, q):
+        return zero if q == fa.one else fa.mult(p, q)
+
+    rep = check_aqm(AQM(fa.dist, fa.quant, mult, fa.one, fa.iota, name="R"),
+                    strict=False)
+    assert rep.title == "aqm R"
+    universe = fa.quant.enumerate(fa.quant.scan_bounds())
+    assert [ln for ln in rep.lines if ln.startswith("right-unit")] == [
+        f"right-unit: FAIL [witness: {x!r}]" for x in universe if x != zero]
+
+
+def test_free_aqm_over_a_noncommutative_pomonoid(c2):
+    """The monotone self-maps of C2 under composition do not commute (the
+    constant maps c, d give c.d = c and d.c = d), and iota is a
+    homomorphism of the product in its order: iota(d.e) = iota(d) * iota(e)."""
+    from squanta.order import selfmap_pomonoid
+
+    maps, _ = selfmap_pomonoid(c2)
+    assert not maps.commutative
+    rep = check_aqm(free_aqm(maps, k=2))
+    assert rep.ok
+    assert rep.data == {"checked": 2864, "skipped": 8668}
+
+
 def test_fragment_product_must_be_a_function(m2):
     # a finite dict cannot cover a fragment: refused when the AQM is built,
     # where a check_aqm scan once ended in a bare KeyError

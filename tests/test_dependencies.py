@@ -6,12 +6,18 @@ module-level import of the tests. A finite table is compiled only by the
 structure that holds it, and a star table is read only through the action
 that holds it. Every top-level definition is reached by name from the
 command, from the acceptance gate or from a library claim listed with its
-reason in LIBRARY_CLAIMS."""
+reason in LIBRARY_CLAIMS. An AQM on a finite sort is checked on byte rows
+alone, never one instance at a time."""
 
 import ast
 import importlib
 import sys
 from pathlib import Path
+
+from squanta import fixtures as fx
+from squanta.aqm import check_aqm, exp_end, make_quantale
+from squanta.reporting import LawScan
+from squanta.search import quantale_descriptions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,6 +118,22 @@ def test_search_imports_no_private_name():
              if isinstance(node, ast.ImportFrom) for alias in node.names
              if alias.name.startswith("_")]
     assert found == []
+
+
+def test_finite_aqms_are_checked_without_thunks(monkeypatch):
+    """check_aqm on a finite AQM decides every law through LawScan.rows:
+    over the Gen AQM of every quantale of size <= 4 (exp_end checks it) and
+    over the fixture AQMs, LawScan.check is never called."""
+    def check(*args, **kwargs):
+        raise AssertionError("LawScan.check called on a finite AQM")
+
+    monkeypatch.setattr(LawScan, "check", check)
+    descs = quantale_descriptions(4)
+    assert len(descs) == 207
+    for desc in descs:
+        exp_end(make_quantale(desc))
+    for a in (fx.a3(), fx.n3(), fx.b3()):
+        check_aqm(a, strict=False)
 
 
 def test_down_rows_are_read_from_the_poset():

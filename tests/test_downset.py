@@ -131,6 +131,21 @@ def test_free_extend_quantale_rejects_non_hom(n2, n2q, d2):
     assert err.value.witness == mu(d2)
 
 
+def test_free_extend_quantale_rejects_an_order_reversing_map(n2, n2q, c2):
+    """Over C2 (a < b) the free extension of a -> 1, b -> 2 keeps sums and
+    zero on the k = 2 fragment, but [b] <= [a] in the multiupset order and
+    2 <= 1 fails in N2; unchecked, its evaluator would not keep joins."""
+    h = free_extend_pomonoid(monotone_map(c2, n2.poset, {"a": "1", "b": "2"}),
+                             n2)
+    with pytest.raises(NotAHomomorphism) as err:
+        free_extend_quantale(c2, h, n2q, validate_on=enumerate_fragment(c2, 2))
+    assert err.value.args[0] == "order not preserved"
+    assert err.value.witness == (mu(c2, "b"), mu(c2, "a"))
+    ev = free_extend_quantale(c2, h, n2q)
+    a, b = unit_embed(c2, mu(c2, "a")), unit_embed(c2, mu(c2, "b"))
+    assert ev(djoin([a, b])) != n2q.join([ev(a), ev(b)])
+
+
 def test_free_extend_quantale_preserves_structure(n2, n2q, d2):
     ev = free_extend_quantale(d2, _counting(d2, n2), n2q,
                               validate_on=enumerate_fragment(d2, 2))

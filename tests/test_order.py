@@ -1,11 +1,15 @@
+import tracemalloc
 from itertools import product
 
 import pytest
+
+from oracles import per_x_pomonoid_laws
 
 from squanta.errors import (
     NotAPartialOrder,
     NotAssociative,
     NotMonotone,
+    SquantaError,
     TooLarge,
     UnknownElement,
 )
@@ -181,3 +185,68 @@ def test_pomonoid_axioms_full_scan(n2):
             assert n2.leq(n2.apply(z, x), n2.apply(z, y))
     for x in els:
         assert n2.apply("0", x) == x == n2.apply(x, "0")
+
+
+def _chain5_selfmaps():
+    """The 126 monotone self-maps of the 5-chain under composition, and the
+    position of the identity."""
+    chain5 = validate_structure({"poset": {
+        "elements": list("01234"),
+        "leq": [[str(i), str(j)] for i in range(5) for j in range(i, 5)]}})
+    pom, _ = selfmap_pomonoid(chain5)
+    return pom, pom.poset.index[pom.unit]
+
+
+def test_pomonoid_blocks_stay_small():
+    """pomonoid_from_flat decides the 126-element pomonoid in blocks of x,
+    each side of a block at most 64 KiB (4 of 126 rows of 126 * 126 bytes),
+    so its traced allocations peak under 1 MB; one block over the whole
+    table, 2 MB a side, would not."""
+    pom, unit = _chain5_selfmaps()
+    pom.poset.leq_table  # the poset's own table, built on first use
+    tracemalloc.start()
+    try:
+        again = pomonoid_from_flat(pom.poset, pom.flat, unit, "multiplicative")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == pom
+    assert peak <= 1 << 20
+
+
+def _first_error(build):
+    try:
+        build()
+    except SquantaError as exc:
+        return type(exc).__name__, exc.witness
+    return None
+
+
+# mutants of the 126-element pomonoid: (x, y, value) sets one product,
+# (x, y) drops the cover x < y from the order; but for the unit's, each
+# fails first in another block of 4 x
+@pytest.mark.parametrize("cell, cover, expected", [
+    ((17, 59, 72), None, ("NotAssociative", ("f1", "f113", "f39"))),
+    ((99, 39, 8), None, ("NotAssociative", ("f103", "f75", "f20"))),
+    ((102, 70, 26), None, ("UnitNotNeutral", ("f49", "f78"))),
+    (None, ("f11", "f13"), ("NotMonotone", ("f11", "f23", "f13"))),
+    (None, ("f21", "f23"), ("NotMonotone", ("f21", "f43", "f29"))),
+    (None, ("f92", "f94"), ("NotMonotone", ("f37", "f40", "f98"))),
+    (None, ("f98", "f102"), ("NotMonotone", ("f48", "f58", "f98"))),
+])
+def test_pomonoid_blocks_give_the_per_x_witness(cell, cover, expected):
+    """The first witness of a blocked scan is that of the scan over one x
+    at a time (oracles.per_x_pomonoid_laws), in whichever block it falls."""
+    pom, unit = _chain5_selfmaps()
+    poset, flat = pom.poset, bytearray(pom.flat)
+    if cell:
+        x, y, value = cell
+        flat[x * len(poset.elements) + y] = value
+    else:
+        x, y = map(poset.index.__getitem__, cover)
+        up = list(poset.up_rows)
+        up[x] &= ~(1 << y)
+        poset = poset_from_rows(poset.elements, up)
+    got = _first_error(lambda: pomonoid_from_flat(poset, flat, unit))
+    assert got == _first_error(lambda: per_x_pomonoid_laws(poset, flat, unit))
+    assert got == expected

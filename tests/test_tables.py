@@ -10,7 +10,8 @@ from itertools import product
 import pytest
 
 from oracles import (brute_check_action, brute_condition_ii, brute_exp_end,
-                     brute_residual, label_hom_from_generator_image)
+                     brute_link_laws, brute_residual,
+                     label_hom_from_generator_image)
 from test_table_scan_pins import _cell_mutants
 from squanta import fixtures as fx
 from squanta.aqm import (AQM, MODULE_LAWS, check_aqm, exp_end, make_quantale,
@@ -269,30 +270,67 @@ def _finite_aqms():
             yield AQM(a.dist, a.quant, t, a.one, a.iota, a.name)
 
 
+def _gen_product_mutants():
+    """The Gen AQM of quantale_descriptions(4)[15] (8 elements, every one
+    distributive, iota the identity), with every single-cell change of its
+    product, then with every single-value change of its iota."""
+    a = exp_end(make_quantale(quantale_descriptions(4)[15]))
+    els = a.quant.elements
+    for t in _cell_mutants(a.mult_table(), len(els)):
+        yield AQM(a.dist, a.quant, t, a.one, a.iota, a.name)
+    for d, x in product(a.dist.elements, els):
+        if a.iota(d) != x:
+            yield AQM(a.dist, a.quant, a.mult_op, a.one,
+                      {**{e: a.iota(e) for e in a.dist.elements}, d: x},
+                      a.name)
+
+
+def _assert_check_aqm_matches_scans(a):
+    """check_aqm fails the module laws of the AQM acting on itself as the
+    label scan of oracles.py does, in its order and under the AQM names,
+    then the link laws as the instance-by-instance scan of oracles.py does,
+    line for line; the counts add up, and strict mode raises the first."""
+    failures, checked = brute_check_action(self_module(a))
+    links, link_checked = brute_link_laws(a)
+    rep = check_aqm(a, strict=False)
+    expected = [(SELF_MODULE_LAWS[law], w) for law, w in failures] + links
+    assert [ln for ln in rep.lines if ": FAIL" in ln] == [
+        f"{law}: FAIL [witness: {w!r}]" for law, w in expected]
+    assert (rep.data["checked"], rep.data["skipped"]) == (
+        checked + link_checked, 0)
+    if expected:
+        with pytest.raises(LawViolated) as err:
+            check_aqm(a)
+        assert (err.value.law, err.value.witness) == expected[0]
+    return failures, links
+
+
 def test_check_aqm_matches_self_module_scan():
-    """The finite check_aqm fails the module laws of the AQM acting on
-    itself as the label scan of oracles.py does, in its order and under
-    the AQM names; only the right unit and the iota link laws follow."""
+    """On the commutative AQMs of size <= 3 and the cell mutants of the A3
+    and N3 products (_finite_aqms)."""
     count = failing = 0
     for a in _finite_aqms():
-        failures, checked = brute_check_action(self_module(a))
-        rep = check_aqm(a, strict=False)
-        fails = [ln for ln in rep.lines if ": FAIL [witness: " in ln]
-        assert fails[:len(failures)] == [
-            f"{SELF_MODULE_LAWS[law]}: FAIL [witness: {w!r}]"
-            for law, w in failures]
-        assert {ln.split(":")[0] for ln in fails[len(failures):]} <= {
-            "right-unit", "iota-hom", "iota-monotone", "iota-unit"}
-        # the link laws check the right unit per element, iota-hom per
-        # pair of distributive elements and iota-monotone per ordered pair
-        dist = a.dist.elements
-        links = len(a.quant.elements) + len(dist) ** 2 + sum(
-            a.dist.leq(d, e) for d, e in product(dist, repeat=2))
-        assert (rep.data["checked"], rep.data["skipped"]) == (
-            checked + links, 0)
+        failures, _ = _assert_check_aqm_matches_scans(a)
         count += 1
         failing += bool(failures)
     assert (count, failing) == (93, 66)
+
+
+def test_check_aqm_link_laws_match_the_instance_scan():
+    """On the cell mutants of an 8-element Gen product and the value
+    mutants of its iota, where every link law fails somewhere, iota-hom and
+    iota-monotone both at one pair included."""
+    count = pairs = 0
+    failing = set()
+    for a in _gen_product_mutants():
+        _, links = _assert_check_aqm_matches_scans(a)
+        count += 1
+        failing |= {law for law, _ in links}
+        pairs += any(w == w2 for (l1, w), (l2, w2) in zip(links, links[1:])
+                     if (l1, l2) == ("iota-hom", "iota-monotone"))
+    assert count == 64 * 7 + 8 * 7
+    assert failing == {"right-unit", "iota-hom", "iota-monotone", "iota-unit"}
+    assert pairs > 0
 
 
 # -- module actions on tables ---------------------------------------------------
