@@ -44,6 +44,7 @@ __all__ = [
     "EXP_END_MAX_SIZE",
     "DmFragment",
     "free_aqm",
+    "free_action",
     "lift_to_downsets",
     "term_closure",
 ]
@@ -563,34 +564,47 @@ def lift_to_downsets(base, act):
     return lifted
 
 
+def free_action(space, act):
+    """The action on `space` that act(a, x) generates for the downsets of
+    scalar multisets: a multiset acts as the sum of its members' actions,
+    and a downset as the join over its maximal generators. Every partial
+    sum goes through the space's bounded +, so an action leaves a fragment
+    as soon as a partial sum does (a finite space never raises). Sums and
+    actions are computed once per returned callable; a sum that left the
+    fragment is kept too, and raises again through space.check_bound."""
+
+    @cache
+    def summed(sigma, x):  # (the sum, whether it left the fragment)
+        acc = space.zero
+        try:
+            for a in sigma.gens:
+                acc = space.plus(acc, act(a, x))
+        except FragmentExceeded as exc:
+            return exc.witness, True
+        return acc, False
+
+    @cache
+    def star(scalar, x):
+        sums = [summed(sigma, x) for sigma in scalar.maxgens]
+        return space.join([space.check_bound(p) if left else p
+                           for p, left in sums])
+
+    return star
+
+
 def free_aqm(m, k=DmFragment.k):
     """The free additive quantale with multiplication over a multiplicative
     pomonoid, realized on the bounded downset fragment.
 
     The quantale sort is the downset fragment over the multiupsets of m's
     carrier; the distributive sort is m itself, linked by the principal
-    downset of a one-element multiset. The product of P and Q reduces to
-    per-generator scalar actions: a multiset of scalars acts as the sum of
-    its members' elementwise actions, and P acts as the join over its
-    maximal generator multisets. Each action and each product is computed
-    once per AQM; a product's bound is checked on every call.
+    downset of a one-element multiset. The product P * Q is the free action
+    (free_action) of P on Q that m's product generates, acting elementwise
+    on Q's maximal generators (lift_to_downsets): it leaves the fragment as
+    soon as one of its partial sums does.
     """
     frag = DmFragment(m.poset, k)
-    scalar_act = lift_to_downsets(m.poset, m.apply)
-
-    @cache
-    def multiset_act(sigma, q):
-        r = frag.zero
-        for a in sigma.gens:
-            r = dsum(r, scalar_act(a, q))
-        return r
-
-    @cache
-    def product_of(p, q):
-        return djoin([multiset_act(sigma, q) for sigma in p.maxgens])
-
-    def mult(p, q):
-        return frag.check_bound(product_of(p, q))
+    mult = free_action(frag, lift_to_downsets(m.poset, m.apply))
 
     def iota(a):
         return unit_embed(m.poset, Multiupset(m.poset, (a,)))

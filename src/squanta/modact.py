@@ -5,13 +5,11 @@ between them, module homomorphisms and those that generator images induce.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product
 
-from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_aqm,
-                  lift_to_downsets, scan_module_laws)
-from .errors import (FragmentExceeded, IllDefined, TooLarge, UnitNotEmbedding,
-                     UnknownElement)
+from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_action,
+                  free_aqm, lift_to_downsets, scan_module_laws)
+from .errors import IllDefined, TooLarge, UnitNotEmbedding, UnknownElement
 from .multiupset import generator_embed, mleq
 from .order import ByteTable, restrict_pomonoid
 from .reporting import LawScan
@@ -176,11 +174,11 @@ def extend_act_to_module(aa, k=DmFragment.k):
     the free additive quantale with multiplication on that pomonoid.
 
     Requires the unit map of the scalars into the free quantale sort to be an
-    order-embedding. A multiset of scalars acts as the sum of its members'
-    actions; a downset of multisets acts as the join over its maximal
-    generators. Both are computed once per pair of arguments. A sum that
-    leaves a fragment space is kept too, and raises FragmentExceeded again,
-    through the space's bound check, on every later call.
+    order-embedding. The action is the free action the act generates
+    (aqm.free_action), by the rule free_aqm's product follows: a multiset of
+    scalars acts as the sum of its members' actions, a downset as the join
+    over its maximal generators, and an action leaves a fragment space as
+    soon as one of its partial sums does.
     """
     mon = aa.scalars
     for a, b in product(mon.elements, repeat=2):
@@ -189,31 +187,9 @@ def extend_act_to_module(aa, k=DmFragment.k):
             raise UnitNotEmbedding(
                 "unit map of scalars is not an order-embedding", witness=(a, b)
             )
-    aqm = free_aqm(mon, k)
-    sp = aa.space
-
-    @cache
-    def summed(sigma, x):
-        acc = sp.zero
-        try:
-            for a in sigma.gens:
-                acc = sp.plus(acc, aa.star(a, x))
-        except FragmentExceeded as exc:
-            return exc.witness, True  # the sum that left the fragment
-        return acc, False
-
-    def multiset_star(sigma, x):
-        acc, left = summed(sigma, x)
-        return sp.check_bound(acc) if left else acc
-
-    @cache
-    def star(scalar, x):
-        return sp.join([multiset_star(sigma, x) for sigma in scalar.maxgens])
-
-    ma = ActionMap(MODULE, aqm, sp, star,
-                   name=f"Free({aa.name})" if aa.name else "free-module")
-    ma.multiset_star = multiset_star
-    return ma
+    return ActionMap(MODULE, free_aqm(mon, k), aa.space,
+                     free_action(aa.space, aa.star),
+                     name=f"Free({aa.name})" if aa.name else "free-module")
 
 
 def restrict_module_to_act(ma):

@@ -53,9 +53,11 @@ class FinPoset:
 
     @cached_property
     def leq_table(self):  # 0/1: 1 at i, j when elements[i] <= elements[j]
-        n = len(self.elements)
-        return ByteTable(b"".join(bytes(row >> j & 1 for j in range(n))
-                                  for row in self.up_rows), n)
+        n = len(self.elements)  # a row's n binary digits, bit 0 first: the
+        # set bit n keeps leading zeros, and the reversal drops it
+        digits = "".join(format(row | 1 << n, "b")[:0:-1]
+                         for row in self.up_rows).encode()
+        return ByteTable(digits.translate(bytes.maketrans(b"01", b"\0\1")), n)
 
     @property
     def pairs(self):  # the <= relation as a set of (x, y) label pairs

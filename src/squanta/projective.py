@@ -42,28 +42,17 @@ __all__ = [
 class ResidualResult:
     value: object
     certificate: tuple
-    fragment_limited: bool = False
 
 
 def residual(y, x, ma):
-    """Largest scalar sending x below y; exact on finite scalar carriers,
-    best-within-fragment otherwise."""
-    if ma.on_tables:
-        index_of = ma.space.pomonoid.poset.index_of
-        value, certificate = _residual_index(ma, index_of(y), index_of(x))
-        els = ma.scalars.quant.elements
-        return ResidualResult(els[value], tuple(els[b] for b in certificate))
-    certificate = []  # fragment scalars: the best value within the scan
-    for b in ma.scalar_universe():
-        try:
-            if ma.space.leq(ma.star(b, x), y):
-                certificate.append(b)
-        except FragmentExceeded:
-            pass
-    if not certificate:
-        raise NoResidual("no scalar sends x below y", witness=(y, x))
-    return ResidualResult(ma.scalars.quant.join(certificate),
-                          tuple(certificate), True)
+    """Largest scalar sending x below y, with the scalars that do, for a
+    module with finite scalars on a finite quantale (ActionMap.on_tables);
+    raises TooLarge for any other action."""
+    ma.require_tables()
+    index_of = ma.space.pomonoid.poset.index_of
+    value, certificate = _residual_index(ma, index_of(y), index_of(x))
+    els = ma.scalars.quant.elements
+    return ResidualResult(els[value], tuple(els[b] for b in certificate))
 
 
 def _residual_index(ma, y, x):
@@ -141,9 +130,10 @@ def submodule_on_orbit(ma, u, name=None):
 
 
 def gamma_u(u, ma):
-    """Dividing report for u and, when dividing over finite scalars, the
-    induced structural nucleus a -> (a*u)/u on the scalar quantale together
-    with the verified isomorphism between the orbit module and the quotient.
+    """Dividing report for u and, when dividing, the induced structural
+    nucleus a -> (a*u)/u on the scalar quantale together with the verified
+    isomorphism between the orbit module and the quotient; for a module on
+    tables, as `residual` requires (any other raises TooLarge).
     """
     rep = Report(f"gamma_u(u={u})")
     aqm = ma.scalars
@@ -153,12 +143,8 @@ def gamma_u(u, ma):
             results[x] = residual(x, u, ma)
         except NoResidual as exc:
             raise NotDividing(f"residual missing at {x!r}", witness=x) from exc
-    limited = any(r.fragment_limited for r in results.values())
     rep.data["dividing"] = True
-    rep.data["fragment_limited"] = limited
-    rep.note("u is dividing" + (" (fragment scope)" if limited else ""))
-    if limited:
-        return None, rep
+    rep.note("u is dividing")
 
     q = aqm.quant  # gamma_u(a) is (a * u)/u, one of the residuals above
     nuc = nucleus(q, {a: results[ma.star(a, u)].value for a in q.elements})

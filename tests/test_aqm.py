@@ -12,11 +12,11 @@ from squanta.aqm import (
     table_aqm,
     term_closure,
 )
-from squanta.downset import djoin, unit_embed
+from squanta.downset import djoin, parse_downset, unit_embed
 from squanta.errors import (FragmentExceeded, LawViolated, NotAssociative,
                             TooLarge, UnknownElement)
 from squanta.multiupset import Multiupset
-from squanta.order import ByteTable
+from squanta.order import ByteTable, pomonoid_from_flat, poset_from_rows
 
 
 def test_a3_valid_and_distributively_generated(a3):
@@ -305,6 +305,24 @@ def test_fragment_exceeded_on_every_call(m2):
     # within the bound the kept results are returned unchanged
     assert fa.quant.plus(two, two) == dn(mus(*"cccc"))
     assert fa.mult(two, two) == dn(mus(*"cccc"))
+
+
+def test_a_product_leaves_the_fragment_with_its_first_partial_sum():
+    """a and b lie above the bottom c, so [a,a,b,b] <= [c,c] as multiupsets
+    though its total is larger. v[[b,b],[c]] * v[[a,b]] joins v[[c,c]] to
+    the partial sum v[[a,b]] + v[[a,b]] = v[[a,a,b,b]] of total 4 > k = 2:
+    the product leaves the fragment there, though the join is in bound."""
+    m = pomonoid_from_flat(poset_from_rows(("a", "b", "c"), (1, 2, 7)),
+                           (0, 0, 0, 0, 1, 2, 2, 2, 2), 1, "multiplicative")
+    fa = free_aqm(m, k=2)
+    base = fa.quant.base
+    p, q = (parse_downset(base, s) for s in ("v[[b,b],[c]]", "v[[a,b]]"))
+    for _ in range(2):
+        with pytest.raises(FragmentExceeded) as exc:
+            fa.mult(p, q)
+        assert exc.value.witness == parse_downset(base, "v[[a,a,b,b]]")
+    assert fa.mult(parse_downset(base, "v[[c]]"), q) == parse_downset(
+        base, "v[[c,c]]")
 
 
 def test_check_aqm_repeatable_on_one_free_aqm(m2):

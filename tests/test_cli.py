@@ -191,6 +191,48 @@ def test_search_rejects_nonpositive_bounds(argv, capsys):
     assert captured.out == ""
 
 
+ONE_X = {"poset": {"elements": ["x"]},
+         "monoid": {"op": [["x", "x", "x"]], "unit": "x"}}
+TRANSLATIONS = {"gamma": "g022", "delta": "g022",
+                "tau": {"0": "0", "1": "2", "2": "2"},
+                "rho": {"0": "0", "1": "2", "2": "2"}}
+
+
+@pytest.mark.parametrize("structures, argv, code, message", [
+    ({"x": 5}, ["validate", "x"], EXIT_INPUT,
+     "structure description must be an object"),
+    ({"x": {"aqm": {"quantale": ONE_X, "product": "truncated-mult",
+                    "one": "x"}}},
+     ["validate", "x"], EXIT_INPUT, "truncated-mult needs numeral elements"),
+    ({"x": {"action": {"scalars": "M2", "space": "D2",
+                       "table": [["e", "p", "p"]]}}},
+     ["validate", "x"], EXIT_INPUT, "action table has no entry"),
+    ({"x": {"module": {"aqm": {"aqm": {"product": "free",
+                                       "pomonoid": "M2"}}}}},
+     ["validate", "x"], EXIT_INPUT,
+     "module needs an AQM with a finite quantale sort"),
+    ({"x": {"translations": dict(TRANSLATIONS, p="M2D2", q="A3.self")}},
+     ["validate", "x"], EXIT_INPUT,
+     "translations need modules on finite quantales"),
+    ({}, ["projective"], EXIT_INPUT, "projective needs a module name"),
+    ({}, ["equiv"], EXIT_INPUT, "equiv without a name needs exactly one "
+     "translations entry in the config"),
+    ({"x": {"translations": dict(TRANSLATIONS, p="A3.self", q="A3.self",
+                                 tau={"0": "1", "1": "1", "2": "1"})}},
+     ["validate", "x"], EXIT_VIOLATION, "tau is not a module homomorphism"),
+])
+def test_input_errors_exit_with_their_messages(tmp_path, capsys, structures,
+                                               argv, code, message):
+    path = write_config(tmp_path, {"structures": structures})
+    assert main(argv + ["--config", path]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_INPUT:
+        assert captured.err.startswith(f"input error: {message}")
+        assert captured.out == ""
+    else:
+        assert f"IllDefined: FAIL [witness: 'tau']\n  {message}" in captured.out
+
+
 def test_antichain_width_is_not_a_setting(tmp_path, capsys):
     # the fragment law scans have a fixed width of 2, so neither a flag nor
     # a config key sets it

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import downset_sum_oracle, full_downset
+from squanta.aqm import DmFragment
 from squanta.downset import (
     djoin,
     dleq,
@@ -69,7 +70,7 @@ def test_dleq_examples(d2):
 
 def test_base_mismatch(d2, c2):
     p, q = dn(d2, mu(d2, "p")), dn(c2, mu(c2, "a"))
-    for op in (dsum, dleq, lambda p, q: djoin([p, q])):
+    for op in (dsum, dleq, lambda p, q: djoin([p, q]), DmFragment(d2).plus):
         with pytest.raises(BaseMismatch) as err:
             op(p, q)
         assert err.value.witness == (p, q)

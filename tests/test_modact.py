@@ -178,12 +178,37 @@ def test_scalar_monotonicity_justifies_maxgens_joins(m2_on_d2, m2):
                     assert ma.space.leq(ma.star(s, p), ma.star(t, p))
     # oracle equivalence: join over all in-fragment generators equals the
     # maxgens-only computation
-    universe = enumerate_fragment(ma.scalars.quant.base, 4)
+    base = ma.scalars.quant.base
+    universe = enumerate_fragment(base, 4)
     for s in scalars:
         members = s.members(universe)
         for p in pts:
-            via_all = ma.space.join([ma.multiset_star(sigma, p) for sigma in members])
+            via_all = ma.space.join([ma.star(normalize(base, [sigma]), p)
+                                     for sigma in members])
             assert via_all == ma.star(s, p)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except FragmentExceeded as exc:
+        return "left", exc.witness
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_free_product_is_the_extended_self_action(m2, k):
+    # M2 acting on itself, extended to a module, acts by free_aqm's product:
+    # equal values, and equal witnesses where a partial sum leaves the bound
+    # (only below k = 4: the scan universe's totals are at most 2)
+    fa = free_aqm(m2, k)
+    ma = extend_act_to_module(extend_poset_action_to_dm(
+        ActionMap(POSET, m2, m2.poset, m2.apply), k), k)
+    universe = fa.quant.enumerate(fa.quant.scan_bounds())
+    outcomes = [(_outcome(fa.mult, p, q), _outcome(ma.star, p, q))
+                for p in universe for q in universe]
+    assert all(mine == theirs for mine, theirs in outcomes)
+    kinds = {mine[0] for mine, _ in outcomes}
+    assert kinds == ({"value", "left"} if k < 4 else {"value"})
 
 
 def test_module_action_leaves_fragment_on_every_call(m2_on_d2, m2, d2):
@@ -191,17 +216,14 @@ def test_module_action_leaves_fragment_on_every_call(m2_on_d2, m2, d2):
     # on the first call and again when the kept sum is looked up
     aa = extend_poset_action_to_dm(m2_on_d2, k=2)
     ma = extend_act_to_module(aa, k=2)
-    base = aa.space.base
+    base, scalars = aa.space.base, ma.scalars.quant.base
     x = normalize(base, [mu(d2, "p")])
-    sigma = mu(m2.poset, "e", "e", "e")
-    scalar = normalize(ma.scalars.quant.base, [sigma])
+    scalar = normalize(scalars, [mu(m2.poset, "e", "e", "e")])
     for _ in range(3):
         with pytest.raises(FragmentExceeded) as exc:
-            ma.multiset_star(sigma, x)
-        assert exc.value.witness == normalize(base, [mu(d2, "p", "p", "p")])
-        with pytest.raises(FragmentExceeded):
             ma.star(scalar, x)
-    assert ma.multiset_star(mu(m2.poset, "e", "c"), x) == normalize(
+        assert exc.value.witness == normalize(base, [mu(d2, "p", "p", "p")])
+    assert ma.star(normalize(scalars, [mu(m2.poset, "e", "c")]), x) == normalize(
         base, [mu(d2, "p", "p")])
 
 

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from squanta.aqm import make_quantale
+from oracles import brute_residual
+from squanta.aqm import exp_end, make_quantale
 from squanta.errors import (BaseMismatch, LawViolated, NoResidual,
-                            NotStructural, TooLarge)
+                            NotDividing, NotStructural, TooLarge)
 from squanta.modact import (
     MODULE,
     ActionMap,
@@ -39,8 +40,7 @@ def test_residual_examples(a3_self):
     assert residual("1", "2", a3_self).value == "0"
     for y in a3_self.space.elements:
         assert residual(y, "1", a3_self).value == y  # unit scalar
-    r = residual("2", "2", a3_self)
-    assert r.value == "2" and not r.fragment_limited
+    assert residual("2", "2", a3_self).value == "2"
 
 
 def test_residual_adjunction(a3_self, n3_self):
@@ -62,6 +62,11 @@ def test_gamma_u_examples(n2q, a3_self):
     nuc, rep = gamma_u("2", a3_self)
     assert nuc.as_dict() == {"0": "0", "1": "2", "2": "2"}
     assert rep.ok
+    assert rep.lines == [
+        "u is dividing",
+        "gamma_u is a structural nucleus on the scalar quantale: PASS",
+        "orbit module isomorphic to scalar quotient: PASS "
+        "(via x->x/u and a->a*u)"]
     # cross-oracle agreement with the enumerated nuclei
     assert nuc in enumerate_nuclei(n2q)
     ident, rep1 = gamma_u("1", a3_self)
@@ -69,13 +74,31 @@ def test_gamma_u_examples(n2q, a3_self):
 
 
 def test_gamma_u_fragment_scope(m2_on_d2):
-    from squanta.modact import extend_act_to_module, extend_poset_action_to_dm
-
+    # residuals, and so gamma_u, are decided on tables only
     ma = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2))
     for u in ma.space.enumerate((1, 1)):
-        nuc, rep = gamma_u(u, ma)
-        assert rep.data["dividing"] and rep.data["fragment_limited"]
-        assert nuc is None
+        with pytest.raises(TooLarge):
+            gamma_u(u, ma)
+        with pytest.raises(TooLarge):
+            residual(u, u, ma)
+
+
+def test_gamma_u_on_a_noncommutative_self_module():
+    # Gen's product is composition, which does not commute here: the
+    # nucleus is a -> (a * u)/u, and the orbit map a -> a * u
+    ma = self_module(exp_end(make_quantale(quantale_descriptions(3)[4])))
+    els, dividing = ma.space.elements, 0
+    assert any(ma.star(a, b) != ma.star(b, a) for a in els for b in els)
+    for u in els:
+        try:
+            nuc, rep = gamma_u(u, ma)
+        except NotDividing:
+            continue
+        assert rep.ok
+        assert nuc.as_dict() == {
+            a: brute_residual(ma.star(a, u), u, ma)[0] for a in els}
+        dividing += 1
+    assert dividing == 6
 
 
 def test_gamma_u_always_structural_for_dividing_u(a3_self, n3_self):

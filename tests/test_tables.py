@@ -470,7 +470,6 @@ def test_residual_matches_scan():
                 got = (exc.args[0], exc.witness)
                 outcomes.add(exc.args[0])
             else:
-                assert not r.fragment_limited
                 got = (r.value, r.certificate)
                 outcomes.add("value")
             assert got == brute_residual(y, x, ma)
