@@ -106,9 +106,6 @@ class FinGenQuantale(Derives):
     def plus(self, x, y):
         return self.pomonoid.apply(x, y)
 
-    def fold_plus(self, xs):
-        return self.pomonoid.fold(xs)
-
     def join(self, xs):
         return self.elements[self.join_of(map(self.pomonoid.poset.index_of, xs))]
 
@@ -152,11 +149,10 @@ class AQM(Derives):
     the additive quantale sort (a FinGenQuantale or a DmFragment), `mult`
     and `one` the monoid structure on the quantale sort, and `iota` the
     linking map. On a fragment sort the product is a function (anything
-    else raises TooLarge); on a finite sort it is a function, a dict
-    {(x, y): x * y}, a flat tuple over element positions (see
-    Pomonoid.flat) or a ByteTable, held as `mult_op` when the AQM is built,
-    a dict compiled through order.flat_from_triples (an incomplete one
-    raises NotAssociative). The linking map is a function or a dict.
+    else raises TooLarge); on a finite sort it is a flat table over element
+    positions (see Pomonoid.flat) or a ByteTable, held as `mult_op` (a
+    label dict is compiled by table_aqm). The linking map is a function or
+    a dict.
 
     The gammas of its self-module, computed from the AQM alone, are kept in
     `derived` (see `Derives.derive`), which refers to no module.
@@ -172,11 +168,6 @@ class AQM(Derives):
         if isinstance(quant, FinGenQuantale):
             # compiled once: every product on a finite sort reads this table
             els, index_of = quant.elements, quant.pomonoid.poset.index_of
-            if isinstance(mult, dict):
-                mult = flat_from_triples(quant.pomonoid.poset,
-                                         [(x, y, z) for (x, y), z in mult.items()])
-            elif callable(mult):
-                mult = [index_of(mult(x, y)) for x in els for y in els]
             n = len(els)
             self.mult_op = op = mult if isinstance(mult, ByteTable) else ByteTable(mult, n)
             self.mult = lambda x, y: els[op.flat[index_of(x) * n + index_of(y)]]
@@ -187,11 +178,6 @@ class AQM(Derives):
                            "be a function", witness=name)
         self.iota = iota if callable(iota) else iota.__getitem__
         self.derived = {}
-
-    def mult_table(self):
-        """The bytes of mult_op, the product over element positions (see
-        Pomonoid.flat); finite quantale sort only."""
-        return self.mult_op.flat
 
     @property
     def is_finite(self):
@@ -215,8 +201,7 @@ def table_aqm(quant, mult, one, name=""):
         if isinstance(mult, dict):
             mult = flat_from_triples(
                 poset, [(x, y, z) for (x, y), z in mult.items()])
-        dist = pomonoid_from_flat(poset, mult, poset.index_of(one),
-                                  "multiplicative")
+        dist = pomonoid_from_flat(poset, mult, poset.index_of(one))
     except UnitNotNeutral as exc:
         raise LawViolated("unit", witness=exc.witness) from exc
     except NotAssociative as exc:
@@ -476,7 +461,7 @@ def exp_end(q):
     mult = bytes(pos[h] for f in gen  # f after g is g's block through f
                  for h in split(block.translate(f.ljust(256, b"\0"))))
     dist = restrict_pomonoid(quant.pomonoid.poset, sorted(pos[f] for f in endos),
-                             mult, pos[bytes(pts)], "multiplicative")
+                             mult, pos[bytes(pts)])
     a = AQM(dist, quant, mult, dist.unit, {e: e for e in dist.elements},
             name=f"ExpEnd({q.name})" if q.name else "ExpEnd")
     check_aqm(a)

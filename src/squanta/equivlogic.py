@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import IllDefined, NoLift, NotProjective
-from .nucleus import Nucleus
+from .nucleus import Nucleus, quotient
 from .modact import hom_from_generator_image, is_module_hom
 from .projective import cyclic_projective_check, find_lift
 from .reporting import Report
@@ -112,8 +112,9 @@ def recover_translations(f, g, p_mod, q_mod, gamma, delta):
 
     Both modules are first certified cyclic projective (condition (ii) of
     `cyclic_projective_check`); a module that is not raises NotProjective
-    with its name as the witness. On certified modules the lifts exist, so
-    a failed hom search would indicate a bug, not a math fact.
+    with its name as the witness. f and g, on the nucleus images, must be
+    module homomorphisms between the quotients (IllDefined otherwise); then
+    the lifts exist, so a failed hom search would indicate a bug.
     """
     for mod in (p_mod, q_mod):
         if not cyclic_projective_check(mod).data["conditions"]["ii"]:
@@ -122,10 +123,15 @@ def recover_translations(f, g, p_mod, q_mod, gamma, delta):
     _check_on(gamma, p_mod, "gamma")
     _check_on(delta, q_mod, "delta")
     gd, dd = gamma.as_dict(), delta.as_dict()
-    for label, h, image in (("f", f, gd), ("g", g, dd)):
+    quotients = quotient(p_mod, gamma).module, quotient(q_mod, delta).module
+    for label, h, image, (src, dst) in (("f", f, gd, quotients),
+                                        ("g", g, dd, quotients[::-1])):
         if not set(image.values()) <= set(h):
             raise IllDefined(f"{label} is not defined on the whole image",
                              witness=label)
+        if not is_module_hom({x: h[x] for x in src.space.elements}, src, dst):
+            raise IllDefined(f"{label} is not a module homomorphism of the "
+                             "quotients", witness=label)
     tau = find_lift({x: f[gd[x]] for x in gd}, dd, p_mod, q_mod)
     rho = find_lift({e: g[dd[e]] for e in dd}, gd, q_mod, p_mod)
     if tau is None or rho is None:

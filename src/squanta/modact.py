@@ -21,6 +21,7 @@ __all__ = [
     "extend_act_to_module",
     "restrict_module_to_act",
     "is_module_hom",
+    "hom_on_positions",
     "generator_image",
     "hom_from_generator_image",
 ]
@@ -227,29 +228,41 @@ def cut_module(ma, key, positions, through, names):
 
 
 def is_module_hom(h, src, dst):
-    """h: dict mapping the src carrier into the dst carrier, for modules with
-    finite scalars on finite quantales (ActionMap.on_tables); raises
-    TooLarge for any other action. Modules over different scalar carriers,
-    a map with a value outside the dst carrier and an action that leaves its
-    own carrier give False: there is no homomorphism."""
+    """h: dict mapping the src carrier into the dst carrier (hom_on_positions
+    on labels); a map with a value outside the dst carrier gives False."""
+    src.require_tables()
+    dst.require_tables()
+    els = src.space.elements
+    if sorted(h) != sorted(els):
+        return False
+    try:
+        hv = bytes(map(dst.space.pomonoid.poset.index_of, map(h.get, els)))
+    except UnknownElement:
+        return False
+    return hom_on_positions(hv, src, dst)
+
+
+def hom_on_positions(hv, src, dst):
+    """Whether the map sending the point at position i of src to the point
+    at position hv[i] of dst (bytes) is a module homomorphism, for modules
+    with finite scalars on finite quantales (ActionMap.on_tables); raises
+    TooLarge for any other action. Modules over different scalar carriers
+    and an action that leaves its own carrier give False: there is no
+    homomorphism."""
     src.require_tables()
     dst.require_tables()
     if src.scalars.quant.elements != dst.scalars.quant.elements:
         return False
     p, r = src.space, dst.space
-    els = p.elements
-    if sorted(h) != sorted(els):
-        return False
-    index_of = r.pomonoid.poset.index_of
     try:
-        hv = bytes(index_of(h[x]) for x in els)
         src_star, dst_star = src.star_op(), dst.star_op()
     except UnknownElement:
         return False
+    zero = p.pomonoid.poset.index[p.zero]
     # h carries join, + and zero to those of dst, and a * x to a * h(x)
     return (p.join_op.after(hv) == r.join_op.pairs(hv)
             and p.plus_op.after(hv) == r.plus_op.pairs(hv)
-            and hv[p.pomonoid.poset.index_of(p.zero)] == index_of(r.zero)
+            and hv[zero] == r.pomonoid.poset.index[r.zero]
             and src_star.after(hv) == dst_star.each(hv))
 
 
@@ -286,7 +299,7 @@ def hom_from_generator_image(p_mod, u, q_mod, w):
         raise IllDefined("module is not u-cyclic", witness=next(
             x for i, x in enumerate(p.elements) if i not in times_u))
     images = dict(zip(p.elements, map(q.elements.__getitem__, h)))
-    if not is_module_hom(images, p_mod, q_mod):
+    if not hom_on_positions(h, p_mod, q_mod):
         raise IllDefined("induced map is not a module homomorphism",
                          witness=sorted(images.items()))
     return images

@@ -215,17 +215,15 @@ def _parse_poset(elements, leq_pairs):
 class Pomonoid:
     """Monoid table over a finite poset, monotone in each coordinate.
 
-    `notation` records whether the structure is being read additively (+ / 0)
-    or multiplicatively (* / 1); it is presentation-only. The three flags are
-    always derived from the table, never taken from input. `flat` is the
-    bytes of `table`, over element positions: x.y = z when flat[i * n + j]
-    = k for the positions i, j, k of x, y, z in the poset's elements.
+    The three flags are always derived from the table, never taken from
+    input. `flat` is the bytes of `table`, over element positions: x.y = z
+    when flat[i * n + j] = k for the positions i, j, k of x, y, z in the
+    poset's elements.
     """
 
     poset: FinPoset
     table: ByteTable = field(repr=False)
     unit: str
-    notation: str = "additive"
     commutative: bool = field(default=False, compare=False)
     dually_integral: bool = field(default=False, compare=False)
     idempotent: bool = field(default=False, compare=False)
@@ -256,7 +254,7 @@ class Pomonoid:
         return self.commutative and self.dually_integral
 
 
-def pomonoid_from_flat(poset, flat, unit, notation="additive"):
+def pomonoid_from_flat(poset, flat, unit):
     """The Pomonoid on `poset` whose table is the complete flat tuple `flat`
     over element positions (see Pomonoid.flat), with the element at position
     `unit` as its unit.
@@ -303,14 +301,13 @@ def pomonoid_from_flat(poset, flat, unit, notation="additive"):
         poset,
         tab,
         els[unit],
-        notation,
         commutative=t == cols.flat,
         dually_integral=up[unit] == (1 << n) - 1,
         idempotent=t[::n + 1] == ident,
     )
 
 
-def restrict_pomonoid(poset, positions, table, unit, notation="additive"):
+def restrict_pomonoid(poset, positions, table, unit):
     """The pomonoid on the elements of `poset` at the ascending `positions`,
     ordered as in `poset`, in which the product of the elements at positions
     i and j is at table[i * n + j], bytes over the n positions of `poset`,
@@ -327,7 +324,7 @@ def restrict_pomonoid(poset, positions, table, unit, notation="additive"):
     for k in flat + [unit]:
         if k not in local:
             sub.index_of(els[k])  # not in sub: raises UnknownElement
-    return pomonoid_from_flat(sub, [local[k] for k in flat], local[unit], notation)
+    return pomonoid_from_flat(sub, [local[k] for k in flat], local[unit])
 
 
 def join_positions(up_rows):
@@ -394,8 +391,7 @@ def validate_structure(raw):
 
     Accepted shapes (JSON-compatible dicts):
       {"poset": {"elements": [...], "leq": [[x, y], ...]}}
-      {"poset": {...}, "monoid": {"op": [[x, y, z], ...], "unit": u,
-                                  "notation": "additive"|"multiplicative"}}
+      {"poset": {...}, "monoid": {"op": [[x, y, z], ...], "unit": u}}
       {"map": {"domain": <poset desc>, "codomain": <poset desc>,
                "table": [[x, y], ...]}}
     """
@@ -411,8 +407,7 @@ def validate_structure(raw):
         return poset
     mon = raw["monoid"]
     flat = flat_from_triples(poset, [tuple(t) for t in mon["op"]])
-    return pomonoid_from_flat(poset, flat, poset.index_of(mon["unit"]),
-                              mon.get("notation", "additive"))
+    return pomonoid_from_flat(poset, flat, poset.index_of(mon["unit"]))
 
 
 def monotone_map(domain, codomain, mapping):
@@ -466,5 +461,5 @@ def selfmap_pomonoid(poset):
     ident = next(i for i, m in enumerate(maps)
                  if all(m.apply(x) == x for x in poset.elements))
     base = poset_from_rows(tuple(names[i] for i in at), rows)
-    return (pomonoid_from_flat(base, flat, pos[ident], "multiplicative"),
+    return (pomonoid_from_flat(base, flat, pos[ident]),
             dict(zip(names, maps)))

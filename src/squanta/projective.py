@@ -16,8 +16,8 @@ from .errors import (
     NotStructural,
     TooLarge,
 )
-from .modact import (ACT, MODULE, POSET, ActionMap, check_action,
-                     cut_module, generator_image, is_module_hom)
+from .modact import (ACT, MODULE, POSET, ActionMap, check_action, cut_module,
+                     generator_image, hom_on_positions, is_module_hom)
 from .nucleus import nucleus, quotient
 from .reporting import Report
 
@@ -33,7 +33,6 @@ __all__ = [
     "submodule_on_orbit",
     "is_module_hom",
     "enumerate_module_homs",
-    "enumerate_surjective_homs",
     "exhaustive_family",
 ]
 
@@ -230,8 +229,8 @@ def cyclic_projective_check(ma, lifting_family=None):
         for w in gens if u in idempotents else ():
             # (ii): a * w -> a * u is an isomorphism onto A*u (see README)
             h = generator_image(ma, w, selfm, u)
-            if h is not None and len(set(h)) == n and is_module_hom(
-                    dict(zip(pels, map(els.__getitem__, h))), ma, selfm):
+            if (h is not None and len(set(h)) == n
+                    and hom_on_positions(h, ma, selfm)):
                 w2.append(els[u])
                 break
         times_u = selfm.column(u)
@@ -293,22 +292,12 @@ def cyclic_projective_check(ma, lifting_family=None):
 
 
 def enumerate_module_homs(src, dst):
-    """All module homomorphisms between finite modules over one AQM."""
-    els = src.space.elements
-    out = []
-    for values in product(dst.space.elements, repeat=len(els)):
-        h = dict(zip(els, values))
-        if is_module_hom(h, src, dst):
-            out.append(h)
-    return out
-
-
-def enumerate_surjective_homs(src, dst):
-    return [
-        h
-        for h in enumerate_module_homs(src, dst)
-        if set(h.values()) == set(dst.space.elements)
-    ]
+    """All module homomorphisms between finite modules over one AQM, as
+    label dicts, in the order of their value tuples."""
+    els, dels = src.space.elements, dst.space.elements
+    return [dict(zip(els, map(dels.__getitem__, h)))
+            for h in map(bytes, product(range(len(dels)), repeat=len(els)))
+            if hom_on_positions(h, src, dst)]
 
 
 def find_lift(h, g, p, q):
@@ -356,11 +345,9 @@ def lifting_check(p, family):
 def exhaustive_family(p, modules, max_size=3):
     """Every surjection/hom pair among the given modules with carriers up to
     max_size, targeting lifts of p."""
-    family = []
     small = [m for m in modules if len(m.space.elements) <= max_size]
-    for q_mod in small:
-        for r_mod in small:
-            for g in enumerate_surjective_homs(q_mod, r_mod):
-                for h in enumerate_module_homs(p, r_mod):
-                    family.append((g, q_mod, r_mod, h))
-    return family
+    to_r = [enumerate_module_homs(p, r_mod) for r_mod in small]
+    return [(g, q_mod, r_mod, h) for q_mod in small
+            for r_mod, homs in zip(small, to_r)
+            for g in enumerate_module_homs(q_mod, r_mod)
+            if set(g.values()) == set(r_mod.space.elements) for h in homs]

@@ -28,13 +28,13 @@ def test_a3_valid_and_distributively_generated(a3):
 def test_check_aqm_reads_the_tables_it_holds(a3, n3, monkeypatch):
     """check_aqm on a built finite AQM compiles one ByteTable, the
     transposed product; every other table is held by the structures."""
-    by_function = AQM(a3.dist, a3.quant, a3.mult, a3.one,
-                      {d: d for d in a3.dist.elements}, name="A3-again")
+    by_flat = AQM(a3.dist, a3.quant, tuple(a3.mult_op.flat), a3.one,
+                  {d: d for d in a3.dist.elements}, name="A3-again")
     built = []
     real = ByteTable.__init__
     monkeypatch.setattr(ByteTable, "__init__", lambda self, flat, n: (
         built.append(n), real(self, flat, n))[1])
-    for a in (a3, n3, by_function):
+    for a in (a3, n3, by_flat):
         built.clear()
         assert check_aqm(a).ok
         assert built == [len(a.quant.elements)], a
@@ -51,13 +51,14 @@ def test_a3_broken_unit(n2q):
 def test_product_dict_missing_a_pair_or_naming_no_element(n2q, a3):
     mult = {(x, y): a3.mult(x, y) for x in n2q.elements for y in n2q.elements}
     del mult["0", "1"]
-    with pytest.raises(NotAssociative) as err:
-        AQM(a3.dist, n2q, mult, "1", a3.iota)
-    assert (err.value.args[0], err.value.witness) == (
+    with pytest.raises(LawViolated) as err:
+        table_aqm(n2q, mult, "1")
+    assert isinstance(err.value.__cause__, NotAssociative)
+    assert (err.value.__cause__.args[0], err.value.witness) == (
         "operation table incomplete", ("0", "1"))
     mult["0", "1"] = "7"
     with pytest.raises(UnknownElement) as err:
-        AQM(a3.dist, n2q, mult, "1", a3.iota)
+        table_aqm(n2q, mult, "1")
     assert err.value.witness == "7"
 
 
@@ -313,7 +314,7 @@ def test_a_product_leaves_the_fragment_with_its_first_partial_sum():
     the partial sum v[[a,b]] + v[[a,b]] = v[[a,a,b,b]] of total 4 > k = 2:
     the product leaves the fragment there, though the join is in bound."""
     m = pomonoid_from_flat(poset_from_rows(("a", "b", "c"), (1, 2, 7)),
-                           (0, 0, 0, 0, 1, 2, 2, 2, 2), 1, "multiplicative")
+                           (0, 0, 0, 0, 1, 2, 2, 2, 2), 1)
     fa = free_aqm(m, k=2)
     base = fa.quant.base
     p, q = (parse_downset(base, s) for s in ("v[[b,b],[c]]", "v[[a,b]]"))

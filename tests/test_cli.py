@@ -196,6 +196,8 @@ ONE_X = {"poset": {"elements": ["x"]},
 TRANSLATIONS = {"gamma": "g022", "delta": "g022",
                 "tau": {"0": "0", "1": "2", "2": "2"},
                 "rho": {"0": "0", "1": "2", "2": "2"}}
+F_G = {"p": "A3.self", "q": "A3.self", "gamma": "g022", "delta": "g022",
+       "g": {"0": "0", "2": "2"}}
 
 
 @pytest.mark.parametrize("structures, argv, code, message", [
@@ -220,6 +222,24 @@ TRANSLATIONS = {"gamma": "g022", "delta": "g022",
     ({"x": {"translations": dict(TRANSLATIONS, p="A3.self", q="A3.self",
                                  tau={"0": "1", "1": "1", "2": "1"})}},
      ["validate", "x"], EXIT_VIOLATION, "tau is not a module homomorphism"),
+    ({"x": {"translations": dict(TRANSLATIONS, p="A3.self", q="N3.self",
+                                 delta="N3.g0133")}},
+     ["equiv"], EXIT_VIOLATION, "modules over different AQMs"),
+    ({"x": {"translations": dict(TRANSLATIONS, p="A3.self", q="A3.self",
+                                 gamma="N3.g0133")}},
+     ["equiv"], EXIT_VIOLATION, "gamma is not a nucleus on its module's space"),
+    ({"x": {"translations": dict(TRANSLATIONS, p="A3.self", q="A3.self",
+                                 tau={"0": "0", "1": "7", "2": "2"})}},
+     ["equiv"], EXIT_VIOLATION, "tau leaves the target module"),
+    ({"x": {"translations": dict(TRANSLATIONS, p="A3.self", q="A3.self",
+                                 rho={"0": "1", "1": "1", "2": "1"})}},
+     ["equiv"], EXIT_VIOLATION, "rho is not a module homomorphism"),
+    # f on gamma's image lifts only when it is a homomorphism of the
+    # quotients; these three would reach the lift search's bug trap
+    *(({"x": {"translations": dict(F_G, f=f)}}, ["equiv"], EXIT_VIOLATION,
+       "f is not a module homomorphism of the quotients")
+      for f in ({"0": "2", "2": "0"}, {"0": "0", "2": "1"},
+                {"0": "0", "2": "9"})),
 ])
 def test_input_errors_exit_with_their_messages(tmp_path, capsys, structures,
                                                argv, code, message):
@@ -229,8 +249,11 @@ def test_input_errors_exit_with_their_messages(tmp_path, capsys, structures,
     if code == EXIT_INPUT:
         assert captured.err.startswith(f"input error: {message}")
         assert captured.out == ""
-    else:
-        assert f"IllDefined: FAIL [witness: 'tau']\n  {message}" in captured.out
+    else:  # the witness is the field named, or the two modules' names
+        label = message.split()[0]
+        witness = "('A3', 'N3')" if label == "modules" else repr(label)
+        assert (f"IllDefined: FAIL [witness: {witness}]\n  {message} "
+                f"[witness: {witness}]") in captured.out
 
 
 def test_antichain_width_is_not_a_setting(tmp_path, capsys):

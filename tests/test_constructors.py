@@ -141,21 +141,19 @@ def test_pomonoid_from_flat_matches_parser():
         els, n = poset.elements, len(poset.elements)
         flat = make_quantale(desc).plus_table
         for t, unit in product(_mutants(flat, n), range(n)):
-            for notation in ("additive", "multiplicative"):
-                by_table = _outcome(
-                    lambda: pomonoid_from_flat(poset, t, unit, notation))
-                by_labels = _outcome(lambda: validate_structure({
-                    "poset": desc["poset"],
-                    "monoid": {"op": [[els[i], els[j], els[t[i * n + j]]]
-                                      for i in range(n) for j in range(n)],
-                               "unit": els[unit], "notation": notation}}))
-                assert by_table == by_labels
-                if by_table[0] == "ok":
-                    a, b = by_table[1], by_labels[1]
-                    assert a.flat == b.flat
-                    assert (a.commutative, a.dually_integral, a.idempotent) \
-                        == (b.commutative, b.dually_integral, b.idempotent)
-                kinds[by_table[0]] += 1
+            by_table = _outcome(lambda: pomonoid_from_flat(poset, t, unit))
+            by_labels = _outcome(lambda: validate_structure({
+                "poset": desc["poset"],
+                "monoid": {"op": [[els[i], els[j], els[t[i * n + j]]]
+                                  for i in range(n) for j in range(n)],
+                           "unit": els[unit]}}))
+            assert by_table == by_labels
+            if by_table[0] == "ok":
+                a, b = by_table[1], by_labels[1]
+                assert a.flat == b.flat
+                assert (a.commutative, a.dually_integral, a.idempotent) \
+                    == (b.commutative, b.dually_integral, b.idempotent)
+            kinds[by_table[0]] += 1
     assert set(kinds) == {"ok", "UnitNotNeutral", "NotAssociative",
                           "NotMonotone"}
 
@@ -268,7 +266,7 @@ def test_table_aqm_matches_label_description():
                     continue
                 a, b = by_flat[1], by_dict[1]
                 assert a.dist == b.dist == by_labels[1]
-                assert tuple(a.mult_table()) == tuple(b.mult_table()) == t
+                assert tuple(a.mult_op.flat) == tuple(b.mult_op.flat) == t
                 assert all(a.mult(x, y) == mult[x, y] for x, y in mult)
                 ra, rb = check_aqm(a, strict=False), check_aqm(b, strict=False)
                 assert (ra.lines, ra.data) == (rb.lines, rb.data)

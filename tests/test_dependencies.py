@@ -112,6 +112,16 @@ def test_star_tables_are_read_through_the_action():
     assert found == set()
 
 
+def test_label_homomorphisms_are_decided_at_the_edge():
+    # a caller that holds a byte map decides it with hom_on_positions; the
+    # label form is for maps that arrive as labels: a translation pair's,
+    # gamma_u's isomorphism and a lifting family's maps
+    found = {(f, fn) for path in _sources() if path.name != "equivlogic.py"
+             for f, _, fn in _calls(path, "is_module_hom")}
+    assert found <= {("projective.py", "gamma_u"),
+                     ("projective.py", "lifting_check")}, found
+
+
 def test_search_imports_no_private_name():
     path = ROOT / "src" / "squanta" / "search.py"
     found = [alias.name for node in ast.walk(ast.parse(path.read_text()))

@@ -103,6 +103,11 @@ def test_recover_translations_g022(n2q, a3, a3_self):
     gd = g.as_dict()
     assert all(gd[tp.tau[x]] == f_id[gd[x]] for x in n2q.elements)
     assert equivalence_check(tp).ok
+    # a homomorphism of the quotients lifts, an isomorphism or not
+    collapse = {"0": "0", "2": "0"}
+    tp = recover_translations(collapse, f_id, a3_self, a3_self, g, g)
+    assert all(gd[tp.tau[x]] == collapse[gd[x]] for x in n2q.elements)
+    assert not equivalence_check(tp).ok
 
 
 def test_recover_rejects_a_nonprojective_module(n2q, n3_self):

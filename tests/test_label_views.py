@@ -1,6 +1,6 @@
 """Pins of the label views of finite posets, pomonoids and quantales,
 recorded while each structure still stored a label copy beside its position
-tables: the order pairs, `leq`, `apply`, `plus`, `join`, `fold_plus`, the
+tables: the order pairs, `leq`, `apply`, `plus`, `join`, `fold`, the
 pomonoid flags and the bottom of every quantale of size <= 4, and the pairs,
 `leq` and antichain operations of every labeled poset on 4 elements. A
 change that alters any of them has changed what a structure answers on
@@ -52,7 +52,7 @@ def test_quantale_label_views_as_pinned():
         lines.append(repr([_outcome(lambda: q.join([x, y]))
                            for x, y in product(els, repeat=2)]))
         lines.append(_outcome(lambda: q.join([])))
-        lines.append(repr([q.fold_plus(xs) for xs in
+        lines.append(repr([pom.fold(xs) for xs in
                            ([], list(els), list(reversed(els)))]))
         lines.append(repr((pom.commutative, pom.dually_integral,
                            pom.idempotent, q.bottom)))

@@ -176,11 +176,24 @@ def test_generator_scope_needs_distributive_generation():
                        "notation": "multiplicative"},
         }
     )
-    small = AQM(dist, b3.quant, b3.mult_table(), b3.one, {"0": "0"}, name="B3-small")
+    small = AQM(dist, b3.quant, b3.mult_op, b3.one, {"0": "0"}, name="B3-small")
     assert not check_aqm(small).data["distributively_generated"]
     ma = ActionMap(MODULE, small, b3.quant, small.mult, name="B3-small-self")
     ident = nucleus(b3.quant, {x: x for x in b3.quant.elements})
     with pytest.raises(NotDistributivelyGenerated):
         structural_check(ident, ma, scope="generators")
     # the full scalar scope needs no distributive generation
-    assert structural_check(ident, ma, scope="all").data["structural"]
+    rep = structural_check(ident, ma, scope="all")
+    assert rep.data["structural"]
+    assert (rep.title, rep.lines[1:]) == ("structural nucleus / B3-small-self", [
+        "structural: PASS (scope=all)", "transfer to consequence: PASS",
+        "transfer to congruence: PASS"])
+    # nor does it compare the scopes, as the generators-suffice lemma needs
+    # it: on a fresh AQM, whose distributive generation the check decides
+    fresh = AQM(dist, b3.quant, b3.mult_op, b3.one, {"0": "0"})
+    g = nucleus(b3.quant, {"0": "0", "1": "0", "2": "2"})
+    rep = structural_check(g, ActionMap(MODULE, fresh, b3.quant, fresh.mult))
+    assert fresh.distributively_generated is False
+    assert rep.lines == [
+        "scopes not compared: the AQM is not distributively generated",
+        "structural: FAIL [witness: ('1', '1')]"]

@@ -111,8 +111,8 @@ def test_selfmaps_closed_under_composition(c2):
 def test_selfmap_pomonoid_validates(c2, d2):
     # Mon X with composition is itself a pomonoid
     for poset in (c2, d2):
-        pom, _ = selfmap_pomonoid(poset)
-        assert pom.notation == "multiplicative"
+        pom, maps = selfmap_pomonoid(poset)
+        assert all(maps[pom.unit].apply(x) == x for x in poset.elements)
 
 
 def test_selfmap_pomonoid_too_large_before_composing(monkeypatch):
@@ -206,7 +206,7 @@ def test_pomonoid_blocks_stay_small():
     pom.poset.leq_table  # the poset's own table, built on first use
     tracemalloc.start()
     try:
-        again = pomonoid_from_flat(pom.poset, pom.flat, unit, "multiplicative")
+        again = pomonoid_from_flat(pom.poset, pom.flat, unit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

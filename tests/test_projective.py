@@ -21,7 +21,6 @@ from squanta.projective import (
     cyclic_check,
     cyclic_projective_check,
     enumerate_module_homs,
-    enumerate_surjective_homs,
     exhaustive_family,
     find_lift,
     gamma_u,
@@ -71,6 +70,17 @@ def test_gamma_u_examples(n2q, a3_self):
     assert nuc in enumerate_nuclei(n2q)
     ident, rep1 = gamma_u("1", a3_self)
     assert all(ident.apply(x) == x for x in n2q.elements)
+
+
+@pytest.mark.parametrize("u", ["0", "2"])
+def test_gamma_u_refutes_a_module_that_is_not_the_orbit(a3_self, monkeypatch, u):
+    """With the whole of A3 in place of its orbit A3*u, x -> (x/u)*u is not
+    the identity, while a -> (a*u)/u still is on the quotient and a -> a*u
+    is a homomorphism. At u = 0 x -> x/u is one too (onto the one-point
+    quotient); at u = 2 it is not."""
+    monkeypatch.setattr(projective, "submodule_on_orbit", lambda ma, u: ma)
+    _, rep = gamma_u(u, a3_self)
+    assert rep.lines[-1] == "orbit module isomorphic to scalar quotient: FAIL"
 
 
 def test_gamma_u_fragment_scope(m2_on_d2):
@@ -219,6 +229,10 @@ def test_exhaustive_lifting_confirms_projectivity(a3_sub2):
     fam = exhaustive_family(a3_sub2, fx.module_family(), max_size=3)
     rep = cyclic_projective_check(a3_sub2, lifting_family=fam)
     assert rep.ok and rep.data["lifting_ok"]
+    # each surjection q ->> r, in order, once per homomorphism A·2 -> r
+    assert [(q.name, r.name) for _, q, r, _ in fam] == [
+        ("A·0", "A·0"), ("A·2", "A·0"), ("A·2", "A·2"), ("A·2", "A·2"),
+        ("A3", "A·0"), ("A3", "A·2"), ("A3", "A·2"), ("A3", "A3"), ("A3", "A3")]
 
 
 def test_lifting_examples(n2q, a3_self, a3_sub2):
@@ -247,7 +261,7 @@ def test_find_lift_is_the_first_lift(n2q, a3_self, a3_sub2, n3_self):
 
 def test_self_module_star_table_is_the_product_table():
     a = fx.a3()
-    assert self_module(a).star_table() is a.mult_table()
+    assert self_module(a).star_table() is a.mult_op.flat
 
 
 def test_nonprojective_fixture_yields_nolift(n3_self):
@@ -342,8 +356,9 @@ def test_module_hom_enumeration(a3_self, a3_sub2):
     for h in homs:
         w = h["1"]
         assert all(h[a] == a3_self.scalars.mult(a, w) for a in h)
-    surj = enumerate_surjective_homs(a3_self, a3_sub2)
-    assert surj and all(set(h.values()) == {"0", "2"} for h in surj)
+    surj = [h for h in enumerate_module_homs(a3_self, a3_sub2)
+            if set(h.values()) == {"0", "2"}]
+    assert surj
 
 
 def test_poset_act_cyclicity_equivalence(m2_on_d2):
@@ -376,7 +391,7 @@ def _c3():
                    "unit": "2"}}, name="C3")
     aqms = _commutative_mults(q)
     assert [a.one for a in aqms] == ["0", "0", "1"]
-    assert aqms[1].mult_table() == fx.b3().mult_table()
+    assert aqms[1].mult_op == fx.b3().mult_op
     return q, aqms
 
 

@@ -216,7 +216,7 @@ def test_commutative_mults_keep_what_check_aqm_accepts():
                   for t in search._commutative_tables(n, leq, one)]
         want = [(one, t) for one, t in tables
                 if aqm.check_aqm(aqm.table_aqm(q, t, one), strict=False).ok]
-        assert [(a.one, tuple(a.mult_table()))
+        assert [(a.one, tuple(a.mult_op.flat))
                 for a in _commutative_mults(q)] == want
         candidates += len(tables)
         kept += len(want)
@@ -232,7 +232,7 @@ def test_commutative_mults_match_the_unit_row_search():
     kept = 0
     for desc in descs:
         q = make_quantale(desc)
-        got = [(a.one, tuple(a.mult_table())) for a in _commutative_mults(q)]
+        got = [(a.one, tuple(a.mult_op.flat)) for a in _commutative_mults(q)]
         assert got == unit_row_commutative_mults(q)
         kept += len(got)
     assert (len(descs), kept) == (332, 1366)

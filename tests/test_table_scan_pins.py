@@ -42,7 +42,7 @@ def _first_error(build):
 
 def _aqm_mutant_lines(a, k=1):
     lines = []
-    for t in _cell_mutants(a.mult_table(), len(a.quant.elements), k):
+    for t in _cell_mutants(a.mult_op.flat, len(a.quant.elements), k):
         b = AQM(a.dist, a.quant, t, a.one, a.iota, name=a.name)
         rep = check_aqm(b, strict=False)
         lines.extend(rep.lines)

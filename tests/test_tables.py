@@ -29,7 +29,7 @@ from squanta.errors import (
 from squanta.modact import (MODULE, ActionMap, check_action,
                             hom_from_generator_image)
 from squanta.nucleus import enumerate_nuclei, quotient
-from squanta.order import validate_structure
+from squanta.order import ByteTable, validate_structure
 from squanta.reporting import LawScan
 from squanta.projective import (
     cyclic_projective_check,
@@ -102,7 +102,7 @@ def test_gen_quantales_as_pinned():
         a = exp_end(make_quantale(desc))
         g = a.quant
         lines.append(repr((g.elements, g.pomonoid.poset.up_rows,
-                           tuple(g.plus_table), tuple(a.mult_table()),
+                           tuple(g.plus_table), tuple(a.mult_op.flat),
                            a.dist.elements)))
     assert len(lines) == 520
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
@@ -190,11 +190,10 @@ def _broken_aqm(callables):
                           ["d1", "d0", "d0"], ["d1", "d1", "d1"]],
                    "unit": "d1", "notation": "multiplicative"},
     })
-    mult = {(x, y): str((int(x) + 2 * int(y) + 1) % 3)
-            for x, y in product(q.elements, repeat=2)}
+    mult = [(x + 2 * y + 1) % 3 for x, y in product(range(3), repeat=2)]
     iota = {"d0": "2", "d1": "0"}
     if callables:
-        return AQM(dist, q, lambda x, y: mult[(x, y)], "1", iota.__getitem__)
+        return AQM(dist, q, ByteTable(mult, 3), "1", iota.__getitem__)
     return AQM(dist, q, mult, "1", iota)
 
 
@@ -243,7 +242,7 @@ def test_check_aqm_names_the_unit_side(cell, law, other):
     one side, 2 * 1 = 1 on the right or 1 * 2 = 1 on the left, and the
     report names that side only."""
     a, (s, x) = fx.a3(), cell
-    t = list(a.mult_table())
+    t = list(a.mult_op.flat)
     t[s * len(a.quant.elements) + x] = 1
     rep = check_aqm(AQM(a.dist, a.quant, tuple(t), a.one, a.iota),
                     strict=False)
@@ -266,7 +265,7 @@ def _finite_aqms():
     for desc in quantale_descriptions(3):
         yield from _commutative_mults(make_quantale(desc))
     for a in (fx.a3(), fx.n3()):
-        for t in _cell_mutants(a.mult_table(), len(a.quant.elements)):
+        for t in _cell_mutants(a.mult_op.flat, len(a.quant.elements)):
             yield AQM(a.dist, a.quant, t, a.one, a.iota, a.name)
 
 
@@ -276,7 +275,7 @@ def _gen_product_mutants():
     product, then with every single-value change of its iota."""
     a = exp_end(make_quantale(quantale_descriptions(4)[15]))
     els = a.quant.elements
-    for t in _cell_mutants(a.mult_table(), len(els)):
+    for t in _cell_mutants(a.mult_op.flat, len(els)):
         yield AQM(a.dist, a.quant, t, a.one, a.iota, a.name)
     for d, x in product(a.dist.elements, els):
         if a.iota(d) != x:
