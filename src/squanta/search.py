@@ -25,9 +25,7 @@ __all__ = [
 
 def _labeled_posets(n):
     """All partial orders on 0..n-1 as tuples of up-set bitmasks (bit j of
-    up[i] is set when i <= j), in ascending order of their strict-pair bit
-    vectors over (0, 1), (0, 2), ..., (n-1, n-2), the first pair most
-    significant.
+    up[i] is set when i <= j), in ascending order of _strict_pair_key.
 
     Each order on 0..k is one on 0..k-1 plus the point k, placed above an
     order ideal D and below an order filter U with D and U disjoint and
@@ -52,10 +50,32 @@ def _labeled_posets(n):
                                        for i, m in enumerate(up))
                                  + (u | (1 << k),))
         posets = grown
+    return sorted(posets, key=_strict_pair_key(n))
+
+
+def _strict_pair_key(n):
+    """Up-rows on 0..n-1 -> their strict-pair bit vector over (0, 1), (0, 2),
+    ..., (n-1, n-2) as an integer, the first pair most significant."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     # (i, the bit of j, the weight of the pair (i, j) in the integer key)
     weights = [(i, 1 << j, 1 << b) for b, (i, j) in enumerate(reversed(pairs))]
-    return sorted(posets, key=lambda up: sum(w for i, m, w in weights if up[i] & m))
+    return lambda up: sum(w for i, m, w in weights if up[i] & m)
+
+
+def _labeled_lattices(n):
+    """The lattices among _labeled_posets(n), in its order. For n >= 2 each
+    is built from a bottom b, a top t != b and an order on the other n - 2
+    points, and kept when every pair has a join."""
+    found, mids = [(1,)] if n == 1 else [], _labeled_posets(n - 2)
+    for b, t in permutations(range(n), 2):
+        rest = [x for x in range(n) if x not in (b, t)]
+        for mid in mids:
+            up = [(1 << n) - 1 if x == b else 1 << t for x in range(n)]
+            for x, r in zip(rest, mid):
+                up[x] |= sum(1 << y for j, y in enumerate(rest) if r >> j & 1)
+            if None not in join_positions(up):
+                found.append(tuple(up))
+    return sorted(found, key=_strict_pair_key(n))
 
 
 def _commutative_tables(n, leq, unit, over=(), zero=None):
@@ -138,9 +158,9 @@ def _commutative_tables(n, leq, unit, over=(), zero=None):
 
 
 def _lattice_tables(n):
-    """Each labeled lattice on 0..n-1 (up-rows as in _labeled_posets, whose
-    order it keeps) with its bottom and the sorted list of the + tables
-    (as from _commutative_tables) that make it a c.d.i. generalized
+    """Each labeled lattice on 0..n-1 (from _labeled_lattices, in its
+    order) with its bottom and the sorted list of the + tables (as from
+    _commutative_tables, each as bytes) that make it a c.d.i. generalized
     quantale with the bottom as unit.
 
     The tables are searched once per isomorphism class, on its first
@@ -149,15 +169,13 @@ def _lattice_tables(n):
     Relabeling keeps every law, so these are all the tables of the copy.
     Two tables first differ on a cell (x, y), x <= y, off the unit's row,
     so sorting puts them in the order _commutative_tables emits them."""
-    full = (1 << n) - 1  # the bottom's up-set
     found = {}  # up-rows of a later copy -> (its class's tables, s)
-    for up in _labeled_posets(n):
-        if full not in up or None in (join := join_positions(up)):
-            continue
-        zero = up.index(full)
+    for up in _labeled_lattices(n):
+        zero = up.index((1 << n) - 1)  # the bottom's up-set is everything
         if up not in found:
             leq = poset_from_rows(tuple(range(n)), up).leq_table.rows
-            tables = list(_commutative_tables(n, leq, zero, [join]))
+            tables = list(map(bytes, _commutative_tables(
+                n, leq, zero, [join_positions(up)])))
             for s in permutations(range(n)):
                 key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
                             for x in sorted(range(n), key=s.__getitem__))
@@ -165,13 +183,15 @@ def _lattice_tables(n):
         tables, s = found.pop(up)
         inv = sorted(range(n), key=s.__getitem__)
         src = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
-        yield up, zero, sorted(tuple(s[t[i]] for i in src) for t in tables)
+        rename = bytes(s).ljust(256, b"\0")  # s as a translate table
+        yield up, zero, sorted(bytes(map(t.__getitem__, src)).translate(rename)
+                               for t in tables)
 
 
 def quantale_descriptions(size):
     """Raw structure descriptions of every c.d.i. generalized quantale on at
-    most `size` labeled elements (no isomorphism pruning), in the order of
-    their poset's strict-pair bit vector and then of their + table.
+    most `size` labeled elements (no isomorphism pruning): by size, then one
+    per labeled lattice and + table in _lattice_tables' order.
 
     Each description has its own three dicts, and every value in them is a
     tuple shared with other descriptions: one `elements` tuple per size, one

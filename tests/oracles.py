@@ -300,6 +300,25 @@ def brute_labeled_posets(n):
     return out
 
 
+def is_lattice(up):
+    """Whether the order with these up-set rows (bit j of up[i] set when
+    i <= j) has a least element and a least upper bound of every pair, by
+    scanning the upper bounds."""
+    n = len(up)
+
+    def leq(a, b):
+        return up[a] >> b & 1
+
+    if not any(all(leq(z, x) for x in range(n)) for z in range(n)):
+        return False
+    for a in range(n):
+        for b in range(n):
+            ubs = [z for z in range(n) if leq(a, z) and leq(b, z)]
+            if not any(all(leq(z, u) for u in ubs) for z in ubs):
+                return False
+    return True
+
+
 def _join_table(n, leq):
     join = {}
     for a, b in product(range(n), repeat=2):
