@@ -11,7 +11,6 @@ from .order import (
     FinPoset,
     MonotoneMap,
     Pomonoid,
-    enumerate_monotone_selfmaps,
     validate_structure,
 )
 from .multiupset import (

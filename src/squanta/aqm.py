@@ -5,7 +5,7 @@ multiplicative pomonoid.
 """
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations, product
 from operator import and_
 
@@ -26,6 +26,7 @@ from .order import (
     Pomonoid,
     flat_from_triples,
     join_positions,
+    pointwise_rows,
     pomonoid_from_flat,
     poset_from_rows,
     restrict_pomonoid,
@@ -404,7 +405,7 @@ def exp_end(q):
         raise TooLarge(f"quantale has {n} > {EXP_END_MAX_SIZE} elements",
                        witness=n)
     poset = q.pomonoid.poset
-    up, zero, pts = poset.up_rows, poset.index[q.zero], range(n)
+    zero, pts = poset.index[q.zero], range(n)
     zero_map = bytes([zero]) * n
     join, plus = q.join_op, q.plus_op
 
@@ -442,20 +443,15 @@ def exp_end(q):
     if zero_map not in seen:
         raise UnknownElement("Gen has no zero map", witness=name(zero_map))
 
-    # Gen's elements in label order, each map at its position; f <= g when
-    # g is in above[x][f[x]], the maps whose value at x is above f[x], at
-    # every x
+    # Gen's elements in label order, each map at its position, ordered pointwise
     gen = sorted(seen, key=name)
     names = tuple(map(name, gen))
     pos = {f: i for i, f in enumerate(gen)}
     block = b"".join(gen)
-    above = [[sum(1 << j for j, g in enumerate(gen) if up[v] >> g[x] & 1)
-              for v in pts] for x in pts]
-    rows = [reduce(and_, map(list.__getitem__, above, f)) for f in gen]
     plus_flat = [pos[h] for f in gen for h in pointwise(block, f, plus.maps)]
     quant = FinGenQuantale(
-        pomonoid_from_flat(poset_from_rows(names, rows), plus_flat,
-                           pos[zero_map]),
+        pomonoid_from_flat(poset_from_rows(names, pointwise_rows(poset, gen)),
+                           plus_flat, pos[zero_map]),
         name=f"Gen({q.name})" if q.name else "Gen",
     )
     mult = bytes(pos[h] for f in gen  # f after g is g's block through f

@@ -19,7 +19,7 @@ from .errors import (
     NotStructural,
 )
 from .modact import ActionMap, check_action, cut_module, hom_on_positions
-from .order import _bits
+from .order import _bits, order_breaks
 from .reporting import LawScan, Report
 
 __all__ = [
@@ -225,11 +225,10 @@ def _failures(p):
 def _closure(q, g):
     """Whether the values g (bytes) are a closure operator on q's order:
     expansive, idempotent, and monotone (no x <= y without g(x) <= g(y))."""
-    up, leq = q.pomonoid.poset.up_rows, q.pomonoid.poset.leq_table
+    poset, up = q.pomonoid.poset, q.pomonoid.poset.up_rows
     return (all(up[x] >> v & 1 for x, v in enumerate(g))
             and g.translate(g.ljust(256, b"\0")) == g
-            and not int.from_bytes(leq.flat, "big")
-            & ~int.from_bytes(leq.pairs(g), "big"))
+            and not order_breaks(poset, poset, g))
 
 
 def _holds(p):

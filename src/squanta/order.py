@@ -1,14 +1,16 @@
 """Finite posets, pomonoids and monotone maps.
 
 All values are immutable after validation. Element identifiers are opaque
-strings kept in sorted order, and a poset or pomonoid holds only tables over
-the positions of its elements, so equality of validated structures is
-equality of tables; label operations look their arguments up by position.
+strings kept in sorted order, and a poset, pomonoid or monotone map holds
+only tables over the positions of its elements (a map, the bytes of its
+values), so equality of validated structures is equality of tables; label
+operations look their arguments up by position.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 
 from .errors import (
     NotAPartialOrder,
@@ -30,7 +32,8 @@ __all__ = [
     "join_positions",
     "flat_from_triples",
     "ByteTable",
-    "enumerate_monotone_selfmaps",
+    "monotone_map",
+    "selfmap_pomonoid",
 ]
 
 
@@ -354,35 +357,56 @@ def flat_from_triples(poset, op_triples):
 
 @dataclass(frozen=True)
 class MonotoneMap:
+    """Order-preserving map sending domain.elements[i] to
+    codomain.elements[values[i]]; `table` and `apply` are label views."""
+
     domain: FinPoset
     codomain: FinPoset
-    table: tuple  # canonical tuple of (x, f(x))
+    values: bytes
 
-    def __post_init__(self):
-        object.__setattr__(self, "_table", dict(self.table))
+    @property
+    def table(self):  # the (x, f(x)) label pairs in element order
+        els = self.codomain.elements
+        return tuple(zip(self.domain.elements, map(els.__getitem__, self.values)))
 
     def apply(self, x):
-        return self._table[x]
-
-    def compose(self, other):
-        """self after other (as functions)."""
-        tab = tuple((x, self.apply(other.apply(x))) for x in other.domain.elements)
-        return MonotoneMap(other.domain, self.codomain, tab)
+        return self.codomain.elements[self.values[self.domain.index_of(x)]]
 
 
-def _build_monotone_map(domain, codomain, mapping):
-    table = {}
-    for x, y in mapping:
-        domain.check_element(x)
-        codomain.check_element(y)
-        table[x] = y
-    for x in domain.elements:
-        if x not in table:
-            raise NotMonotone("map table incomplete", witness=x)
-    for x, y in product(domain.elements, repeat=2):
-        if domain.leq(x, y) and not codomain.leq(table[x], table[y]):
-            raise NotMonotone("order not preserved", witness=(x, y))
-    return MonotoneMap(domain, codomain, tuple(sorted(table.items())))
+def order_breaks(domain, codomain, f):
+    """Bit 8 * (i * n + j) set for each i <= j of `domain` (n elements) with
+    f[i] not <= f[j] in `codomain`, for a byte map f: 0 when f is monotone."""
+    return (int.from_bytes(domain.leq_table.flat, "little")
+            & ~int.from_bytes(codomain.leq_table.pairs(f), "little"))
+
+
+def pointwise_rows(codomain, maps):
+    """Up-set rows of the pointwise order on byte maps into `codomain`: the &
+    over x of above[x][f[x]], the maps whose value at x is above f[x]."""
+    up = codomain.up_rows
+    above = [[sum(1 << j for j, g in enumerate(maps) if up[v] >> g[x] & 1)
+              for v in range(len(up))] for x in range(len(maps[0]))]
+    return [reduce(and_, map(list.__getitem__, above, f), (1 << len(maps)) - 1)
+            for f in maps]
+
+
+def monotone_map(domain, codomain, mapping):
+    """The MonotoneMap of a label table, a dict or (x, y) pairs (the last
+    pair for an x counts). An unknown element raises UnknownElement at its
+    pair; then the first x without a value, or else the first x <= y in
+    element order with f(x) not <= f(y), raises NotMonotone."""
+    values = [None] * len(domain.elements)
+    for x, y in mapping.items() if isinstance(mapping, dict) else mapping:
+        i = domain.index_of(x)  # before y: of two unknown labels, x is named
+        values[i] = codomain.index_of(y)
+    if None in values:
+        raise NotMonotone("map table incomplete",
+                          witness=domain.elements[values.index(None)])
+    els, n, f = domain.elements, len(values), bytes(values)
+    if bad := order_breaks(domain, codomain, f):
+        k = next(_bits(bad)) >> 3
+        raise NotMonotone("order not preserved", witness=(els[k // n], els[k % n]))
+    return MonotoneMap(domain, codomain, f)
 
 
 def validate_structure(raw):
@@ -399,7 +423,7 @@ def validate_structure(raw):
         spec = raw["map"]
         dom = validate_structure({"poset": spec["domain"]})
         cod = validate_structure({"poset": spec["codomain"]})
-        return _build_monotone_map(dom, cod, [tuple(p) for p in spec["table"]])
+        return monotone_map(dom, cod, map(tuple, spec["table"]))
     poset = _parse_poset(
         raw["poset"]["elements"], [tuple(p) for p in raw["poset"].get("leq", [])]
     )
@@ -410,56 +434,22 @@ def validate_structure(raw):
     return pomonoid_from_flat(poset, flat, poset.index_of(mon["unit"]))
 
 
-def monotone_map(domain, codomain, mapping):
-    """Validate an explicit table as a MonotoneMap between built posets."""
-    return _build_monotone_map(domain, codomain, list(mapping.items()))
-
-
-def enumerate_monotone_selfmaps(poset):
-    """All order-preserving self-maps, plus their componentwise order.
-
-    Returns (maps, order_pairs) where order_pairs contains (i, j) whenever
-    maps[i] <= maps[j] pointwise. The list is closed under composition and
-    contains the identity. More than 6 elements raise TooLarge.
-    """
+def selfmap_pomonoid(poset):
+    """The monotone self-maps as a multiplicative pomonoid under composition
+    (f.g is f after g), ordered pointwise, and {name: MonotoneMap}, the i-th
+    monotone value tuple in product order named f<i>. More than 6 elements,
+    or than 256 maps (see ByteTable: the 6-chain has 462), raise TooLarge
+    before anything is composed."""
     n = len(poset.elements)
     if n > 6:
         raise TooLarge(f"poset has {n} > 6 elements", witness=n)
-    maps = []
-    for values in product(poset.elements, repeat=n):
-        tab = dict(zip(poset.elements, values))
-        if all(
-            poset.leq(tab[x], tab[y])
-            for x, y in product(poset.elements, repeat=2)
-            if poset.leq(x, y)
-        ):
-            maps.append(MonotoneMap(poset, poset, tuple(sorted(tab.items()))))
-    order = {
-        (i, j)
-        for i, f in enumerate(maps)
-        for j, g in enumerate(maps)
-        if all(poset.leq(f.apply(x), g.apply(x)) for x in poset.elements)
-    }
-    return maps, order
-
-
-def selfmap_pomonoid(poset):
-    """The monotone self-maps as a multiplicative pomonoid under composition,
-    the i-th map of enumerate_monotone_selfmaps named f<i>. A pomonoid has
-    at most 256 elements (see ByteTable): the 6-chain, with 462 monotone
-    self-maps, raises TooLarge."""
-    maps, order = enumerate_monotone_selfmaps(poset)
-    _check_carrier_size(len(maps))
-    names = [f"f{i}" for i in range(len(maps))]
-    at = sorted(range(len(maps)), key=names.__getitem__)  # map at a position
-    pos = {m: p for p, m in enumerate(at)}
-    index = {m: i for i, m in enumerate(maps)}
-    rows = [0] * len(maps)
-    for i, j in order:
-        rows[pos[i]] |= 1 << pos[j]
-    flat = [pos[index[maps[i].compose(maps[j])]] for i in at for j in at]
-    ident = next(i for i, m in enumerate(maps)
-                 if all(m.apply(x) == x for x in poset.elements))
-    base = poset_from_rows(tuple(names[i] for i in at), rows)
-    return (pomonoid_from_flat(base, flat, pos[ident]),
-            dict(zip(names, maps)))
+    found = [f for f in map(bytes, product(range(n), repeat=n))
+             if not order_breaks(poset, poset, f)]
+    _check_carrier_size(len(found))
+    at = sorted(range(len(found)), key=str)  # f<i> at its name's position
+    maps = [found[i] for i in at]
+    pos = {f: p for p, f in enumerate(maps)}
+    flat = [pos[g.translate(f.ljust(256, b"\0"))] for f in maps for g in maps]
+    base = poset_from_rows(tuple(f"f{i}" for i in at), pointwise_rows(poset, maps))
+    return (pomonoid_from_flat(base, flat, pos[bytes(range(n))]),
+            {f"f{i}": MonotoneMap(poset, poset, f) for i, f in enumerate(found)})

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .modact import (ACT, MODULE, POSET, ActionMap, check_action, cut_module,
                      generator_image, hom_on_positions, is_module_hom)
-from .nucleus import nucleus, quotient
+from .nucleus import Nucleus, quotient
 from .reporting import Report
 
 __all__ = [
@@ -132,37 +132,37 @@ def gamma_u(u, ma):
     """Dividing report for u and, when dividing, the induced structural
     nucleus a -> (a*u)/u on the scalar quantale together with the verified
     isomorphism between the orbit module and the quotient; for a module on
-    tables, as `residual` requires (any other raises TooLarge).
-    """
+    tables (any other raises TooLarge)."""
+    ma.require_tables()
     rep = Report(f"gamma_u(u={u})")
-    aqm = ma.scalars
-    results = {}
-    for x in ma.space_universe():
+    index_of = ma.space.pomonoid.poset.index_of
+    ui, divided = index_of(u), []  # divided[y]: y/u at the point y
+    for y, x in enumerate(ma.space.elements):
         try:
-            results[x] = residual(x, u, ma)
+            divided.append(_residual_index(ma, y, ui)[0])
         except NoResidual as exc:
             raise NotDividing(f"residual missing at {x!r}", witness=x) from exc
     rep.data["dividing"] = True
     rep.note("u is dividing")
 
-    q = aqm.quant  # gamma_u(a) is (a * u)/u, one of the residuals above
-    nuc = nucleus(q, {a: results[ma.star(a, u)].value for a in q.elements})
+    nuc = Nucleus(ma.scalars.quant, tuple(_gamma_index(ma, ui, divided)))
     try:
-        qm = quotient(self_module(aqm), nuc)
+        qm = quotient(self_module(ma.scalars), nuc)
     except NotStructural:
         rep.failed("gamma_u structural on the scalar quantale")
         return nuc, rep
     rep.passed("gamma_u is a structural nucleus on the scalar quantale")
 
-    # orbit module A*u is isomorphic to the quotient by gamma_u
+    # orbit module A*u is isomorphic to the quotient by gamma_u (its image):
+    # x -> x/u is a bijection onto it that a -> a*u inverts, and a module
+    # homomorphism, so its inverse is one too
     orbit_mod = submodule_on_orbit(ma, u)
-    fwd = {x: results[x].value for x in orbit_mod.space.elements}  # x -> x/u
-    bwd = {a: ma.star(a, u) for a in qm.module.space.elements}     # a -> a*u
-    iso_ok = all(bwd[fwd[x]] == x for x in orbit_mod.space.elements) and all(
-        fwd[bwd[a]] == a for a in qm.module.space.elements
-    )
-    iso_ok = iso_ok and is_module_hom(fwd, orbit_mod, qm.module)
-    iso_ok = iso_ok and is_module_hom(bwd, qm.module, orbit_mod)
+    orbit = bytes(map(index_of, orbit_mod.space.elements))
+    fwd, image = bytes(map(divided.__getitem__, orbit)), sorted(set(nuc.values))
+    iso_ok = (sorted(fwd) == image
+              and fwd.translate(ma.column(ui).ljust(256, b"\0")) == orbit
+              and hom_on_positions(bytes(map(image.index, fwd)), orbit_mod,
+                                   qm.module))
     rep.verdict("orbit module isomorphic to scalar quotient", iso_ok,
                 "via x->x/u and a->a*u")
     rep.data["nucleus"] = nuc

@@ -10,7 +10,7 @@ from squanta.errors import (FragmentExceeded, IllDefined, NotAssociative,
 from squanta.modact import POSET, is_module_hom
 from squanta.multiupset import Multiupset
 from squanta.nucleus import AddConsequence, Nucleus, QuantCongruence, _failures
-from squanta.order import ByteTable, _bits, row_mismatches
+from squanta.order import ByteTable, _bits, row_mismatches, selfmap_pomonoid
 from squanta.projective import (enumerate_module_homs, self_module,
                                 submodule_on_orbit)
 
@@ -278,6 +278,64 @@ def presentation_leq(p, r):
     if isinstance(p, AddConsequence):
         return all(a & ~b == 0 for a, b in zip(p.rows, r.rows))
     return all(r.reps[x] == r.reps[c] for x, c in enumerate(p.reps))
+
+
+# -- monotone self-maps, on label dicts ----------------------------------------
+
+
+def label_monotone_selfmaps(poset):
+    """The order-preserving self-maps of a poset as label dicts, in the
+    product order of their value tuples, and the pairs (i, j) with maps[i]
+    <= maps[j] at every element, by scanning every self-map table."""
+    els = poset.elements
+    maps = []
+    for values in product(els, repeat=len(els)):
+        tab = dict(zip(els, values))
+        if all(poset.leq(tab[x], tab[y])
+               for x, y in product(els, repeat=2) if poset.leq(x, y)):
+            maps.append(tab)
+    order = {(i, j) for i, f in enumerate(maps) for j, g in enumerate(maps)
+             if all(poset.leq(f[x], g[x]) for x in els)}
+    return maps, order
+
+
+def label_selfmap_pomonoid(poset):
+    """The self-map pomonoid of a poset on labels: the i-th map of
+    label_monotone_selfmaps named f<i>, {name: its (x, f(x)) pairs}, the
+    (f, g) name pairs with f <= g, {(f, g): the name of f after g}, the
+    identity's name and the three flags."""
+    maps, order = label_monotone_selfmaps(poset)
+    names = [f"f{i}" for i in range(len(maps))]
+    tables = {n: tuple(sorted(m.items())) for n, m in zip(names, maps)}
+    by_table = {t: n for n, t in tables.items()}
+    products = {(f, g): by_table[tuple(sorted((x, maps[i][maps[j][x]])
+                                              for x in poset.elements))]
+                for i, f in enumerate(names) for j, g in enumerate(names)}
+    unit = next(n for n, m in zip(names, maps)
+                if all(m[x] == x for x in poset.elements))
+    leq = {(names[i], names[j]) for i, j in order}
+    return {"tables": tables, "leq": leq, "product": products, "unit": unit,
+            "commutative": all(products[f, g] == products[g, f]
+                               for f, g in products),
+            "dually_integral": all((unit, f) in leq for f in names),
+            "idempotent": all(products[f, f] == f for f in names)}
+
+
+def assert_selfmap_pomonoid_is_the_label_one(poset):
+    """selfmap_pomonoid(poset) against label_selfmap_pomonoid: names, maps,
+    order, products, unit and flags."""
+    pom, maps = selfmap_pomonoid(poset)
+    want = label_selfmap_pomonoid(poset)
+    names = sorted(want["tables"])
+    assert pom.elements == tuple(names)
+    assert list(maps) == list(want["tables"])
+    assert {n: m.table for n, m in maps.items()} == want["tables"]
+    assert pom.poset.pairs == want["leq"]
+    assert {(f, g): pom.apply(f, g)
+            for f in names for g in names} == want["product"]
+    assert pom.unit == want["unit"]
+    assert (pom.commutative, pom.dually_integral, pom.idempotent) == (
+        want["commutative"], want["dually_integral"], want["idempotent"])
 
 
 # -- the search enumerators, by scanning every candidate table ----------------

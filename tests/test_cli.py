@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from squanta import cli, projective
+from squanta import cli, projective, search
 from squanta.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, load, main
 from squanta.errors import DanglingReference, DuplicateName, ParseError
 from squanta.search import quantale_descriptions
+from test_literals_and_errors import CHAIN4
 
 
 FIXTURE_CONFIG = {
@@ -353,6 +354,58 @@ def test_broken_action_config_exits_1(tmp_path, capsys):
     }
     path = write_config(tmp_path, cfg)
     assert main(["validate", "bad", "--config", path]) == EXIT_VIOLATION
+
+
+@pytest.mark.parametrize("desc, code, lines", [
+    ({"map": {"domain": CHAIN4, "codomain": CHAIN4,
+              "table": [["3", "0"], ["2", "0"]]}}, EXIT_VIOLATION,
+     ["NotMonotone: FAIL [witness: '0']",
+      "map table incomplete [witness: '0']"]),
+    ({"map": {"domain": CHAIN4, "codomain": CHAIN4,
+              "table": [["0", "1"], ["1", "2"], ["2", "1"], ["3", "0"]]}},
+     EXIT_VIOLATION, ["NotMonotone: FAIL [witness: ('0', '3')]",
+                      "order not preserved [witness: ('0', '3')]"]),
+    ({"map": {"domain": CHAIN4, "codomain": CHAIN4,
+              "table": [["0", "9"], ["0", "0"], ["1", "1"], ["2", "2"],
+                        ["3", "3"]]}}, EXIT_INPUT,
+     ["input error: element '9' not in poset [witness: '9']"]),
+    ({"poset": {"elements": ["q", "p", "q"], "leq": []}}, EXIT_VIOLATION,
+     ["NotAPartialOrder: FAIL [witness: ('p', 'q', 'q')]",
+      "duplicate elements [witness: ('p', 'q', 'q')]"]),
+])
+def test_refused_maps_and_posets_exit_with_their_witnesses(tmp_path, capsys,
+                                                           desc, code, lines):
+    path = write_config(tmp_path, {"structures": {"m": desc}})
+    assert main(["validate", "m", "--config", path]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_INPUT:
+        assert (out, err.splitlines()) == ("", lines)
+    else:
+        assert out.splitlines() == ["== validate [VIOLATION] =="] + [
+            "  " + line for line in lines]
+
+
+def test_search_reports_the_first_failing_correspondence(monkeypatch, capsys):
+    # a correspondence verdict that fails on the second quantale of size
+    # <= 2 (and every later one) is the witness of the FAIL line
+    real, calls = search.correspondence, []
+
+    def failing_from_the_second(q):
+        calls.append(q)
+        verdict = real(q)
+        return verdict if len(calls) < 2 else dict(verdict, round_trips=False,
+                                                   ok=False)
+
+    monkeypatch.setattr(search, "correspondence", failing_from_the_second)
+    assert main(["search", "--size", "2", "--suite", "correspond"]) == \
+        EXIT_VIOLATION
+    assert capsys.readouterr().out.splitlines() == [
+        "== search size<=2 suite=correspond [VIOLATION] ==",
+        "  3 c.d.i. generalized quantales enumerated",
+        "  correspondence: FAIL [witness: (1, {'size': 2, 'counts': (2, 2, 2),"
+        " 'counts_agree': True, 'round_trips': False, 'order_preserving': True,"
+        " 'ok': False})]"]
+    assert len(calls) == 3
 
 
 def test_workers_output_identical(capsys):

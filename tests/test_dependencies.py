@@ -114,12 +114,11 @@ def test_star_tables_are_read_through_the_action():
 
 def test_label_homomorphisms_are_decided_at_the_edge():
     # a caller that holds a byte map decides it with hom_on_positions; the
-    # label form is for maps that arrive as labels: a translation pair's,
-    # gamma_u's isomorphism and a lifting family's maps
+    # label form is for maps that arrive as labels: a translation pair's
+    # and a lifting family's maps
     found = {(f, fn) for path in _sources() if path.name != "equivlogic.py"
              for f, _, fn in _calls(path, "is_module_hom")}
-    assert found <= {("projective.py", "gamma_u"),
-                     ("projective.py", "lifting_check")}, found
+    assert found <= {("projective.py", "lifting_check")}, found
 
 
 def test_search_imports_no_private_name():
@@ -210,7 +209,6 @@ LIBRARY_CLAIMS = {
                             "over P",
     "parse_downset": "reads the README's downset literals",
     "parse_multiupset": "reads the README's multiupset literals",
-    "enumerate_monotone_selfmaps": "the self-maps selfmap_pomonoid composes",
     "selfmap_pomonoid": "the README's one path to the 256-element table "
                         "bound, and check_action's non-commuting oracle case",
     "cyclic_check": "cyclicity at the poset, act and module levels, with the "

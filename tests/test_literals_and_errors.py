@@ -7,7 +7,9 @@ from squanta.cli import EXIT_OK, main
 from squanta.downset import djoin, normalize, parse_downset, unit_embed
 from squanta.errors import (
     EmptyGeneratorSet,
+    LawViolated,
     NoResidual,
+    NotMonotone,
     TooLarge,
     UnknownElement,
 )
@@ -67,6 +69,53 @@ def test_validate_structure_monotone_map(c2, d2):
         }
     )
     assert m.apply("a") == "a"
+
+
+CHAIN4 = {"elements": list("0123"),
+          "leq": [[x, y] for x in "0123" for y in "0123" if x <= y]}
+
+# (table, error, message, witness) for the "map" kind on the 4-chain: the
+# first element without a value; the first x <= y in element order whose
+# images are out of order ((0, 3) before (1, 2), which a scan by y would
+# give first); an unknown element in a pair that a later pair for the same
+# element would override, on either side, the domain's first
+MAP_REFUSALS = [
+    ([["3", "0"], ["2", "0"]], NotMonotone, "map table incomplete", "0"),
+    ([["0", "1"], ["1", "2"], ["2", "1"], ["3", "0"]], NotMonotone,
+     "order not preserved", ("0", "3")),
+    ([["0", "9"], ["0", "0"], ["1", "1"], ["2", "2"], ["3", "3"]],
+     UnknownElement, "element '9' not in poset", "9"),
+    ([["x", "0"], ["0", "0"], ["1", "1"], ["2", "2"], ["3", "3"]],
+     UnknownElement, "element 'x' not in poset", "x"),
+    ([["x", "9"], ["0", "0"], ["1", "1"], ["2", "2"], ["3", "3"]],
+     UnknownElement, "element 'x' not in poset", "x"),
+]
+
+
+@pytest.mark.parametrize("table, error, message, witness", MAP_REFUSALS)
+def test_validate_structure_refuses_a_bad_map(table, error, message, witness):
+    with pytest.raises(error) as err:
+        validate_structure({"map": {"domain": CHAIN4, "codomain": CHAIN4,
+                                    "table": table}})
+    assert err.value.args[0] == message
+    assert err.value.witness == witness
+
+
+def test_a_later_pair_overrides_an_earlier_one():
+    m = validate_structure({"map": {"domain": CHAIN4, "codomain": CHAIN4,
+                                    "table": [["0", "3"], ["0", "0"],
+                                              ["1", "1"], ["2", "2"],
+                                              ["3", "3"]]}})
+    assert m.table == (("0", "0"), ("1", "1"), ("2", "2"), ("3", "3"))
+    assert m.apply("0") == "0"
+
+
+def test_a_quantale_needs_a_monoid():
+    raw = {"poset": {"elements": ["0", "1"], "leq": [["0", "1"]]}}
+    with pytest.raises(LawViolated) as err:
+        make_quantale(raw)
+    assert err.value.law == "quantale-needs-monoid"
+    assert err.value.witness == raw
 
 
 def test_no_residual_on_non_dually_integral_scalars():

@@ -95,6 +95,17 @@ def test_free_extend_examples(c2, d2, n2):
     assert ev2(Multiupset(c2, ["a", "b"])) == "2"  # 1+2 truncated
 
 
+def test_free_extend_refuses_a_multiupset_over_another_base(c2, d2, n2):
+    ev = free_extend_pomonoid(monotone_map(d2, n2.poset, {"p": "1", "q": "2"}),
+                              n2)
+    other = Multiupset(c2, ["a"])
+    with pytest.raises(BaseMismatch) as err:
+        ev(other)
+    assert err.value.args[0] == "multiupset over a different poset"
+    assert err.value.witness == other
+    assert ev(Multiupset(d2, ["p"])) == "1"
+
+
 def test_free_extend_requires_cdi(d2, m2):
     h = monotone_map(d2, m2.poset, {"p": "e", "q": "e"})
     with pytest.raises(NotCDI):

@@ -1,9 +1,10 @@
+import sys
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from oracles import per_x_pomonoid_laws
+from oracles import assert_selfmap_pomonoid_is_the_label_one, per_x_pomonoid_laws
 
 from squanta.errors import (
     NotAPartialOrder,
@@ -17,9 +18,7 @@ from squanta.aqm import FinGenQuantale
 from squanta.search import _labeled_posets
 from squanta.order import (
     ByteTable,
-    MonotoneMap,
     Pomonoid,
-    enumerate_monotone_selfmaps,
     pomonoid_from_flat,
     poset_from_rows,
     selfmap_pomonoid,
@@ -82,9 +81,9 @@ def test_min_up_round_trip(c2, d2):
 
 
 def test_monotone_selfmap_counts(c2, d2):
-    d2_maps, _ = enumerate_monotone_selfmaps(d2)
+    _, d2_maps = selfmap_pomonoid(d2)
     assert len(d2_maps) == 4  # every self-map of a discrete 2-set
-    c2_maps, _ = enumerate_monotone_selfmaps(c2)
+    _, c2_maps = selfmap_pomonoid(c2)
     # oracle: of the 4 tables only a>b, b>a fails monotonicity
     tables = [
         {"a": fa, "b": fb}
@@ -94,18 +93,22 @@ def test_monotone_selfmap_counts(c2, d2):
     ]
     assert len(c2_maps) == len(tables) == 3
     single = validate_structure({"poset": {"elements": ["*"], "leq": []}})
-    maps, _ = enumerate_monotone_selfmaps(single)
+    _, maps = selfmap_pomonoid(single)
     assert len(maps) == 1
 
 
 def test_selfmaps_closed_under_composition(c2):
-    maps, order = enumerate_monotone_selfmaps(c2)
-    ident = [m for m in maps if all(m.apply(x) == x for x in c2.elements)]
+    pom, maps = selfmap_pomonoid(c2)
+    ident = [m for m in maps.values()
+             if all(m.apply(x) == x for x in c2.elements)]
     assert len(ident) == 1
-    for f in maps:
-        for g in maps:
-            assert f.compose(g) in maps
-    assert order  # componentwise order comes back non-trivial
+    tables = {m.table: name for name, m in maps.items()}
+    for f, mf in maps.items():
+        for g, mg in maps.items():
+            after = tuple((x, mf.apply(mg.apply(x))) for x in c2.elements)
+            assert tables[after] == pom.apply(f, g)
+    # componentwise order comes back non-trivial
+    assert any(x != y for x, y in pom.poset.pairs)
 
 
 def test_selfmap_pomonoid_validates(c2, d2):
@@ -115,29 +118,59 @@ def test_selfmap_pomonoid_validates(c2, d2):
         assert all(maps[pom.unit].apply(x) == x for x in poset.elements)
 
 
-def test_selfmap_pomonoid_too_large_before_composing(monkeypatch):
+def test_selfmap_pomonoid_matches_the_label_oracle():
+    # every labeled poset on at most 3 points; the slow gate runs the 219
+    # on 4 points
+    posets = [up for n in range(4) for up in _labeled_posets(n)]
+    assert len(posets) == 1 + 1 + 3 + 19
+    for up in posets:
+        assert_selfmap_pomonoid_is_the_label_one(
+            poset_from_rows(tuple("abc"[:len(up)]), up))
+
+
+def _translates(build):
+    """The number of bytes.translate calls made directly from Python code
+    while build() runs, which counts every product of two byte maps (the
+    monotonicity scans make none once the order's leq_table is built), and
+    the SquantaError it raised, or None."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call" and getattr(arg, "__name__", "") == "translate"
+
+    sys.setprofile(profile)
+    try:
+        build()
+    except SquantaError as exc:
+        return calls, exc
+    finally:
+        sys.setprofile(None)
+    return calls, None
+
+
+def test_selfmap_pomonoid_too_large_before_composing(c2):
     # the 6-chain has 462 monotone self-maps, more than a pomonoid holds,
     # which is known before any of their 213,444 products is composed
     chain6 = validate_structure({"poset": {
         "elements": list("012345"),
         "leq": [[str(i), str(j)] for i in range(6) for j in range(i, 6)]}})
-
-    def compose(self, other):
-        raise AssertionError("composed before the size check")
-
-    monkeypatch.setattr(MonotoneMap, "compose", compose)
-    with pytest.raises(TooLarge) as err:
-        selfmap_pomonoid(chain6)
-    assert err.value.witness == 462
-    assert str(err.value) == "carrier has 462 > 256 elements [witness: 462]"
+    calls, err = _translates(lambda: selfmap_pomonoid(c2))
+    assert calls >= 9 and err is None  # 3 maps: 9 products
+    chain6.leq_table  # the order's 0/1 rows, built with one translate
+    calls, err = _translates(lambda: selfmap_pomonoid(chain6))
+    assert calls == 0 and isinstance(err, TooLarge)
+    assert err.witness == 462
+    assert str(err) == "carrier has 462 > 256 elements [witness: 462]"
 
 
 def test_too_large_guard():
     big = validate_structure(
         {"poset": {"elements": [f"e{i}" for i in range(7)], "leq": []}}
     )
-    with pytest.raises(TooLarge):
-        enumerate_monotone_selfmaps(big)
+    with pytest.raises(TooLarge) as err:
+        selfmap_pomonoid(big)
+    assert str(err.value) == "poset has 7 > 6 elements [witness: 7]"
 
 
 def _max_chain(n):

@@ -8,12 +8,14 @@ import pytest
 from oracles import brute_residual
 from squanta.aqm import exp_end, make_quantale
 from squanta.errors import (BaseMismatch, LawViolated, NoResidual,
-                            NotDividing, NotStructural, TooLarge)
+                            NotAHomomorphism, NotDividing, NotStructural,
+                            TooLarge)
 from squanta.modact import (
     MODULE,
     ActionMap,
     extend_act_to_module,
     extend_poset_action_to_dm,
+    hom_on_positions,
 )
 from squanta.nucleus import (convert, enumerate_nuclei, nucleus, quotient,
                              structural_check)
@@ -167,6 +169,29 @@ def test_cyclic_projective_a3_itself(a3_self):
     assert rep.data["shared_witness"] == ("1", "1")
 
 
+def test_cyclic_projective_skips_a_scalar_that_is_not_dividing():
+    # G2's self-module: the idempotent scalar 1 sends nothing below 0, so
+    # it witnesses no condition, and 0 witnesses each
+    from test_literals_and_errors import _g2_module
+
+    ma = _g2_module()
+    assert self_module(ma.scalars).column(1) == b"\1\1"
+    with pytest.raises(NoResidual):
+        residual("0", "1", ma)
+    rep = cyclic_projective_check(ma)
+    assert rep.ok and rep.lines == [
+        "idempotent scalars: ['0', '1']",
+        "cyclic generators: ['0']",
+        "condition (ii): PASS (witness 0)",
+        "condition (iii): PASS (witness ('0', '0'))",
+        "condition (iv): PASS (witness ('0', '0'))",
+        "condition (v): PASS (witness ('0', '0'))",
+        "conditions (ii)-(v) mutually equivalent: PASS (all True)",
+        "shared witness across conditions: PASS ((u,v)=('0', '0'))"]
+    assert rep.data["witnesses"] == {"ii": ["0"], "iii": [("0", "0")],
+                                     "iv": [("0", "0")], "v": [("0", "0")]}
+
+
 def test_cyclic_projective_one_element_module():
     triv = fx.trivial_module()
     rep = cyclic_projective_check(triv)
@@ -233,6 +258,28 @@ def test_exhaustive_lifting_confirms_projectivity(a3_sub2):
     assert [(q.name, r.name) for _, q, r, _ in fam] == [
         ("A·0", "A·0"), ("A·2", "A·0"), ("A·2", "A·2"), ("A·2", "A·2"),
         ("A3", "A·0"), ("A3", "A·2"), ("A3", "A·2"), ("A3", "A3"), ("A3", "A3")]
+
+
+@pytest.mark.parametrize("g, r, h, message", [
+    ({"0": "2", "2": "2"}, "sub2", None,
+     "surjection is not a module homomorphism"),
+    (None, "self", None, "map is not onto its codomain"),
+    (None, "sub2", {"0": "2", "2": "2"},
+     "candidate is not a module homomorphism"),
+])
+def test_lifting_check_refuses_a_family_that_is_not_one(a3_self, a3_sub2,
+                                                        g, r, h, message):
+    # each (g, q, r, h) is checked before any lift is searched: g a module
+    # homomorphism, g onto r, then h a module homomorphism
+    ident = {x: x for x in a3_sub2.space.elements}
+    g, h = g or ident, h or ident
+    good = (ident, a3_sub2, a3_sub2, ident)
+    r_mod = a3_sub2 if r == "sub2" else a3_self
+    with pytest.raises(NotAHomomorphism) as err:
+        lifting_check(a3_sub2, [good, (g, a3_sub2, r_mod, h)])
+    assert err.value.args[0] == message
+    assert err.value.witness == sorted((h if "candidate" in message
+                                        else g).items())
 
 
 def test_lifting_examples(n2q, a3_self, a3_sub2):
@@ -325,6 +372,22 @@ def test_map_leaving_the_target_is_not_a_module_hom(a3_self, a3_sub2):
     identity = {x: x for x in a3_self.space.elements}
     assert "1" not in a3_sub2.space.elements
     assert not is_module_hom(identity, a3_self, a3_sub2)
+
+
+def test_a_map_off_the_source_carrier_is_not_a_module_hom(a3_self, a3_sub2):
+    # is_module_hom's map must have the source's points as its keys, and
+    # hom_on_positions gives False, not an error, for an action that names
+    # a point outside its own carrier
+    identity = {x: x for x in a3_self.space.elements}
+    assert is_module_hom(identity, a3_self, a3_self)
+    for h in ({"0": "0", "1": "1"}, dict(identity, x="0")):
+        assert not is_module_hom(h, a3_self, a3_self)
+    leaving = ActionMap(MODULE, a3_self.scalars, a3_self.space,
+                        lambda a, x: "9")
+    ident = bytes(range(3))
+    assert hom_on_positions(ident, a3_self, a3_self)
+    assert not hom_on_positions(ident, a3_self, leaving)
+    assert not hom_on_positions(ident, leaving, a3_self)
 
 
 def test_module_hom_preconditions(n2q, a3_self, m2_on_d2):
