@@ -417,10 +417,16 @@ def enumerate_consequences(q):
     order, which is sorted) most significant.
 
     They are the closed sets of the Horn rules: every >=-pair, transitivity,
-    closure of each successor set under binary joins, and + on either side.
-    NextClosure (Ganter 2010) walks the closed sets in exactly that order
-    (the lectic order), with the relation held as one bitmask row of
-    successors per element."""
+    closure of each successor set under binary joins, and + on either side,
+    each held as one bitmask row of successors per element. Close-by-One
+    (Kuznetsov 1993) grows each closed set A, reached by adding the free
+    pair at bit p, by each lower bit not in A, from A's rows, and keeps the
+    closure when it adds no bit above the one added, so each closed set is
+    reached once (`NoProgress` otherwise). As in FCbO (Outrata and Vychodil
+    2012), a closure of bit p that fails the test is handed down to A's
+    descendants: one that lacks a bit of it above p fails the test of p
+    too, and computes no closure for it. The closed sets, sorted by their
+    masks of free pairs, come in the scan's (lectic) order."""
     n = len(q.elements)
     # sums[x]: x + z, then z + x, for z in element order
     sums = [r + c for r, c in zip(q.plus_op.rows, q.plus_op.transposed().rows)]
@@ -430,19 +436,18 @@ def enumerate_consequences(q):
     # (x, bit y) for the pair (x, y) at bit i of a set of free pairs
     free = [(x, 1 << y) for x in range(n) for y in range(n)
             if not ge[x] >> y & 1][::-1]
-    m = len(free)
 
-    def close(a):
-        """The least consequence relation containing the free pairs set in
-        a, as successor rows. From the closed rows of >=, a worklist holds
-        the rows that grew: each pulls the rows of its new successors and of
-        its join j, then pushes itself to the rows that hold it and, being
-        the down-set of j, j + z and z + j to the rows of x + z and z + x."""
-        rows, done = list(ge), list(ge)
-        for i in _bits(a):
-            x, y = free[i]
-            rows[x] |= y
-        work = {x for x in range(n) if rows[x] != ge[x]}
+    def close(rows, i):
+        """The least consequence relation containing the closed `rows` and
+        the free pair at bit i, as successor rows. A worklist holds the rows
+        that grew, from that pair's row on: each pulls the rows of its new
+        successors and of its join j, then pushes itself to the rows that
+        hold it and, being the down-set of j, j + z and z + j to the rows of
+        x + z and z + x."""
+        rows, done = list(rows), list(rows)
+        x, y = free[i]
+        rows[x] |= y
+        work = {x}
         while work:
             x = work.pop()
             s, t = done[x], rows[x]
@@ -462,30 +467,29 @@ def enumerate_consequences(q):
                     work.add(w)
         return rows
 
-    def bits(rows):
-        return sum(1 << i for i, (x, y) in enumerate(free) if rows[x] & y)
-
+    # closed sets to grow: (rows, mask, the bit added last, failed closures)
+    found, todo = {}, [(ge, 0, len(free), [0] * len(free))]
+    while todo:
+        rows, a, top, failed = todo.pop()
+        if a in found:
+            raise NoProgress("Close-by-One reached a closed set twice", witness=a)
+        found[a] = rows
+        failed = failed[:]  # this node's, shared by its children
+        for p in range(top):
+            if a >> p & 1 or (failed[p] & ~a) >> p + 1:
+                continue
+            rows_p = close(rows, p)
+            b = sum(1 << i for i, (x, y) in enumerate(free) if rows_p[x] & y)
+            if (b & ~a) >> p + 1:
+                failed[p] = b
+            else:
+                todo.append((rows_p, b, p, failed))
     out = []
-    rows = close(0)
-    a = bits(rows)
-    while True:
-        c = AddConsequence(q, tuple(rows))
+    for a in sorted(found):
+        c = AddConsequence(q, tuple(found[a]))
         validate_presentation(c)
         out.append(c)
-        # NextClosure: the next closed set in lectic order adds the lowest
-        # bit p it can without adding a bit above p
-        for p in range(m):
-            if a >> p & 1:
-                continue
-            rows = close((a >> p + 1 << p + 1) | 1 << p)
-            b = bits(rows)
-            if (b & ~a) >> p + 1 == 0:
-                if b <= a:  # each closed set is lectically above the last
-                    raise NoProgress("NextClosure did not advance", witness=(a, b))
-                a = b
-                break
-        else:
-            return out
+    return out
 
 
 def enumerate_congruences(q):

@@ -164,28 +164,32 @@ def _lattice_tables(n):
     quantale with the bottom as unit.
 
     The tables are searched once per isomorphism class, on its first
-    labeled copy, which keeps them with one relabeling s onto every later
-    copy; that copy gets the tables t'[s(x)*n + s(y)] = s(t[x*n + y]).
-    Relabeling keeps every law, so these are all the tables of the copy.
-    Two tables first differ on a cell (x, y), x <= y, off the unit's row,
-    so sorting puts them in the order _commutative_tables emits them."""
-    found = {}  # up-rows of a later copy -> (its class's tables, s)
+    labeled copy, which keeps them as one block of bytes with one relabeling
+    s onto every later copy; that copy gets the tables
+    t'[s(x)*n + s(y)] = s(t[x*n + y]), built for the whole block at once by
+    one strided slice per cell and one translate. Relabeling keeps every
+    law, so these are all the tables of the copy. Two tables first differ
+    on a cell (x, y), x <= y, off the unit's row, so sorting puts them in
+    the order _commutative_tables emits them."""
+    nn = n * n
+    found = {}  # up-rows of a later copy -> (its class's block, s)
     for up in _labeled_lattices(n):
         zero = up.index((1 << n) - 1)  # the bottom's up-set is everything
         if up not in found:
             leq = poset_from_rows(tuple(range(n)), up).leq_table.rows
-            tables = list(map(bytes, _commutative_tables(
+            block = b"".join(map(bytes, _commutative_tables(
                 n, leq, zero, [join_positions(up)])))
             for s in permutations(range(n)):
                 key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
                             for x in sorted(range(n), key=s.__getitem__))
-                found.setdefault(key, (tables, s))
-        tables, s = found.pop(up)
+                found.setdefault(key, (block, s))
+        block, s = found.pop(up)
         inv = sorted(range(n), key=s.__getitem__)
-        src = [inv[a] * n + inv[b] for a in range(n) for b in range(n)]
-        rename = bytes(s).ljust(256, b"\0")  # s as a translate table
-        yield up, zero, sorted(bytes(map(t.__getitem__, src)).translate(rename)
-                               for t in tables)
+        out = bytearray(len(block))
+        for a, b in product(range(n), repeat=2):
+            out[a * n + b::nn] = block[inv[a] * n + inv[b]::nn]
+        out = bytes(out).translate(bytes(s).ljust(256, b"\0"))  # s, as a table
+        yield up, zero, sorted(out[i:i + nn] for i in range(0, len(out), nn))
 
 
 def quantale_descriptions(size):

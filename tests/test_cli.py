@@ -408,6 +408,28 @@ def test_search_reports_the_first_failing_correspondence(monkeypatch, capsys):
     assert len(calls) == 3
 
 
+def test_search_reports_the_first_leftdist_counterexample(monkeypatch, capsys):
+    # a hunt that reports witnesses on the third quantale of size <= 2 only
+    # is the quantale_index and witnesses of the FAIL line
+    real, calls = search.SUITES["leftdist"], []
+
+    def found_on_the_third(desc):
+        calls.append(desc)
+        verdict = real(desc)
+        return verdict if len(calls) != 3 else dict(
+            verdict, witnesses=[("g", "h1", "h2")], found=True)
+
+    monkeypatch.setitem(search.SUITES, "leftdist", found_on_the_third)
+    assert main(["search", "--size", "2", "--suite", "leftdist"]) == \
+        EXIT_VIOLATION
+    assert capsys.readouterr().out.splitlines() == [
+        "== search size<=2 suite=leftdist [VIOLATION] ==",
+        "  3 c.d.i. generalized quantales enumerated",
+        "  left-distributivity of composition over joins: FAIL [witness: "
+        "{'quantale_index': 2, 'witnesses': [('g', 'h1', 'h2')]}]"]
+    assert len(calls) == 3
+
+
 def test_workers_output_identical(capsys):
     main(["search", "--size", "3", "--suite", "correspond", "--workers", "1"])
     one = capsys.readouterr().out
