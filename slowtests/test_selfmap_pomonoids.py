@@ -9,9 +9,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from oracles import assert_selfmap_pomonoid_is_the_label_one  # noqa: E402
+from oracles import (  # noqa: E402
+    _labeled_posets,
+    assert_selfmap_pomonoid_is_the_label_one,
+)
 from squanta.order import poset_from_rows  # noqa: E402
-from squanta.search import _labeled_posets  # noqa: E402
 
 
 def test_four_point_selfmap_pomonoids_match_the_label_oracle():

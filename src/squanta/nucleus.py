@@ -8,6 +8,7 @@ the constructors `nucleus`, `consequence` and `congruence` parse labels, and
 every scan here runs on positions."""
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .aqm import FinGenQuantale, check_aqm
@@ -206,8 +207,7 @@ def _failures(p):
                         yield "consequence-sum-right", (els[x], els[y], els[z])
                     if not rows[plus[z * n + x]] >> plus[z * n + y] & 1:
                         yield "consequence-sum-left", (els[x], els[y], els[z])
-    elif isinstance(p, QuantCongruence):
-        # every (a, b, c, d) with a ~ b and c ~ d, in product order
+    else:  # every (a, b, c, d) with a ~ b and c ~ d, in product order
         cid, join = p.reps, q.join_table
         related = [(a, b) for a, b in product(range(n), repeat=2)
                    if cid[a] == cid[b]]
@@ -218,8 +218,6 @@ def _failures(p):
                     yield "congruence-sum", (els[a], els[b], els[c], els[d])
                 if cid[join[an + c]] != cid[join[bn + d]]:
                     yield "congruence-join", (els[a], els[b], els[c], els[d])
-    else:
-        raise TypeError(f"not a presentation: {p!r}")
 
 
 def _closure(q, g):
@@ -249,11 +247,9 @@ def _holds(p):
         g = bytes(p.values)
         return _closure(q, g) and (
             plus.pairs(g).translate(g.ljust(256, b"\0")) == plus.after(g))
-    if not isinstance(p, AddConsequence):
-        return False
-    # reflexive, transitive and join-closed rows are the down-sets of their
-    # joins t, which are a closure operator; then + z keeps them on the
-    # right when t(t(x) + z) = t(x + z), and likewise on the left
+    # consequence rows that are reflexive, transitive and join-closed are
+    # the down-sets of their joins t, a closure operator; then + z keeps them
+    # on the right when t(t(x) + z) = t(x + z), and likewise on the left
     rows, down = tuple(p.rows), q.pomonoid.poset.down_rows
     if any(d & ~r for d, r in zip(down, rows)):
         return False
@@ -266,7 +262,10 @@ def _holds(p):
 
 def validate_presentation(p, strict=True):
     """Scan every defining invariant of the presentation; witness on failure.
-    A presentation is walked through _failures only when _holds fails it."""
+    A presentation is walked through _failures only when _holds fails it;
+    anything else raises TypeError."""
+    if type(p) not in KIND_OF:
+        raise TypeError(f"not a presentation: {p!r}")
     rep = LawScan(f"presentation {type(p).__name__}", strict=strict)
     for law, witness in () if _holds(p) else _failures(p):
         rep.fail(law, witness)
@@ -411,6 +410,12 @@ def enumerate_nuclei(q):
     return [g for g in (Nucleus(q, values) for values in maps) if _holds(g)]
 
 
+@cache
+def _members(n):
+    """The bit lists of all 2^n masks, built once per n on first use."""
+    return tuple(tuple(_bits(s)) for s in range(1 << n))
+
+
 def enumerate_consequences(q):
     """All additive consequence relations, in the order of a scan over the
     relations on the pairs not forced by >=, the first free pair (in element
@@ -430,7 +435,7 @@ def enumerate_consequences(q):
     n = len(q.elements)
     # sums[x]: x + z, then z + x, for z in element order
     sums = [r + c for r, c in zip(q.plus_op.rows, q.plus_op.transposed().rows)]
-    members = [list(_bits(s)) for s in range(1 << n)]
+    members = _members(n)
     joins = [None] + _joins(q, range(1, 1 << n))
     ge = q.pomonoid.poset.down_rows
     # (x, bit y) for the pair (x, y) at bit i of a set of free pairs

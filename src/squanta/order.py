@@ -83,20 +83,6 @@ class FinPoset:
     def check_element(self, x):
         self.index_of(x)
 
-    def up(self, subset):
-        return {y for y in self.elements for x in subset if self.leq(x, y)}
-
-    def down(self, subset):
-        return {y for y in self.elements for x in subset if self.leq(y, x)}
-
-    def minimal(self, subset):
-        s = set(subset)
-        return {x for x in s if not any(self.leq(y, x) and y != x for y in s)}
-
-    def maximal(self, subset):
-        s = set(subset)
-        return {x for x in s if not any(self.leq(x, y) and y != x for y in s)}
-
 
 def _bits(mask):
     """The positions of the set bits of `mask`, ascending."""

@@ -1,7 +1,9 @@
 """Enumeration of small c.d.i. generalized quantales and the check suites
 the CLI `search` command runs over them: the correspondence counts, the
 left-distributivity counterexample hunt inside the endomorphism closure,
-and the classification of cyclic quotients by projectivity."""
+and the classification of cyclic quotients by projectivity. The labeled
+lattices under the quantales are built as the orbits of one lattice per
+isomorphism class, and their + tables are searched once per class."""
 
 from itertools import combinations_with_replacement, permutations, product
 
@@ -23,36 +25,6 @@ __all__ = [
 ]
 
 
-def _labeled_posets(n):
-    """All partial orders on 0..n-1 as tuples of up-set bitmasks (bit j of
-    up[i] is set when i <= j), in ascending order of _strict_pair_key.
-
-    Each order on 0..k is one on 0..k-1 plus the point k, placed above an
-    order ideal D and below an order filter U with D and U disjoint and
-    every element of D below every element of U; every labeled order arises
-    exactly once this way."""
-    posets = [()]
-    for k in range(n):
-        subsets = [[i for i in range(k) if s >> i & 1] for s in range(1 << k)]
-        grown = []
-        for up in posets:
-            down = [sum(1 << i for i in range(k) if up[i] >> j & 1)
-                    for j in range(k)]
-            ideals = [s for s, els in enumerate(subsets)
-                      if all(down[i] | s == s for i in els)]
-            filters = [s for s, els in enumerate(subsets)
-                       if all(up[i] | s == s for i in els)]
-            for d in ideals:
-                for u in filters:
-                    if d & u or any(up[i] & u != u for i in subsets[d]):
-                        continue
-                    grown.append(tuple(m | (1 << k) if d >> i & 1 else m
-                                       for i, m in enumerate(up))
-                                 + (u | (1 << k),))
-        posets = grown
-    return sorted(posets, key=_strict_pair_key(n))
-
-
 def _strict_pair_key(n):
     """Up-rows on 0..n-1 -> their strict-pair bit vector over (0, 1), (0, 2),
     ..., (n-1, n-2) as an integer, the first pair most significant."""
@@ -62,20 +34,57 @@ def _strict_pair_key(n):
     return lambda up: sum(w for i, m, w in weights if up[i] & m)
 
 
-def _labeled_lattices(n):
-    """The lattices among _labeled_posets(n), in its order. For n >= 2 each
-    is built from a bottom b, a top t != b and an order on the other n - 2
-    points, and kept when every pair has a join."""
-    found, mids = [(1,)] if n == 1 else [], _labeled_posets(n - 2)
-    for b, t in permutations(range(n), 2):
-        rest = [x for x in range(n) if x not in (b, t)]
-        for mid in mids:
-            up = [(1 << n) - 1 if x == b else 1 << t for x in range(n)]
-            for x, r in zip(rest, mid):
-                up[x] |= sum(1 << y for j, y in enumerate(rest) if r >> j & 1)
-            if None not in join_positions(up):
-                found.append(tuple(up))
-    return sorted(found, key=_strict_pair_key(n))
+def _orbit(up):
+    """The distinct relabelings of the order with up-rows `up` (bit j of
+    up[i] set when i <= j), each with the first permutation s, in
+    `permutations` order, that reaches it; s renames each x to s[x]."""
+    n, orbit = len(up), {}
+    above = [[y for y in range(n) if row >> y & 1] for row in up]
+    for s in permutations(range(n)):
+        rows = [0] * n
+        for x, ys in enumerate(above):
+            rows[s[x]] = sum(1 << s[y] for y in ys)
+        orbit.setdefault(tuple(rows), s)
+    return orbit
+
+
+def _order_classes(k):
+    """One labeled copy of each partial order on k points, up to isomorphism.
+    Removing a maximal point leaves an order on one point fewer, so every
+    order on m + 1 points is one on m points plus a maximal point m above
+    an order ideal d (which holds everything below its members); a
+    candidate is kept unless the orbit of a kept one holds it."""
+    classes = [()]
+    for m in range(k):
+        seen, grown = set(), []
+        for up in classes:
+            for d in range(1 << m):
+                if any(up[i] & d and not d >> i & 1 for i in range(m)):
+                    continue  # i is below a member of d but not in it
+                new = tuple(r | 1 << m if d >> i & 1 else r
+                            for i, r in enumerate(up)) + (1 << m,)
+                if new not in seen:
+                    seen.update(_orbit(new))
+                    grown.append(new)
+        classes = grown
+    return classes
+
+
+def _lattice_classes(n):
+    """One labeled copy of each lattice on n points, up to isomorphism: the
+    copy of its orbit that _strict_pair_key puts first. For n >= 2 a
+    lattice is an order on the n - 2 points other than its bottom and its
+    top, and two lattices are isomorphic exactly when those orders are; an
+    order class with a bottom and a top added is kept when every pair has
+    a join."""
+    if n == 1:
+        return [(1,)]
+    key, top = _strict_pair_key(n), 1 << n - 1
+    # bottom 0, top n - 1, and the order's point i renamed i + 1
+    orders = [(2 * top - 1,) + tuple(r << 1 | top for r in mid) + (top,)
+              for mid in _order_classes(n - 2)]
+    return [min(_orbit(up), key=key) for up in orders
+            if None not in join_positions(up)]
 
 
 def _commutative_tables(n, leq, unit, over=(), zero=None):
@@ -158,38 +167,35 @@ def _commutative_tables(n, leq, unit, over=(), zero=None):
 
 
 def _lattice_tables(n):
-    """Each labeled lattice on 0..n-1 (from _labeled_lattices, in its
-    order) with its bottom and the sorted list of the + tables (as from
-    _commutative_tables, each as bytes) that make it a c.d.i. generalized
-    quantale with the bottom as unit.
+    """Each labeled lattice on 0..n-1, in ascending order of
+    _strict_pair_key, with its bottom and the sorted list of the + tables
+    (as from _commutative_tables, each as bytes) that make it a c.d.i.
+    generalized quantale with the bottom as unit.
 
-    The tables are searched once per isomorphism class, on its first
-    labeled copy, which keeps them as one block of bytes with one relabeling
-    s onto every later copy; that copy gets the tables
-    t'[s(x)*n + s(y)] = s(t[x*n + y]), built for the whole block at once by
-    one strided slice per cell and one translate. Relabeling keeps every
-    law, so these are all the tables of the copy. Two tables first differ
-    on a cell (x, y), x <= y, off the unit's row, so sorting puts them in
-    the order _commutative_tables emits them."""
-    nn = n * n
-    found = {}  # up-rows of a later copy -> (its class's block, s)
-    for up in _labeled_lattices(n):
-        zero = up.index((1 << n) - 1)  # the bottom's up-set is everything
-        if up not in found:
-            leq = poset_from_rows(tuple(range(n)), up).leq_table.rows
-            block = b"".join(map(bytes, _commutative_tables(
-                n, leq, zero, [join_positions(up)])))
-            for s in permutations(range(n)):
-                key = tuple(sum(1 << s[y] for y in range(n) if up[x] >> y & 1)
-                            for x in sorted(range(n), key=s.__getitem__))
-                found.setdefault(key, (block, s))
-        block, s = found.pop(up)
+    The labeled lattices are the orbits of the _lattice_classes. The tables
+    are searched once per class, on its rep, which keeps them as one block
+    of bytes with one relabeling s onto every copy in the rep's orbit; that
+    copy gets the tables t'[s(x)*n + s(y)] = s(t[x*n + y]), built for the
+    whole block at once by one strided slice per cell and one translate.
+    Relabeling keeps every law, so these are all the tables of the copy.
+    Two tables first differ on a cell (x, y), x <= y, off the unit's row,
+    so sorting puts them in the order _commutative_tables emits them."""
+    nn, key = n * n, _strict_pair_key(n)
+    full = (1 << n) - 1  # the bottom's up-set
+    copies = []  # (up-rows, its class's block, s from the class's rep)
+    for rep in _lattice_classes(n):
+        leq = poset_from_rows(tuple(range(n)), rep).leq_table.rows
+        block = b"".join(map(bytes, _commutative_tables(
+            n, leq, rep.index(full), [join_positions(rep)])))
+        copies += [(up, block, s) for up, s in _orbit(rep).items()]
+    for up, block, s in sorted(copies, key=lambda c: key(c[0])):
         inv = sorted(range(n), key=s.__getitem__)
         out = bytearray(len(block))
         for a, b in product(range(n), repeat=2):
             out[a * n + b::nn] = block[inv[a] * n + inv[b]::nn]
         out = bytes(out).translate(bytes(s).ljust(256, b"\0"))  # s, as a table
-        yield up, zero, sorted(out[i:i + nn] for i in range(0, len(out), nn))
+        yield up, up.index(full), sorted(out[i:i + nn]
+                                         for i in range(0, len(out), nn))
 
 
 def quantale_descriptions(size):

@@ -2,7 +2,7 @@
 tables (dicts/tuples) rather than the package's own abstractions, so that
 expected values are computed by a second route."""
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 from squanta.downset import normalize
 from squanta.errors import (FragmentExceeded, IllDefined, NotAssociative,
@@ -10,7 +10,8 @@ from squanta.errors import (FragmentExceeded, IllDefined, NotAssociative,
 from squanta.modact import POSET, is_module_hom
 from squanta.multiupset import Multiupset
 from squanta.nucleus import AddConsequence, Nucleus, QuantCongruence, _failures
-from squanta.order import ByteTable, _bits, row_mismatches, selfmap_pomonoid
+from squanta.order import (ByteTable, _bits, join_positions, row_mismatches,
+                           selfmap_pomonoid)
 from squanta.projective import (enumerate_module_homs, self_module,
                                 submodule_on_orbit)
 
@@ -375,6 +376,60 @@ def is_lattice(up):
             if not any(all(leq(z, u) for u in ubs) for z in ubs):
                 return False
     return True
+
+
+def _pair_bits(up):
+    """The strict pairs (0, 1), (0, 2), ..., (n-1, n-2) of the order with
+    these up-set rows as 0/1 in that order: sorting on it puts the orders
+    in brute_labeled_posets' order."""
+    n = len(up)
+    return [up[i] >> j & 1 for i in range(n) for j in range(n) if i != j]
+
+
+def _labeled_posets(n):
+    """All partial orders on 0..n-1 as tuples of up-set bitmasks (bit j of
+    up[i] is set when i <= j), in brute_labeled_posets' order.
+
+    Each order on 0..k is one on 0..k-1 plus the point k, placed above an
+    order ideal D and below an order filter U with D and U disjoint and
+    every element of D below every element of U; every labeled order arises
+    exactly once this way."""
+    posets = [()]
+    for k in range(n):
+        subsets = [[i for i in range(k) if s >> i & 1] for s in range(1 << k)]
+        grown = []
+        for up in posets:
+            down = [sum(1 << i for i in range(k) if up[i] >> j & 1)
+                    for j in range(k)]
+            ideals = [s for s, els in enumerate(subsets)
+                      if all(down[i] | s == s for i in els)]
+            filters = [s for s, els in enumerate(subsets)
+                       if all(up[i] | s == s for i in els)]
+            for d in ideals:
+                for u in filters:
+                    if d & u or any(up[i] & u != u for i in subsets[d]):
+                        continue
+                    grown.append(tuple(m | (1 << k) if d >> i & 1 else m
+                                       for i, m in enumerate(up))
+                                 + (u | (1 << k),))
+        posets = grown
+    return sorted(posets, key=_pair_bits)
+
+
+def _labeled_lattices(n):
+    """The lattices among _labeled_posets(n), in its order. For n >= 2 each
+    is built from a bottom b, a top t != b and an order on the other n - 2
+    points, and kept when every pair has a join."""
+    found, mids = [(1,)] if n == 1 else [], _labeled_posets(n - 2)
+    for b, t in permutations(range(n), 2):
+        rest = [x for x in range(n) if x not in (b, t)]
+        for mid in mids:
+            up = [(1 << n) - 1 if x == b else 1 << t for x in range(n)]
+            for x, r in zip(rest, mid):
+                up[x] |= sum(1 << y for j, y in enumerate(rest) if r >> j & 1)
+            if None not in join_positions(up):
+                found.append(tuple(up))
+    return sorted(found, key=_pair_bits)
 
 
 def _join_table(n, leq):

@@ -429,3 +429,10 @@ def test_free_product_laws_hypothesis(data):
         assert fa.mult(djoin([p, q]), r) == djoin([fa.mult(p, r), fa.mult(q, r)])
     except FragmentExceeded:
         pass
+
+
+def test_quantale_and_aqm_reprs(n2q, a3):
+    # a quantale shows its name, or its elements when it has none
+    assert repr(n2q) == "FinGenQuantale(N2)"
+    assert repr(make_quantale(n2q.pomonoid)) == "FinGenQuantale(0,1,2)"
+    assert repr(a3) == "AQM(A3)"

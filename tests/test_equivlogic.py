@@ -6,7 +6,8 @@ from squanta.equivlogic import (
     hom_from_generator_image,
     recover_translations,
 )
-from squanta.errors import IllDefined, NotProjective, TooLarge
+from squanta import equivlogic
+from squanta.errors import IllDefined, NoLift, NotProjective, TooLarge
 from squanta.modact import extend_act_to_module, extend_poset_action_to_dm
 from squanta.nucleus import enumerate_nuclei, nucleus, quotient, structural_check
 from squanta.projective import enumerate_module_homs
@@ -145,3 +146,23 @@ def test_round_trip_recovered_pair_induces_same_iso(n2q, a3, a3_self):
     rep2 = equivalence_check(tp2)
     assert rep2.ok
     assert rep2.data["f"] == f and rep2.data["g"] == gg
+
+
+def test_recover_traps_a_missing_lift(n2q, a3_self, monkeypatch):
+    # on certified projective modules a lift always exists: a hom search
+    # that finds none is reported as a bug, naming the first missing lift
+    ident_n = nucleus(n2q, {x: x for x in n2q.elements})
+    ident = {x: x for x in n2q.elements}
+    find_lift = equivlogic.find_lift
+    for missing, found in (("tau", 0), ("rho", 1)):
+        calls = []
+
+        def lift(*args):  # the first `found` searches succeed
+            calls.append(args)
+            return find_lift(*args) if len(calls) <= found else None
+
+        monkeypatch.setattr(equivlogic, "find_lift", lift)
+        with pytest.raises(NoLift) as err:
+            recover_translations(ident, ident, a3_self, a3_self, ident_n,
+                                 ident_n)
+        assert err.value.witness == missing

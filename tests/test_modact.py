@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from oracles import brute_check_poset_act
@@ -281,3 +283,8 @@ def test_second_scan_computes_no_sum_or_join(monkeypatch, m2, m2_on_d2):
         calls.clear()
         assert scan(obj).to_dict() == first.to_dict()
         assert calls == []
+
+
+def test_check_action_rejects_an_unknown_level(m2_on_d2):
+    with pytest.raises(ValueError, match="unknown action level 'bogus'"):
+        check_action(replace(m2_on_d2, level="bogus"))

@@ -231,3 +231,13 @@ def test_decompose_exact_on_non_forest_bases(shape, n2):
         assert ev(Multiupset(v, gens)) == n2.fold(h.apply(a) for a in gens)
     # distinct generator multisets have distinct tables
     assert len(tables) == len(list(all_gen_multisets(v.elements, 3)))
+
+
+def test_multiplicity_overflow(c2, monkeypatch):
+    # a count past MAX_COUNT is a bug, raised rather than carried
+    from squanta import multiupset
+
+    monkeypatch.setattr(multiupset, "MAX_COUNT", 1)
+    assert table(Multiupset(c2, ["b"])) == {"a": 0, "b": 1}
+    with pytest.raises(OverflowError, match="multiplicity overflow"):
+        Multiupset(c2, ["a", "b"])

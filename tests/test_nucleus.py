@@ -43,6 +43,16 @@ def test_validate_nucleus_examples(n2q):
     assert err.value.witness == ("0", "0")
 
 
+def test_validate_presentation_rejects_other_objects(n2q):
+    # the kind is checked before any table is read: a quantale has no
+    # `space`, and a bare object has nothing at all
+    for p in (object(), n2q):
+        with pytest.raises(TypeError, match="not a presentation"):
+            validate_presentation(p)
+        with pytest.raises(TypeError, match="not a presentation"):
+            validate_presentation(p, strict=False)
+
+
 def test_malformed_presentations(n2q):
     # a nucleus missing an element is reported once, and nothing else is
     # scanned; a name outside the space is not an element at all

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from oracles import assert_selfmap_pomonoid_is_the_label_one, per_x_pomonoid_laws
+from oracles import (_labeled_posets, assert_selfmap_pomonoid_is_the_label_one,
+                     per_x_pomonoid_laws)
 
 from squanta.errors import (
     NotAPartialOrder,
@@ -15,7 +16,6 @@ from squanta.errors import (
     UnknownElement,
 )
 from squanta.aqm import FinGenQuantale
-from squanta.search import _labeled_posets
 from squanta.order import (
     ByteTable,
     Pomonoid,
@@ -67,17 +67,6 @@ def test_not_a_partial_order():
 def test_unknown_element(c2):
     with pytest.raises(UnknownElement):
         c2.check_element("zz")
-
-
-def test_min_up_round_trip(c2, d2):
-    # up(min(U)) = U for every upset U
-    for poset in (c2, d2):
-        carrier = set(poset.elements)
-        for bits in product([False, True], repeat=len(poset.elements)):
-            u = {x for x, b in zip(poset.elements, bits) if b}
-            if poset.up(u) != u:
-                continue  # not an upset
-            assert poset.up(poset.minimal(u)) == u
 
 
 def test_monotone_selfmap_counts(c2, d2):

@@ -558,3 +558,20 @@ def test_characterization_needs_an_action_on_tables():
     ma = ActionMap(MODULE, fx.a3(), space, lambda a, x: x)
     with pytest.raises(TooLarge):
         cyclic_projective_check(ma)
+
+
+def test_gamma_u_reports_a_nucleus_that_is_not_structural(a3_self,
+                                                           monkeypatch):
+    # A3's gamma_2 is structural; a quotient that refuses it takes the
+    # report's FAIL branch, which returns the nucleus before any iso check
+    from squanta import projective
+
+    def refuse(ma, nuc):
+        raise NotStructural("refused")
+
+    want, _ = gamma_u("2", a3_self)
+    monkeypatch.setattr(projective, "quotient", refuse)
+    nuc, rep = gamma_u("2", a3_self)
+    assert nuc == want
+    assert not rep.ok
+    assert rep.lines[-1] == "gamma_u structural on the scalar quantale: FAIL"

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    _labeled_lattices,
+    _labeled_posets,
     brute_commutative_mults,
     brute_consequences,
     brute_labeled_posets,
@@ -25,7 +27,6 @@ from squanta.nucleus import enumerate_consequences
 from squanta import aqm, order, reporting, search
 from squanta.search import (
     _commutative_mults,
-    _labeled_posets,
     quantale_descriptions,
     suite_leftdist,
     suite_projective,
@@ -146,9 +147,47 @@ def test_labeled_lattices_are_the_labeled_posets_that_are_lattices():
     # built from a bottom, a top and an order on the other points, against
     # the scan of every labeled poset: the same lists, in the same order
     for n, count in zip(range(1, 6), [1, 2, 6, 36, 380]):  # OEIS A055512
-        lattices = search._labeled_lattices(n)
+        lattices = _labeled_lattices(n)
         assert lattices == [up for up in _labeled_posets(n) if is_lattice(up)]
         assert len(lattices) == count
+
+
+def test_order_classes_by_one_point_extension():
+    # one copy of each order class, none isomorphic to another, and their
+    # orbits partition the labeled orders (OEIS A000112, A001035)
+    for k, count in enumerate([1, 1, 2, 5, 16, 63]):
+        classes = search._order_classes(k)
+        assert len(classes) == count
+        orbits = [set(search._orbit(up)) for up in classes]
+        assert sum(map(len, orbits)) == len(_labeled_posets(k))
+        assert set().union(*orbits) == set(_labeled_posets(k))
+
+
+def test_lattice_orbits_are_the_labeled_lattices():
+    # the labeled lattices _lattice_tables yields, each class's orbit sorted
+    # into one list, against the bottom-and-top construction, list for list
+    for n, count in zip(range(1, 6), [1, 2, 6, 36, 380]):
+        got = [up for up, _, _ in search._lattice_tables(n)]
+        assert got == _labeled_lattices(n)
+        assert sum(len(search._orbit(rep))
+                   for rep in search._lattice_classes(n)) == count
+    for n, count in zip(range(1, 7), [1, 1, 1, 2, 5, 15]):  # OEIS A006966
+        reps, key = search._lattice_classes(n), search._strict_pair_key(n)
+        assert len(reps) == count
+        for rep in reps:  # the copy the key puts first in its orbit
+            assert key(rep) == min(map(key, search._orbit(rep)))
+            assert is_lattice(rep)
+
+
+def test_orbit_keeps_the_first_permutation_to_each_copy():
+    # the chain 0 < 1 and the antichain {0, 1} on two points; the diamond
+    # 0 < 1, 2 < 3, whose swap of 1 and 2 is its one nontrivial automorphism
+    assert search._orbit((3, 2)) == {(3, 2): (0, 1), (1, 3): (1, 0)}
+    assert search._orbit((1, 2)) == {(1, 2): (0, 1)}
+    diamond = search._orbit((15, 10, 12, 8))
+    assert len(diamond) == 12
+    assert diamond[(15, 10, 12, 8)] == (0, 1, 2, 3)
+    assert all(s < (s[0], s[2], s[1], s[3]) for s in diamond.values())
 
 
 def test_one_table_search_per_lattice_class(monkeypatch):

@@ -10,6 +10,7 @@ two-cell mutants pin the order of failures at several z as well."""
 
 from itertools import combinations, product
 
+from oracles import _labeled_posets
 from test_law_scan_pins import _record, _sha
 
 from squanta import fixtures as fx
@@ -18,7 +19,7 @@ from squanta.errors import LawViolated, SquantaError
 from squanta.modact import ActionMap, check_action
 from squanta.order import (ByteTable, Pomonoid, pomonoid_from_flat,
                            poset_from_rows)
-from squanta.search import _labeled_posets, quantale_descriptions
+from squanta.search import quantale_descriptions
 
 
 def _cell_mutants(flat, n, k=1):
