@@ -2,9 +2,9 @@
 lattices as orbits of the lattice classes against the ones built from a
 bottom, a top and a four-point order and against the scan of every labeled
 poset, the class count at n = 7, and the number of descriptions
-`search --size 6` runs on (SEARCH_MAX_SIZE). Tier-1 checks the lattices up
-to n = 5 and the class counts up to n = 6 (tests/test_search.py). Run it
-with
+`search --size 6` runs on (SEARCH_MAX_SIZE), with one op tuple per
+distinct + table. Tier-1 checks the lattices up to n = 5 and the class
+counts up to n = 6 (tests/test_search.py). Run it with
 
     PYTHONPATH=src python -m pytest slowtests -q"""
 
@@ -35,4 +35,10 @@ def test_seven_point_lattice_classes():
 
 def test_search_max_size_descriptions():
     assert SEARCH_MAX_SIZE == 6
-    assert len(quantale_descriptions(6)) == 318487
+    descs = quantale_descriptions(6)
+    assert len(descs) == 318487
+    # one op tuple per distinct + table
+    ops = [d["monoid"]["op"] for d in descs
+           if len(d["poset"]["elements"]) == 6]
+    assert len(ops) == 312240
+    assert len(set(map(id, ops))) == len(set(ops)) == 88680

@@ -497,22 +497,26 @@ def enumerate_consequences(q):
     return out
 
 
-def enumerate_congruences(q):
-    """All congruences (decided by `_holds`), in the order of a scan over
-    the partitions that places the last element first, then each earlier
-    one into each class so far (newest first) and then alone."""
-    n, parts, out = len(q.elements), [[]], []
+@cache
+def _partitions(n):
+    """The partitions of 0..n-1, each as the tuple of the least element of
+    each point's class, built once per n on first use: in the order of a
+    walk that places the last element first, then each earlier one into
+    each class so far (newest first) and then alone."""
+    parts = [[]]
     for x in reversed(range(n)):  # the partitions of the elements from x on
         parts = [r for p in parts for r in [
             *(p[:i] + [[x] + k] + p[i + 1:] for i, k in enumerate(p)), [[x]] + p]]
-    for p in parts:
-        reps = [0] * n
-        for k in p:  # k[0] is the least element of the class k
-            for y in k:
-                reps[y] = k[0]
-        if _holds(c := QuantCongruence(q, tuple(reps))):
-            out.append(c)
-    return out
+    # k[0] is the least element of the class k
+    return tuple(tuple(r for _, r in sorted((y, k[0]) for k in p for y in k))
+                 for p in parts)
+
+
+def enumerate_congruences(q):
+    """All congruences (decided by `_holds`), in the order of the partitions
+    of _partitions(n), which depend on n alone."""
+    return [c for c in (QuantCongruence(q, reps)
+                        for reps in _partitions(len(q.elements))) if _holds(c)]
 
 
 # -- quotients -----------------------------------------------------------------

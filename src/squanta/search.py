@@ -71,20 +71,27 @@ def _order_classes(k):
 
 
 def _lattice_classes(n):
-    """One labeled copy of each lattice on n points, up to isomorphism: the
-    copy of its orbit that _strict_pair_key puts first. For n >= 2 a
-    lattice is an order on the n - 2 points other than its bottom and its
-    top, and two lattices are isomorphic exactly when those orders are; an
-    order class with a bottom and a top added is kept when every pair has
-    a join."""
+    """One labeled copy of each lattice on n points, up to isomorphism, the
+    rep, mapped to its orbit: each copy with a relabeling s that reaches it
+    from the rep. The rep is the copy that _strict_pair_key puts first. For
+    n >= 2 a lattice is an order on the n - 2 points other than its bottom
+    and its top, and two lattices are isomorphic exactly when those orders
+    are; an order class with a bottom and a top added is kept when every
+    pair has a join. Its orbit is computed once, from that order: the copy
+    s reaches from it is reached by s after the inverse of s_rep from the
+    rep, where s_rep reaches the rep."""
     if n == 1:
-        return [(1,)]
-    key, top = _strict_pair_key(n), 1 << n - 1
-    # bottom 0, top n - 1, and the order's point i renamed i + 1
-    orders = [(2 * top - 1,) + tuple(r << 1 | top for r in mid) + (top,)
-              for mid in _order_classes(n - 2)]
-    return [min(_orbit(up), key=key) for up in orders
-            if None not in join_positions(up)]
+        return {(1,): {(1,): (0,)}}
+    key, top, classes = _strict_pair_key(n), 1 << n - 1, {}
+    for mid in _order_classes(n - 2):
+        # bottom 0, top n - 1, and the order's point i renamed i + 1
+        up = (2 * top - 1,) + tuple(r << 1 | top for r in mid) + (top,)
+        if None not in join_positions(up):
+            orbit = _orbit(up)
+            rep = min(orbit, key=key)
+            inv = sorted(range(n), key=orbit[rep].__getitem__)
+            classes[rep] = {c: tuple(s[i] for i in inv) for c, s in orbit.items()}
+    return classes
 
 
 def _commutative_tables(n, leq, unit, over=(), zero=None):
@@ -174,20 +181,21 @@ def _lattice_tables(n):
 
     The labeled lattices are the orbits of the _lattice_classes. The tables
     are searched once per class, on its rep, which keeps them as one block
-    of bytes with one relabeling s onto every copy in the rep's orbit; that
-    copy gets the tables t'[s(x)*n + s(y)] = s(t[x*n + y]), built for the
-    whole block at once by one strided slice per cell and one translate.
-    Relabeling keeps every law, so these are all the tables of the copy.
+    of bytes with the relabeling s onto each copy in its orbit; that copy
+    gets the tables t'[s(x)*n + s(y)] = s(t[x*n + y]), built for the whole
+    block at once by one strided slice per cell and one translate.
+    Relabeling keeps every law, so these are all the tables of the copy,
+    whichever s reaches it: two differ by an automorphism of the rep.
     Two tables first differ on a cell (x, y), x <= y, off the unit's row,
     so sorting puts them in the order _commutative_tables emits them."""
     nn, key = n * n, _strict_pair_key(n)
     full = (1 << n) - 1  # the bottom's up-set
     copies = []  # (up-rows, its class's block, s from the class's rep)
-    for rep in _lattice_classes(n):
+    for rep, orbit in _lattice_classes(n).items():
         leq = poset_from_rows(tuple(range(n)), rep).leq_table.rows
         block = b"".join(map(bytes, _commutative_tables(
             n, leq, rep.index(full), [join_positions(rep)])))
-        copies += [(up, block, s) for up, s in _orbit(rep).items()]
+        copies += [(up, block, s) for up, s in orbit.items()]
     for up, block, s in sorted(copies, key=lambda c: key(c[0])):
         inv = sorted(range(n), key=s.__getitem__)
         out = bytearray(len(block))
@@ -205,20 +213,23 @@ def quantale_descriptions(size):
 
     Each description has its own three dicts, and every value in them is a
     tuple shared with other descriptions: one `elements` tuple per size, one
-    `leq` tuple per labeled lattice, and `op` tuples made of one (x, y, x+y)
-    triple per cell and value. CPython's collector stops tracking a tuple of
-    strings after its first pass over it, so a long list of descriptions is
-    not rescanned."""
+    `leq` tuple per labeled lattice, and one `op` tuple per distinct + table
+    within a size (2,980 for the 6,040 tables at size 5), made of one
+    (x, y, x+y) triple per cell and value. CPython's collector stops
+    tracking a tuple of strings after its first pass over it, so a long
+    list of descriptions is not rescanned."""
     out = []
     for n in range(1, size + 1):
         names = tuple(str(i) for i in range(n))
         cells = [(a, b) for a in names for b in names]
         triples = [[(a, b, z) for z in names] for a, b in cells]
+        ops = {}  # table bytes -> its op tuple
         for up, zero, tables in _lattice_tables(n):
             leq = tuple(cells[i * n + j] for i in range(n) for j in range(n)
                         if i != j and up[i] >> j & 1)
             for t in tables:
-                op = tuple(map(list.__getitem__, triples, t))
+                op = ops.get(t) or ops.setdefault(
+                    t, tuple(map(list.__getitem__, triples, t)))
                 out.append({"poset": {"elements": names, "leq": leq},
                             "monoid": {"op": op, "unit": names[zero]}})
     return out

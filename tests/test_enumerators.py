@@ -6,8 +6,11 @@ canonicity test keeps every closure."""
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +19,12 @@ from oracles import (
     partition_congruences,
     product_nuclei,
     round_robin_consequences,
+    set_partitions,
 )
 from squanta.aqm import make_quantale
 from squanta.errors import NoProgress
 from squanta.nucleus import (
+    _partitions,
     enumerate_congruences,
     enumerate_consequences,
     enumerate_nuclei,
@@ -129,3 +134,23 @@ def test_close_by_one_stops_when_it_reaches_a_closed_set_twice(n2q):
          scope)
     with pytest.raises(NoProgress, match="reached a closed set twice"):
         scope["enumerate_consequences"](n2q)
+
+
+def test_partitions_are_built_once_per_size():
+    # Bell numbers (OEIS A000110), in the order of the scan over
+    # set_partitions, each partition held by the least element of each
+    # point's class; one tuple per n, and none built at import
+    for n, count in enumerate([1, 1, 2, 5, 15, 52, 203, 877]):
+        parts = _partitions(n)
+        assert len(parts) == count
+        assert parts == tuple(tuple(next(k[0] for k in p if y in k)
+                                    for y in range(n))
+                              for p in set_partitions(range(n)))
+        assert _partitions(n) is parts
+    src = str(Path(inspect.getfile(enumerate_congruences)).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from squanta.nucleus import _partitions; "
+         "print(_partitions.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert fresh.stdout == "0\n"

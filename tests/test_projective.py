@@ -7,9 +7,9 @@ import pytest
 
 from oracles import brute_residual
 from squanta.aqm import exp_end, make_quantale
-from squanta.errors import (BaseMismatch, LawViolated, NoResidual,
-                            NotAHomomorphism, NotDividing, NotStructural,
-                            TooLarge)
+from squanta.errors import (BaseMismatch, FragmentExceeded, LawViolated,
+                            NoResidual, NotAHomomorphism, NotDividing,
+                            NotStructural, TooLarge)
 from squanta.modact import (
     MODULE,
     ActionMap,
@@ -152,6 +152,25 @@ def test_module_level_cyclicity_over_fragment_scalars(m2_on_d2):
     with pytest.raises(ValueError):
         cyclic_check(ActionMap("bogus", m2_on_d2.scalars, m2_on_d2.space,
                                m2_on_d2.star), "q")
+
+
+def test_module_level_cyclicity_skips_products_past_the_fragment(m2_on_d2):
+    # at k = 2, 64 of the 144 (scalar, point) products leave the fragment;
+    # the orbit scan skips them and finds the verdicts of the default bound
+    ma = extend_act_to_module(extend_poset_action_to_dm(m2_on_d2, k=2), k=2)
+    scalars, points = list(ma.scalar_universe()), list(ma.space_universe())
+    assert (len(scalars), len(points)) == (12, 12)
+    exceeded = 0
+    for a, u in product(scalars, points):
+        try:
+            ma.star(a, u)
+        except FragmentExceeded:
+            exceeded += 1
+    assert exceeded == 64
+    got = {str(u): cyclic_check(ma, u) for u in points}
+    q = next(u for u in points if str(u) == "v[[q]]")
+    assert got.pop("v[[q]]") == (True, None)
+    assert len(got) == 11 and set(got.values()) == {(False, q)}
 
 
 def test_cyclic_projective_a_sub2(a3_sub2):

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -122,9 +123,21 @@ def test_descriptions_share_no_list_or_dict():
         walk(desc, i)
 
 
-def test_size_five_descriptions_hold_at_most_8_mb():
-    # 5.3 MB with the tuples shared across descriptions; about 15 MB with
-    # a fresh triple per cell, and 23 MB as lists
+def test_equal_tables_share_one_op_tuple():
+    descs = [d for d in quantale_descriptions(5)
+             if len(d["poset"]["elements"]) == 5]
+    assert len(descs) == 6040
+    ops = {}
+    for d in descs:
+        op = d["monoid"]["op"]
+        assert ops.setdefault(op, op) is op  # equal tables, one object
+    assert len({id(d["monoid"]["op"]) for d in descs}) == len(ops) == 2980
+
+
+def test_size_five_descriptions_hold_at_most_6_mb():
+    # 4.4 MB with one op tuple per distinct table, 5.1 MB with one per
+    # description; about 15 MB with a fresh triple per cell, and 23 MB as
+    # lists
     tracemalloc.start()
     try:
         descs = quantale_descriptions(5)
@@ -132,7 +145,7 @@ def test_size_five_descriptions_hold_at_most_8_mb():
     finally:
         tracemalloc.stop()
     assert len(descs) == 6247
-    assert held <= 8_000_000
+    assert held <= 6_000_000
 
 
 def _relabel(up, s):
@@ -177,6 +190,31 @@ def test_lattice_orbits_are_the_labeled_lattices():
         for rep in reps:  # the copy the key puts first in its orbit
             assert key(rep) == min(map(key, search._orbit(rep)))
             assert is_lattice(rep)
+
+
+def test_one_orbit_per_order_class(monkeypatch):
+    # _order_classes lists the orbit of each order class on 1..n - 2 points
+    # (OEIS A000112) and _lattice_classes that of each lattice class on n
+    # (A006966), which _lattice_tables reads: none is listed twice
+    calls, orbit = Counter(), search._orbit
+    monkeypatch.setattr(search, "_orbit",
+                        lambda up: calls.update([len(up)]) or orbit(up))
+    orders = [1, 1, 2, 5, 16]
+    for n, lattices, copies in zip(range(2, 7), [1, 1, 2, 5, 15],
+                                   [2, 6, 36, 380, 6390]):
+        calls.clear()
+        assert len(list(search._lattice_tables(n))) == copies
+        assert calls == Counter({n: lattices,
+                                 **{k: orders[k] for k in range(1, n - 1)}})
+
+
+def test_lattice_classes_rebase_each_orbit_onto_its_rep():
+    # each copy with a relabeling that takes the rep to it
+    for n in range(1, 7):
+        for rep, orbit in search._lattice_classes(n).items():
+            assert orbit.keys() == search._orbit(rep).keys()
+            assert orbit[rep] == tuple(range(n))
+            assert all(_relabel(rep, s) == up for up, s in orbit.items())
 
 
 def test_orbit_keeps_the_first_permutation_to_each_copy():
