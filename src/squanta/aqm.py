@@ -265,8 +265,8 @@ def scan_module_laws(rep, a, space, star, scalars, points, dist, table, laws):
 
     `table` is the held star table (see modact.ActionMap.star_op) of an
     action between finite carriers, or None. On a table each law is checked
-    in blocks of instances, as two byte rows (order.ByteTable), so only a
-    failing block is walked, in the order above."""
+    in blocks of instances, as two byte rows (order.ByteTable), one block
+    of all (s, t, x), so only a failing block is walked, in the order above."""
     unit, zero, compose, plus, join, iota_join, iota_plus, iota_zero = laws
     q = a.quant
     if table is None:
@@ -306,13 +306,13 @@ def scan_module_laws(rep, a, space, star, scalars, points, dist, table, laws):
         (unit, st[s_index(a.one)], bytes(range(n))),
         (zero, st[s_index(q.zero)], bytes([pzero]) * n),
     ], points.__getitem__)
-    for s in range(m):  # instance (s, t, x) at x * m + t
-        rep.rows([
-            (compose, by_x.each(mult[s]), by_x.after(st[s])),
-            (plus, by_x.each(splus[s]), pplus.at(st[s], by_x.rows)),
-            (join, by_x.each(sjoin[s]), pjoin.at(st[s], by_x.rows)),
-        ], lambda j: (scalars[s], scalars[j % m], points[j // m]),
-            lambda j: (j % m, j // m))
+    by_xs = by_x.rows * m  # instance (s, t, x) at (s * n + x) * m + t
+    rep.rows([
+        (compose, b"".join(map(by_x.each, mult)), b"".join(map(by_x.after, st))),
+        (plus, b"".join(map(by_x.each, splus)), pplus.at(table.flat, by_xs)),
+        (join, b"".join(map(by_x.each, sjoin)), pjoin.at(table.flat, by_xs)),
+    ], lambda j: (scalars[j // m // n], scalars[j % m], points[j // m % n]),
+        lambda j: (j // m // n, j % m, j // m % n))
     for label, si in iota_rows:
         rep.rows([  # instance (label, x, y) at x * n + y
             (iota_join, pjoin.after(si), pjoin.pairs(si)),

@@ -5,6 +5,7 @@ between them, module homomorphisms and those that generator images induce.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .aqm import (MODULE_LAWS, DmFragment, FinGenQuantale, free_action,
@@ -72,8 +73,14 @@ class ActionMap:
 
     def column(self, u):
         """a * x for every scalar a, as bytes: the positions of the products
-        of the point x at position u, in scalar order (see star_op)."""
-        return self.star_table()[u::len(self.space.elements)]
+        of the point x at position u, in scalar order (see star_op), each
+        sliced once."""
+        return self._columns[u]
+
+    @cached_property
+    def _columns(self):
+        t, n = self.star_table(), len(self.space.elements)
+        return [t[u::n] for u in range(n)]
 
     def require_tables(self):
         """Raise TooLarge unless the action is on tables (on_tables)."""

@@ -62,6 +62,10 @@ class FinPoset:
                          for row in self.up_rows).encode()
         return ByteTable(digits.translate(bytes.maketrans(b"01", b"\0\1")), n)
 
+    @cached_property
+    def down_maps(self):  # translate maps: byte z of the y-th is 1 at z <= y
+        return self.leq_table.transposed().maps
+
     @property
     def pairs(self):  # the <= relation as a set of (x, y) label pairs
         els = self.elements

@@ -58,23 +58,23 @@ def _residual_index(ma, y, x):
     """y/x over element positions on a module on tables (see
     ActionMap.column): the position of the residual among the scalars
     and the positions of the scalars b with b * x <= y. Raises NoResidual
-    as `residual` does."""
+    as `residual` does. "b * x <= y" is one translate for every b (see
+    FinPoset.down_maps), and the adjunction one compare."""
     q, pels = ma.scalars.quant, ma.space.elements
-    up = ma.space.pomonoid.poset.up_rows
-    below = [up[z] >> y & 1 for z in ma.column(x)]
+    below = ma.column(x).translate(ma.space.pomonoid.poset.down_maps[y])
     certificate = [b for b, ok in enumerate(below) if ok]
     if not certificate:
         raise NoResidual("no scalar sends x below y", witness=(pels[y], pels[x]))
     value = q.join_of(certificate)
-    qels, qup = q.elements, q.pomonoid.poset.up_rows
-    # the defining adjunction, scanned for every scalar
+    qels, qleq = q.elements, q.pomonoid.poset.leq_table.flat
+    m = len(qels)  # the adjunction: a <= y/x exactly when a * x <= y
     if not below[value]:
         raise NoResidual("join of the certificate set escapes the bound",
                          witness=(qels[value], pels[x], pels[y]))
-    for a, ok in enumerate(below):
-        if qup[a] >> value & 1 != ok:
-            raise NoResidual("adjunction fails",
-                             witness=(qels[a], qels[value], pels[x], pels[y]))
+    if below != qleq[value::m]:
+        a = next(a for a, ok in enumerate(below) if qleq[a * m + value] != ok)
+        raise NoResidual("adjunction fails",
+                         witness=(qels[a], qels[value], pels[x], pels[y]))
     return value, certificate
 
 
@@ -94,15 +94,16 @@ def _cyclic_row(ma, u):
     missing = [pels[x] for x in range(n) if x not in times_u]
     divided = None if missing else _residual_row(ma, u, n)
     # (x/u)*u = x on a full orbit; no (x/u)*u is a point off the orbit
-    if not missing and [times_u[d] for d in divided or ()] != list(range(n)):
+    if not missing and bytes(divided or ()).translate(
+            times_u.ljust(256, b"\0")) != bytes(range(n)):
         raise ArithmeticError("orbit and residual characterizations of "
                               f"cyclicity disagree at u={pels[u]!r}")
     return missing, divided
 
 
 def _gamma_index(ma, u, divided):
-    """a -> (a * u)/u on positions from u's residual row; None without one."""
-    return divided and [divided[z] for z in ma.column(u)]
+    """a -> (a * u)/u as bytes, from u's residual row; None without one."""
+    return divided and ma.column(u).translate(bytes(divided).ljust(256, b"\0"))
 
 
 def self_module(aqm, name=None):
@@ -239,7 +240,7 @@ def cyclic_projective_check(ma, lifting_family=None):
                 w3.append((els[u], v))
             # (iv) and (v) share (a/v) * u = a * u for every scalar a:
             # gamma_v(a) is (a * v)/v
-            if bytes(times_u[g] for g in gv) == times_u:
+            if gv.translate(times_u.ljust(256, b"\0")) == times_u:
                 if gv[u] == gv[one]:
                     w4.append((els[u], v))
                 if ma.column(vi)[u] == vi:

@@ -3,8 +3,9 @@ the CLI `search` command runs over them: the correspondence counts, the
 left-distributivity counterexample hunt inside the endomorphism closure,
 and the classification of cyclic quotients by projectivity. The labeled
 lattices under the quantales are built as the orbits of one lattice per
-isomorphism class, and their + tables are searched once per class."""
+isomorphism class, whose + tables and multiplications are searched once."""
 
+from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 
 from .aqm import exp_end, make_quantale, table_aqm
@@ -173,6 +174,17 @@ def _commutative_tables(n, leq, unit, over=(), zero=None):
             k -= 1
 
 
+def _relabeled(block, s, n):
+    """The tables t of `block` (n * n bytes each) as t'[s(x)*n + s(y)] =
+    s(t[x*n + y]), sorted: one strided slice per cell and one translate."""
+    nn, inv = n * n, sorted(range(n), key=s.__getitem__)
+    out = bytearray(len(block))
+    for a, b in product(range(n), repeat=2):
+        out[a * n + b::nn] = block[inv[a] * n + inv[b]::nn]
+    out = bytes(out).translate(bytes(s).ljust(256, b"\0"))  # s, as a table
+    return sorted(out[i:i + nn] for i in range(0, len(out), nn))
+
+
 def _lattice_tables(n):
     """Each labeled lattice on 0..n-1, in ascending order of
     _strict_pair_key, with its bottom and the sorted list of the + tables
@@ -181,15 +193,12 @@ def _lattice_tables(n):
 
     The labeled lattices are the orbits of the _lattice_classes. The tables
     are searched once per class, on its rep, which keeps them as one block
-    of bytes with the relabeling s onto each copy in its orbit; that copy
-    gets the tables t'[s(x)*n + s(y)] = s(t[x*n + y]), built for the whole
-    block at once by one strided slice per cell and one translate.
+    of bytes with the relabeling s onto each copy in its orbit (_relabeled).
     Relabeling keeps every law, so these are all the tables of the copy,
     whichever s reaches it: two differ by an automorphism of the rep.
     Two tables first differ on a cell (x, y), x <= y, off the unit's row,
     so sorting puts them in the order _commutative_tables emits them."""
-    nn, key = n * n, _strict_pair_key(n)
-    full = (1 << n) - 1  # the bottom's up-set
+    key, full = _strict_pair_key(n), (1 << n) - 1  # full: the bottom's up-set
     copies = []  # (up-rows, its class's block, s from the class's rep)
     for rep, orbit in _lattice_classes(n).items():
         leq = poset_from_rows(tuple(range(n)), rep).leq_table.rows
@@ -197,13 +206,7 @@ def _lattice_tables(n):
             n, leq, rep.index(full), [join_positions(rep)])))
         copies += [(up, block, s) for up, s in orbit.items()]
     for up, block, s in sorted(copies, key=lambda c: key(c[0])):
-        inv = sorted(range(n), key=s.__getitem__)
-        out = bytearray(len(block))
-        for a, b in product(range(n), repeat=2):
-            out[a * n + b::nn] = block[inv[a] * n + inv[b]::nn]
-        out = bytes(out).translate(bytes(s).ljust(256, b"\0"))  # s, as a table
-        yield up, up.index(full), sorted(out[i:i + nn]
-                                         for i in range(0, len(out), nn))
+        yield up, up.index(full), _relabeled(block, s, n)
 
 
 def quantale_descriptions(size):
@@ -301,28 +304,47 @@ def suite_leftdist(desc):
     }
 
 
+@cache
+def _copies(n):
+    """Each labeled lattice on 0..n-1 -> (its class's rep, s from the rep)."""
+    return {up: (rep, s) for rep, orbit in _lattice_classes(n).items()
+            for up, s in orbit.items()}
+
+
+@cache
+def _class_mults(rep, unit):
+    """_commutative_tables on the lattice class rep `rep`, distributing
+    over joins with its bottom as zero, as one block of bytes."""
+    n = len(rep)
+    leq = poset_from_rows(tuple(range(n)), rep).leq_table.rows
+    return b"".join(map(bytes, _commutative_tables(
+        n, leq, unit, [join_positions(rep)], rep.index((1 << n) - 1))))
+
+
 def _commutative_mults(q):
     """The AQMs of q's commutative, monotone, unital multiplications that
     distribute over + and binary joins and that 0 annihilates, for each unit
-    in element order."""
-    els, poset = q.elements, q.pomonoid.poset
-    n, zero = len(els), poset.index_of(q.zero)
-    over = [q.plus_table, q.join_table]
+    in element order, as _commutative_tables emits them. Every quantale
+    `search` yields has zero = bottom (any other q raises ValueError), so
+    the tables are searched once per lattice class and unit (_class_mults),
+    relabeled onto q's copy, and kept when every row distributes over +."""
+    if q.zero != q.bottom:
+        raise ValueError(f"{q!r}: the zero is not the bottom of a lattice")
+    els, plus, n = q.elements, q.plus_op, len(q.elements)
+    rep, s = _copies(n)[q.pomonoid.poset.up_rows]
     return [table_aqm(q, t, els[one]) for one in range(n)
-            for t in _commutative_tables(n, poset.leq_table.rows, one, over,
-                                         zero)]
+            for t in _relabeled(_class_mults(rep, s.index(one)), s, n)
+            if all(plus.after(r) == plus.pairs(r)
+                   for r in (t[i:i + n] for i in range(0, n * n, n)))]
 
 
 def suite_projective(desc):
     """Classify the cyclic quotients of every commutative AQM on this
-    quantale; report any without a dividing-idempotent witness."""
+    quantale; report the first two without a dividing-idempotent witness."""
     q = make_quantale(desc)
-    nonprojective = []
-    n_aqms = 0
-    n_quotients = 0
-    nucs = enumerate_nuclei(q)
-    for aqm in _commutative_mults(q):
-        n_aqms += 1
+    nonprojective, n_quotients = [], 0
+    nucs, aqms = enumerate_nuclei(q), _commutative_mults(q)
+    for aqm in aqms:
         selfm = self_module(aqm)
         for nuc in nucs:
             try:
@@ -337,7 +359,7 @@ def suite_projective(desc):
                                       "at the unit image")
             n_quotients += 1
             rep = cyclic_projective_check(qm.module)
-            if not any(rep.data["conditions"].values()):
+            if len(nonprojective) < 2 and not any(rep.data["conditions"].values()):
                 nonprojective.append(
                     {
                         "one": aqm.one,
@@ -349,9 +371,9 @@ def suite_projective(desc):
                 )
     return {
         "size": len(q.elements),
-        "aqms": n_aqms,
+        "aqms": len(aqms),
         "cyclic_quotients": n_quotients,
-        "nonprojective": nonprojective[:2],
+        "nonprojective": nonprojective,
         "found": bool(nonprojective),
         "ok": True,
     }

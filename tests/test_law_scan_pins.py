@@ -11,6 +11,7 @@ from squanta.aqm import AQM, check_aqm, free_aqm
 from squanta.errors import LawViolated
 from squanta.modact import (
     ACT,
+    MODULE,
     POSET,
     ActionMap,
     check_action,
@@ -94,9 +95,49 @@ def test_fragment_mutants_as_pinned():
     assert _sha(lines) == FRAGMENT_MUTANTS
 
 
+
+def _broken_n3():
+    """N3's product with three cells changed, at the scalars 1, 2 and 3: as
+    an action of N3 on its quantale and as an AQM, both on that table."""
+    a = fx.n3()
+    q, n = a.quant, len(a.quant.elements)
+    t = bytearray(a.mult_op.flat)
+    for s, x, z in ((1, 2, 0), (2, 3, 1), (3, 1, 3)):
+        t[s * n + x] = z
+    at, els = q.pomonoid.poset.index_of, q.elements
+    ma = ActionMap(MODULE, a, q, lambda s, x: els[t[at(s) * n + at(x)]],
+                   name="broken", table=bytes(t))
+    return ma, AQM(a.dist, q, bytes(t), a.one, a.iota, name="broken")
+
+
+def test_module_laws_on_a_table_broken_for_several_scalars():
+    """compose, scalar-plus and scalar-join fail at several scalars of one
+    table: their FAIL lines come by (s, t, x), laws in MODULE_LAWS order at
+    one instance, in check_action and check_aqm alike."""
+    ma, a = _broken_n3()
+    lines = check_action(ma, strict=False).lines
+    assert [ln for ln in lines if ln.split(":")[0]
+            in ("compose", "scalar-plus", "scalar-join")] == [
+        f"{law}: FAIL [witness: {w!r}]" for law, w in [
+            ("scalar-plus", ("1", "1", "2")), ("scalar-plus", ("1", "1", "3")),
+            ("compose", ("1", "2", "1")), ("scalar-join", ("1", "2", "3")),
+            ("compose", ("2", "1", "2")), ("scalar-join", ("2", "1", "3")),
+            ("compose", ("2", "2", "2")), ("compose", ("2", "2", "3")),
+            ("scalar-plus", ("2", "2", "3")), ("compose", ("2", "3", "1")),
+            ("compose", ("2", "3", "2")), ("compose", ("2", "3", "3")),
+            ("compose", ("3", "1", "2"))]]
+    assert (len(lines), _sha(lines)) == (33, BROKEN_N3_ACTION)
+    lines = check_aqm(a, strict=False).lines
+    assert (len(lines), _sha(lines)) == (36, BROKEN_N3_AQM)
+
+
 POSET_MUTANTS = (
     "8efd44bdb556a35848d745efbffbb84bd9c275d476648e2d1d4282ad60a117a7")
 ACT_MUTANTS = (
     "8fe136d0d0d2b5f4c75a9eb4a17d6cd689ca292ed7afb0393c2e2ccff3dc8379")
 FRAGMENT_MUTANTS = (
     "eefcc187e16280834e207417cad2e484f6ca5155d5e57ab054262a0e9b5f4e16")
+BROKEN_N3_ACTION = (
+    "510308c3bafab0252b7edae84b84985156f9861ef24d9ad84af15c6debfdd6f2")
+BROKEN_N3_AQM = (
+    "dc920fca7384993bf927c7f4397ea8a4e9a73a56a8ddd4c70af983d04c1a68b7")

@@ -4,6 +4,9 @@ lists, in the same order."""
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import permutations
@@ -26,6 +29,7 @@ from oracles import (
 from squanta.aqm import make_quantale
 from squanta.nucleus import enumerate_consequences
 from squanta import aqm, order, reporting, search
+from squanta.order import poset_from_rows
 from squanta.search import (
     _commutative_mults,
     quantale_descriptions,
@@ -257,6 +261,55 @@ def test_one_table_search_per_lattice_class(monkeypatch):
             assert len(mine) * automorphisms == factorial(n)
             copies.extend(mine)
         assert sorted(copies) == sorted(lattices)  # the classes partition them
+
+
+def test_one_multiplication_search_per_class_and_unit(monkeypatch):
+    """suite_projective on every quantale of size <= 4 searches the
+    multiplications once per lattice class and unit, on the class's rep
+    with its bottom as zero: 1, 1, 1 and 2 classes on 1..4 points (A006966),
+    so 1, 2, 3 and 8 searches; a second round searches nothing. None is
+    searched at import."""
+    descs = quantale_descriptions(4)
+    calls, commutative_tables = [], search._commutative_tables
+
+    def spy(n, leq, unit, over=(), zero=None):
+        calls.append((n, tuple(map(bytes, leq)), unit, zero))
+        return commutative_tables(n, leq, unit, over, zero)
+
+    monkeypatch.setattr(search, "_commutative_tables", spy)
+    search._class_mults.cache_clear()
+    for _ in range(2):
+        for d in descs:
+            suite_projective(d)
+    assert Counter(n for n, *_ in calls) == {1: 1, 2: 2, 3: 3, 4: 8}
+    reps = {tuple(poset_from_rows(tuple(range(n)), rep).leq_table.rows): rep
+            for n in range(1, 5) for rep in search._lattice_classes(n)}
+    assert sorted((reps[leq], unit) for _, leq, unit, _ in calls) == sorted(
+        (rep, unit) for rep in reps.values() for unit in range(len(rep)))
+    assert all(reps[leq][zero] == (1 << n) - 1 for n, leq, _, zero in calls)
+    src = str(Path(search.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from squanta.search import _class_mults, "
+         "_copies; print(_class_mults.cache_info().currsize, "
+         "_copies.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert fresh.stdout == "0 0\n"
+
+
+def test_commutative_mults_take_only_a_zero_at_the_bottom():
+    """A quantale whose zero is not the bottom of its lattice, here the
+    chain 0 < 1 < 2 < 3 with min as + and the top as its unit, is no
+    quantale `search` yields: _commutative_mults raises ValueError naming
+    it."""
+    els = ["0", "1", "2", "3"]
+    top = make_quantale({
+        "poset": {"elements": els,
+                  "leq": [[x, y] for x in els for y in els if x < y]},
+        "monoid": {"op": [[x, y, min(x, y)] for x in els for y in els],
+                   "unit": "3"}}, name="C4top")
+    with pytest.raises(ValueError, match=r"FinGenQuantale\(C4top\)"):
+        _commutative_mults(top)
 
 
 def test_commutative_mults_match_scan(small_quantales):
